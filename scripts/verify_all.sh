@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one shot: the plain release build + full ctest
 # (the gate every PR must keep green), then the ASan+UBSan configuration
-# via scripts/verify_sanitize.sh, then the forced-scalar crypto build.
+# via scripts/verify_sanitize.sh, then the forced-scalar crypto build, then
+# the build with the observability hooks compiled out (-DMCT_OBS=OFF).
 # Extra arguments are forwarded to the ctest invocations
 # (e.g. `scripts/verify_all.sh -R StatePlane`).
 #
@@ -12,19 +13,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== [1/5] tier-1: release build + ctest ==="
+echo "=== [1/6] tier-1: release build + ctest ==="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "=== [2/5] bench gate: smoke benches vs committed baselines ==="
+echo "=== [2/6] bench gate: smoke benches vs committed baselines ==="
 # ctest runs this too (bench_smoke + bench_gate), but an explicit pass keeps
 # the gate in the loop even when "$@" filters the test set, and prints the
 # comparison where it is easy to see.
 cmake --build build --target bench-smoke
 python3 scripts/bench_compare.py build/bench-smoke-json bench/baselines/smoke
 
-echo "=== [3/5] soak: seeded chaos campaigns (ctest label: soak) ==="
+echo "=== [3/6] soak: seeded chaos campaigns (ctest label: soak) ==="
 # Concurrent-session soaks under the deterministic chaos plane (DESIGN.md
 # "Concurrency model & chaos plane"). A red soak prints MCT_CHAOS_SEED=<n>
 # in every failure; scripts/soak.sh replays that exact schedule. With
@@ -43,10 +44,10 @@ ctest --test-dir build --output-on-failure -L soak
 # explicit pass keeps the gate alive when "$@" filters the suite).
 ctest --test-dir build --output-on-failure -R 'Incident\.'
 
-echo "=== [4/5] sanitizers: ASan+UBSan build + ctest ==="
+echo "=== [4/6] sanitizers: ASan+UBSan build + ctest ==="
 scripts/verify_sanitize.sh "$@"
 
-echo "=== [5/5] forced-scalar: portable-only crypto build + ctest ==="
+echo "=== [5/6] forced-scalar: portable-only crypto build + ctest ==="
 # -DMCT_FORCE_SCALAR=ON compiles the AES-NI/SHA-NI translation units out
 # entirely — the configuration a non-x86 host builds (DESIGN.md "Crypto
 # dispatch"). Running the full suite against it proves the portable scalar
@@ -56,5 +57,14 @@ echo "=== [5/5] forced-scalar: portable-only crypto build + ctest ==="
 cmake -B build-scalar -S . -DMCT_FORCE_SCALAR=ON
 cmake --build build-scalar -j "$(nproc)"
 MCT_FORCE_SCALAR=1 ctest --test-dir build-scalar --output-on-failure -j "$(nproc)" "$@"
+
+echo "=== [6/6] obs-off: hooks compiled out + ctest ==="
+# -DMCT_OBS=OFF drops MCT_OBS_ENABLED, so every trace/span/flight hook in
+# the protocol code (most of them behind tls::SessionCore) compiles to
+# nothing. The suite must stay green without them: counters, alerts and
+# the failure record are plain members, not side effects of tracing.
+cmake -B build-obs-off -S . -DMCT_OBS=OFF
+cmake --build build-obs-off -j "$(nproc)"
+ctest --test-dir build-obs-off --output-on-failure -j "$(nproc)" "$@"
 
 echo "=== verify_all: OK ==="

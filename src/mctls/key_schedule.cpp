@@ -142,4 +142,18 @@ ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstByt
     return expand_context_keys(reader_secret, writer_secret, seed);
 }
 
+void switch_direction_keys(std::map<uint8_t, ContextKeys>& current,
+                           const std::map<uint8_t, ContextKeys>& pending, Direction dir,
+                           bool (&switched)[2])
+{
+    size_t d = static_cast<size_t>(dir);
+    for (const auto& [id, next] : pending) {
+        ContextKeys& keys = current[id];
+        keys.reader_enc[d] = next.reader_enc[d];
+        keys.reader_mac[d] = next.reader_mac[d];
+        keys.writer_mac[d] = next.writer_mac[d];
+    }
+    switched[d] = true;
+}
+
 }  // namespace mct::mctls

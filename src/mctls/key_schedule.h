@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 
 #include "mctls/authenc.h"
 #include "util/bytes.h"
@@ -89,5 +90,13 @@ ContextKeys combine_context_keys(const PartialContextKeys& client_half,
 // receive them from the client.
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id);
+
+// In-band rekey key switch for one direction: every context with pending
+// next-epoch keys takes that direction's reader and writer keys from
+// `pending`, and `switched` (indexed by Direction) records the flip. The
+// other direction keeps running under the current epoch.
+void switch_direction_keys(std::map<uint8_t, ContextKeys>& current,
+                           const std::map<uint8_t, ContextKeys>& pending, Direction dir,
+                           bool (&switched)[2]);
 
 }  // namespace mct::mctls

@@ -16,25 +16,21 @@ Bytes key_material_ad(uint8_t sender, uint8_t entity)
 
 }  // namespace
 
-MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg) : cfg_(std::move(cfg))
+MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg)
+    : cfg_(std::move(cfg)),
+      core_({.prefix = "mctls mbox",
+             .actor = cfg_.trace_actor.empty()
+                          ? (cfg_.name.empty() ? "mbox" : cfg_.name)
+                          : cfg_.trace_actor,
+             .with_context_id = true,
+             .tracer = cfg_.tracer,
+             .spans = cfg_.spans,
+             .flight = cfg_.flight,
+             .handshake_timeout = cfg_.handshake_timeout}),
+      to_client_(obs::span_on(cfg_.spans)),
+      to_server_(obs::span_on(cfg_.spans))
 {
     if (!cfg_.rng) throw std::invalid_argument("MiddleboxSession: rng is required");
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (cfg_.name.empty() ? "mbox" : cfg_.name)
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
-}
-
-// Align the just-pushed outgoing unit with its span context (pads any
-// preceding untraced units with invalid contexts).
-void MiddleboxSession::tag_last_unit(From from, obs::SpanContext ctx)
-{
-    auto& out = from == From::client ? to_server_ : to_client_;
-    auto& sp = from == From::client ? to_server_spans_ : to_client_spans_;
-    if (out.empty()) return;
-    sp.resize(out.size() - 1);
-    sp.push_back(ctx);
 }
 
 Status MiddleboxSession::fail(std::string message)
@@ -44,38 +40,27 @@ Status MiddleboxSession::fail(std::string message)
 
 Status MiddleboxSession::fail(AlertDescription description, std::string message)
 {
-    return fail_with(SessionError::Origin::local, description, std::move(message),
-                     /*emit_alert=*/true);
+    return fail_with(SessionError::Origin::local, description, std::move(message));
 }
 
 Status MiddleboxSession::fail_with(SessionError::Origin origin,
-                                   AlertDescription description, std::string message,
-                                   bool emit_alert)
+                                   AlertDescription description, std::string message)
 {
-    bool in_handshake = !keys_ready_;
-    failed_ = true;
     torn_down_ = true;
-    error_ = std::move(message);
-    if (!failure_.failed()) failure_ = {origin, description, error_};
-    if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
+    core_.record_failure(origin, description, std::move(message), /*in_handshake=*/!keys_ready_);
     // A middlebox failure affects both directions: alert both endpoints.
-    if (emit_alert) send_alert_both(tls::fatal_alert(description));
-    return err(error_);
+    send_alert(tls::fatal_alert(description), /*to_client=*/true, /*to_server=*/true);
+    return err(core_.error());
 }
 
-void MiddleboxSession::send_alert_both(const tls::Alert& alert)
+void MiddleboxSession::send_alert(const tls::Alert& alert, bool to_client, bool to_server)
 {
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    to_client_.push_back(client_side_.codec.encode(rec));
-    to_server_.push_back(server_side_.codec.encode(rec));
+    if (!core_.note_alert_sent(alert)) return;
+    // Output codec framing is identical on both sides.
+    Bytes wire =
+        client_side_.codec.encode({tls::ContentType::alert, kControlContext, alert.serialize()});
+    if (to_client) to_client_.push(wire);
+    if (to_server) to_server_.push(std::move(wire));
 }
 
 Status MiddleboxSession::handle_alert_record(From from, const tls::RecordView& view)
@@ -93,17 +78,12 @@ Status MiddleboxSession::handle_alert_record(From from, const tls::RecordView& v
     }
     auto alert = tls::Alert::parse(view.payload);
     if (!alert) return {};  // unparsable: forwarded anyway, endpoints decide
-    peer_alert_ = alert.value();
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.value().description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, kControlContext,
-               static_cast<uint64_t>(alert.value().description));
+    core_.note_alert_received(alert.value());
     if (alert.value().is_fatal()) {
         torn_down_ = true;
-        if (!failure_.failed())
-            failure_ = {SessionError::Origin::peer, alert.value().description,
-                        std::string("mctls mbox: endpoint alert: ") +
-                            to_string(alert.value().description)};
+        core_.note_failure(SessionError::Origin::peer, alert.value().description,
+                           std::string("mctls mbox: endpoint alert: ") +
+                               to_string(alert.value().description));
         return {};
     }
     if (alert.value().is_close_notify()) {
@@ -115,37 +95,21 @@ Status MiddleboxSession::handle_alert_record(From from, const tls::RecordView& v
 
 Status MiddleboxSession::tick(uint64_t now)
 {
-    if (failed_) return err(error_);
-    if (keys_ready_ || torn_down_) return {};
-    if (cfg_.handshake_timeout == 0) return {};
-    if (handshake_deadline_ == 0) {
-        handshake_deadline_ = now + cfg_.handshake_timeout;
-        return {};
-    }
-    if (now < handshake_deadline_) return {};
+    if (core_.failed()) return err(core_.error());
+    if (keys_ready_ || torn_down_ || !core_.deadline_due(now)) return {};
     return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
-                     "mctls mbox: handshake deadline exceeded", /*emit_alert=*/true);
+                     "mctls mbox: handshake deadline exceeded");
 }
 
 void MiddleboxSession::transport_closed(bool from_client_side)
 {
-    if (failed_ || torn_down_) return;
+    if (core_.failed() || torn_down_) return;
     torn_down_ = true;
-    truncated_ = true;
-    if (!failure_.failed())
-        failure_ = {SessionError::Origin::truncated, AlertDescription::middlebox_failure,
-                    "mctls mbox: transport closed without close_notify"};
+    core_.note_truncation(AlertDescription::middlebox_failure,
+                          "mctls mbox: transport closed without close_notify");
     // Tell the surviving side the path through us is gone.
-    if (alert_sent_ && alert_sent_->is_fatal()) return;
-    tls::Alert alert = tls::fatal_alert(AlertDescription::middlebox_failure);
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    auto& out = from_client_side ? to_server_ : to_client_;
-    out.push_back(client_side_.codec.encode(rec));
+    send_alert(tls::fatal_alert(AlertDescription::middlebox_failure),
+               /*to_client=*/!from_client_side, /*to_server=*/from_client_side);
 }
 
 Status MiddleboxSession::feed_from_client(ConstBytes wire)
@@ -160,7 +124,7 @@ Status MiddleboxSession::feed_from_server(ConstBytes wire)
 
 Status MiddleboxSession::feed(From from, ConstBytes wire)
 {
-    if (failed_) return err(error_);
+    if (core_.failed()) return err(core_.error());
     Side& side = from == From::client ? client_side_ : server_side_;
     side.codec.feed(wire);
     while (true) {
@@ -173,23 +137,17 @@ Status MiddleboxSession::feed(From from, ConstBytes wire)
 
 void MiddleboxSession::forward_record(From from, const tls::Record& record, bool own_unit)
 {
-    auto& out = from == From::client ? to_server_ : to_client_;
+    tls::UnitQueue& q = out(from);
     // Output codec framing is identical on both sides.
-    if (own_unit || out.empty()) {
-        out.push_back(client_side_.codec.encode(record));
-    } else {
-        client_side_.codec.encode_into(record, out.back());
-    }
+    if (own_unit || q.empty())
+        q.push(client_side_.codec.encode(record));
+    else
+        client_side_.codec.encode_into(record, q.back());
 }
 
 void MiddleboxSession::forward_wire(From from, ConstBytes wire, bool own_unit)
 {
-    auto& out = from == From::client ? to_server_ : to_client_;
-    if (own_unit || out.empty()) {
-        out.push_back(to_bytes(wire));
-    } else {
-        append(out.back(), wire);
-    }
+    out(from).append(wire, own_unit);
 }
 
 void MiddleboxSession::forward_handshake(From from, const tls::HandshakeMessage& msg)
@@ -249,8 +207,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
         if (entity_index_ == SIZE_MAX)
             return fail(AlertDescription::middlebox_failure,
                         "mctls mbox: not listed in the session's middlebox list");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello,
-                   static_cast<uint16_t>(entity_index_), msg.body.size());
+        core_.trace(obs::EventType::hs_client_hello,
+                    static_cast<uint16_t>(entity_index_), msg.body.size());
         // A resumption offer we have cached pairwise keys for: if the server
         // echoes the id we can rejoin without fresh DH exchanges.
         offered_session_id_ = hello.value().session_id;
@@ -282,8 +240,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
             resumed_ = true;
             pairwise_client_ = resume_ticket_.pairwise_client;
             pairwise_server_ = resume_ticket_.pairwise_server;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_rejoin,
-                       static_cast<uint16_t>(entity_index_), middleboxes_.size());
+            core_.trace(obs::EventType::mbox_rejoin,
+                        static_cast<uint16_t>(entity_index_), middleboxes_.size());
         } else if (!session_id_.empty() && session_id_ == offered_session_id_ &&
                    !resume_candidate_) {
             // The endpoints agreed to resume but our ticket is gone (evicted,
@@ -294,8 +252,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
             // a session we were never entitled to break.
             rejoin_missed_ = true;
             keys_ready_ = true;  // established, with no contexts readable
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject,
-                       static_cast<uint16_t>(entity_index_), middleboxes_.size());
+            core_.trace(obs::EventType::hs_resume_reject,
+                        static_cast<uint16_t>(entity_index_), middleboxes_.size());
         }
         forward_handshake(from, msg);
         return {};
@@ -392,18 +350,13 @@ void MiddleboxSession::inject_bundle()
     Bytes bundle = concat(hello.to_message().serialize(),
                           kx_client.to_message().serialize(),
                           kx_server.to_message().serialize());
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_mbox_hello,
-               static_cast<uint16_t>(entity_index_), bundle.size());
+    core_.trace(obs::EventType::hs_mbox_hello, static_cast<uint16_t>(entity_index_), bundle.size());
     tls::Record rec{tls::ContentType::handshake, kControlContext, bundle};
     // Toward the client: part of the flight currently being relayed.
     Bytes wire = client_side_.codec.encode(rec);
-    if (to_client_.empty()) {
-        to_client_.push_back(wire);
-    } else {
-        append(to_client_.back(), wire);
-    }
+    to_client_.append(wire, /*own_unit=*/false);
     // Toward the server: its own unit (nothing else flows that way now).
-    to_server_.push_back(wire);
+    to_server_.push(std::move(wire));
 }
 
 Status MiddleboxSession::extract_key_material(From from, const MiddleboxKeyMaterial& km)
@@ -479,19 +432,25 @@ void MiddleboxSession::try_finalize_keys()
             context_keys_[e.context_id] = keys.take();
             permissions_[e.context_id] = e.permission;
         }
-        keys_ready_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-                   context_keys_.size(), 1);
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   context_keys_.size());
-        if (cfg_.session_cache) cfg_.session_cache->put(ticket());
-        return;
+    } else {
+        if (!client_material_seen_ || !server_material_seen_) return;
+        combine_material(client_material_, server_material_, context_keys_, permissions_);
     }
-    if (!client_material_seen_ || !server_material_seen_) return;
+    keys_ready_ = true;
+    core_.trace(obs::EventType::hs_key_distribution, 0, context_keys_.size(), ckd_ ? 1 : 0);
+    core_.trace(obs::EventType::hs_complete, 0, context_keys_.size());
+    if (cfg_.session_cache) cfg_.session_cache->put(ticket());
+}
+
+void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry>& client,
+                                        const std::vector<MiddleboxMaterialEntry>& server,
+                                        std::map<uint8_t, ContextKeys>& keys,
+                                        std::map<uint8_t, Permission>& permissions)
+{
     // A context key exists only where BOTH endpoints supplied their half —
     // this is how mutual consent (R4) is enforced.
-    for (const auto& ce : client_material_) {
-        for (const auto& se : server_material_) {
+    for (const auto& ce : client) {
+        for (const auto& se : server) {
             if (se.context_id != ce.context_id) continue;
             if (ce.reader_half.empty() || se.reader_half.empty()) continue;
             PartialContextKeys client_half{ce.reader_half, ce.writer_half};
@@ -501,24 +460,17 @@ void MiddleboxSession::try_finalize_keys()
             // substitute zeros when read-only so derivation stays defined.
             if (client_half.writer_half.empty()) client_half.writer_half = Bytes(32, 0);
             if (server_half.writer_half.empty()) server_half.writer_half = Bytes(32, 0);
-            ContextKeys keys = combine_context_keys(client_half, server_half, client_random_,
-                                                    server_random_);
+            ContextKeys combined = combine_context_keys(client_half, server_half,
+                                                        client_random_, server_random_);
             if (!writer) {
-                keys.writer_mac[0].clear();
-                keys.writer_mac[1].clear();
+                combined.writer_mac[0].clear();
+                combined.writer_mac[1].clear();
             }
             crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
-            context_keys_[ce.context_id] = std::move(keys);
-            permissions_[ce.context_id] =
-                writer ? Permission::write : Permission::read;
+            keys[ce.context_id] = std::move(combined);
+            permissions[ce.context_id] = writer ? Permission::write : Permission::read;
         }
     }
-    keys_ready_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-               context_keys_.size(), 0);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               context_keys_.size());
-    if (cfg_.session_cache) cfg_.session_cache->put(ticket());
 }
 
 MiddleboxTicket MiddleboxSession::ticket() const
@@ -585,12 +537,12 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
             pending_client_material_ = entries.take();
             pending_client_seen_ = true;
         }
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init,
-                   static_cast<uint16_t>(entity_index_), rk.epoch,
-                   pending_revoked_ ? 1 : 0);
+        core_.trace(obs::EventType::rekey_init,
+                    static_cast<uint16_t>(entity_index_), rk.epoch,
+                    pending_revoked_ ? 1 : 0);
         if (pending_revoked_)
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_excised,
-                       static_cast<uint16_t>(entity_index_), rk.epoch);
+            core_.trace(obs::EventType::mbox_excised,
+                        static_cast<uint16_t>(entity_index_), rk.epoch);
         return {};
     }
 
@@ -613,57 +565,23 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
                 pending_server_material_ = entries.take();
                 pending_server_seen_ = true;
             }
-            if (pending_client_seen_ && pending_server_seen_) compute_pending_keys();
+            if (pending_client_seen_ && pending_server_seen_)
+                combine_material(pending_client_material_, pending_server_material_,
+                                 pending_keys_, pending_permissions_);
         }
-        switch_direction_keys(Direction::server_to_client);
+        switch_direction_keys(context_keys_, pending_keys_, Direction::server_to_client,
+                              dir_switched_);
         return {};
     }
 
     if (rk.phase == RekeyPhase::commit && from == From::client && rekey_pending_ &&
         rk.epoch == pending_epoch_) {
-        switch_direction_keys(Direction::client_to_server);
+        switch_direction_keys(context_keys_, pending_keys_, Direction::client_to_server,
+                              dir_switched_);
         finish_rekey_if_switched();
         return {};
     }
     return {};  // stale/out-of-order phases: forwarded above, nothing to track
-}
-
-// Same contributory combine as try_finalize_keys, into the pending maps.
-void MiddleboxSession::compute_pending_keys()
-{
-    for (const auto& ce : pending_client_material_) {
-        for (const auto& se : pending_server_material_) {
-            if (se.context_id != ce.context_id) continue;
-            if (ce.reader_half.empty() || se.reader_half.empty()) continue;
-            PartialContextKeys client_half{ce.reader_half, ce.writer_half};
-            PartialContextKeys server_half{se.reader_half, se.writer_half};
-            bool writer = !ce.writer_half.empty() && !se.writer_half.empty();
-            if (client_half.writer_half.empty()) client_half.writer_half = Bytes(32, 0);
-            if (server_half.writer_half.empty()) server_half.writer_half = Bytes(32, 0);
-            ContextKeys keys = combine_context_keys(client_half, server_half,
-                                                    client_random_, server_random_);
-            if (!writer) {
-                keys.writer_mac[0].clear();
-                keys.writer_mac[1].clear();
-            }
-            crypto::count_keygen(cfg_.ops, writer ? 2 : 1);
-            pending_keys_[ce.context_id] = std::move(keys);
-            pending_permissions_[ce.context_id] =
-                writer ? Permission::write : Permission::read;
-        }
-    }
-}
-
-void MiddleboxSession::switch_direction_keys(Direction dir)
-{
-    size_t d = static_cast<size_t>(dir);
-    for (auto& [id, pending] : pending_keys_) {
-        ContextKeys& current = context_keys_[id];
-        current.reader_enc[d] = pending.reader_enc[d];
-        current.reader_mac[d] = pending.reader_mac[d];
-        current.writer_mac[d] = pending.writer_mac[d];
-    }
-    dir_switched_[d] = true;
 }
 
 void MiddleboxSession::finish_rekey_if_switched()
@@ -677,8 +595,7 @@ void MiddleboxSession::finish_rekey_if_switched()
     pending_client_material_.clear();
     pending_server_material_.clear();
     pending_client_seen_ = pending_server_seen_ = false;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_complete,
-               static_cast<uint16_t>(entity_index_), epoch_);
+    core_.trace(obs::EventType::rekey_complete, static_cast<uint16_t>(entity_index_), epoch_);
 }
 
 Permission MiddleboxSession::permission(uint8_t context_id) const
@@ -691,14 +608,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
 {
     // Pop the incoming transport span context first (even on failure paths)
     // so the FIFO stays aligned with the app-record stream.
-    obs::SpanContext in_ctx;
-    if (obs::span_on(cfg_.spans)) {
-        auto& q = from == From::client ? rx_from_client_ : rx_from_server_;
-        if (!q.empty()) {
-            in_ctx = q.front();
-            q.pop_front();
-        }
-    }
+    obs::SpanContext in_ctx = out(from).pop_rx_span();
     if (!keys_ready_)
         return fail(AlertDescription::unexpected_message,
                     "mctls mbox: application data before key material");
@@ -707,26 +617,13 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         from == From::client ? Direction::client_to_server : Direction::server_to_client;
     uint64_t seq = side.app_seq++;
 
-    bool traced = obs::span_on(cfg_.spans) && in_ctx.valid();
+    bool traced = obs::span_on(core_.spans()) && in_ctx.valid();
     StageNanos stage_ns;
     StageNanos* tp = traced ? &stage_ns : nullptr;
     // Instant hop span on the sim clock (crypto costs ride in cpu_ns);
     // returns the span id so the outgoing unit can chain the next hop.
-    auto emit_span = [&](obs::Stage st, uint64_t cpu, uint64_t a) -> uint64_t {
-        uint64_t now = cfg_.spans->now();
-        obs::SpanRecord r;
-        r.trace_id = in_ctx.trace_id;
-        r.span_id = cfg_.spans->next_span_id();
-        r.parent_id = in_ctx.span_id;
-        r.start_ts = now;
-        r.end_ts = now;
-        r.cpu_ns = cpu;
-        r.actor = span_actor_;
-        r.ctx = view.context_id;
-        r.a = a;
-        r.stage = st;
-        cfg_.spans->emit(r);
-        return r.span_id;
+    auto emit_span = [&](obs::Stage st, uint64_t cpu, uint64_t a) {
+        return core_.emit_span(in_ctx, st, view.context_id, cpu, a);
     };
 
     Permission perm = permission(view.context_id);
@@ -744,12 +641,11 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         CtxCounters& cc = ctx_counters_[view.context_id];
         cc.bytes_in += view.payload.size();  // opaque: only wire size visible
         ++cc.records_in;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_forward_blind,
-                   view.context_id, view.payload.size());
+        core_.trace(obs::EventType::mbox_forward_blind, view.context_id, view.payload.size());
         forward_wire(from, view.wire, /*own_unit=*/true);
         if (traced)
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
+            out(from).tag_last({in_ctx.trace_id,
+                                emit_span(obs::Stage::forward, 0, view.wire.size())});
         return {};
     }
 
@@ -757,25 +653,22 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         auto payload = open_record_reader(keys->second, dir, seq, view.context_id,
                                           view.payload, open_scratch_, tp);
         if (!payload) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                       view.context_id, view.payload.size());
+            core_.note_mac_failure(view.context_id, view.payload.size());
             return fail(AlertDescription::bad_record_mac, payload.error().message);
         }
         ++records_read_;
-        ++macs_verified_;  // reader MAC
+        ++core_.counters.macs_verified;  // reader MAC
         CtxCounters& cc = ctx_counters_[view.context_id];
         cc.bytes_in += payload.value().size();
         ++cc.records_in;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_read, view.context_id,
-                   payload.value().size(), 1);
+        core_.trace(obs::EventType::mbox_read, view.context_id, payload.value().size(), 1);
         if (cfg_.observe) cfg_.observe(view.context_id, dir, payload.value());
         forward_wire(from, view.wire, /*own_unit=*/true);  // original bytes
         if (traced) {
             emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
                       stage_ns.macs);
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
+            out(from).tag_last({in_ctx.trace_id,
+                                emit_span(obs::Stage::forward, 0, view.wire.size())});
         }
         return {};
     }
@@ -784,12 +677,10 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     auto opened = open_record_writer(keys->second, dir, seq, view.context_id, view.payload,
                                      open_scratch_, tp);
     if (!opened) {
-        ++mac_failures_;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                   view.context_id, view.payload.size());
+        core_.note_mac_failure(view.context_id, view.payload.size());
         return fail(AlertDescription::bad_record_mac, opened.error().message);
     }
-    ++macs_verified_;  // writer MAC
+    ++core_.counters.macs_verified;  // writer MAC
     // The transform needs an owned copy; the scratch keeps the original for
     // the modified-or-not comparison (no second copy).
     Bytes payload = to_bytes(opened.value().payload);
@@ -801,21 +692,19 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     bool modified = !equal(payload, opened.value().payload);
     if (!modified) {
         // Unmodified: forward the original record, MACs untouched.
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_write_pass,
-                   view.context_id, payload.size(), 1);
+        core_.trace(obs::EventType::mbox_write_pass, view.context_id, payload.size(), 1);
         forward_wire(from, view.wire, /*own_unit=*/true);
         if (traced) {
             emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
                       stage_ns.macs);
-            tag_last_unit(from, {in_ctx.trace_id,
-                                 emit_span(obs::Stage::forward, 0, view.wire.size())});
+            out(from).tag_last({in_ctx.trace_id,
+                                emit_span(obs::Stage::forward, 0, view.wire.size())});
         }
         return {};
     }
     ++records_rewritten_;
-    macs_generated_ += 2;  // regenerated writer + reader MACs
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mbox_rewrite, view.context_id,
-               payload.size(), 2);
+    core_.counters.macs_generated += 2;  // regenerated writer + reader MACs
+    core_.trace(obs::EventType::mbox_rewrite, view.context_id, payload.size(), 2);
     // Reseal straight into the outgoing wire unit: header first, fragment
     // appended in place (endpoint MAC still borrowed from the scratch).
     size_t body = sealed_record_size(payload.size());
@@ -827,15 +716,14 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     reseal_record_writer_into(keys->second, dir, seq, view.context_id, payload,
                               opened.value().endpoint_mac, *cfg_.rng, wire,
                               traced ? &reseal_ns : nullptr);
-    auto& out = from == From::client ? to_server_ : to_client_;
-    out.push_back(std::move(wire));
+    out(from).push(std::move(wire));
     if (traced) {
         emit_span(obs::Stage::decrypt_verify, stage_ns.mac_ns + stage_ns.cipher_ns,
                   stage_ns.macs);
-        tag_last_unit(from, {in_ctx.trace_id,
-                             emit_span(obs::Stage::reseal,
-                                       reseal_ns.mac_ns + reseal_ns.cipher_ns,
-                                       payload.size())});
+        out(from).tag_last({in_ctx.trace_id,
+                            emit_span(obs::Stage::reseal,
+                                      reseal_ns.mac_ns + reseal_ns.cipher_ns,
+                                      payload.size())});
     }
     return {};
 }
@@ -843,19 +731,10 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
 obs::SessionStats MiddleboxSession::session_stats() const
 {
     obs::SessionStats s;
-    s.actor = actor_name_;
+    core_.fill_stats(s);
     s.established = keys_ready_;
-    if (failure_.failed()) s.failure = failure_.message;
     s.app_records_received =
         records_forwarded_blind_ + records_read_ + records_rewritten_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     for (const auto& ctx : contexts_) {
         obs::ContextStats cs;
         cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;

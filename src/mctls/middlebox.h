@@ -19,7 +19,6 @@
 //            modification), re-encrypt
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,6 +35,7 @@
 #include "obs/obs.h"
 #include "pki/trust_store.h"
 #include "tls/record.h"
+#include "tls/session_core.h"
 #include "util/rng.h"
 
 namespace mct::mctls {
@@ -79,48 +79,26 @@ public:
 
     Status feed_from_client(ConstBytes wire);
     Status feed_from_server(ConstBytes wire);
-    std::vector<Bytes> take_to_client()
-    {
-        if (obs::span_on(cfg_.spans)) {
-            to_client_spans_.resize(to_client_.size());
-            taken_to_client_spans_ = std::move(to_client_spans_);
-            to_client_spans_.clear();
-        }
-        return std::exchange(to_client_, {});
-    }
-    std::vector<Bytes> take_to_server()
-    {
-        if (obs::span_on(cfg_.spans)) {
-            to_server_spans_.resize(to_server_.size());
-            taken_to_server_spans_ = std::move(to_server_spans_);
-            to_server_spans_.clear();
-        }
-        return std::exchange(to_server_, {});
-    }
+    std::vector<Bytes> take_to_client() { return to_client_.take(); }
+    std::vector<Bytes> take_to_server() { return to_server_.take(); }
 
     // Span contexts aligned with the units returned by the most recent
     // take_to_client()/take_to_server() (invalid = untraced unit). Same
     // contract as mctls::Session::take_unit_spans().
-    std::vector<obs::SpanContext> take_to_client_spans()
-    {
-        return std::exchange(taken_to_client_spans_, {});
-    }
-    std::vector<obs::SpanContext> take_to_server_spans()
-    {
-        return std::exchange(taken_to_server_spans_, {});
-    }
+    std::vector<obs::SpanContext> take_to_client_spans() { return to_client_.take_spans(); }
+    std::vector<obs::SpanContext> take_to_server_spans() { return to_server_.take_spans(); }
 
     // FIFO of incoming transport span contexts per side; the driver pushes
-    // one per traced unit delivered, before feeding the bytes.
+    // one per traced unit delivered, before feeding the bytes. Records from
+    // the client leave toward the server, so that queue holds their FIFO.
     void queue_rx_span(bool from_client, obs::SpanContext ctx)
     {
-        if (!obs::span_on(cfg_.spans) || !ctx.valid()) return;
-        (from_client ? rx_from_client_ : rx_from_server_).push_back(ctx);
+        (from_client ? to_server_ : to_client_).queue_rx_span(ctx);
     }
 
     bool handshake_complete() const { return keys_ready_; }
-    bool failed() const { return failed_; }
-    const std::string& error() const { return error_; }
+    bool failed() const { return core_.failed(); }
+    const std::string& error() const { return core_.error(); }
 
     // --- Failure semantics (see DESIGN.md "Failure model") ---
 
@@ -137,11 +115,11 @@ public:
     // transport died. Distinct from failed(), which means *we* detected the
     // problem (bad MAC, malformed message, deadline).
     bool torn_down() const { return torn_down_; }
-    bool truncated() const { return truncated_; }
-    const SessionError& failure() const { return failure_; }
-    const std::optional<tls::Alert>& alert_sent() const { return alert_sent_; }
+    bool truncated() const { return core_.truncated(); }
+    const SessionError& failure() const { return core_.failure(); }
+    const std::optional<tls::Alert>& alert_sent() const { return core_.alert_sent(); }
     // Last alert observed from either endpoint (forwarded through us).
-    const std::optional<tls::Alert>& peer_alert() const { return peer_alert_; }
+    const std::optional<tls::Alert>& peer_alert() const { return core_.peer_alert(); }
 
     // Effective permission (both halves received) for a context.
     Permission permission(uint8_t context_id) const;
@@ -188,15 +166,18 @@ private:
 
     Status fail(std::string message);
     Status fail(AlertDescription description, std::string message);
+    // Fails the relay and sends a fatal alert to both endpoints.
     Status fail_with(SessionError::Origin origin, AlertDescription description,
-                     std::string message, bool emit_alert);
-    void send_alert_both(const tls::Alert& alert);
+                     std::string message);
+    void send_alert(const tls::Alert& alert, bool to_client, bool to_server);
     Status handle_alert_record(From from, const tls::RecordView& view);
     Status feed(From from, ConstBytes wire);
     Status handle_record(From from, const tls::RecordView& view);
     Status handle_handshake(From from, const tls::HandshakeMessage& msg);
     Status handle_app_record(From from, const tls::RecordView& view);
     void forward_handshake(From from, const tls::HandshakeMessage& msg);
+    // Records from one side leave toward the other.
+    tls::UnitQueue& out(From from) { return from == From::client ? to_server_ : to_client_; }
     void forward_record(From from, const tls::Record& record, bool own_unit);
     // Fast-path forward: splice the original wire bytes onward without
     // re-serializing (framing is identical on both sides).
@@ -205,27 +186,27 @@ private:
     Status extract_key_material(From from, const MiddleboxKeyMaterial& km);
     void try_finalize_keys();
     Status handle_rekey_record(From from, const tls::RecordView& view);
-    void compute_pending_keys();
-    void switch_direction_keys(Direction dir);
+    // Contributory combine of both endpoints' material into keys and
+    // permissions (a context is granted only where both sent a half).
+    void combine_material(const std::vector<MiddleboxMaterialEntry>& client,
+                          const std::vector<MiddleboxMaterialEntry>& server,
+                          std::map<uint8_t, ContextKeys>& keys,
+                          std::map<uint8_t, Permission>& permissions);
     void finish_rekey_if_switched();
 
     MiddleboxConfig cfg_;
-    bool failed_ = false;
-    std::string error_;
-    SessionError failure_;
-    std::optional<tls::Alert> alert_sent_;
-    std::optional<tls::Alert> peer_alert_;
+    tls::SessionCore core_;
     bool torn_down_ = false;
-    bool truncated_ = false;
     bool close_from_client_ = false;
     bool close_from_server_ = false;
-    uint64_t handshake_deadline_ = 0;  // 0 = not armed
 
     Side client_side_;  // connection toward the client
     Side server_side_;
     RecordScratch open_scratch_;  // reusable decrypt buffer for app records
-    std::vector<Bytes> to_client_;
-    std::vector<Bytes> to_server_;
+    // Outbound units per direction; the span FIFO of records arriving from
+    // the opposite side rides in the same queue.
+    tls::UnitQueue to_client_;
+    tls::UnitQueue to_server_;
 
     // Learned during the handshake.
     std::vector<MiddleboxInfo> middleboxes_;
@@ -284,23 +265,7 @@ private:
         uint64_t bytes_in = 0;   // payload bytes seen (plaintext when readable)
         uint64_t records_in = 0;
     };
-    uint16_t trace_actor_ = 0;
-    std::string actor_name_;
-    // Latency attribution (cfg_.spans): see mctls::Session for the
-    // alignment argument — pushes and pops ride the same in-order stream.
-    uint16_t span_actor_ = 0;
-    std::vector<obs::SpanContext> to_client_spans_, to_server_spans_;
-    std::vector<obs::SpanContext> taken_to_client_spans_, taken_to_server_spans_;
-    std::deque<obs::SpanContext> rx_from_client_, rx_from_server_;
-    void tag_last_unit(From from, obs::SpanContext ctx);
     std::map<uint8_t, CtxCounters> ctx_counters_;
-    uint64_t macs_generated_ = 0;
-    uint64_t macs_verified_ = 0;
-    uint64_t mac_failures_ = 0;
-    uint64_t alerts_sent_ = 0;
-    uint64_t alerts_received_ = 0;
-    std::map<std::string, uint64_t> alerts_sent_by_type_;
-    std::map<std::string, uint64_t> alerts_received_by_type_;
 };
 
 }  // namespace mct::mctls

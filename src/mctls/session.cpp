@@ -31,15 +31,20 @@ Permission min_permission(Permission a, Permission b)
 
 }  // namespace
 
-Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
+Session::Session(SessionConfig cfg)
+    : cfg_(std::move(cfg)),
+      core_({.prefix = "mctls",
+             .actor = cfg_.trace_actor.empty()
+                          ? (cfg_.role == tls::Role::client ? "mctls-client" : "mctls-server")
+                          : cfg_.trace_actor,
+             .with_context_id = true,
+             .tracer = cfg_.tracer,
+             .spans = cfg_.spans,
+             .flight = cfg_.flight,
+             .handshake_timeout = cfg_.handshake_timeout}),
+      is_client_(cfg_.role == tls::Role::client)
 {
     if (!cfg_.rng) throw std::invalid_argument("mctls::Session: rng is required");
-    is_client_ = cfg_.role == tls::Role::client;
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (is_client_ ? "mctls-client" : "mctls-server")
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
     if (is_client_) {
         if (cfg_.contexts.empty())
             throw std::invalid_argument("mctls::Session: client needs at least one context");
@@ -49,126 +54,8 @@ Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
             if (ctx.permissions.size() != cfg_.middleboxes.size())
                 throw std::invalid_argument("mctls::Session: permission row size mismatch");
         }
-        state_ = State::idle;
     } else {
-        state_ = State::wait_client_hello;
-    }
-}
-
-Status Session::fail(std::string message)
-{
-    return fail(AlertDescription::handshake_failure, std::move(message));
-}
-
-Status Session::fail(AlertDescription description, std::string message)
-{
-    return fail_with(SessionError::Origin::local, description, std::move(message),
-                     /*emit_alert=*/true);
-}
-
-Status Session::fail_with(SessionError::Origin origin, AlertDescription description,
-                          std::string message, bool emit_alert)
-{
-    bool in_handshake = state_ != State::established && state_ != State::closed;
-    state_ = State::failed;
-    error_ = std::move(message);
-    if (!failure_.failed()) failure_ = {origin, description, error_};
-    if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
-    // Fatal alert to the peer, best effort (never in response to the peer's
-    // own fatal alert, which would just echo noise at a dead session).
-    if (emit_alert) send_alert(tls::fatal_alert(description));
-    return err(error_);
-}
-
-void Session::send_alert(const tls::Alert& alert)
-{
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    if (alert.is_close_notify()) {
-        // At most one close_notify on the wire, even when a local close()
-        // races the peer's incoming fatal alert or close.
-        if (close_notify_emitted_) return;
-        close_notify_emitted_ = true;
-    }
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    tls::Record rec{tls::ContentType::alert, kControlContext, alert.serialize()};
-    write_units_.push_back(codec_.encode(rec));
-}
-
-Status Session::handle_alert(const tls::Alert& alert)
-{
-    peer_alert_ = alert;
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, kControlContext,
-               static_cast<uint64_t>(alert.description));
-    if (alert.is_close_notify()) {
-        peer_close_received_ = true;
-        if (state_ == State::closed) return {};
-        if (state_ != State::established)
-            return fail_with(SessionError::Origin::peer, AlertDescription::close_notify,
-                             "mctls: close_notify during handshake", /*emit_alert=*/false);
-        if (!close_sent_) {
-            close_sent_ = true;
-            send_alert(tls::close_notify_alert());
-        }
-        state_ = State::closed;
-        return {};
-    }
-    if (!alert.is_fatal()) return {};  // unknown warnings are ignorable
-    return fail_with(SessionError::Origin::peer, alert.description,
-                     std::string("mctls: peer alert: ") + to_string(alert.description),
-                     /*emit_alert=*/false);
-}
-
-Status Session::tick(uint64_t now)
-{
-    if (state_ == State::failed) return err(error_);
-    if (state_ == State::established || state_ == State::closed) return {};
-    if (cfg_.handshake_timeout == 0) return {};
-    if (handshake_deadline_ == 0) {
-        handshake_deadline_ = now + cfg_.handshake_timeout;
-        return {};
-    }
-    if (now < handshake_deadline_) return {};
-    return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
-                     "mctls: handshake deadline exceeded", /*emit_alert=*/true);
-}
-
-void Session::close()
-{
-    if (state_ == State::failed || close_sent_) return;
-    close_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::session_close);
-    send_alert(tls::close_notify_alert());
-    // Mid-handshake close abandons the session; an established session keeps
-    // receiving until the peer's close_notify arrives.
-    if (state_ != State::established || peer_close_received_) state_ = State::closed;
-}
-
-void Session::transport_closed()
-{
-    if (state_ == State::failed || state_ == State::closed) return;
-    truncated_ = true;
-    (void)fail_with(SessionError::Origin::truncated, AlertDescription::close_notify,
-                    "mctls: transport closed without close_notify (truncated)",
-                    /*emit_alert=*/false);
-}
-
-void Session::queue_record(const tls::Record& record, bool own_unit)
-{
-    Bytes wire = codec_.encode(record);
-    if (record.type != tls::ContentType::application_data)
-        handshake_wire_bytes_ += wire.size();
-    if (own_unit || write_units_.empty()) {
-        write_units_.push_back(std::move(wire));
-    } else {
-        append(write_units_.back(), wire);
+        step_ = Step::wait_client_hello;
     }
 }
 
@@ -180,10 +67,59 @@ void Session::flush_flight_into_unit(ConstBytes flight, Bytes* unit)
         tls::Record rec{tls::ContentType::handshake, kControlContext,
                         Bytes(flight.begin() + off, flight.begin() + off + take)};
         Bytes wire = codec_.encode(rec);
-        handshake_wire_bytes_ += wire.size();
+        core_.counters.handshake_wire_bytes += wire.size();
         append(*unit, wire);
         off += take;
     }
+}
+
+// CCS plus the protected Finished carrying `verify_data`, appended to the
+// flushed `flight` as one write unit. Returns the plaintext Finished message
+// for the caller's transcript.
+Bytes Session::queue_flight_with_finished(ConstBytes flight, Bytes verify_data)
+{
+    Bytes unit;
+    flush_flight_into_unit(flight, &unit);
+    size_t flight_end = unit.size();
+    codec_.encode_into({tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}}, unit);
+
+    Bytes fin_wire = tls::Finished{std::move(verify_data)}.to_message().serialize();
+    crypto::count_hash(cfg_.ops);
+    Bytes protected_payload =
+        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
+                               *cfg_.rng);
+    crypto::count_enc(cfg_.ops);
+    codec_.encode_into({tls::ContentType::handshake, kControlContext, protected_payload}, unit);
+    core_.counters.handshake_wire_bytes += unit.size() - flight_end;
+    core_.trace(obs::EventType::hs_finished_sent);
+    core_.units.push(std::move(unit));
+    return fin_wire;
+}
+
+// MiddleboxKeyMaterial message with our context-key halves for middlebox
+// `mbox_index`.
+Bytes Session::middlebox_material_message(size_t mbox_index)
+{
+    MiddleboxKeyMaterial km;
+    km.sender = is_client_ ? kEntityClient : kEntityServer;
+    km.entity = static_cast<uint8_t>(mbox_index);
+    km.sealed = seal_middlebox_material(mbox_index);
+    return km.to_message().serialize();
+}
+
+// MiddleboxKeyMaterial message with our context-key halves for the peer
+// endpoint (contributory mode), sealed under K_endpoints.
+Bytes Session::endpoint_material_message()
+{
+    std::vector<EndpointMaterialEntry> entries;
+    for (const auto& ctx : contexts_) entries.push_back({ctx.id, own_partials_[ctx.id]});
+    MiddleboxKeyMaterial km;
+    km.sender = is_client_ ? kEntityClient : kEntityServer;
+    km.entity = is_client_ ? kEntityServer : kEntityClient;
+    km.sealed = authenc_seal(endpoint_keys_.key_material, key_material_ad(km.sender, km.entity),
+                             serialize_endpoint_material(entries), *cfg_.rng);
+    crypto::count_enc(cfg_.ops);
+    return km.to_message().serialize();
 }
 
 const ContextDescription* Session::find_context(uint8_t id) const
@@ -214,7 +150,7 @@ Permission Session::granted_permission(size_t mbox, uint8_t ctx) const
 
 void Session::start()
 {
-    if (!is_client_ || state_ != State::idle)
+    if (!is_client_ || !at(Step::idle))
         throw std::logic_error("mctls::Session: start() is for idle clients");
 
     middleboxes_ = cfg_.middleboxes;
@@ -248,8 +184,7 @@ void Session::start()
         }
         if (covered) {
             hello.session_id = cfg_.ticket->session_id;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_offer, 0,
-                       hello.session_id.size());
+            core_.trace(obs::EventType::hs_resume_offer, 0, hello.session_id.size());
         }
     }
 
@@ -261,19 +196,18 @@ void Session::start()
 
     Bytes unit;
     flush_flight_into_unit(wire, &unit);
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_server_flight;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_start, 0,
-               handshake_wire_bytes_);
+    core_.units.push(std::move(unit));
+    step_ = Step::wait_server_flight;
+    core_.trace(obs::EventType::hs_start, 0, core_.counters.handshake_wire_bytes);
 }
 
 Status Session::feed(ConstBytes wire)
 {
-    if (state_ == State::failed) return err(error_);
+    if (core_.failed()) return err(core_.error());
     codec_.feed(wire);
     while (true) {
         auto next = codec_.next_view();
-        if (!next) return fail(AlertDescription::decode_error, next.error().message);
+        if (!next) return core_.fail(AlertDescription::decode_error, next.error().message);
         if (!next.value().has_value()) return {};
         if (auto s = handle_record_view(*next.value()); !s) return s;
     }
@@ -283,7 +217,7 @@ Status Session::handle_record_view(const tls::RecordView& view)
 {
     // Established app data is the hot path: open straight from the codec
     // buffer, no owning Record in between.
-    if (view.type == tls::ContentType::application_data && state_ == State::established)
+    if (view.type == tls::ContentType::application_data && core_.established())
         return handle_app_record(view.context_id, view.payload);
     tls::Record record;
     record.type = view.type;
@@ -296,35 +230,33 @@ Status Session::handle_record(const tls::Record& record)
 {
     if (record.type == tls::ContentType::alert) {
         auto alert = tls::Alert::parse(record.payload);
-        if (!alert) return fail(AlertDescription::decode_error, "mctls: malformed alert");
-        return handle_alert(alert.value());
+        if (!alert) return core_.fail(AlertDescription::decode_error, "mctls: malformed alert");
+        return core_.handle_alert(alert.value());
     }
-    if (state_ == State::closed)
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: record after close_notify");
+    if (core_.closed())
+        return core_.fail(AlertDescription::unexpected_message, "mctls: record after close_notify");
     switch (record.type) {
     case tls::ContentType::alert:
         return {};  // handled above
     case tls::ContentType::change_cipher_spec:
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        ccs_received_ = true;
-        return {};
+        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
+        return core_.receive_ccs();
     case tls::ContentType::handshake: {
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
+        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
         Bytes payload = record.payload;
-        if (ccs_received_ && control_recv_) {
+        if (core_.ccs_received() && control_recv_) {
             auto plain =
                 control_recv_->unprotect(record.type, record.context_id, payload);
             if (!plain)
-                return fail(AlertDescription::bad_record_mac,
-                            "mctls: " + plain.error().message);
+                return core_.fail(AlertDescription::bad_record_mac,
+                                  "mctls: " + plain.error().message);
             crypto::count_dec(cfg_.ops);
             payload = plain.take();
         }
         handshake_reader_.feed(payload);
         while (true) {
             auto msg = handshake_reader_.next();
-            if (!msg) return fail(AlertDescription::decode_error, msg.error().message);
+            if (!msg) return core_.fail(AlertDescription::decode_error, msg.error().message);
             if (!msg.value().has_value()) return {};
             if (auto s = handle_handshake(*msg.value()); !s) return s;
         }
@@ -334,7 +266,7 @@ Status Session::handle_record(const tls::Record& record)
     case tls::ContentType::application_data:
         return handle_app_record(record.context_id, record.payload);
     }
-    return fail(AlertDescription::decode_error, "mctls: unknown record type");
+    return core_.fail(AlertDescription::decode_error, "mctls: unknown record type");
 }
 
 Status Session::handle_handshake(const tls::HandshakeMessage& msg)
@@ -350,76 +282,75 @@ Status Session::handle_bundle_message(const tls::HandshakeMessage& msg)
     Bytes wire = msg.serialize();
     if (msg.type == tls::HandshakeType::middlebox_hello) {
         auto hello = MiddleboxHello::parse(msg.body);
-        if (!hello) return fail(hello.error().message);
+        if (!hello) return core_.fail(hello.error().message);
         uint8_t i = hello.value().entity;
         if (i >= mbox_state_.size())
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: middlebox entity out of range");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: middlebox entity out of range");
         MiddleboxState& mbox = mbox_state_[i];
         if (mbox.hello_seen)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: duplicate middlebox hello");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: duplicate middlebox hello");
         mbox.random = hello.value().random;
         mbox.chain = hello.value().chain;
         mbox.hello_seen = true;
         transcript_.add_bundle_part(i, 0, wire);
         crypto::count_hash(cfg_.ops);
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_mbox_hello, i,
-                   wire.size());
+        core_.trace(obs::EventType::hs_mbox_hello, i, wire.size());
 
         bool check = cfg_.trust && (is_client_ || cfg_.authenticate_middleboxes);
         if (check) {
             auto status =
                 cfg_.trust->verify_chain(mbox.chain, mbox.info.name, cfg_.now);
             if (!status)
-                return fail(AlertDescription::bad_certificate,
-                            "mctls: middlebox auth: " + status.error().message);
+                return core_.fail(AlertDescription::bad_certificate,
+                                  "mctls: middlebox auth: " + status.error().message);
         }
         return {};
     }
 
     auto kx = MiddleboxKeyExchange::parse(msg.body);
-    if (!kx) return fail(kx.error().message);
+    if (!kx) return core_.fail(kx.error().message);
     uint8_t i = kx.value().entity;
     if (i >= mbox_state_.size())
-        return fail(AlertDescription::illegal_parameter,
-                    "mctls: middlebox entity out of range");
+        return core_.fail(AlertDescription::illegal_parameter,
+                          "mctls: middlebox entity out of range");
     MiddleboxState& mbox = mbox_state_[i];
     if (!mbox.hello_seen)
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: middlebox key exchange before hello");
+        return core_.fail(AlertDescription::unexpected_message,
+                          "mctls: middlebox key exchange before hello");
 
     bool check = cfg_.trust && (is_client_ || cfg_.authenticate_middleboxes);
     if (check) {
         if (mbox.chain.empty() ||
             !crypto::ed25519_verify(mbox.chain.front().public_key,
                                     kx.value().signed_payload(), kx.value().signature))
-            return fail(AlertDescription::decrypt_error,
-                        "mctls: bad middlebox key exchange signature");
+            return core_.fail(AlertDescription::decrypt_error,
+                              "mctls: bad middlebox key exchange signature");
     }
 
     if (kx.value().recipient == kEntityClient) {
         if (mbox.kx_client_seen)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: duplicate middlebox key exchange");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: duplicate middlebox key exchange");
         mbox.kx_for_client = kx.value().public_key;
         mbox.kx_client_seen = true;
         transcript_.add_bundle_part(i, 1, wire);
     } else if (kx.value().recipient == kEntityServer) {
         if (mbox.kx_server_seen)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: duplicate middlebox key exchange");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: duplicate middlebox key exchange");
         mbox.kx_for_server = kx.value().public_key;
         mbox.kx_server_seen = true;
         transcript_.add_bundle_part(i, 2, wire);
     } else {
-        return fail(AlertDescription::illegal_parameter, "mctls: bad key exchange recipient");
+        return core_.fail(AlertDescription::illegal_parameter, "mctls: bad key exchange recipient");
     }
     crypto::count_hash(cfg_.ops);
     if (check) crypto::count_verify(cfg_.ops);
 
     // Client: the server flight is complete once SHD and every bundle landed.
-    if (is_client_ && state_ == State::wait_server_flight && shd_seen_) {
+    if (is_client_ && at(Step::wait_server_flight) && shd_seen_) {
         bool all = std::all_of(mbox_state_.begin(), mbox_state_.end(),
                                [](const MiddleboxState& m) { return m.complete(); });
         if (all) return client_send_second_flight();
@@ -432,17 +363,19 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
     Bytes wire = msg.serialize();
     switch (msg.type) {
     case tls::HandshakeType::server_hello: {
-        if (state_ != State::wait_server_flight)
-            return fail(AlertDescription::unexpected_message, "mctls: unexpected ServerHello");
+        if (!at(Step::wait_server_flight))
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: unexpected ServerHello");
         auto hello = tls::ServerHello::parse(msg.body);
-        if (!hello) return fail(hello.error().message);
+        if (!hello) return core_.fail(hello.error().message);
         if (hello.value().cipher_suite != tls::kCipherSuiteX25519Ed25519Aes128Sha256)
-            return fail(AlertDescription::handshake_failure, "mctls: unsupported cipher suite");
+            return core_.fail(AlertDescription::handshake_failure,
+                              "mctls: unsupported cipher suite");
         server_random_ = hello.value().random;
         session_id_ = hello.value().session_id;
         auto mode = ServerModeExtension::parse(hello.value().extensions);
         if (!mode)
-            return fail(AlertDescription::decode_error, "mctls: bad server mode extension");
+            return core_.fail(AlertDescription::decode_error, "mctls: bad server mode extension");
         ckd_ = mode.value().client_key_distribution;
         granted_ = mode.value().granted;
         transcript_.set(Transcript::Slot::server_hello, wire);
@@ -454,25 +387,26 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
     }
     case tls::HandshakeType::certificate: {
         auto certs = tls::CertificateMsg::parse(msg.body);
-        if (!certs) return fail(certs.error().message);
+        if (!certs) return core_.fail(certs.error().message);
         transcript_.set(Transcript::Slot::server_certificate, wire);
         crypto::count_hash(cfg_.ops);
         if (cfg_.trust) {
             auto status =
                 cfg_.trust->verify_chain(certs.value().chain, cfg_.server_name, cfg_.now);
-            if (!status) return fail(status.error().message);
+            if (!status) return core_.fail(status.error().message);
         }
         server_chain_ = certs.take().chain;
         return {};
     }
     case tls::HandshakeType::server_key_exchange: {
         auto kx = tls::KeyExchange::parse(msg.type, msg.body);
-        if (!kx) return fail(kx.error().message);
+        if (!kx) return core_.fail(kx.error().message);
         if (server_chain_.empty())
-            return fail(AlertDescription::unexpected_message, "mctls: SKE before certificate");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: SKE before certificate");
         if (!crypto::ed25519_verify(server_chain_.front().public_key,
                                     kx.value().signed_payload(), kx.value().signature))
-            return fail(AlertDescription::decrypt_error, "mctls: bad SKE signature");
+            return core_.fail(AlertDescription::decrypt_error, "mctls: bad SKE signature");
         crypto::count_verify(cfg_.ops);
         peer_dh_public_ = kx.value().public_key;
         transcript_.set(Transcript::Slot::server_key_exchange, wire);
@@ -483,8 +417,7 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
         transcript_.set(Transcript::Slot::server_hello_done, wire);
         crypto::count_hash(cfg_.ops);
         shd_seen_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+        core_.trace(obs::EventType::hs_server_flight, 0, core_.counters.handshake_wire_bytes);
         bool all = std::all_of(mbox_state_.begin(), mbox_state_.end(),
                                [](const MiddleboxState& m) { return m.complete(); });
         if (all) return client_send_second_flight();
@@ -492,17 +425,18 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
     }
     case tls::HandshakeType::middlebox_key_material: {
         auto km = MiddleboxKeyMaterial::parse(msg.body);
-        if (!km) return fail(km.error().message);
+        if (!km) return core_.fail(km.error().message);
         if (km.value().sender != kEntityServer)
-            return fail(AlertDescription::illegal_parameter, "mctls: bad key material sender");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: bad key material sender");
         if (km.value().entity != kEntityClient) return {};  // destined to a middlebox
         return unseal_middlebox_material_from_peer(km.value());
     }
     case tls::HandshakeType::finished:
         return verify_peer_finished(msg);
     default:
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: unexpected handshake message at client");
+        return core_.fail(AlertDescription::unexpected_message,
+                          "mctls: unexpected handshake message at client");
     }
 }
 
@@ -511,22 +445,22 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
     Bytes wire = msg.serialize();
     switch (msg.type) {
     case tls::HandshakeType::client_hello: {
-        if (state_ != State::wait_client_hello)
-            return fail(AlertDescription::unexpected_message, "mctls: unexpected ClientHello");
+        if (!at(Step::wait_client_hello))
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: unexpected ClientHello");
         auto hello = tls::ClientHello::parse(msg.body);
-        if (!hello) return fail(hello.error().message);
+        if (!hello) return core_.fail(hello.error().message);
         bool suite_ok = false;
         for (uint16_t s : hello.value().cipher_suites)
             suite_ok |= s == tls::kCipherSuiteX25519Ed25519Aes128Sha256;
         if (!suite_ok)
-            return fail(AlertDescription::handshake_failure, "mctls: no common cipher suite");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello, 0,
-                   msg.body.size());
+            return core_.fail(AlertDescription::handshake_failure, "mctls: no common cipher suite");
+        core_.trace(obs::EventType::hs_client_hello, 0, msg.body.size());
         client_random_ = hello.value().random;
         auto ext = MiddleboxListExtension::parse(hello.value().extensions);
         if (!ext)
-            return fail(AlertDescription::decode_error,
-                        "mctls: bad middlebox list: " + ext.error().message);
+            return core_.fail(AlertDescription::decode_error,
+                              "mctls: bad middlebox list: " + ext.error().message);
         middleboxes_ = ext.value().middleboxes;
         contexts_ = ext.value().contexts;
         mbox_state_.resize(middleboxes_.size());
@@ -540,8 +474,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         if (server_try_resumption(hello.value()))
             return server_send_resumed_flight(wire);
         if (!hello.value().session_id.empty())
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject, 0,
-                       hello.value().session_id.size());
+            core_.trace(obs::EventType::hs_resume_reject, 0, hello.value().session_id.size());
 
         ckd_ = cfg_.client_key_distribution;
         granted_.assign(contexts_.size(), {});
@@ -601,17 +534,16 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
 
         Bytes unit;
         flush_flight_into_unit(flight, &unit);
-        write_units_.push_back(std::move(unit));
-        state_ = State::wait_client_flight;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+        core_.units.push(std::move(unit));
+        step_ = Step::wait_client_flight;
+        core_.trace(obs::EventType::hs_server_flight, 0, core_.counters.handshake_wire_bytes);
         return {};
     }
     case tls::HandshakeType::client_key_exchange: {
-        if (state_ != State::wait_client_flight)
-            return fail(AlertDescription::unexpected_message, "mctls: unexpected CKE");
+        if (!at(Step::wait_client_flight))
+            return core_.fail(AlertDescription::unexpected_message, "mctls: unexpected CKE");
         auto kx = tls::ClientKeyExchange::parse(msg.body);
-        if (!kx) return fail(kx.error().message);
+        if (!kx) return core_.fail(kx.error().message);
         peer_dh_public_ = kx.value().public_key;
         transcript_.set(Transcript::Slot::client_key_exchange, wire);
         crypto::count_hash(cfg_.ops);
@@ -620,15 +552,16 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
     }
     case tls::HandshakeType::middlebox_key_material: {
         auto km = MiddleboxKeyMaterial::parse(msg.body);
-        if (!km) return fail(km.error().message);
+        if (!km) return core_.fail(km.error().message);
         if (km.value().sender != kEntityClient)
-            return fail(AlertDescription::illegal_parameter, "mctls: bad key material sender");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: bad key material sender");
         transcript_.add_client_key_material(km.value().entity, wire);
         crypto::count_hash(cfg_.ops);
         if (km.value().entity != kEntityServer) return {};  // destined to a middlebox
         if (ckd_)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: unexpected endpoint key material in CKD mode");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: unexpected endpoint key material in CKD mode");
         return unseal_middlebox_material_from_peer(km.value());
     }
     case tls::HandshakeType::finished: {
@@ -637,8 +570,8 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         return server_send_final_flight();
     }
     default:
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: unexpected handshake message at server");
+        return core_.fail(AlertDescription::unexpected_message,
+                          "mctls: unexpected handshake message at server");
     }
 }
 
@@ -678,8 +611,7 @@ void Session::derive_endpoint_secrets_from_scs()
             crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
         }
     }
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0,
-               contexts_.size(), ckd_ ? 1 : 0);
+    core_.trace(obs::EventType::hs_key_distribution, 0, contexts_.size(), ckd_ ? 1 : 0);
 
     keylog_endpoint_keys(cfg_.keylog, client_random_, endpoint_keys_);
     // CKD context keys are final here; contributory keys are logged once
@@ -727,15 +659,15 @@ Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& 
     auto plain = authenc_open(endpoint_keys_.key_material,
                               key_material_ad(km.sender, km.entity), km.sealed);
     if (!plain)
-        return fail(AlertDescription::decrypt_error,
-                    "mctls: endpoint key material: " + plain.error().message);
+        return core_.fail(AlertDescription::decrypt_error,
+                          "mctls: endpoint key material: " + plain.error().message);
     crypto::count_dec(cfg_.ops);
     auto entries = parse_endpoint_material(plain.value());
-    if (!entries) return fail(entries.error().message);
+    if (!entries) return core_.fail(entries.error().message);
     for (const auto& e : entries.value()) {
         if (!find_context(e.context_id))
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: key material for unknown context");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: key material for unknown context");
         peer_partials_[e.context_id] = e.partial;
     }
     peer_material_received_ = true;
@@ -745,7 +677,8 @@ Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& 
         auto own = own_partials_.find(ctx.id);
         auto peer = peer_partials_.find(ctx.id);
         if (own == own_partials_.end() || peer == peer_partials_.end())
-            return fail(AlertDescription::handshake_failure, "mctls: missing context key halves");
+            return core_.fail(AlertDescription::handshake_failure,
+                              "mctls: missing context key halves");
         const PartialContextKeys& client_half = is_client_ ? own->second : peer->second;
         const PartialContextKeys& server_half = is_client_ ? peer->second : own->second;
         context_keys_[ctx.id] =
@@ -762,8 +695,8 @@ Status Session::client_send_second_flight()
     for (auto& mbox : mbox_state_) {
         auto pre = crypto::x25519_shared(dh_private_, mbox.kx_for_client);
         if (!pre)
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: degenerate middlebox DH share");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: degenerate middlebox DH share");
         crypto::count_secret(cfg_.ops);
         Bytes s_cm = derive_shared_secret(pre.value(), client_random_, mbox.random);
         mbox.pairwise = derive_pairwise_key(s_cm, client_random_, mbox.random);
@@ -779,61 +712,21 @@ Status Session::client_send_second_flight()
     append(flight, cke_wire);
 
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = static_cast<uint8_t>(i);
-        km.sealed = seal_middlebox_material(i);
-        Bytes km_wire = km.to_message().serialize();
-        transcript_.add_client_key_material(km.entity, km_wire);
+        Bytes km_wire = middlebox_material_message(i);
+        transcript_.add_client_key_material(static_cast<uint8_t>(i), km_wire);
         crypto::count_hash(cfg_.ops);
         append(flight, km_wire);
     }
-
     if (!ckd_) {
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = kEntityServer;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        Bytes km_wire = km.to_message().serialize();
-        transcript_.add_client_key_material(km.entity, km_wire);
+        Bytes km_wire = endpoint_material_message();
+        transcript_.add_client_key_material(kEntityServer, km_wire);
         crypto::count_hash(cfg_.ops);
         append(flight, km_wire);
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    // CCS + encrypted Finished.
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = finished_verify_data("client finished", false);
-    tls::Finished fin{verify};
-    Bytes fin_wire = fin.to_message().serialize();
-    transcript_.set_client_finished(fin_wire);
-    crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_server_second;
+    transcript_.set_client_finished(
+        queue_flight_with_finished(flight, finished_verify_data("client finished", false)));
+    step_ = Step::wait_server_second;
     return {};
 }
 
@@ -844,66 +737,26 @@ Status Session::server_send_final_flight()
         for (size_t i = 0; i < mbox_state_.size(); ++i) {
             MiddleboxState& mbox = mbox_state_[i];
             if (!mbox.complete())
-                return fail(AlertDescription::handshake_failure,
-                            "mctls: incomplete middlebox bundle at server");
+                return core_.fail(AlertDescription::handshake_failure,
+                                  "mctls: incomplete middlebox bundle at server");
             auto pre = crypto::x25519_shared(dh_private_, mbox.kx_for_server);
             if (!pre)
-                return fail(AlertDescription::illegal_parameter,
-                            "mctls: degenerate middlebox DH share");
+                return core_.fail(AlertDescription::illegal_parameter,
+                                  "mctls: degenerate middlebox DH share");
             crypto::count_secret(cfg_.ops);
             Bytes s_sm = derive_shared_secret(pre.value(), server_random_, mbox.random);
             mbox.pairwise = derive_pairwise_key(s_sm, server_random_, mbox.random);
             crypto::count_keygen(cfg_.ops);
 
-            MiddleboxKeyMaterial km;
-            km.sender = kEntityServer;
-            km.entity = static_cast<uint8_t>(i);
-            km.sealed = seal_middlebox_material(i);
-            append(flight, km.to_message().serialize());
+            append(flight, middlebox_material_message(i));
         }
-
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityServer;
-        km.entity = kEntityClient;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        append(flight, endpoint_material_message());
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = finished_verify_data("server finished", true);
-    tls::Finished fin{verify};
-    Bytes fin_wire = fin.to_message().serialize();
-    crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::established;
+    queue_flight_with_finished(flight, finished_verify_data("server finished", true));
+    core_.establish();
     handshake_ever_complete_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
     if (cfg_.session_cache && !session_id_.empty()) cfg_.session_cache->put(ticket());
     return {};
 }
@@ -918,53 +771,51 @@ Bytes Session::finished_verify_data(const char* label, bool include_client_finis
 Status Session::verify_peer_finished(const tls::HandshakeMessage& msg)
 {
     auto fin = tls::Finished::parse(msg.body);
-    if (!fin) return fail(fin.error().message);
-    if (!ccs_received_)
-        return fail(AlertDescription::unexpected_message, "mctls: Finished before CCS");
+    if (!fin) return core_.fail(fin.error().message);
+    if (!core_.ccs_received())
+        return core_.fail(AlertDescription::unexpected_message, "mctls: Finished before CCS");
 
     if (is_client_) {
-        if (state_ != State::wait_server_second)
-            return fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
+        if (!at(Step::wait_server_second))
+            return core_.fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
         if (!ckd_ && !peer_material_received_)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: Finished before server key material");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: Finished before server key material");
         Bytes expected = resumed_ ? resumed_finished_verify_data("server finished")
                                   : finished_verify_data("server finished", true);
         if (!crypto::ct_equal(expected, fin.value().verify_data))
-            return fail(AlertDescription::decrypt_error,
-                        "mctls: server Finished verification failed");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+            return core_.fail(AlertDescription::decrypt_error,
+                              "mctls: server Finished verification failed");
+        core_.trace(obs::EventType::hs_finished_verified);
         if (resumed_) {
             append(resumed_transcript_, msg.serialize());
             crypto::count_hash(cfg_.ops);
             return client_send_resumed_flight();
         }
-        state_ = State::established;
+        core_.establish();
         handshake_ever_complete_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   handshake_wire_bytes_);
+        core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
         return {};
     }
 
     // Server verifying the client's Finished.
-    if (state_ != State::wait_client_flight)
-        return fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
+    if (!at(Step::wait_client_flight))
+        return core_.fail(AlertDescription::unexpected_message, "mctls: unexpected Finished");
     if (!resumed_ && peer_dh_public_.empty())
-        return fail(AlertDescription::unexpected_message, "mctls: Finished before CKE");
+        return core_.fail(AlertDescription::unexpected_message, "mctls: Finished before CKE");
     if (!ckd_ && !peer_material_received_)
-        return fail(AlertDescription::unexpected_message,
-                    "mctls: Finished before client key material");
+        return core_.fail(AlertDescription::unexpected_message,
+                          "mctls: Finished before client key material");
     Bytes expected = resumed_ ? resumed_finished_verify_data("client finished")
                               : finished_verify_data("client finished", false);
     if (!crypto::ct_equal(expected, fin.value().verify_data))
-        return fail(AlertDescription::decrypt_error,
-                    "mctls: client Finished verification failed");
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+        return core_.fail(AlertDescription::decrypt_error,
+                          "mctls: client Finished verification failed");
+    core_.trace(obs::EventType::hs_finished_verified);
     if (resumed_) {
-        state_ = State::established;
+        core_.establish();
         handshake_ever_complete_ = true;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-                   handshake_wire_bytes_);
+        core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
         // Refresh the cache entry: after an excision this narrows the stored
         // composition to the surviving middleboxes.
         if (cfg_.session_cache && !session_id_.empty()) cfg_.session_cache->put(ticket());
@@ -979,59 +830,37 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
 {
     // Pop the incoming transport span context before any failure path so a
     // bad-MAC record still consumes its context and the FIFO stays aligned.
-    obs::SpanContext in_ctx;
-    if (obs::span_on(cfg_.spans) && !rx_span_queue_.empty()) {
-        in_ctx = rx_span_queue_.front();
-        rx_span_queue_.pop_front();
-    }
-    if (state_ != State::established)
-        return fail(AlertDescription::unexpected_message, "mctls: early application data");
+    obs::SpanContext in_ctx = core_.units.pop_rx_span();
+    if (!core_.established())
+        return core_.fail(AlertDescription::unexpected_message, "mctls: early application data");
     auto keys = context_keys_.find(context_id);
     if (keys == context_keys_.end())
-        return fail(AlertDescription::illegal_parameter,
-                    "mctls: record for unknown context");
+        return core_.fail(AlertDescription::illegal_parameter, "mctls: record for unknown context");
 
     Direction dir = is_client_ ? Direction::server_to_client : Direction::client_to_server;
     StageNanos stage_ns;
-    StageNanos* tp = (obs::span_on(cfg_.spans) && in_ctx.valid()) ? &stage_ns : nullptr;
+    StageNanos* tp = (obs::span_on(core_.spans()) && in_ctx.valid()) ? &stage_ns : nullptr;
     auto opened = open_record_endpoint(keys->second, endpoint_keys_, dir, app_recv_seq_,
                                        context_id, payload, open_scratch_, tp);
     if (!opened) {
-        ++mac_failures_;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail,
-                   context_id, payload.size());
-        return fail(AlertDescription::bad_record_mac, opened.error().message);
+        core_.note_mac_failure(context_id, payload.size());
+        return core_.fail(AlertDescription::bad_record_mac, opened.error().message);
     }
     ++app_recv_seq_;
     // Receiving endpoint checks 2 of the record's 3 MACs: the writer MAC
     // (authenticity) and the endpoint MAC (modification detection).
-    macs_verified_ += 2;
-    ++app_records_received_;
+    core_.counters.macs_verified += 2;
+    ++core_.counters.app_records_received;
     CtxCounters& cc = ctx_counters_[context_id];
     cc.bytes_in += opened.value().payload.size();
     ++cc.records_in;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, context_id,
-               opened.value().payload.size(), 2, in_ctx.trace_id);
+    core_.trace(obs::EventType::record_open, context_id,
+                opened.value().payload.size(), 2, in_ctx.trace_id);
     if (tp) {
-        uint64_t now = cfg_.spans->now();
-        obs::SpanRecord r;
-        r.trace_id = in_ctx.trace_id;
-        r.span_id = cfg_.spans->next_span_id();
-        r.parent_id = in_ctx.span_id;
-        r.start_ts = now;
-        r.end_ts = now;
-        r.cpu_ns = stage_ns.mac_ns + stage_ns.cipher_ns;
-        r.actor = span_actor_;
-        r.ctx = context_id;
-        r.a = stage_ns.macs;
-        r.stage = obs::Stage::decrypt_verify;
-        cfg_.spans->emit(r);
-        obs::SpanRecord d = r;
-        d.span_id = cfg_.spans->next_span_id();
-        d.cpu_ns = 0;
-        d.a = opened.value().payload.size();
-        d.stage = obs::Stage::deliver;
-        cfg_.spans->emit(d);
+        core_.emit_span(in_ctx, obs::Stage::decrypt_verify, context_id,
+                        stage_ns.mac_ns + stage_ns.cipher_ns, stage_ns.macs);
+        core_.emit_span(in_ctx, obs::Stage::deliver, context_id, 0,
+                        opened.value().payload.size());
     }
     app_chunks_.push_back(
         {context_id, to_bytes(opened.value().payload), opened.value().from_endpoint});
@@ -1040,8 +869,8 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
 
 Status Session::send_app_data(uint8_t context_id, ConstBytes data)
 {
-    if (state_ != State::established) return err("mctls: not established");
-    if (close_sent_) return err("mctls: send after close");
+    if (!core_.established()) return err("mctls: not established");
+    if (core_.close_sent()) return err("mctls: send after close");
     auto keys = context_keys_.find(context_id);
     if (keys == context_keys_.end()) return err("mctls: unknown context");
 
@@ -1055,7 +884,7 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
         Bytes wire;
         wire.reserve(codec_.header_size() + body);
         StageNanos stage_ns;
-        StageNanos* tp = obs::span_on(cfg_.spans) ? &stage_ns : nullptr;
+        StageNanos* tp = obs::span_on(core_.spans()) ? &stage_ns : nullptr;
         uint64_t encode_ns = 0;
         std::chrono::steady_clock::time_point t0;
         if (tp) t0 = std::chrono::steady_clock::now();
@@ -1067,50 +896,27 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
                     .count());
         seal_record_into(keys->second, endpoint_keys_, dir, app_send_seq_, context_id,
                          data.subspan(off, take), *cfg_.rng, wire, tp);
-        uint64_t span_trace = 0;  // this record's trace id, for the black box
+        obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (tp) {
             // Root span for this record's trace, plus CPU-stage children.
             // Sim time does not advance inside the session, so the root is
             // an instant here; its true end is the final deliver span.
-            obs::SpanContext rec = cfg_.spans->begin_trace();
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord root;
-            root.trace_id = rec.trace_id;
-            root.span_id = rec.span_id;
-            root.start_ts = now;
-            root.end_ts = now;
-            root.actor = span_actor_;
-            root.ctx = context_id;
-            root.a = take;
-            root.stage = obs::Stage::record;
-            cfg_.spans->emit(root);
-            auto child = [&](obs::Stage st, uint64_t cpu, uint64_t a) {
-                obs::SpanRecord r = root;
-                r.span_id = cfg_.spans->next_span_id();
-                r.parent_id = rec.span_id;
-                r.cpu_ns = cpu;
-                r.a = a;
-                r.stage = st;
-                cfg_.spans->emit(r);
-            };
-            child(obs::Stage::encode, encode_ns, wire.size());
-            child(obs::Stage::mac, stage_ns.mac_ns, stage_ns.macs);
-            child(obs::Stage::encrypt, stage_ns.cipher_ns, take);
-            unit_spans_.resize(write_units_.size());  // pad untraced units
-            unit_spans_.push_back(rec);
-            span_trace = rec.trace_id;
+            rec = core_.begin_record_trace(context_id, take);
+            core_.emit_span(rec, obs::Stage::encode, context_id, encode_ns, wire.size());
+            core_.emit_span(rec, obs::Stage::mac, context_id, stage_ns.mac_ns, stage_ns.macs);
+            core_.emit_span(rec, obs::Stage::encrypt, context_id, stage_ns.cipher_ns, take);
         }
         ++app_send_seq_;
-        app_overhead_bytes_ += wire.size() - take;
-        ++app_records_sent_;
+        core_.counters.app_overhead_bytes += wire.size() - take;
+        ++core_.counters.app_records_sent;
         // seal_record computes all three MACs (endpoints, writers, readers).
-        macs_generated_ += 3;
+        core_.counters.macs_generated += 3;
         CtxCounters& cc = ctx_counters_[context_id];
         cc.bytes_out += take;
         ++cc.records_out;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_seal, context_id,
-                   take, 3, span_trace);
-        write_units_.push_back(std::move(wire));
+        core_.trace(obs::EventType::record_seal, context_id, take, 3, rec.trace_id);
+        core_.units.push(std::move(wire));
+        if (rec.valid()) core_.units.tag_last(rec);
         off += take;
     } while (off < data.size());
     return {};
@@ -1183,8 +989,7 @@ bool Session::server_try_resumption(const tls::ClientHello& hello)
 
 Status Session::server_send_resumed_flight(ConstBytes client_hello_wire)
 {
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept, 0,
-               middleboxes_.size());
+    core_.trace(obs::EventType::hs_resume_accept, 0, middleboxes_.size());
     resumed_transcript_.assign(client_hello_wire.begin(), client_hello_wire.end());
     derive_endpoint_secrets_from_scs();
 
@@ -1202,53 +1007,14 @@ Status Session::server_send_resumed_flight(ConstBytes client_hello_wire)
     if (!ckd_) {
         // Fresh server halves for every surviving middlebox, sealed under the
         // cached pairwise keys, plus the endpoint half for the client.
-        for (size_t i = 0; i < mbox_state_.size(); ++i) {
-            MiddleboxKeyMaterial km;
-            km.sender = kEntityServer;
-            km.entity = static_cast<uint8_t>(i);
-            km.sealed = seal_middlebox_material(i);
-            append(flight, km.to_message().serialize());
-        }
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityServer;
-        km.entity = kEntityClient;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        for (size_t i = 0; i < mbox_state_.size(); ++i)
+            append(flight, middlebox_material_message(i));
+        append(flight, endpoint_material_message());
     }
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = resumed_finished_verify_data("server finished");
-    tls::Finished fin{verify};
-    Bytes fin_wire = fin.to_message().serialize();
-    crypto::count_hash(cfg_.ops);
-    append(resumed_transcript_, fin_wire);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::wait_client_flight;
+    append(resumed_transcript_,
+           queue_flight_with_finished(flight, resumed_finished_verify_data("server finished")));
+    step_ = Step::wait_client_flight;
     return {};
 }
 
@@ -1259,15 +1025,14 @@ Status Session::client_accept_resumption(ConstBytes server_hello_wire)
     for (size_t i = 0; i < middleboxes_.size(); ++i) {
         int idx = cfg_.ticket->find_middlebox(middleboxes_[i].name);
         if (idx < 0 || static_cast<size_t>(idx) >= cfg_.ticket->pairwise.size())
-            return fail(AlertDescription::handshake_failure,
-                        "mctls: resumed middlebox missing from ticket");
+            return core_.fail(AlertDescription::handshake_failure,
+                              "mctls: resumed middlebox missing from ticket");
         mbox_state_[i].pairwise = cfg_.ticket->pairwise[static_cast<size_t>(idx)];
     }
     append(resumed_transcript_, server_hello_wire);
     derive_endpoint_secrets_from_scs();
-    state_ = State::wait_server_second;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept, 0,
-               middleboxes_.size());
+    step_ = Step::wait_server_second;
+    core_.trace(obs::EventType::hs_resume_accept, 0, middleboxes_.size());
     return {};
 }
 
@@ -1275,56 +1040,16 @@ Status Session::client_send_resumed_flight()
 {
     Bytes flight;
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = static_cast<uint8_t>(i);
-        km.sealed = seal_middlebox_material(i);
+        Bytes km_wire = middlebox_material_message(i);
         crypto::count_hash(cfg_.ops);
-        append(flight, km.to_message().serialize());
+        append(flight, km_wire);
     }
-    if (!ckd_) {
-        std::vector<EndpointMaterialEntry> entries;
-        for (const auto& ctx : contexts_)
-            entries.push_back({ctx.id, own_partials_[ctx.id]});
-        MiddleboxKeyMaterial km;
-        km.sender = kEntityClient;
-        km.entity = kEntityServer;
-        km.sealed = authenc_seal(endpoint_keys_.key_material,
-                                 key_material_ad(km.sender, km.entity),
-                                 serialize_endpoint_material(entries), *cfg_.rng);
-        crypto::count_enc(cfg_.ops);
-        append(flight, km.to_message().serialize());
-    }
+    if (!ckd_) append(flight, endpoint_material_message());
 
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-
-    tls::Record ccs{tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}};
-    Bytes ccs_wire = codec_.encode(ccs);
-    handshake_wire_bytes_ += ccs_wire.size();
-    append(unit, ccs_wire);
-    ccs_sent_ = true;
-
-    Bytes verify = resumed_finished_verify_data("client finished");
-    tls::Finished fin{verify};
-    Bytes fin_wire = fin.to_message().serialize();
-    crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
-    crypto::count_enc(cfg_.ops);
-    tls::Record fin_rec{tls::ContentType::handshake, kControlContext, protected_payload};
-    Bytes fin_rec_wire = codec_.encode(fin_rec);
-    handshake_wire_bytes_ += fin_rec_wire.size();
-    append(unit, fin_rec_wire);
-    finished_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
-
-    write_units_.push_back(std::move(unit));
-    state_ = State::established;
+    queue_flight_with_finished(flight, resumed_finished_verify_data("client finished"));
+    core_.establish();
     handshake_ever_complete_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
     return {};
 }
 
@@ -1358,8 +1083,8 @@ Bytes Session::context_key_fingerprint(uint8_t context_id) const
 Status Session::initiate_rekey(const std::vector<std::string>& revoke)
 {
     if (!is_client_) return err("mctls: only the client initiates a rekey");
-    if (state_ != State::established) return err("mctls: rekey before established");
-    if (close_sent_) return err("mctls: rekey after close");
+    if (!core_.established()) return err("mctls: rekey before established");
+    if (core_.close_sent()) return err("mctls: rekey after close");
     if (ckd_)
         return err("mctls: rekey requires contributory key mode");
     if (rekey_in_progress_) return err("mctls: rekey already in progress");
@@ -1401,8 +1126,7 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     rec.entries.push_back(std::move(endpoint));
 
     queue_rekey_record(rec);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init, 0, pending_epoch_,
-               rekey_revoked_.size());
+    core_.trace(obs::EventType::rekey_init, 0, pending_epoch_, rekey_revoked_.size());
     return {};
 }
 
@@ -1435,20 +1159,8 @@ void Session::queue_rekey_record(const RekeyRecord& rec)
     Bytes wire = codec_.encode(record);
     // Rekeys happen during the application phase; their cost is session
     // overhead, not handshake bytes (which tests use to detect re-handshakes).
-    app_overhead_bytes_ += wire.size();
-    write_units_.push_back(std::move(wire));
-}
-
-void Session::switch_direction_keys(Direction dir)
-{
-    size_t d = static_cast<size_t>(dir);
-    for (auto& [id, pending] : pending_context_keys_) {
-        ContextKeys& current = context_keys_[id];
-        current.reader_enc[d] = pending.reader_enc[d];
-        current.reader_mac[d] = pending.reader_mac[d];
-        current.writer_mac[d] = pending.writer_mac[d];
-    }
-    dir_switched_[d] = true;
+    core_.counters.app_overhead_bytes += wire.size();
+    core_.units.push(std::move(wire));
 }
 
 void Session::finish_rekey_if_switched()
@@ -1460,15 +1172,15 @@ void Session::finish_rekey_if_switched()
     rekey_own_partials_.clear();
     pending_context_keys_.clear();
     rekey_revoked_.clear();
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_complete, 0, epoch_);
+    core_.trace(obs::EventType::rekey_complete, 0, epoch_);
 }
 
 Status Session::handle_rekey_record(const tls::Record& record)
 {
-    if (state_ != State::established)
-        return fail(AlertDescription::unexpected_message, "mctls: early rekey record");
+    if (!core_.established())
+        return core_.fail(AlertDescription::unexpected_message, "mctls: early rekey record");
     auto parsed = RekeyRecord::parse(record.payload);
-    if (!parsed) return fail(AlertDescription::decode_error, parsed.error().message);
+    if (!parsed) return core_.fail(AlertDescription::decode_error, parsed.error().message);
     const RekeyRecord& rk = parsed.value();
 
     if (is_client_) {
@@ -1476,42 +1188,44 @@ Status Session::handle_rekey_record(const tls::Record& record)
         // server halves and doubles as the s->c key-switch marker.
         if (rk.phase != RekeyPhase::resp || !rekey_in_progress_ ||
             rk.epoch != pending_epoch_)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: unexpected rekey record");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: unexpected rekey record");
         const RekeyEntry* own = nullptr;
         for (const auto& e : rk.entries)
             if (e.entity == kEntityClient) own = &e;
         if (!own)
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: rekey response without endpoint entry");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: rekey response without endpoint entry");
         auto plain = authenc_open(endpoint_keys_.key_material,
                                   rekey_ad(kEntityServer, kEntityClient, rk.epoch),
                                   own->sealed);
         if (!plain)
-            return fail(AlertDescription::decrypt_error,
-                        "mctls: rekey material: " + plain.error().message);
+            return core_.fail(AlertDescription::decrypt_error,
+                              "mctls: rekey material: " + plain.error().message);
         crypto::count_dec(cfg_.ops);
         auto entries = parse_endpoint_material(plain.value());
-        if (!entries) return fail(entries.error().message);
+        if (!entries) return core_.fail(entries.error().message);
         std::map<uint8_t, PartialContextKeys> server_halves;
         for (const auto& e : entries.value()) server_halves[e.context_id] = e.partial;
         for (const auto& ctx : contexts_) {
             auto own_it = rekey_own_partials_.find(ctx.id);
             auto peer_it = server_halves.find(ctx.id);
             if (own_it == rekey_own_partials_.end() || peer_it == server_halves.end())
-                return fail(AlertDescription::handshake_failure,
-                            "mctls: missing rekey halves");
+                return core_.fail(AlertDescription::handshake_failure,
+                                  "mctls: missing rekey halves");
             pending_context_keys_[ctx.id] = combine_context_keys(
                 own_it->second, peer_it->second, client_random_, server_random_);
             crypto::count_keygen(cfg_.ops, 2);
         }
         keylog_contexts(rk.epoch, pending_context_keys_);
-        switch_direction_keys(Direction::server_to_client);
+        switch_direction_keys(context_keys_, pending_context_keys_, Direction::server_to_client,
+                              dir_switched_);
         RekeyRecord commit;
         commit.phase = RekeyPhase::commit;
         commit.epoch = rk.epoch;
         queue_rekey_record(commit);
-        switch_direction_keys(Direction::client_to_server);
+        switch_direction_keys(context_keys_, pending_context_keys_, Direction::client_to_server,
+                              dir_switched_);
         finish_rekey_if_switched();
         return {};
     }
@@ -1519,34 +1233,34 @@ Status Session::handle_rekey_record(const tls::Record& record)
     // Server.
     if (rk.phase == RekeyPhase::init) {
         if (rekey_in_progress_)
-            return fail(AlertDescription::unexpected_message, "mctls: overlapping rekey");
+            return core_.fail(AlertDescription::unexpected_message, "mctls: overlapping rekey");
         if (ckd_)
-            return fail(AlertDescription::unexpected_message, "mctls: rekey in CKD mode");
+            return core_.fail(AlertDescription::unexpected_message, "mctls: rekey in CKD mode");
         if (rk.epoch != epoch_ + 1)
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: rekey epoch out of sequence");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: rekey epoch out of sequence");
         rekey_in_progress_ = true;
         pending_epoch_ = rk.epoch;
         dir_switched_[0] = dir_switched_[1] = false;
         pending_context_keys_.clear();
         rekey_own_partials_.clear();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::rekey_init, 0, rk.epoch);
+        core_.trace(obs::EventType::rekey_init, 0, rk.epoch);
 
         const RekeyEntry* own = nullptr;
         for (const auto& e : rk.entries)
             if (e.entity == kEntityServer) own = &e;
         if (!own)
-            return fail(AlertDescription::illegal_parameter,
-                        "mctls: rekey init without endpoint entry");
+            return core_.fail(AlertDescription::illegal_parameter,
+                              "mctls: rekey init without endpoint entry");
         auto plain = authenc_open(endpoint_keys_.key_material,
                                   rekey_ad(kEntityClient, kEntityServer, rk.epoch),
                                   own->sealed);
         if (!plain)
-            return fail(AlertDescription::decrypt_error,
-                        "mctls: rekey material: " + plain.error().message);
+            return core_.fail(AlertDescription::decrypt_error,
+                              "mctls: rekey material: " + plain.error().message);
         crypto::count_dec(cfg_.ops);
         auto entries = parse_endpoint_material(plain.value());
-        if (!entries) return fail(entries.error().message);
+        if (!entries) return core_.fail(entries.error().message);
         std::map<uint8_t, PartialContextKeys> client_halves;
         for (const auto& e : entries.value()) client_halves[e.context_id] = e.partial;
 
@@ -1559,8 +1273,8 @@ Status Session::handle_rekey_record(const tls::Record& record)
         for (const auto& ctx : contexts_) {
             auto c = client_halves.find(ctx.id);
             if (c == client_halves.end())
-                return fail(AlertDescription::handshake_failure,
-                            "mctls: missing rekey halves");
+                return core_.fail(AlertDescription::handshake_failure,
+                                  "mctls: missing rekey halves");
             pending_context_keys_[ctx.id] = combine_context_keys(
                 c->second, rekey_own_partials_[ctx.id], client_random_, server_random_);
             crypto::count_keygen(cfg_.ops, 2);
@@ -1589,41 +1303,30 @@ Status Session::handle_rekey_record(const tls::Record& record)
         resp.entries.push_back(std::move(endpoint));
         queue_rekey_record(resp);
         // The response doubles as our own send-direction switch marker.
-        switch_direction_keys(Direction::server_to_client);
+        switch_direction_keys(context_keys_, pending_context_keys_, Direction::server_to_client,
+                              dir_switched_);
         return {};
     }
     if (rk.phase == RekeyPhase::commit) {
         if (!rekey_in_progress_ || rk.epoch != pending_epoch_)
-            return fail(AlertDescription::unexpected_message,
-                        "mctls: unexpected rekey commit");
-        switch_direction_keys(Direction::client_to_server);
+            return core_.fail(AlertDescription::unexpected_message,
+                              "mctls: unexpected rekey commit");
+        switch_direction_keys(context_keys_, pending_context_keys_, Direction::client_to_server,
+                              dir_switched_);
         finish_rekey_if_switched();
         return {};
     }
-    return fail(AlertDescription::unexpected_message, "mctls: unexpected rekey record");
+    return core_.fail(AlertDescription::unexpected_message, "mctls: unexpected rekey record");
 }
 
 obs::SessionStats Session::session_stats() const
 {
     obs::SessionStats s;
-    s.actor = actor_name_;
-    s.established = state_ == State::established || state_ == State::closed;
-    if (failure_.failed()) s.failure = failure_.message;
+    core_.fill_stats(s);
+    s.established = core_.established() || core_.closed();
     s.resumed = resumed_;
     s.epoch = epoch_;
     s.rekeys = rekeys_completed_;
-    s.handshake_wire_bytes = handshake_wire_bytes_;
-    s.app_overhead_bytes = app_overhead_bytes_;
-    s.app_records_sent = app_records_sent_;
-    s.app_records_received = app_records_received_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     // Report every negotiated context, including idle ones, so callers see
     // the full permission matrix shape in a single snapshot.
     for (const auto& ctx : contexts_) {
@@ -1645,26 +1348,6 @@ obs::SessionStats Session::session_stats() const
 std::vector<AppChunk> Session::take_app_data()
 {
     return std::exchange(app_chunks_, {});
-}
-
-std::vector<Bytes> Session::take_write_units()
-{
-    if (obs::span_on(cfg_.spans)) {
-        unit_spans_.resize(write_units_.size());  // pad trailing untraced units
-        taken_unit_spans_ = std::move(unit_spans_);
-        unit_spans_.clear();
-    }
-    return std::exchange(write_units_, {});
-}
-
-std::vector<obs::SpanContext> Session::take_unit_spans()
-{
-    return std::exchange(taken_unit_spans_, {});
-}
-
-void Session::queue_rx_span(obs::SpanContext ctx)
-{
-    if (obs::span_on(cfg_.spans) && ctx.valid()) rx_span_queue_.push_back(ctx);
 }
 
 }  // namespace mct::mctls

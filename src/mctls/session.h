@@ -9,7 +9,6 @@
 // flights coalesce into one unit; each application record is its own unit.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,6 +26,7 @@
 #include "pki/trust_store.h"
 #include "tls/record.h"
 #include "tls/session.h"
+#include "tls/session_core.h"
 #include "util/rng.h"
 
 namespace mct::mctls {
@@ -106,45 +106,45 @@ public:
 
     void start();  // client only
     Status feed(ConstBytes wire);
-    std::vector<Bytes> take_write_units();
+    std::vector<Bytes> take_write_units() { return core_.units.take(); }
 
     // Span contexts aligned index-for-index with the units returned by the
     // most recent take_write_units() (invalid context = untraced unit, e.g.
     // a handshake flight). Call immediately after take_write_units(); the
     // driver attaches each valid context to its unit's transport send via
     // Connection::send_traced.
-    std::vector<obs::SpanContext> take_unit_spans();
+    std::vector<obs::SpanContext> take_unit_spans() { return core_.units.take_spans(); }
 
     // FIFO of incoming transport span contexts: the driver pushes one per
     // traced unit delivered by the transport (Connection::take_rx_spans)
     // BEFORE feeding the bytes; handle_app_record pops one per app record.
-    void queue_rx_span(obs::SpanContext ctx);
+    void queue_rx_span(obs::SpanContext ctx) { core_.units.queue_rx_span(ctx); }
 
-    bool handshake_complete() const { return state_ == State::established; }
-    bool failed() const { return state_ == State::failed; }
-    const std::string& error() const { return error_; }
+    bool handshake_complete() const { return core_.established(); }
+    bool failed() const { return core_.failed(); }
+    const std::string& error() const { return core_.error(); }
 
     // --- Failure semantics (see DESIGN.md "Failure model") ---
 
     // Drive time-based state. Arms the handshake deadline on the first call;
     // once `now` passes it with the handshake still incomplete, the session
     // fails with a fatal handshake_timeout alert instead of stalling.
-    Status tick(uint64_t now);
+    Status tick(uint64_t now) { return core_.tick(now); }
 
     // Graceful shutdown: send close_notify (once) on the control context.
-    void close();
+    void close() { core_.close(); }
     // The transport reported EOF. Without a prior close_notify from the peer
     // this flags the stream as truncated (truncation-attack detection).
-    void transport_closed();
+    void transport_closed() { core_.transport_closed(); }
 
-    bool closed() const { return state_ == State::closed; }
-    bool close_sent() const { return close_sent_; }
-    bool truncated() const { return truncated_; }
+    bool closed() const { return core_.closed(); }
+    bool close_sent() const { return core_.close_sent(); }
+    bool truncated() const { return core_.truncated(); }
     // Typed reason the session stopped (origin none while healthy).
-    const SessionError& failure() const { return failure_; }
+    const SessionError& failure() const { return core_.failure(); }
     // Last alert we emitted / the peer's alert, if any.
-    const std::optional<tls::Alert>& alert_sent() const { return alert_sent_; }
-    const std::optional<tls::Alert>& peer_alert() const { return peer_alert_; }
+    const std::optional<tls::Alert>& alert_sent() const { return core_.alert_sent(); }
+    const std::optional<tls::Alert>& peer_alert() const { return core_.peer_alert(); }
 
     Status send_app_data(uint8_t context_id, ConstBytes data);
     std::vector<AppChunk> take_app_data();
@@ -175,9 +175,9 @@ public:
     // Effective (granted) permission for middlebox `mbox` in context `ctx`.
     Permission granted_permission(size_t mbox, uint8_t ctx) const;
 
-    uint64_t handshake_wire_bytes() const { return handshake_wire_bytes_; }
-    uint64_t app_overhead_bytes() const { return app_overhead_bytes_; }
-    uint64_t app_records_sent() const { return app_records_sent_; }
+    uint64_t handshake_wire_bytes() const { return core_.counters.handshake_wire_bytes; }
+    uint64_t app_overhead_bytes() const { return core_.counters.app_overhead_bytes; }
+    uint64_t app_records_sent() const { return core_.counters.app_records_sent; }
 
     // Decrypt-scratch stats for the records-per-allocation metric: in steady
     // state `records` keeps growing while `heap_allocations` stays flat.
@@ -190,16 +190,16 @@ public:
     obs::SessionStats session_stats() const;
 
 private:
-    enum class State {
+    // Handshake steps; the lifecycle phase (handshake, established, closed,
+    // failed) lives in the core.
+    enum class Step {
         idle,
         wait_server_flight,   // client
         wait_server_second,   // client: server CKM + CCS + Finished
         wait_client_hello,    // server
         wait_client_flight,   // server: bundles, CKE, CKMs, CCS, Finished
-        established,
-        closed,  // close_notify exchanged in both directions
-        failed,
     };
+    bool at(Step step) const { return core_.in_handshake() && step_ == step; }
 
     struct MiddleboxState {
         MiddleboxInfo info;
@@ -214,15 +214,10 @@ private:
         bool complete() const { return hello_seen && kx_client_seen && kx_server_seen; }
     };
 
-    Status fail(std::string message);
-    Status fail(AlertDescription description, std::string message);
-    Status fail_with(SessionError::Origin origin, AlertDescription description,
-                     std::string message, bool emit_alert);
-    void send_alert(const tls::Alert& alert);
-    Status handle_alert(const tls::Alert& alert);
-    void queue_record(const tls::Record& record, bool own_unit);
-    void append_handshake_to_flight(const tls::HandshakeMessage& msg, Bytes* flight);
     void flush_flight_into_unit(ConstBytes flight, Bytes* unit);
+    Bytes queue_flight_with_finished(ConstBytes flight, Bytes verify_data);
+    Bytes middlebox_material_message(size_t mbox_index);
+    Bytes endpoint_material_message();
 
     Status handle_record(const tls::Record& record);
     Status handle_handshake(const tls::HandshakeMessage& msg);
@@ -246,7 +241,6 @@ private:
     Status handle_rekey_record(const tls::Record& record);
     Bytes seal_rekey_middlebox_material(size_t mbox_index);
     void queue_rekey_record(const RekeyRecord& rec);
-    void switch_direction_keys(Direction dir);
     void finish_rekey_if_switched();
 
     const ContextDescription* find_context(uint8_t id) const;
@@ -260,21 +254,13 @@ private:
     Status unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km);
 
     SessionConfig cfg_;
-    State state_ = State::idle;
-    std::string error_;
-    SessionError failure_;
-    std::optional<tls::Alert> alert_sent_;
-    std::optional<tls::Alert> peer_alert_;
-    bool close_sent_ = false;
-    bool peer_close_received_ = false;
-    bool truncated_ = false;
-    uint64_t handshake_deadline_ = 0;  // 0 = not armed
+    tls::SessionCore core_;
+    Step step_ = Step::idle;
     bool is_client_ = true;
 
     tls::RecordCodec codec_{/*with_context_id=*/true};
     RecordScratch open_scratch_;  // reusable decrypt buffer for app records
     tls::HandshakeReader handshake_reader_;
-    std::vector<Bytes> write_units_;
     std::vector<AppChunk> app_chunks_;
 
     // Negotiated composition.
@@ -301,55 +287,25 @@ private:
 
     std::unique_ptr<tls::CbcHmacProtector> control_send_;
     std::unique_ptr<tls::CbcHmacProtector> control_recv_;
-    bool ccs_sent_ = false;
-    bool ccs_received_ = false;
     bool shd_seen_ = false;
-    bool finished_sent_ = false;
-    Bytes pending_client_finished_;  // server: arrived before use
 
     uint64_t app_send_seq_ = 0;
     uint64_t app_recv_seq_ = 0;
 
-    uint64_t handshake_wire_bytes_ = 0;
-    uint64_t app_overhead_bytes_ = 0;
-    uint64_t app_records_sent_ = 0;
-
-    // Telemetry (see session_stats()).
+    // Telemetry beyond the core's counters (see session_stats()).
     struct CtxCounters {
         uint64_t bytes_out = 0;
         uint64_t bytes_in = 0;
         uint64_t records_out = 0;
         uint64_t records_in = 0;
     };
-    uint16_t trace_actor_ = 0;
-    std::string actor_name_;
-    // Latency attribution (cfg_.spans): outgoing contexts pad-aligned with
-    // write_units_ (see take_unit_spans), incoming contexts FIFO-matched
-    // against app records — pushes and pops ride the same in-order stream,
-    // and only traced app-record units ever produce contexts, so the queues
-    // can never skew.
-    uint16_t span_actor_ = 0;
-    std::vector<obs::SpanContext> unit_spans_;
-    std::vector<obs::SpanContext> taken_unit_spans_;
-    std::deque<obs::SpanContext> rx_span_queue_;
     std::map<uint8_t, CtxCounters> ctx_counters_;
-    uint64_t app_records_received_ = 0;
-    uint64_t macs_generated_ = 0;
-    uint64_t macs_verified_ = 0;
-    uint64_t mac_failures_ = 0;
-    uint64_t alerts_sent_ = 0;
-    uint64_t alerts_received_ = 0;
-    // Keyed by to_string(AlertDescription); alerts are rare and terminal, so
-    // the map insert stays off the record fast path.
-    std::map<std::string, uint64_t> alerts_sent_by_type_;
-    std::map<std::string, uint64_t> alerts_received_by_type_;
 
     // --- Session continuity state ---
     Bytes session_id_;           // assigned (server) or echoed (client)
     bool resumed_ = false;
     bool handshake_ever_complete_ = false;
     Bytes resumed_transcript_;   // plain concat: CH || SH || server Finished
-    bool close_notify_emitted_ = false;
 
     uint32_t epoch_ = 0;
     uint64_t rekeys_completed_ = 0;

@@ -20,131 +20,28 @@ constexpr size_t kMacKeySize = 32;
 
 }  // namespace
 
-Session::Session(SessionConfig cfg) : cfg_(std::move(cfg))
+Session::Session(SessionConfig cfg)
+    : cfg_(std::move(cfg)),
+      core_({.prefix = "tls",
+             .actor = cfg_.trace_actor.empty()
+                          ? (cfg_.role == Role::client ? "tls-client" : "tls-server")
+                          : cfg_.trace_actor,
+             .tracer = cfg_.tracer,
+             .spans = cfg_.spans,
+             .flight = cfg_.flight,
+             .handshake_timeout = cfg_.handshake_timeout})
 {
     if (!cfg_.rng) throw std::invalid_argument("tls::Session: rng is required");
-    state_ = cfg_.role == Role::client ? State::idle : State::wait_client_hello;
-    actor_name_ = cfg_.trace_actor.empty()
-                      ? (cfg_.role == Role::client ? "tls-client" : "tls-server")
-                      : cfg_.trace_actor;
-    if (cfg_.tracer) trace_actor_ = cfg_.tracer->intern(actor_name_);
-    if (cfg_.spans) span_actor_ = cfg_.spans->intern(actor_name_);
+    step_ = cfg_.role == Role::client ? Step::idle : Step::wait_client_hello;
 }
 
-Status Session::fail(std::string message)
-{
-    return fail(AlertDescription::handshake_failure, std::move(message));
-}
-
-Status Session::fail(AlertDescription description, std::string message)
-{
-    return fail_with(SessionError::Origin::local, description, std::move(message),
-                     /*emit_alert=*/true);
-}
-
-Status Session::fail_with(SessionError::Origin origin, AlertDescription description,
-                          std::string message, bool emit_alert)
-{
-    bool in_handshake = state_ != State::established && state_ != State::closed;
-    state_ = State::failed;
-    error_ = std::move(message);
-    if (!failure_.failed()) failure_ = {origin, description, error_};
-    if (in_handshake)
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_failed, 0,
-                   static_cast<uint64_t>(description));
-    // Fatal alert to the peer, best effort (never in response to the peer's
-    // own fatal alert, which would just echo noise at a dead session).
-    if (emit_alert) send_alert(fatal_alert(description));
-    return err(error_);
-}
-
-void Session::send_alert(const Alert& alert)
-{
-    if (alert_sent_ && alert_sent_->is_fatal()) return;  // at most one fatal
-    if (alert.is_close_notify()) {
-        // Idempotent shutdown: close() racing an incoming close_notify (or
-        // repeated close() calls) must not put a second close_notify on the
-        // wire. Deduped here at the emission layer so every caller is safe.
-        if (close_notify_emitted_) return;
-        close_notify_emitted_ = true;
-    }
-    alert_sent_ = alert;
-    ++alerts_sent_;
-    ++alerts_sent_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_sent, 0,
-               static_cast<uint64_t>(alert.description));
-    queue_record({ContentType::alert, 0, alert.serialize()}, /*own_unit=*/true);
-}
-
-Status Session::handle_alert(const Alert& alert)
-{
-    peer_alert_ = alert;
-    ++alerts_received_;
-    ++alerts_received_by_type_[to_string(alert.description)];
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::alert_received, 0,
-               static_cast<uint64_t>(alert.description));
-    if (alert.is_close_notify()) {
-        peer_close_received_ = true;
-        if (state_ == State::closed) return {};
-        if (state_ != State::established)
-            return fail_with(SessionError::Origin::peer, AlertDescription::close_notify,
-                             "tls: close_notify during handshake", /*emit_alert=*/false);
-        if (!close_sent_) {
-            close_sent_ = true;
-            send_alert(close_notify_alert());
-        }
-        state_ = State::closed;
-        return {};
-    }
-    if (!alert.is_fatal()) return {};  // unknown warnings are ignorable
-    return fail_with(SessionError::Origin::peer, alert.description,
-                     std::string("tls: peer alert: ") + to_string(alert.description),
-                     /*emit_alert=*/false);
-}
-
-Status Session::tick(uint64_t now)
-{
-    if (state_ == State::failed) return err(error_);
-    if (state_ == State::established || state_ == State::closed) return {};
-    if (cfg_.handshake_timeout == 0) return {};
-    if (handshake_deadline_ == 0) {
-        handshake_deadline_ = now + cfg_.handshake_timeout;
-        return {};
-    }
-    if (now < handshake_deadline_) return {};
-    return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
-                     "tls: handshake deadline exceeded", /*emit_alert=*/true);
-}
-
-void Session::close()
-{
-    if (state_ == State::failed || close_sent_) return;
-    close_sent_ = true;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::session_close);
-    send_alert(close_notify_alert());
-    // Mid-handshake close abandons the session; an established session keeps
-    // receiving until the peer's close_notify arrives.
-    if (state_ != State::established || peer_close_received_) state_ = State::closed;
-}
-
-void Session::transport_closed()
-{
-    if (state_ == State::failed || state_ == State::closed) return;
-    truncated_ = true;
-    (void)fail_with(SessionError::Origin::truncated, AlertDescription::close_notify,
-                    "tls: transport closed without close_notify (truncated)",
-                    /*emit_alert=*/false);
-}
-
-void Session::queue_record(const Record& record, bool own_unit)
+// Handshake-phase record (CCS, protected Finished), coalesced into the open
+// flight unit.
+void Session::queue_record(const Record& record)
 {
     Bytes wire = codec_.encode(record);
-    if (record.type != ContentType::application_data) handshake_wire_bytes_ += wire.size();
-    if (own_unit || write_units_.empty()) {
-        write_units_.push_back(std::move(wire));
-    } else {
-        append(write_units_.back(), wire);
-    }
+    core_.counters.handshake_wire_bytes += wire.size();
+    core_.units.append(wire, /*own_unit=*/false);
 }
 
 void Session::queue_handshake(const HandshakeMessage& msg, Bytes* flight)
@@ -165,16 +62,16 @@ void Session::flush_flight(Bytes flight)
         Record rec{ContentType::handshake, 0,
                    Bytes(flight.begin() + off, flight.begin() + off + take)};
         Bytes wire = codec_.encode(rec);
-        handshake_wire_bytes_ += wire.size();
+        core_.counters.handshake_wire_bytes += wire.size();
         append(unit, wire);
         off += take;
     }
-    if (!unit.empty()) write_units_.push_back(std::move(unit));
+    if (!unit.empty()) core_.units.push(std::move(unit));
 }
 
 void Session::start()
 {
-    if (cfg_.role != Role::client || state_ != State::idle)
+    if (cfg_.role != Role::client || !at(Step::idle))
         throw std::logic_error("tls::Session: start() is for idle clients");
 
     client_random_ = cfg_.rng->bytes(kRandomSize);
@@ -187,24 +84,23 @@ void Session::start()
     hello.cipher_suites = {kCipherSuiteX25519Ed25519Aes128Sha256};
     if (cfg_.ticket && cfg_.ticket->valid()) {
         hello.session_id = cfg_.ticket->session_id;
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_offer, 0,
-                   hello.session_id.size());
+        core_.trace(obs::EventType::hs_resume_offer, 0, hello.session_id.size());
     }
 
     Bytes flight;
     queue_handshake(hello.to_message(), &flight);
     flush_flight(std::move(flight));
-    state_ = State::wait_server_hello;
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_start, 0, handshake_wire_bytes_);
+    step_ = Step::wait_server_hello;
+    core_.trace(obs::EventType::hs_start, 0, core_.counters.handshake_wire_bytes);
 }
 
 Status Session::feed(ConstBytes wire)
 {
-    if (state_ == State::failed) return err(error_);
+    if (core_.failed()) return err(core_.error());
     codec_.feed(wire);
     while (true) {
         auto next = codec_.next_view();
-        if (!next) return fail(AlertDescription::decode_error, next.error().message);
+        if (!next) return core_.fail(AlertDescription::decode_error, next.error().message);
         if (!next.value().has_value()) return {};
         if (auto s = handle_record_view(*next.value()); !s) return s;
     }
@@ -214,19 +110,17 @@ Status Session::handle_record_view(const RecordView& view)
 {
     // Established app data is the hot path: decrypt straight from the codec
     // buffer into the receive scratch, no owning Record in between.
-    if (view.type == ContentType::application_data && state_ == State::established) {
+    if (view.type == ContentType::application_data && core_.established()) {
         recv_scratch_.clear();
         auto plain = recv_protector_->unprotect_into(view.type, 0, view.payload, recv_scratch_);
         if (!plain) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail, 0,
-                       view.payload.size());
-            return fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
+            core_.note_mac_failure(0, view.payload.size());
+            return core_.fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
         }
-        ++macs_verified_;
-        ++app_records_received_;
+        ++core_.counters.macs_verified;
+        ++core_.counters.app_records_received;
         app_bytes_received_ += plain.value();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, 0, plain.value(), 1);
+        core_.trace(obs::EventType::record_open, 0, plain.value(), 1);
         append(app_data_, ConstBytes{recv_scratch_.data(), plain.value()});
         return {};
     }
@@ -241,112 +135,79 @@ Status Session::handle_record(const Record& record)
 {
     if (record.type == ContentType::alert) {
         auto alert = Alert::parse(record.payload);
-        if (!alert) return fail(AlertDescription::decode_error, "tls: malformed alert");
-        return handle_alert(alert.value());
+        if (!alert) return core_.fail(AlertDescription::decode_error, "tls: malformed alert");
+        return core_.handle_alert(alert.value());
     }
-    if (state_ == State::closed)
-        return fail(AlertDescription::unexpected_message, "tls: record after close_notify");
+    if (core_.closed())
+        return core_.fail(AlertDescription::unexpected_message, "tls: record after close_notify");
     switch (record.type) {
     case ContentType::alert:
         return {};  // handled above
     case ContentType::change_cipher_spec:
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
-        if (ccs_received_)
-            return fail(AlertDescription::unexpected_message, "tls: duplicate CCS");
-        ccs_received_ = true;
-        return {};
+        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
+        return core_.receive_ccs();
     case ContentType::handshake: {
-        handshake_wire_bytes_ += record.payload.size() + codec_.header_size();
+        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
         Bytes payload = record.payload;
-        if (ccs_received_ && recv_protector_) {
+        if (core_.ccs_received() && recv_protector_) {
             auto plain = recv_protector_->unprotect(record.type, 0, payload);
             if (!plain)
-                return fail(AlertDescription::bad_record_mac,
-                            "tls: " + plain.error().message);
+                return core_.fail(AlertDescription::bad_record_mac,
+                                  "tls: " + plain.error().message);
             crypto::count_dec(cfg_.ops);
             payload = plain.take();
         }
         handshake_reader_.feed(payload);
         while (true) {
             auto msg = handshake_reader_.next();
-            if (!msg) return fail(AlertDescription::decode_error, msg.error().message);
+            if (!msg) return core_.fail(AlertDescription::decode_error, msg.error().message);
             if (!msg.value().has_value()) return {};
             if (auto s = handle_handshake(*msg.value()); !s) return s;
         }
     }
     case ContentType::rekey:
         // In-band rekeying is an mcTLS extension; baseline TLS rejects it.
-        return fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
+        return core_.fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
     case ContentType::application_data: {
         // Pop the transport span context before any failure path (see
         // mctls::Session::handle_app_record for the alignment argument).
-        obs::SpanContext in_ctx;
-        if (obs::span_on(cfg_.spans) && !rx_span_queue_.empty()) {
-            in_ctx = rx_span_queue_.front();
-            rx_span_queue_.pop_front();
-        }
-        if (state_ != State::established)
-            return fail(AlertDescription::unexpected_message, "tls: early app data");
+        obs::SpanContext in_ctx = core_.units.pop_rx_span();
+        if (!core_.established())
+            return core_.fail(AlertDescription::unexpected_message, "tls: early app data");
         std::chrono::steady_clock::time_point t0;
-        bool sp = obs::span_on(cfg_.spans) && in_ctx.valid();
+        bool sp = obs::span_on(core_.spans()) && in_ctx.valid();
         if (sp) t0 = std::chrono::steady_clock::now();
         auto plain = recv_protector_->unprotect(record.type, 0, record.payload);
         if (!plain) {
-            ++mac_failures_;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::mac_verify_fail, 0,
-                       record.payload.size());
-            return fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
+            core_.note_mac_failure(0, record.payload.size());
+            return core_.fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
         }
         if (sp) {
             uint64_t cpu = static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord r;
-            r.trace_id = in_ctx.trace_id;
-            r.span_id = cfg_.spans->next_span_id();
-            r.parent_id = in_ctx.span_id;
-            r.start_ts = now;
-            r.end_ts = now;
-            r.cpu_ns = cpu;
-            r.actor = span_actor_;
-            r.a = 1;
-            r.stage = obs::Stage::decrypt_verify;
-            cfg_.spans->emit(r);
-            obs::SpanRecord d = r;
-            d.span_id = cfg_.spans->next_span_id();
-            d.cpu_ns = 0;
-            d.a = plain.value().size();
-            d.stage = obs::Stage::deliver;
-            cfg_.spans->emit(d);
+            core_.emit_span(in_ctx, obs::Stage::decrypt_verify, 0, cpu, 1);
+            core_.emit_span(in_ctx, obs::Stage::deliver, 0, 0, plain.value().size());
         }
-        ++macs_verified_;
-        ++app_records_received_;
+        ++core_.counters.macs_verified;
+        ++core_.counters.app_records_received;
         app_bytes_received_ += plain.value().size();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_open, 0,
-                   plain.value().size(), 1, in_ctx.trace_id);
+        core_.trace(obs::EventType::record_open, 0, plain.value().size(), 1, in_ctx.trace_id);
         append(app_data_, plain.value());
         return {};
     }
     }
-    return fail(AlertDescription::decode_error, "tls: unknown record type");
+    return core_.fail(AlertDescription::decode_error, "tls: unknown record type");
 }
 
 Status Session::handle_handshake(const HandshakeMessage& msg)
 {
-    switch (state_) {
-    case State::wait_server_hello:
-        return client_handle_server_flight(msg);
-    case State::wait_client_hello:
-        return server_handle_client_hello(msg);
-    case State::wait_client_finish:
-        return server_handle_second_flight(msg);
-    case State::wait_server_finish:
-        return handle_finished(msg);
-    default:
-        return fail(AlertDescription::unexpected_message, "tls: unexpected handshake message");
-    }
+    if (at(Step::wait_server_hello)) return client_handle_server_flight(msg);
+    if (at(Step::wait_client_hello)) return server_handle_client_hello(msg);
+    if (at(Step::wait_client_finish)) return server_handle_second_flight(msg);
+    if (at(Step::wait_server_finish)) return handle_finished(msg);
+    return core_.fail(AlertDescription::unexpected_message, "tls: unexpected handshake message");
 }
 
 Status Session::client_handle_server_flight(const HandshakeMessage& msg)
@@ -358,9 +219,9 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
     switch (msg.type) {
     case HandshakeType::server_hello: {
         auto hello = ServerHello::parse(msg.body);
-        if (!hello) return fail(AlertDescription::decode_error, hello.error().message);
+        if (!hello) return core_.fail(AlertDescription::decode_error, hello.error().message);
         if (hello.value().cipher_suite != kCipherSuiteX25519Ed25519Aes128Sha256)
-            return fail(AlertDescription::handshake_failure, "tls: unsupported cipher suite");
+            return core_.fail(AlertDescription::handshake_failure, "tls: unsupported cipher suite");
         server_random_ = hello.value().random;
         session_id_ = hello.value().session_id;
         if (cfg_.ticket && cfg_.ticket->valid() &&
@@ -371,69 +232,70 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
             resumed_ = true;
             master_secret_ = cfg_.ticket->master_secret;
             derive_key_block();
-            state_ = State::wait_server_finish;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept);
+            step_ = Step::wait_server_finish;
+            core_.trace(obs::EventType::hs_resume_accept);
         }
         return {};
     }
     case HandshakeType::certificate: {
         auto certs = CertificateMsg::parse(msg.body);
-        if (!certs) return fail(AlertDescription::decode_error, certs.error().message);
+        if (!certs) return core_.fail(AlertDescription::decode_error, certs.error().message);
         peer_chain_ = certs.take().chain;
         if (cfg_.trust) {
             auto status = cfg_.trust->verify_chain(peer_chain_, cfg_.server_name, cfg_.now);
-            if (!status) return fail(AlertDescription::bad_certificate, status.error().message);
+            if (!status)
+                return core_.fail(AlertDescription::bad_certificate, status.error().message);
         }
         return {};
     }
     case HandshakeType::server_key_exchange: {
         auto kx = KeyExchange::parse(msg.type, msg.body);
-        if (!kx) return fail(AlertDescription::decode_error, kx.error().message);
+        if (!kx) return core_.fail(AlertDescription::decode_error, kx.error().message);
         if (peer_chain_.empty())
-            return fail(AlertDescription::unexpected_message, "tls: SKE before certificate");
+            return core_.fail(AlertDescription::unexpected_message, "tls: SKE before certificate");
         if (!crypto::ed25519_verify(peer_chain_.front().public_key,
                                     kx.value().signed_payload(), kx.value().signature))
-            return fail(AlertDescription::decrypt_error, "tls: bad SKE signature");
+            return core_.fail(AlertDescription::decrypt_error, "tls: bad SKE signature");
         crypto::count_verify(cfg_.ops);  // entity authenticated (cert + key sig)
         peer_dh_public_ = kx.value().public_key;
         return {};
     }
     case HandshakeType::server_hello_done: {
         if (peer_dh_public_.empty())
-            return fail(AlertDescription::unexpected_message, "tls: hello done before SKE");
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_server_flight, 0,
-                   handshake_wire_bytes_);
+            return core_.fail(AlertDescription::unexpected_message, "tls: hello done before SKE");
+        core_.trace(obs::EventType::hs_server_flight, 0, core_.counters.handshake_wire_bytes);
         derive_keys();
 
         Bytes flight;
         ClientKeyExchange cke{our_dh_public_};
         queue_handshake(cke.to_message(), &flight);
         flush_flight(std::move(flight));
-        send_ccs_and_finished(nullptr);
-        state_ = State::wait_server_finish;
+        send_ccs_and_finished();
+        step_ = Step::wait_server_finish;
         return {};
     }
     default:
-        return fail(AlertDescription::unexpected_message, "tls: unexpected message in server flight");
+        return core_.fail(AlertDescription::unexpected_message,
+                          "tls: unexpected message in server flight");
     }
 }
 
 Status Session::server_handle_client_hello(const HandshakeMessage& msg)
 {
     if (msg.type != HandshakeType::client_hello)
-        return fail(AlertDescription::unexpected_message, "tls: expected ClientHello");
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_client_hello, 0,
-               msg.body.size());
+        return core_.fail(AlertDescription::unexpected_message, "tls: expected ClientHello");
+    core_.trace(obs::EventType::hs_client_hello, 0, msg.body.size());
     Bytes wire = msg.serialize();
     append(transcript_, wire);
     crypto::count_hash(cfg_.ops);
 
     auto hello = ClientHello::parse(msg.body);
-    if (!hello) return fail(AlertDescription::decode_error, hello.error().message);
+    if (!hello) return core_.fail(AlertDescription::decode_error, hello.error().message);
     bool suite_ok = false;
     for (uint16_t s : hello.value().cipher_suites)
         suite_ok |= s == kCipherSuiteX25519Ed25519Aes128Sha256;
-    if (!suite_ok) return fail(AlertDescription::handshake_failure, "tls: no common cipher suite");
+    if (!suite_ok)
+        return core_.fail(AlertDescription::handshake_failure, "tls: no common cipher suite");
     client_random_ = hello.value().random;
 
     server_random_ = cfg_.rng->bytes(kRandomSize);
@@ -447,7 +309,7 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
             resumed_ = true;
             session_id_ = offered;
             master_secret_ = cached->master_secret;
-            obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_accept);
+            core_.trace(obs::EventType::hs_resume_accept);
 
             Bytes flight;
             ServerHello sh;
@@ -456,11 +318,11 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
             queue_handshake(sh.to_message(), &flight);
             flush_flight(std::move(flight));
             derive_key_block();
-            send_ccs_and_finished(nullptr);
-            state_ = State::wait_client_finish;
+            send_ccs_and_finished();
+            step_ = Step::wait_client_finish;
             return {};
         }
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_resume_reject);
+        core_.trace(obs::EventType::hs_resume_reject);
     }
 
     auto kp = crypto::x25519_keypair(*cfg_.rng);
@@ -491,7 +353,7 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
 
     queue_handshake({HandshakeType::server_hello_done, {}}, &flight);
     flush_flight(std::move(flight));
-    state_ = State::wait_client_finish;
+    step_ = Step::wait_client_finish;
     return {};
 }
 
@@ -499,19 +361,20 @@ Status Session::server_handle_second_flight(const HandshakeMessage& msg)
 {
     if (msg.type == HandshakeType::client_key_exchange) {
         if (resumed_)
-            return fail(AlertDescription::unexpected_message,
-                        "tls: key exchange in abbreviated handshake");
+            return core_.fail(AlertDescription::unexpected_message,
+                              "tls: key exchange in abbreviated handshake");
         Bytes wire = msg.serialize();
         append(transcript_, wire);
         crypto::count_hash(cfg_.ops);
         auto kx = ClientKeyExchange::parse(msg.body);
-        if (!kx) return fail(AlertDescription::decode_error, kx.error().message);
+        if (!kx) return core_.fail(AlertDescription::decode_error, kx.error().message);
         peer_dh_public_ = kx.value().public_key;
         derive_keys();
         return {};
     }
     if (msg.type == HandshakeType::finished) return handle_finished(msg);
-    return fail(AlertDescription::unexpected_message, "tls: unexpected message in client flight");
+    return core_.fail(AlertDescription::unexpected_message,
+                      "tls: unexpected message in client flight");
 }
 
 void Session::derive_keys()
@@ -551,7 +414,7 @@ void Session::derive_key_block()
         send_protector_ = std::make_unique<CbcHmacProtector>(server_key, server_mac);
         recv_protector_ = std::make_unique<CbcHmacProtector>(client_key, client_mac);
     }
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_key_distribution, 0, 1);
+    core_.trace(obs::EventType::hs_key_distribution, 0, 1);
 }
 
 Bytes Session::finished_verify_data(const char* label) const
@@ -561,10 +424,9 @@ Bytes Session::finished_verify_data(const char* label) const
     return crypto::prf(master_secret_, label, digest, kVerifyDataSize);
 }
 
-void Session::send_ccs_and_finished(Bytes*)
+void Session::send_ccs_and_finished()
 {
-    queue_record({ContentType::change_cipher_spec, 0, Bytes{1}}, /*own_unit=*/false);
-    ccs_sent_ = true;
+    queue_record({ContentType::change_cipher_spec, 0, Bytes{1}});
 
     const char* label = cfg_.role == Role::client ? "client finished" : "server finished";
     Finished fin{finished_verify_data(label)};
@@ -576,43 +438,43 @@ void Session::send_ccs_and_finished(Bytes*)
     Bytes protected_payload =
         send_protector_->protect(ContentType::handshake, 0, wire, *cfg_.rng);
     crypto::count_enc(cfg_.ops);
-    queue_record({ContentType::handshake, 0, protected_payload}, /*own_unit=*/false);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_sent);
+    queue_record({ContentType::handshake, 0, protected_payload});
+    core_.trace(obs::EventType::hs_finished_sent);
 }
 
 Status Session::handle_finished(const HandshakeMessage& msg)
 {
     if (msg.type != HandshakeType::finished)
-        return fail(AlertDescription::unexpected_message, "tls: expected Finished");
-    if (!ccs_received_) return fail(AlertDescription::unexpected_message, "tls: Finished before CCS");
+        return core_.fail(AlertDescription::unexpected_message, "tls: expected Finished");
+    if (!core_.ccs_received())
+        return core_.fail(AlertDescription::unexpected_message, "tls: Finished before CCS");
     auto fin = Finished::parse(msg.body);
-    if (!fin) return fail(AlertDescription::decode_error, fin.error().message);
+    if (!fin) return core_.fail(AlertDescription::decode_error, fin.error().message);
 
     const char* label = cfg_.role == Role::client ? "server finished" : "client finished";
     Bytes expected = finished_verify_data(label);
     if (!crypto::ct_equal(expected, fin.value().verify_data))
-        return fail(AlertDescription::decrypt_error, "tls: Finished verification failed");
+        return core_.fail(AlertDescription::decrypt_error, "tls: Finished verification failed");
 
     append(transcript_, msg.serialize());
     crypto::count_hash(cfg_.ops);
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_finished_verified);
+    core_.trace(obs::EventType::hs_finished_verified);
 
     // Full handshake: the server answers the client's Finished. Abbreviated:
     // the order flips — the server spoke first, the client answers here.
     bool respond = resumed_ ? cfg_.role == Role::client : cfg_.role == Role::server;
-    if (respond) send_ccs_and_finished(nullptr);
-    state_ = State::established;
+    if (respond) send_ccs_and_finished();
+    core_.establish();
     if (cfg_.role == Role::server && cfg_.session_cache && !session_id_.empty())
         cfg_.session_cache->put({session_id_, master_secret_});
-    obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::hs_complete, 0,
-               handshake_wire_bytes_);
+    core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
     return {};
 }
 
 Status Session::send_app_data(ConstBytes data)
 {
-    if (state_ != State::established) return err("tls: not established");
-    if (close_sent_) return err("tls: send after close");
+    if (!core_.established()) return err("tls: not established");
+    if (core_.close_sent()) return err("tls: send after close");
     size_t off = 0;
     do {
         size_t take = std::min(kMaxFragment - 512, data.size() - off);
@@ -624,8 +486,8 @@ Status Session::send_app_data(ConstBytes data)
         wire.reserve(codec_.header_size() + body);
         codec_.encode_header_into(ContentType::application_data, 0, body, wire);
         std::chrono::steady_clock::time_point t0;
-        bool sp = obs::span_on(cfg_.spans);
-        uint64_t span_trace = 0;  // last record's trace id, for the black box
+        bool sp = obs::span_on(core_.spans());
+        obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (sp) t0 = std::chrono::steady_clock::now();
         send_protector_->protect_into(ContentType::application_data, 0, chunk, *cfg_.rng, wire);
         if (sp) {
@@ -636,34 +498,16 @@ Status Session::send_app_data(ConstBytes data)
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-            obs::SpanContext rec = cfg_.spans->begin_trace();
-            uint64_t now = cfg_.spans->now();
-            obs::SpanRecord root;
-            root.trace_id = rec.trace_id;
-            root.span_id = rec.span_id;
-            root.start_ts = now;
-            root.end_ts = now;
-            root.actor = span_actor_;
-            root.a = chunk.size();
-            root.stage = obs::Stage::record;
-            cfg_.spans->emit(root);
-            obs::SpanRecord enc = root;
-            enc.span_id = cfg_.spans->next_span_id();
-            enc.parent_id = rec.span_id;
-            enc.cpu_ns = cpu;
-            enc.stage = obs::Stage::encrypt;
-            cfg_.spans->emit(enc);
-            unit_spans_.resize(write_units_.size());
-            unit_spans_.push_back(rec);
-            span_trace = rec.trace_id;
+            rec = core_.begin_record_trace(0, chunk.size());
+            core_.emit_span(rec, obs::Stage::encrypt, 0, cpu, chunk.size());
         }
-        app_overhead_bytes_ += wire.size() - chunk.size();
-        ++app_records_sent_;
-        ++macs_generated_;
+        core_.counters.app_overhead_bytes += wire.size() - chunk.size();
+        ++core_.counters.app_records_sent;
+        ++core_.counters.macs_generated;
         app_bytes_sent_ += chunk.size();
-        obs::trace(cfg_.tracer, cfg_.flight, trace_actor_, obs::EventType::record_seal, 0,
-                   chunk.size(), 1, span_trace);
-        write_units_.push_back(std::move(wire));
+        core_.trace(obs::EventType::record_seal, 0, chunk.size(), 1, rec.trace_id);
+        core_.units.push(std::move(wire));
+        if (rec.valid()) core_.units.tag_last(rec);
         off += take;
     } while (off < data.size());
     return {};
@@ -672,29 +516,16 @@ Status Session::send_app_data(ConstBytes data)
 obs::SessionStats Session::session_stats() const
 {
     obs::SessionStats s;
-    s.actor = actor_name_;
-    s.established = state_ == State::established || state_ == State::closed;
-    if (failure_.failed()) s.failure = failure_.message;
+    core_.fill_stats(s);
+    s.established = core_.established() || core_.closed();
     s.resumed = resumed_;
-    s.handshake_wire_bytes = handshake_wire_bytes_;
-    s.app_overhead_bytes = app_overhead_bytes_;
-    s.app_records_sent = app_records_sent_;
-    s.app_records_received = app_records_received_;
-    s.macs_generated = macs_generated_;
-    s.macs_verified = macs_verified_;
-    s.mac_failures = mac_failures_;
-    s.alerts_sent = alerts_sent_;
-    s.alerts_received = alerts_received_;
-    s.alerts_sent_by_type = alerts_sent_by_type_;
-    s.alerts_received_by_type = alerts_received_by_type_;
-    if (cfg_.tracer) s.trace_events_dropped = cfg_.tracer->events_dropped();
     obs::ContextStats app;
     app.name = "app";
     app.id = 0;
     app.bytes_out = app_bytes_sent_;
     app.bytes_in = app_bytes_received_;
-    app.records_out = app_records_sent_;
-    app.records_in = app_records_received_;
+    app.records_out = core_.counters.app_records_sent;
+    app.records_in = core_.counters.app_records_received;
     s.contexts.push_back(std::move(app));
     return s;
 }
@@ -702,26 +533,6 @@ obs::SessionStats Session::session_stats() const
 Bytes Session::take_app_data()
 {
     return std::exchange(app_data_, {});
-}
-
-std::vector<Bytes> Session::take_write_units()
-{
-    if (obs::span_on(cfg_.spans)) {
-        unit_spans_.resize(write_units_.size());  // pad trailing untraced units
-        taken_unit_spans_ = std::move(unit_spans_);
-        unit_spans_.clear();
-    }
-    return std::exchange(write_units_, {});
-}
-
-std::vector<obs::SpanContext> Session::take_unit_spans()
-{
-    return std::exchange(taken_unit_spans_, {});
-}
-
-void Session::queue_rx_span(obs::SpanContext ctx)
-{
-    if (obs::span_on(cfg_.spans) && ctx.valid()) rx_span_queue_.push_back(ctx);
 }
 
 }  // namespace mct::tls

@@ -12,8 +12,6 @@
 // the full transcript.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +24,7 @@
 #include "tls/messages.h"
 #include "tls/record.h"
 #include "tls/resumption.h"
+#include "tls/session_core.h"
 #include "util/rng.h"
 
 namespace mct::tls {
@@ -83,16 +82,16 @@ public:
     Status feed(ConstBytes wire);
 
     // Wire blobs to transmit, one transport send() each.
-    std::vector<Bytes> take_write_units();
+    std::vector<Bytes> take_write_units() { return core_.units.take(); }
 
     // Span contexts aligned with the most recent take_write_units(), and the
     // incoming-context FIFO — same contract as mctls::Session.
-    std::vector<obs::SpanContext> take_unit_spans();
-    void queue_rx_span(obs::SpanContext ctx);
+    std::vector<obs::SpanContext> take_unit_spans() { return core_.units.take_spans(); }
+    void queue_rx_span(obs::SpanContext ctx) { core_.units.queue_rx_span(ctx); }
 
-    bool handshake_complete() const { return state_ == State::established; }
-    bool failed() const { return state_ == State::failed; }
-    const std::string& error() const { return error_; }
+    bool handshake_complete() const { return core_.established(); }
+    bool failed() const { return core_.failed(); }
+    const std::string& error() const { return core_.error(); }
 
     // --- Session continuity (see DESIGN.md "Session continuity") ---
 
@@ -106,23 +105,23 @@ public:
     // Drive time-based state. Arms the handshake deadline on the first call;
     // once `now` passes it with the handshake still incomplete, the session
     // fails with a fatal handshake_timeout alert instead of stalling.
-    Status tick(uint64_t now);
+    Status tick(uint64_t now) { return core_.tick(now); }
 
     // Graceful shutdown: send close_notify (once). The session may keep
     // receiving until the peer's close_notify arrives; sending is rejected.
-    void close();
+    void close() { core_.close(); }
     // The transport reported EOF. Without a prior close_notify from the peer
     // this flags the stream as truncated (truncation-attack detection).
-    void transport_closed();
+    void transport_closed() { core_.transport_closed(); }
 
-    bool closed() const { return state_ == State::closed; }
-    bool close_sent() const { return close_sent_; }
-    bool truncated() const { return truncated_; }
+    bool closed() const { return core_.closed(); }
+    bool close_sent() const { return core_.close_sent(); }
+    bool truncated() const { return core_.truncated(); }
     // Typed reason the session stopped (origin none while healthy).
-    const SessionError& failure() const { return failure_; }
+    const SessionError& failure() const { return core_.failure(); }
     // Last alert we emitted / the peer's alert, if any.
-    const std::optional<Alert>& alert_sent() const { return alert_sent_; }
-    const std::optional<Alert>& peer_alert() const { return peer_alert_; }
+    const std::optional<Alert>& alert_sent() const { return core_.alert_sent(); }
+    const std::optional<Alert>& peer_alert() const { return core_.peer_alert(); }
 
     // Encrypt one application-data record (one write unit).
     Status send_app_data(ConstBytes data);
@@ -130,10 +129,10 @@ public:
     Bytes take_app_data();
 
     // Total wire bytes of handshake records in both directions (Figure 8).
-    uint64_t handshake_wire_bytes() const { return handshake_wire_bytes_; }
+    uint64_t handshake_wire_bytes() const { return core_.counters.handshake_wire_bytes; }
     // MAC+padding+header overhead of protected app records sent (§5.2).
-    uint64_t app_overhead_bytes() const { return app_overhead_bytes_; }
-    uint64_t app_records_sent() const { return app_records_sent_; }
+    uint64_t app_overhead_bytes() const { return core_.counters.app_overhead_bytes; }
+    uint64_t app_records_sent() const { return core_.counters.app_records_sent; }
 
     // Telemetry snapshot (counters are maintained unconditionally; they are
     // plain integers on paths that already do crypto work). Baseline TLS
@@ -143,24 +142,18 @@ public:
     const std::vector<pki::Certificate>& peer_chain() const { return peer_chain_; }
 
 private:
-    enum class State {
+    // Handshake steps; the lifecycle phase (handshake, established, closed,
+    // failed) lives in the core.
+    enum class Step {
         idle,
         wait_server_hello,   // client: expects SH..SHD flight
         wait_client_hello,   // server
         wait_client_finish,  // server: expects CKE, CCS, Finished
         wait_server_finish,  // client: expects CCS, Finished
-        established,
-        closed,  // close_notify exchanged in both directions
-        failed,
     };
+    bool at(Step step) const { return core_.in_handshake() && step_ == step; }
 
-    Status fail(std::string message);
-    Status fail(AlertDescription description, std::string message);
-    Status fail_with(SessionError::Origin origin, AlertDescription description,
-                     std::string message, bool emit_alert);
-    void send_alert(const Alert& alert);
-    Status handle_alert(const Alert& alert);
-    void queue_record(const Record& record, bool own_unit);
+    void queue_record(const Record& record);
     void queue_handshake(const HandshakeMessage& msg, Bytes* flight);
     void flush_flight(Bytes flight);
     Status handle_record_view(const RecordView& view);
@@ -175,23 +168,14 @@ private:
     void derive_keys();
     void derive_key_block();
     Bytes finished_verify_data(const char* label) const;
-    void send_ccs_and_finished(Bytes* flight);
+    void send_ccs_and_finished();
 
     SessionConfig cfg_;
-    State state_ = State::idle;
-    std::string error_;
-    SessionError failure_;
-    std::optional<Alert> alert_sent_;
-    std::optional<Alert> peer_alert_;
-    bool close_sent_ = false;
-    bool close_notify_emitted_ = false;  // emission-layer dedup (idempotent shutdown)
-    bool peer_close_received_ = false;
-    bool truncated_ = false;
-    uint64_t handshake_deadline_ = 0;  // 0 = not armed
+    SessionCore core_;
+    Step step_ = Step::idle;
 
     RecordCodec codec_{/*with_context_id=*/false};
     HandshakeReader handshake_reader_;
-    std::vector<Bytes> write_units_;
     Bytes app_data_;
     Bytes recv_scratch_;  // reusable decrypt buffer for the app-data fast path
 
@@ -212,33 +196,10 @@ private:
 
     std::unique_ptr<CbcHmacProtector> send_protector_;
     std::unique_ptr<CbcHmacProtector> recv_protector_;
-    bool ccs_sent_ = false;
-    bool ccs_received_ = false;
 
-    uint64_t handshake_wire_bytes_ = 0;
-    uint64_t app_overhead_bytes_ = 0;
-    uint64_t app_records_sent_ = 0;
-
-    // Telemetry (see session_stats()).
-    uint16_t trace_actor_ = 0;
-    std::string actor_name_;
-    // Latency attribution (cfg_.spans): see mctls::Session for alignment.
-    uint16_t span_actor_ = 0;
-    std::vector<obs::SpanContext> unit_spans_;
-    std::vector<obs::SpanContext> taken_unit_spans_;
-    std::deque<obs::SpanContext> rx_span_queue_;
-    uint64_t app_records_received_ = 0;
+    // Telemetry beyond the core's counters (see session_stats()).
     uint64_t app_bytes_sent_ = 0;
     uint64_t app_bytes_received_ = 0;
-    uint64_t macs_generated_ = 0;
-    uint64_t macs_verified_ = 0;
-    uint64_t mac_failures_ = 0;
-    uint64_t alerts_sent_ = 0;
-    uint64_t alerts_received_ = 0;
-    // Keyed by to_string(AlertDescription); bumped off the hot path (alerts
-    // are rare and terminal), surfaced via session_stats().
-    std::map<std::string, uint64_t> alerts_sent_by_type_;
-    std::map<std::string, uint64_t> alerts_received_by_type_;
 };
 
 }  // namespace mct::tls

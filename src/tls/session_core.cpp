@@ -1,0 +1,217 @@
+#include "tls/session_core.h"
+
+namespace mct::tls {
+
+SessionCore::SessionCore(Config cfg)
+    : units(obs::span_on(cfg.spans)),
+      prefix_(cfg.prefix),
+      actor_(std::move(cfg.actor)),
+      framing_(cfg.with_context_id),
+      tracer_(cfg.tracer),
+      spans_(cfg.spans),
+      flight_(cfg.flight),
+      handshake_timeout_(cfg.handshake_timeout)
+{
+    if (tracer_) trace_actor_ = tracer_->intern(actor_);
+    if (spans_) span_actor_ = spans_->intern(actor_);
+}
+
+obs::SpanContext SessionCore::begin_record_trace(uint16_t ctx, uint64_t bytes)
+{
+    obs::SpanContext rec = spans_->begin_trace();
+    uint64_t now = spans_->now();
+    obs::SpanRecord root;
+    root.trace_id = rec.trace_id;
+    root.span_id = rec.span_id;
+    root.start_ts = now;
+    root.end_ts = now;
+    root.actor = span_actor_;
+    root.ctx = ctx;
+    root.a = bytes;
+    root.stage = obs::Stage::record;
+    spans_->emit(root);
+    return rec;
+}
+
+uint64_t SessionCore::emit_span(obs::SpanContext parent, obs::Stage stage, uint16_t ctx,
+                                uint64_t cpu_ns, uint64_t a)
+{
+    uint64_t now = spans_->now();
+    obs::SpanRecord r;
+    r.trace_id = parent.trace_id;
+    r.span_id = spans_->next_span_id();
+    r.parent_id = parent.span_id;
+    r.start_ts = now;
+    r.end_ts = now;
+    r.cpu_ns = cpu_ns;
+    r.actor = span_actor_;
+    r.ctx = ctx;
+    r.a = a;
+    r.stage = stage;
+    spans_->emit(r);
+    return r.span_id;
+}
+
+void SessionCore::note_failure(SessionError::Origin origin, AlertDescription description,
+                               const std::string& message)
+{
+    if (!failure_.failed()) failure_ = {origin, description, message};
+}
+
+void SessionCore::note_truncation(AlertDescription description, const std::string& message)
+{
+    truncated_ = true;
+    note_failure(SessionError::Origin::truncated, description, message);
+}
+
+void SessionCore::record_failure(SessionError::Origin origin, AlertDescription description,
+                                 std::string message, bool in_handshake)
+{
+    phase_ = Phase::failed;
+    error_ = std::move(message);
+    note_failure(origin, description, error_);
+    if (in_handshake) trace(obs::EventType::hs_failed, 0, static_cast<uint64_t>(description));
+}
+
+bool SessionCore::note_alert_sent(const Alert& alert)
+{
+    if (alert_sent_ && alert_sent_->is_fatal()) return false;  // at most one fatal
+    if (alert.is_close_notify()) {
+        // Idempotent shutdown: close() racing an incoming close_notify (or
+        // repeated close() calls) must not put a second close_notify on the
+        // wire. Deduped here at the emission layer so every caller is safe.
+        if (close_notify_emitted_) return false;
+        close_notify_emitted_ = true;
+    }
+    alert_sent_ = alert;
+    ++alerts_sent_;
+    ++alerts_sent_by_type_[to_string(alert.description)];
+    trace(obs::EventType::alert_sent, 0, static_cast<uint64_t>(alert.description));
+    return true;
+}
+
+void SessionCore::note_alert_received(const Alert& alert)
+{
+    peer_alert_ = alert;
+    ++alerts_received_;
+    ++alerts_received_by_type_[to_string(alert.description)];
+    trace(obs::EventType::alert_received, 0, static_cast<uint64_t>(alert.description));
+}
+
+bool SessionCore::deadline_due(uint64_t now)
+{
+    if (handshake_timeout_ == 0) return false;
+    if (handshake_deadline_ == 0) {
+        handshake_deadline_ = now + handshake_timeout_;
+        return false;
+    }
+    return now >= handshake_deadline_;
+}
+
+Status SessionCore::fail(std::string message)
+{
+    return fail(AlertDescription::handshake_failure, std::move(message));
+}
+
+Status SessionCore::fail(AlertDescription description, std::string message)
+{
+    return fail_with(SessionError::Origin::local, description, std::move(message),
+                     /*emit_alert=*/true);
+}
+
+Status SessionCore::fail_with(SessionError::Origin origin, AlertDescription description,
+                              std::string message, bool emit_alert)
+{
+    record_failure(origin, description, std::move(message),
+                   phase_ != Phase::established && phase_ != Phase::closed);
+    // Fatal alert to the peer, best effort (never in response to the peer's
+    // own fatal alert, which would just echo noise at a dead session).
+    if (emit_alert) send_alert(fatal_alert(description));
+    return err(error_);
+}
+
+void SessionCore::send_alert(const Alert& alert)
+{
+    // Alerts are plaintext control records and never count as handshake
+    // bytes, in either direction.
+    if (note_alert_sent(alert))
+        units.push(framing_.encode({ContentType::alert, 0, alert.serialize()}));
+}
+
+Status SessionCore::handle_alert(const Alert& alert)
+{
+    note_alert_received(alert);
+    if (alert.is_close_notify()) {
+        peer_close_received_ = true;
+        if (phase_ == Phase::closed) return {};
+        if (phase_ != Phase::established)
+            return fail_with(SessionError::Origin::peer, AlertDescription::close_notify,
+                             prefixed("close_notify during handshake"), /*emit_alert=*/false);
+        if (!close_sent_) {
+            close_sent_ = true;
+            send_alert(close_notify_alert());
+        }
+        phase_ = Phase::closed;
+        return {};
+    }
+    if (!alert.is_fatal()) return {};  // unknown warnings are ignorable
+    return fail_with(SessionError::Origin::peer, alert.description,
+                     prefixed("peer alert: ") + to_string(alert.description),
+                     /*emit_alert=*/false);
+}
+
+Status SessionCore::tick(uint64_t now)
+{
+    if (phase_ == Phase::failed) return err(error_);
+    if (phase_ != Phase::handshake || !deadline_due(now)) return {};
+    return fail_with(SessionError::Origin::timeout, AlertDescription::handshake_timeout,
+                     prefixed("handshake deadline exceeded"), /*emit_alert=*/true);
+}
+
+void SessionCore::close()
+{
+    if (phase_ == Phase::failed || close_sent_) return;
+    close_sent_ = true;
+    trace(obs::EventType::session_close);
+    send_alert(close_notify_alert());
+    // Mid-handshake close abandons the session; an established session keeps
+    // receiving until the peer's close_notify arrives.
+    if (phase_ != Phase::established || peer_close_received_) phase_ = Phase::closed;
+}
+
+void SessionCore::transport_closed()
+{
+    if (phase_ == Phase::failed || phase_ == Phase::closed) return;
+    std::string text = prefixed("transport closed without close_notify (truncated)");
+    note_truncation(AlertDescription::close_notify, text);
+    (void)fail_with(SessionError::Origin::truncated, AlertDescription::close_notify,
+                    std::move(text), /*emit_alert=*/false);
+}
+
+Status SessionCore::receive_ccs()
+{
+    if (ccs_received_)
+        return fail(AlertDescription::unexpected_message, prefixed("duplicate CCS"));
+    ccs_received_ = true;
+    return {};
+}
+
+void SessionCore::fill_stats(obs::SessionStats& s) const
+{
+    s.actor = actor_;
+    if (failure_.failed()) s.failure = failure_.message;
+    s.handshake_wire_bytes = counters.handshake_wire_bytes;
+    s.app_overhead_bytes = counters.app_overhead_bytes;
+    s.app_records_sent = counters.app_records_sent;
+    s.app_records_received = counters.app_records_received;
+    s.macs_generated = counters.macs_generated;
+    s.macs_verified = counters.macs_verified;
+    s.mac_failures = counters.mac_failures;
+    s.alerts_sent = alerts_sent_;
+    s.alerts_received = alerts_received_;
+    s.alerts_sent_by_type = alerts_sent_by_type_;
+    s.alerts_received_by_type = alerts_received_by_type_;
+    if (tracer_) s.trace_events_dropped = tracer_->events_dropped();
+}
+
+}  // namespace mct::tls

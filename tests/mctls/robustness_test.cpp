@@ -145,5 +145,26 @@ TEST(Robustness, RecordStreamInterleavedWithGarbageFailsNotCrashes)
     EXPECT_TRUE(env.server->failed());
 }
 
+TEST(Robustness, DuplicateChangeCipherSpecIsFatal)
+{
+    // Each endpoint receives exactly one CCS per handshake. A replayed or
+    // injected second one is an unexpected_message failure, as in baseline
+    // TLS, not something to swallow on an established session.
+    ChainEnv env;
+    env.build(1, {ctx_row(1, "d", 1, Permission::read)});
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+    tls::RecordCodec codec(/*with_context_id=*/true);
+    Bytes ccs = codec.encode({tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}});
+    for (Session* s : {env.client.get(), env.server.get()}) {
+        EXPECT_FALSE(s->feed(ccs).ok());
+        EXPECT_TRUE(s->failed());
+        EXPECT_EQ(s->failure().origin, tls::SessionError::Origin::local);
+        EXPECT_EQ(s->failure().alert, tls::AlertDescription::unexpected_message);
+        ASSERT_TRUE(s->alert_sent().has_value());
+        EXPECT_EQ(s->alert_sent()->description, tls::AlertDescription::unexpected_message);
+    }
+}
+
 }  // namespace
 }  // namespace mct::mctls
