@@ -48,7 +48,7 @@ struct RecordTrace {
     uint64_t bytes = 0;
     uint16_t ctx = 0;
     uint16_t origin = 0;  // root span's actor
-    std::vector<const obs::SpanRecord*> spans;
+    std::vector<const obs::Event*> spans;
 
     uint64_t latency() const { return end_ts > start_ts ? end_ts - start_ts : 0; }
 };
@@ -73,9 +73,7 @@ int main(int argc, char** argv)
     }
 
     obs::Hub hub;
-    obs::RingBufferSink ring(8192);
-    hub.tracer.add_sink(&ring);
-    obs::SpanCollector spans(32768);
+    obs::Journal journal({.capacity = 40960});
 
     http::TestbedConfig cfg;
     cfg.mode = http::Mode::mctls;
@@ -88,7 +86,7 @@ int main(int argc, char** argv)
     };
     cfg.per_hop_links = {{20_ms, 0}, {10_ms, 0}, {5_ms, 0}};
     cfg.obs = &hub;
-    cfg.spans = &spans;
+    cfg.journal = &journal;
 
     http::Testbed bed(cfg);
     // Give the write box real work: flip the case of response-body bytes so
@@ -113,12 +111,13 @@ int main(int argc, char** argv)
     }
     bed.publish_session_stats();
 
-    std::vector<obs::TraceEvent> events = ring.ordered();
-    std::vector<obs::SpanRecord> all_spans = spans.ordered();
+    std::vector<obs::Event> all = journal.events();
+    std::vector<obs::Event> events, all_spans;
+    for (const auto& e : all) (e.is_span() ? all_spans : events).push_back(e);
 
     // ---- 1. Handshake waterfall ----
     std::printf("\n== Handshake waterfall (sim ms) ==\n");
-    auto phases = obs::handshake_phases(events, hub.tracer);
+    auto phases = obs::handshake_phases(events, journal);
     uint64_t hs_end = 0;
     for (const auto& p : phases) hs_end = std::max(hs_end, p.end_ts);
     for (const auto& p : phases) {
@@ -141,7 +140,7 @@ int main(int argc, char** argv)
         t.trace_id = s.trace_id;
         t.end_ts = std::max(t.end_ts, s.end_ts);
         if (s.stage == obs::Stage::record) {
-            t.start_ts = s.start_ts;
+            t.start_ts = s.ts;
             t.bytes = s.a;
             t.ctx = s.ctx;
             t.origin = s.actor;
@@ -161,7 +160,7 @@ int main(int argc, char** argv)
         for (const auto* s : t.spans) {
             auto i = static_cast<size_t>(s->stage);
             if (i >= 16) continue;
-            sim_by_stage[i] += s->end_ts - s->start_ts;
+            sim_by_stage[i] += s->end_ts - s->ts;
             cpu_by_stage[i] += s->cpu_ns;
         }
     }
@@ -202,20 +201,18 @@ int main(int argc, char** argv)
         std::printf("  trace %llu: %llu B, ctx %u, from %s, end-to-end %.1f ms\n",
                     static_cast<unsigned long long>(t->trace_id),
                     static_cast<unsigned long long>(t->bytes), t->ctx,
-                    spans.actor_name(t->origin).c_str(),
+                    journal.actor_name(t->origin).c_str(),
                     static_cast<double>(t->latency()) / 1000.0);
         // Spans in seq order = causal order along the pipeline.
-        std::vector<const obs::SpanRecord*> ordered = t->spans;
+        std::vector<const obs::Event*> ordered = t->spans;
         std::sort(ordered.begin(), ordered.end(),
-                  [](const obs::SpanRecord* a, const obs::SpanRecord* b) {
-                      return a->seq < b->seq;
-                  });
+                  [](const obs::Event* a, const obs::Event* b) { return a->seq < b->seq; });
         for (const auto* s : ordered) {
-            uint64_t dur = s->end_ts - s->start_ts;
+            uint64_t dur = s->end_ts - s->ts;
             if (dur == 0 && s->cpu_ns == 0) continue;  // zero-width markers
             double frac =
                 t->latency() ? static_cast<double>(dur) / t->latency() : 0;
-            std::printf("    %-16s %-14s %s", spans.actor_name(s->actor).c_str(),
+            std::printf("    %-16s %-14s %s", journal.actor_name(s->actor).c_str(),
                         obs::to_string(s->stage), bar(frac).c_str());
             if (dur)
                 std::printf(" %9.1f ms", static_cast<double>(dur) / 1000.0);
@@ -224,24 +221,19 @@ int main(int argc, char** argv)
             std::printf("\n");
         }
     }
-    if (spans.dropped() > 0)
+    if (journal.dropped() > 0)
         std::fprintf(stderr,
-                     "WARNING: span ring dropped %llu spans; oldest records above "
+                     "WARNING: journal ring dropped %llu events; oldest records above "
                      "are incomplete\n",
-                     static_cast<unsigned long long>(spans.dropped()));
+                     static_cast<unsigned long long>(journal.dropped()));
 
     if (perfetto_path) {
-        obs::ChromeTraceInput in;
-        in.spans = &all_spans;
-        in.span_actors = &spans;
-        in.events = &events;
-        in.event_actors = &hub.tracer;
         std::ofstream out(perfetto_path, std::ios::binary);
         if (!out) {
             std::fprintf(stderr, "mcflame: cannot write %s\n", perfetto_path);
             return 1;
         }
-        out << obs::to_chrome_trace(in);
+        out << obs::to_chrome_trace({&all, &journal});
         std::printf("\n-- wrote %zu spans + %zu events to %s (open in "
                     "ui.perfetto.dev)\n",
                     all_spans.size(), events.size(), perfetto_path);

@@ -4,10 +4,10 @@
 //   mcreport <incident.jsonl> [--session SID] [--no-metrics] [--no-wire]
 //
 //     Print the incident header (reason, seed, rerun hint, violations), the
-//     realized chaos schedule, and every bundled session's flight-recorder
-//     timeline. Ring events across sessions and hops interleave causally via
-//     the recorder-global seq; events that carry a span id are annotated
-//     with the matching stage timings from the bundled span tail.
+//     realized chaos schedule, and every bundled session's lane (flight
+//     recorder) timeline. Lane events across sessions and hops interleave
+//     causally via the journal-wide seq; events that carry a span id are
+//     annotated with the matching stage timings from the bundled span tail.
 //
 //     --session SID   only print that session's rings (sid 0 = the shared
 //                     server/relay/state-plane infrastructure rings)

@@ -3,8 +3,8 @@
 // Two modes:
 //
 //   trace_dump <trace.jsonl> [--session <actor>] [--ctx <id>]
-//                              parse a JSONL trace captured with
-//                              obs::JsonlFileSink and print it as a table,
+//                              parse a JSONL trace written by
+//                              obs::write_jsonl and print it as a table,
 //                              optionally filtered to one actor and/or one
 //                              context id
 //
@@ -29,10 +29,9 @@
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
+#include "obs/journal.h"
 #include "obs/json.h"
 #include "obs/perfetto.h"
-#include "obs/span.h"
-#include "obs/trace.h"
 #include "pki/authority.h"
 
 using namespace mct;
@@ -52,19 +51,6 @@ void print_row(uint64_t seq, uint64_t ts, const std::string& actor, const std::s
                 static_cast<unsigned long long>(seq), static_cast<unsigned long long>(ts),
                 actor.c_str(), type.c_str(), static_cast<unsigned long long>(ctx),
                 static_cast<unsigned long long>(a), static_cast<unsigned long long>(b));
-}
-
-// Reverse of obs::to_string(EventType) for JSONL ingestion. Unknown names
-// (from a newer writer) map to hs_start; the table already showed the text.
-bool event_type_from_string(const std::string& name, obs::EventType* out)
-{
-    for (int t = 0; t <= static_cast<int>(obs::EventType::state_excise_due); ++t) {
-        if (name == obs::to_string(static_cast<obs::EventType>(t))) {
-            *out = static_cast<obs::EventType>(t);
-            return true;
-        }
-    }
-    return false;
 }
 
 int write_perfetto(const char* out_path, const obs::ChromeTraceInput& in, size_t n)
@@ -91,10 +77,10 @@ int dump_file(const char* path, const std::string& session_filter, int ctx_filte
         return 1;
     }
     print_header();
-    // --perfetto: re-intern actors into a local tracer so the converter can
+    // --perfetto: re-intern actors into a local journal so the converter can
     // name them, and keep the parsed events for serialization.
-    obs::Tracer actors;
-    std::vector<obs::TraceEvent> parsed;
+    obs::Journal actors({.capacity = 0});
+    std::vector<obs::Event> parsed;
     std::string line;
     size_t lineno = 0, shown = 0, total = 0;
     while (std::getline(in, line)) {
@@ -117,14 +103,16 @@ int dump_file(const char* path, const std::string& session_filter, int ctx_filte
         };
         ++total;
         if (perfetto_path) {
-            obs::TraceEvent e;
+            obs::Event e;
             e.seq = num("seq");
             e.ts = num("ts");
             e.actor = actors.intern(str("actor"));
             e.ctx = static_cast<uint16_t>(num("ctx"));
             e.a = num("a");
             e.b = num("b");
-            if (event_type_from_string(str("type"), &e.type)) parsed.push_back(e);
+            // Unknown names (from a newer writer) are left out of the
+            // Perfetto output; the table below still shows their text.
+            if (obs::event_type_from_string(str("type"), &e.type)) parsed.push_back(e);
         }
         if (!session_filter.empty() && str("actor") != session_filter) continue;
         if (ctx_filter >= 0 && num("ctx") != static_cast<uint64_t>(ctx_filter)) continue;
@@ -137,16 +125,13 @@ int dump_file(const char* path, const std::string& session_filter, int ctx_filte
     else
         std::printf("-- %zu of %zu events (filtered)\n", shown, total);
     if (perfetto_path) {
-        obs::ChromeTraceInput in_doc;
-        in_doc.events = &parsed;
-        in_doc.event_actors = &actors;
-        return write_perfetto(perfetto_path, in_doc, parsed.size());
+        return write_perfetto(perfetto_path, {&parsed, &actors}, parsed.size());
     }
     return 0;
 }
 
 // Mode 2: generate a demo trace from an in-memory session (same chain as
-// examples/quickstart, with a tracer attached to all three parties).
+// examples/quickstart, with a journal attached to all three parties).
 void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
 {
     bool progress = true;
@@ -180,14 +165,10 @@ int run_demo(const char* perfetto_path)
     pki::Identity server_id = ca.issue("server.example.com", rng);
     pki::Identity mbox_id = ca.issue("proxy.isp.net", rng);
 
-    obs::Tracer tracer;
-    obs::RingBufferSink ring(4096);
-    obs::JsonlFileSink file("trace_demo.jsonl");
-    tracer.add_sink(&ring);
-    if (file.ok()) tracer.add_sink(&file);
-    // Latency attribution for --perfetto. No sim clock here, so span
-    // timestamps stay 0 and the interesting payload is cpu_ns per stage.
-    obs::SpanCollector spans(4096);
+    // The journal's ring also collects latency-attribution spans, which
+    // --perfetto exports. No sim clock here, so timestamps stay 0 and the
+    // interesting span payload is cpu_ns per stage.
+    obs::Journal journal({.capacity = 4096});
 
     mctls::ContextDescription headers;
     headers.id = 1;
@@ -205,9 +186,8 @@ int run_demo(const char* perfetto_path)
     client_cfg.contexts = {headers, body};
     client_cfg.trust = &trust;
     client_cfg.rng = &rng;
-    client_cfg.tracer = &tracer;
+    client_cfg.journal = &journal;
     client_cfg.trace_actor = "client";
-    if (perfetto_path) client_cfg.spans = &spans;
 
     mctls::SessionConfig server_cfg;
     server_cfg.role = tls::Role::server;
@@ -215,9 +195,8 @@ int run_demo(const char* perfetto_path)
     server_cfg.private_key = server_id.private_key;
     server_cfg.trust = &trust;
     server_cfg.rng = &rng;
-    server_cfg.tracer = &tracer;
+    server_cfg.journal = &journal;
     server_cfg.trace_actor = "server";
-    if (perfetto_path) server_cfg.spans = &spans;
 
     mctls::MiddleboxConfig mbox_cfg;
     mbox_cfg.name = "proxy.isp.net";
@@ -225,9 +204,8 @@ int run_demo(const char* perfetto_path)
     mbox_cfg.private_key = mbox_id.private_key;
     mbox_cfg.trust = &trust;
     mbox_cfg.rng = &rng;
-    mbox_cfg.tracer = &tracer;
+    mbox_cfg.journal = &journal;
     mbox_cfg.trace_actor = "proxy";
-    if (perfetto_path) mbox_cfg.spans = &spans;
     mbox_cfg.transform = [](uint8_t ctx, mctls::Direction, Bytes payload) {
         if (ctx != 2) return payload;
         std::string text = bytes_to_str(payload) + " [rewritten]";
@@ -252,9 +230,12 @@ int run_demo(const char* perfetto_path)
     (void)server.send_app_data(2, str_to_bytes("the article, summarized"));
     pump(client, mbox, server);
     (void)client.take_app_data();
-    tracer.flush();
 
-    auto events = ring.ordered();
+    std::vector<obs::Event> all = journal.events();
+    std::vector<obs::Event> events;
+    for (const auto& e : all)
+        if (!e.is_span()) events.push_back(e);
+    bool written = obs::write_jsonl(journal, "trace_demo.jsonl");
     if (events.empty()) {
         std::printf("No trace events captured.\n"
                     "This tree was configured with -DMCT_OBS=OFF; rebuild with the\n"
@@ -263,26 +244,21 @@ int run_demo(const char* perfetto_path)
     }
     print_header();
     for (const auto& e : events)
-        print_row(e.seq, e.ts, tracer.actor_name(e.actor), obs::to_string(e.type), e.ctx, e.a,
-                  e.b);
-    std::printf("-- %zu events (also written to trace_demo.jsonl; re-run as\n"
-                "   `trace_dump trace_demo.jsonl` to dump from the file)\n",
-                events.size());
+        print_row(e.seq, e.ts, journal.actor_name(e.actor), obs::to_string(e.type), e.ctx,
+                  e.a, e.b);
+    if (written)
+        std::printf("-- %zu events (also written to trace_demo.jsonl; re-run as\n"
+                    "   `trace_dump trace_demo.jsonl` to dump from the file)\n",
+                    events.size());
+    else
+        std::printf("-- %zu events (could not write trace_demo.jsonl)\n", events.size());
     // Diagnostics go to stderr so piped/redirected table output stays clean.
-    if (ring.dropped() > 0)
+    if (journal.dropped() > 0)
         std::fprintf(stderr,
-                     "WARNING: ring buffer dropped %llu events (oldest first); "
+                     "WARNING: journal ring dropped %llu events (oldest first); "
                      "the table above is truncated\n",
-                     static_cast<unsigned long long>(ring.dropped()));
-    if (perfetto_path) {
-        std::vector<obs::SpanRecord> span_rows = spans.ordered();
-        obs::ChromeTraceInput in_doc;
-        in_doc.spans = &span_rows;
-        in_doc.span_actors = &spans;
-        in_doc.events = &events;
-        in_doc.event_actors = &tracer;
-        return write_perfetto(perfetto_path, in_doc, span_rows.size() + events.size());
-    }
+                     static_cast<unsigned long long>(journal.dropped()));
+    if (perfetto_path) return write_perfetto(perfetto_path, {&all, &journal}, all.size());
     return 0;
 }
 

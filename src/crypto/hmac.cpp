@@ -50,31 +50,4 @@ Bytes HmacSha256::mac(ConstBytes key, ConstBytes data)
     return h.finish();
 }
 
-Bytes hmac_sha512(ConstBytes key, ConstBytes data)
-{
-    std::array<uint8_t, Sha512::kBlockSize> k{};
-    if (key.size() > Sha512::kBlockSize) {
-        Sha512 h;
-        h.update(key);
-        auto digest = h.finish();
-        std::memcpy(k.data(), digest.data(), digest.size());
-    } else if (!key.empty()) {
-        std::memcpy(k.data(), key.data(), key.size());
-    }
-    std::array<uint8_t, Sha512::kBlockSize> ipad_key, opad_key;
-    for (size_t i = 0; i < k.size(); ++i) {
-        ipad_key[i] = k[i] ^ 0x36;
-        opad_key[i] = k[i] ^ 0x5c;
-    }
-    Sha512 inner;
-    inner.update(ipad_key);
-    inner.update(data);
-    auto inner_digest = inner.finish();
-    Sha512 outer;
-    outer.update(opad_key);
-    outer.update(inner_digest);
-    auto d = outer.finish();
-    return Bytes(d.begin(), d.end());
-}
-
 }  // namespace mct::crypto

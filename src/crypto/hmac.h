@@ -1,4 +1,4 @@
-// HMAC (RFC 2104) over SHA-256 and SHA-512.
+// HMAC (RFC 2104) over SHA-256.
 #pragma once
 
 #include <array>
@@ -29,7 +29,5 @@ private:
     // three of these per record).
     std::array<uint8_t, Sha256::kBlockSize> opad_key_;
 };
-
-Bytes hmac_sha512(ConstBytes key, ConstBytes data);
 
 }  // namespace mct::crypto

@@ -12,9 +12,8 @@
 #include "inspect/keyring.h"
 #include "mctls/keylog.h"
 #include "net/capture.h"
-#include "obs/flight.h"
 #include "obs/incident.h"
-#include "obs/span.h"
+#include "obs/journal.h"
 #include "tls/keylog.h"
 #include "util/rng.h"
 
@@ -422,13 +421,13 @@ struct Campaign {
     }
 
     // Telescoping: sim-clock stages of every complete trace sum to its
-    // end-to-end latency (obs/span.h). Partial traces — records in flight
+    // end-to-end latency (obs/journal.h). Partial traces — records in flight
     // when their session died to a fault — are skipped.
-    void check_telescoping(const obs::SpanCollector& spans)
+    void check_telescoping(const obs::Journal& journal)
     {
-        if (spans.dropped() > 0) {
-            violation("spans: collector dropped " + std::to_string(spans.dropped()) +
-                      " records; grow span_capacity to check telescoping");
+        if (journal.dropped() > 0) {
+            violation("spans: journal dropped " + std::to_string(journal.dropped()) +
+                      " events; grow span_capacity to check telescoping");
             return;
         }
         struct Trace {
@@ -436,16 +435,16 @@ struct Campaign {
             bool root = false, deliver = false;
         };
         std::map<uint64_t, Trace> traces;
-        for (const auto& s : spans.ordered()) {
-            if (s.stage == obs::Stage::handshake) continue;
+        for (const auto& s : journal.events()) {
+            if (!s.is_span() || s.stage == obs::Stage::handshake) continue;
             Trace& t = traces[s.trace_id];
             t.last_end = std::max(t.last_end, s.end_ts);
             if (s.stage == obs::Stage::record) {
                 t.root = true;
-                t.root_start = s.start_ts;
+                t.root_start = s.ts;
             } else if (s.stage == obs::Stage::queue_wait ||
                        s.stage == obs::Stage::transmit) {
-                t.stage_sum += s.end_ts - s.start_ts;
+                t.stage_sum += s.end_ts - s.ts;
             } else if (s.stage == obs::Stage::deliver) {
                 t.deliver = true;
             }
@@ -599,17 +598,10 @@ SoakReport run_soak(const SoakConfig& cfg)
     net::CaptureCollector capture;
     if (cfg.audit_capture) tb.capture = &capture;
 
-    std::unique_ptr<obs::SpanCollector> spans;
-    if (cfg.span_capacity > 0) {
-        spans = std::make_unique<obs::SpanCollector>(cfg.span_capacity);
-        tb.spans = spans.get();
-    }
-
-    obs::FlightRecorder::Config fr_cfg;
-    fr_cfg.ring_capacity = cfg.flight_ring_capacity;
-    fr_cfg.max_rings = cfg.flight_max_rings;
-    obs::FlightRecorder flight(fr_cfg);
-    tb.flight = &flight;
+    obs::Journal journal({.capacity = cfg.span_capacity,
+                          .lane_capacity = cfg.flight_ring_capacity,
+                          .max_lanes = cfg.flight_max_rings});
+    tb.journal = &journal;
 
     Testbed bed(std::move(tb));
     auto campaign = std::make_shared<Campaign>(cfg, bed);
@@ -622,7 +614,7 @@ SoakReport run_soak(const SoakConfig& cfg)
 
     campaign->reap_finished();
     campaign->check_key_uniqueness(keylog);
-    if (spans) campaign->check_telescoping(*spans);
+    if (journal.keeps_spans()) campaign->check_telescoping(journal);
     if (cfg.audit_capture) campaign->check_least_privilege(capture.capture, keylog);
     campaign->finalize();
     bed.publish_session_stats();  // gauges + per-class aggregates on the hub
@@ -643,9 +635,8 @@ SoakReport run_soak(const SoakConfig& cfg)
 
         obs::IncidentSources src;
         src.metrics = &tb_obs->metrics;
-        src.flight = &flight;
+        src.journal = &journal;
         src.sids = campaign->affected_sids();
-        if (spans) src.spans = spans.get();
         for (const auto& e : report.events) src.chaos.push_back({e.at, e.kind, e.arg});
         if (cfg.audit_capture)
             incident_capture_tail(capture.capture, 256, src.flows, src.frames);

@@ -79,7 +79,7 @@ struct SoakConfig {
 
     // Optional heavier invariants (memory scales with traffic; keep off for
     // 10k-session runs, on for test-scale campaigns).
-    size_t span_capacity = 0;   // 0 = spans off; else collector ring size
+    size_t span_capacity = 0;   // journal ring size; 0 = no ring, spans off
     bool audit_capture = false; // record wire + keys, offline audit post-run
 
     // State-plane bounds; default from soak_state_plane(sessions).
@@ -89,10 +89,10 @@ struct SoakConfig {
     // gauges land here. Null = a soak-internal hub is used.
     obs::Hub* hub = nullptr;
 
-    // Flight-recorder forensics (DESIGN.md §17). Every soak runs with a
-    // recorder attached: each fetch gets a black-box ring (ring_capacity
-    // events), the infrastructure shares rings under sid 0, and closed
-    // rings recycle once max_rings are live — sized here so a default
+    // Flight-recorder forensics (DESIGN.md §17). Every soak runs with
+    // journal lanes: each fetch gets a black-box lane (flight_ring_capacity
+    // events), the infrastructure shares lanes under sid 0, and closed lanes
+    // recycle once flight_max_rings are live — sized here so a default
     // campaign retains every failed session's history.
     size_t flight_ring_capacity = 128;
     size_t flight_max_rings = 4096;

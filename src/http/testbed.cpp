@@ -134,17 +134,15 @@ struct Testbed::Impl {
     std::vector<std::pair<std::string, mctls::MiddleboxSession*>> relay_sessions;
     std::map<std::string, size_t> label_counts;
 
-    // Telemetry (null/0 when cfg.obs is unset).
-    obs::Tracer* tracer = nullptr;
+    // Telemetry (null/0 when cfg.journal is unset).
+    obs::Journal* journal = nullptr;
     uint16_t actor_testbed = 0;
 
-    // Flight recorder (null when cfg.flight is unset). Client rings are
-    // opened per fetch id in start_attempt; these are the shared
-    // infrastructure rings under sid 0.
-    obs::FlightRecorder* flight = nullptr;
-    obs::FlightRing* state_ring = nullptr;
-    obs::FlightRing* server_ring = nullptr;
-    std::vector<obs::FlightRing*> mbox_rings;  // by relay index; entries may be null
+    // Shared infrastructure lanes under sid 0 (null when the journal has no
+    // lanes). Client lanes are opened per fetch id in start_attempt.
+    obs::Lane* state_lane = nullptr;
+    obs::Lane* server_lane = nullptr;
+    std::vector<obs::Lane*> mbox_lanes;  // by relay index; entries may be null
 
     // Fault state.
     std::vector<char> mbox_dead;        // by relay index
@@ -231,31 +229,20 @@ struct Testbed::Impl {
         corrupt_armed.assign(cfg.n_middleboxes, 0);
         relay_conns.resize(cfg.n_middleboxes);
         excised_traced.assign(cfg.n_middleboxes, 0);
-        if (cfg.obs) {
-            tracer = &cfg.obs->tracer;
-            actor_testbed = tracer->intern("testbed");
-            // Trace timestamps come from the sim loop: monotonic, causal.
+        if (cfg.journal) {
+            journal = cfg.journal;
+            actor_testbed = journal->intern("testbed");
+            // Sim-loop time: monotonic and causal, and the clock in which
+            // transport spans telescope into end-to-end record latency.
             net::EventLoop* clock_loop = loop;
-            tracer->set_clock([clock_loop] { return clock_loop->now(); });
-            net.set_tracer(tracer);
+            journal->set_clock([clock_loop] { return clock_loop->now(); });
+            net.set_journal(journal);
+            state_lane = journal->open_lane(0, "state");
+            server_lane = journal->open_lane(0, "server");
+            for (size_t i = 0; i < cfg.n_middleboxes; ++i)
+                mbox_lanes.push_back(journal->open_lane(0, mbox_host(i)));
         }
         if (cfg.capture) net.set_capture(cfg.capture);
-        if (cfg.spans) {
-            // Span timestamps share the trace clock: sim time, so transport
-            // spans telescope exactly into end-to-end record latency.
-            net::EventLoop* clock_loop = loop;
-            cfg.spans->set_clock([clock_loop] { return clock_loop->now(); });
-            net.set_spans(cfg.spans);
-        }
-        if (cfg.flight) {
-            flight = cfg.flight;
-            net::EventLoop* clock_loop = loop;
-            flight->set_clock([clock_loop] { return clock_loop->now(); });
-            state_ring = flight->open(0, "state");
-            server_ring = flight->open(0, "server");
-            for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-                mbox_rings.push_back(flight->open(0, mbox_host(i)));
-        }
         wire_state_plane();
         build_topology();
         start_server();
@@ -435,15 +422,14 @@ struct Testbed::Impl {
         default:
             return;
         }
-        obs::trace_at(tracer, state_ring, loop->now(), actor_testbed, type, cache_id,
-                      detail);
+        obs::emit_at(journal, loop->now(), state_lane, actor_testbed, type, cache_id, detail);
     }
 
     void wire_state_plane()
     {
         net::EventLoop* clock_loop = loop;
         state.set_clock([clock_loop] { return clock_loop->now(); });
-        if (tracer || state_ring) {
+        if (journal) {
             state.tls_cache().set_observer([this](util::CacheEvent e, uint64_t d) {
                 trace_cache_event(0, e, d);
             });
@@ -457,12 +443,12 @@ struct Testbed::Impl {
                     });
         }
         state.on_sweep = [this](size_t reclaimed, uint64_t now) {
-            obs::trace_at(tracer, state_ring, now, actor_testbed,
-                          obs::EventType::state_sweep, 0, reclaimed);
+            obs::emit_at(journal, now, state_lane, actor_testbed, obs::EventType::state_sweep,
+                         0, reclaimed);
         };
         state.on_rekey_due = [this](uint64_t now) {
-            obs::trace_at(tracer, state_ring, now, actor_testbed,
-                          obs::EventType::state_rekey_due);
+            obs::emit_at(journal, now, state_lane, actor_testbed,
+                         obs::EventType::state_rekey_due);
             rekey_live_sessions();
         };
         state.on_excise_due = [this](size_t index, uint64_t now) {
@@ -470,8 +456,8 @@ struct Testbed::Impl {
             // state so a zombie restart cannot resume old sessions. Live
             // traffic already routes around it (or the excise retry path
             // splices it out of the composition).
-            obs::trace_at(tracer, state_ring, now, actor_testbed,
-                          obs::EventType::state_excise_due, 0, index);
+            obs::emit_at(journal, now, state_lane, actor_testbed,
+                         obs::EventType::state_excise_due, 0, index);
             state.excise_middlebox(index);
         };
     }
@@ -505,13 +491,12 @@ struct Testbed::Impl {
 
     void apply_fault(const FaultEvent& fault)
     {
-        obs::trace_at(tracer, state_ring, loop->now(), actor_testbed,
-                      obs::EventType::fault_injected,
-                      0, static_cast<uint64_t>(fault.kind),
-                      fault.kind == FaultEvent::Kind::link_down ||
-                              fault.kind == FaultEvent::Kind::link_up
-                          ? fault.hop
-                          : fault.middlebox);
+        obs::emit_at(journal, loop->now(), state_lane, actor_testbed,
+                     obs::EventType::fault_injected, 0, static_cast<uint64_t>(fault.kind),
+                     fault.kind == FaultEvent::Kind::link_down ||
+                             fault.kind == FaultEvent::Kind::link_up
+                         ? fault.hop
+                         : fault.middlebox);
         switch (fault.kind) {
         case FaultEvent::Kind::kill_middlebox:
             if (fault.middlebox >= cfg.n_middleboxes) return;
@@ -654,12 +639,12 @@ struct Testbed::Impl {
     }
 
     // Get-or-create the black box for one fetch's client session.
-    obs::FlightRing* client_ring(uint64_t fetch_id)
+    obs::Lane* client_lane(uint64_t fetch_id)
     {
-        return flight ? flight->open(fetch_id, "client") : nullptr;
+        return journal ? journal->open_lane(fetch_id, "client") : nullptr;
     }
 
-    std::unique_ptr<SecureChannel> make_client_channel(obs::FlightRing* ring)
+    std::unique_ptr<SecureChannel> make_client_channel(obs::Lane* lane)
     {
         switch (effective_mode()) {
         case Mode::no_encrypt:
@@ -672,11 +657,10 @@ struct Testbed::Impl {
             tcfg.trust = &store;
             tcfg.rng = &rng;
             tcfg.handshake_timeout = cfg.handshake_deadline;
-            tcfg.tracer = tracer;
+            tcfg.journal = journal;
             tcfg.trace_actor = "client";
             tcfg.keylog = cfg.keylog;
-            tcfg.spans = cfg.spans;
-            tcfg.flight = ring;
+            tcfg.lane = lane;
             if (continuity() && client_tls_ticket.valid())
                 tcfg.ticket = &client_tls_ticket;
             return std::make_unique<TlsChannel>(std::move(tcfg));
@@ -689,11 +673,10 @@ struct Testbed::Impl {
             mcfg.trust = &store;
             mcfg.rng = &rng;
             mcfg.handshake_timeout = cfg.handshake_deadline;
-            mcfg.tracer = tracer;
+            mcfg.journal = journal;
             mcfg.trace_actor = "client";
             mcfg.keylog = cfg.keylog;
-            mcfg.spans = cfg.spans;
-            mcfg.flight = ring;
+            mcfg.lane = lane;
             if (continuity() && client_mctls_ticket.valid())
                 mcfg.ticket = &client_mctls_ticket;
             return std::make_unique<McTlsChannel>(std::move(mcfg));
@@ -715,10 +698,9 @@ struct Testbed::Impl {
             tcfg.private_key = server_id.private_key;
             tcfg.rng = &rng;
             tcfg.handshake_timeout = cfg.handshake_deadline;
-            tcfg.tracer = tracer;
+            tcfg.journal = journal;
             tcfg.trace_actor = "server";
-            tcfg.spans = cfg.spans;
-            tcfg.flight = server_ring;
+            tcfg.lane = server_lane;
             if (continuity()) tcfg.session_cache = &state.tls_cache();
             return std::make_unique<TlsChannel>(std::move(tcfg));
         }
@@ -731,10 +713,9 @@ struct Testbed::Impl {
             mcfg.client_key_distribution = cfg.client_key_distribution;
             mcfg.rng = &rng;
             mcfg.handshake_timeout = cfg.handshake_deadline;
-            mcfg.tracer = tracer;
+            mcfg.journal = journal;
             mcfg.trace_actor = "server";
-            mcfg.spans = cfg.spans;
-            mcfg.flight = server_ring;
+            mcfg.lane = server_lane;
             if (continuity()) mcfg.session_cache = &state.server_cache();
             return std::make_unique<McTlsChannel>(std::move(mcfg));
         }
@@ -1038,20 +1019,18 @@ struct Testbed::Impl {
                 down_cfg.chain = {impersonation_ids[index].certificate};
                 down_cfg.private_key = impersonation_ids[index].private_key;
                 down_cfg.rng = &rng;
-                down_cfg.tracer = tracer;
+                down_cfg.journal = journal;
                 down_cfg.trace_actor = host + "-down";
-                down_cfg.spans = cfg.spans;
-                down_cfg.flight = index < mbox_rings.size() ? mbox_rings[index] : nullptr;
+                down_cfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
                 relay->down_tls = std::make_unique<TlsChannel>(std::move(down_cfg));
                 tls::SessionConfig up_cfg;
                 up_cfg.role = tls::Role::client;
                 up_cfg.server_name = "server.example.com";
                 up_cfg.trust = &store;
                 up_cfg.rng = &rng;
-                up_cfg.tracer = tracer;
+                up_cfg.journal = journal;
                 up_cfg.trace_actor = host + "-up";
-                up_cfg.spans = cfg.spans;
-                up_cfg.flight = index < mbox_rings.size() ? mbox_rings[index] : nullptr;
+                up_cfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
                 relay->up_tls = std::make_unique<TlsChannel>(std::move(up_cfg));
                 // Stats only: keep these out of all_channels so §5.2 overhead
                 // accounting stays endpoint-to-endpoint as before.
@@ -1112,10 +1091,9 @@ struct Testbed::Impl {
                 mcfg.trust = &store;
                 mcfg.rng = &rng;
                 mcfg.handshake_timeout = cfg.handshake_deadline;
-                mcfg.tracer = tracer;
+                mcfg.journal = journal;
                 mcfg.trace_actor = host;
-                mcfg.spans = cfg.spans;
-                mcfg.flight = index < mbox_rings.size() ? mbox_rings[index] : nullptr;
+                mcfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
                 if (continuity()) mcfg.session_cache = &state.middlebox_cache(index);
                 if (customize_middlebox) customize_middlebox(index, mcfg);
                 relay->session = std::make_unique<mctls::MiddleboxSession>(std::move(mcfg));
@@ -1165,7 +1143,7 @@ struct Testbed::Impl {
     struct ClientConn : std::enable_shared_from_this<ClientConn> {
         Impl* impl;
         net::ConnectionPtr conn;
-        obs::FlightRing* ring = nullptr;  // this fetch's black box
+        obs::Lane* lane = nullptr;  // this fetch's black box
         std::unique_ptr<SecureChannel> channel;
         ResponseParser parser;
         std::deque<size_t> pending;
@@ -1282,10 +1260,10 @@ struct Testbed::Impl {
             result->app_overhead_bytes = channel->app_overhead_bytes();
             result->wire_bytes_client_link = conn->wire_bytes_sent();
             impl->capture_ticket(channel.get());
-            obs::trace_at(impl->tracer, ring, impl->loop->now(), impl->actor_testbed,
-                          obs::EventType::fetch_complete, 0,
-                          result->app_bytes_received, result->attempts);
-            if (impl->flight) impl->flight->close(ring);
+            obs::emit_at(impl->journal, impl->loop->now(), lane, impl->actor_testbed,
+                         obs::EventType::fetch_complete, 0, result->app_bytes_received,
+                         result->attempts);
+            if (impl->journal) impl->journal->close_lane(lane);
             ++impl->completed_count;
             impl->live_clients.erase(result->id);
             if (impl->prune()) {
@@ -1340,17 +1318,17 @@ struct Testbed::Impl {
                        std::function<void()> on_done)
     {
         ++result->attempts;
-        obs::FlightRing* ring = client_ring(result->id);
-        obs::trace_at(tracer, ring, loop->now(), actor_testbed,
-                      obs::EventType::attempt_start, 0, result->attempts, sizes.size());
+        obs::Lane* lane = client_lane(result->id);
+        obs::emit_at(journal, loop->now(), lane, actor_testbed, obs::EventType::attempt_start,
+                     0, result->attempts, sizes.size());
         if (fallback_engaged && cfg.mode == Mode::mctls) result->fell_back_to_tls = true;
         auto state = std::make_shared<ClientConn>();
         state->impl = this;
         state->result = std::move(result);
         state->on_done = std::move(on_done);
         state->pending.assign(sizes.begin(), sizes.end());
-        state->ring = ring;
-        state->channel = make_client_channel(ring);
+        state->lane = lane;
+        state->channel = make_client_channel(lane);
         if (!prune())
             all_channels.emplace_back(unique_label("client"), state->channel.get());
         state->conn = net.connect("client", client_first_hop(), kPort);
@@ -1380,16 +1358,16 @@ struct Testbed::Impl {
                         std::function<void()> on_done, std::string reason)
     {
         result->error = std::move(reason);
-        obs::FlightRing* ring = flight ? client_ring(result->id) : nullptr;
-        obs::trace_at(tracer, ring, loop->now(), actor_testbed,
-                      obs::EventType::attempt_failed, 0, result->attempts);
+        obs::Lane* lane = client_lane(result->id);
+        obs::emit_at(journal, loop->now(), lane, actor_testbed, obs::EventType::attempt_failed,
+                     0, result->attempts);
         bool can_retry = cfg.recovery != RecoveryPolicy::abort &&
                          result->attempts < cfg.retry.max_attempts &&
                          !remaining.empty();
         if (!can_retry) {
             result->failed = true;
             result->done = loop->now();
-            if (flight) flight->close(ring);
+            if (journal) journal->close_lane(lane);
             ++failed_count;
             live_clients.erase(result->id);
             fetch_finished();
@@ -1398,15 +1376,15 @@ struct Testbed::Impl {
         }
         if (cfg.recovery == RecoveryPolicy::tls_fallback && !fallback_engaged) {
             fallback_engaged = true;
-            obs::trace_at(tracer, loop->now(), actor_testbed,
-                          obs::EventType::tls_fallback, 0, result->attempts);
+            obs::emit_at(journal, loop->now(), nullptr, actor_testbed,
+                         obs::EventType::tls_fallback, 0, result->attempts);
         }
         if (cfg.recovery == RecoveryPolicy::excise) {
             for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
                 if (!mbox_dead[i] || excised_traced[i]) continue;
                 excised_traced[i] = 1;
-                obs::trace_at(tracer, loop->now(), actor_testbed,
-                              obs::EventType::mbox_excised, 0, i);
+                obs::emit_at(journal, loop->now(), nullptr, actor_testbed,
+                             obs::EventType::mbox_excised, 0, i);
             }
         }
         net::SimTime delay = cfg.retry.backoff;
@@ -1490,16 +1468,14 @@ struct Testbed::Impl {
             cfg.obs->metrics.counter("alerts.sent." + type)->set(n);
         for (const auto& [type, n] : alerts_received)
             cfg.obs->metrics.counter("alerts.received." + type)->set(n);
-        cfg.obs->publish_trace_health();
-        if (flight) {
-            cfg.obs->metrics.counter("obs.flight.events")->set(flight->events_recorded());
-            cfg.obs->metrics.counter("obs.flight.dropped")->set(flight->events_dropped());
-            cfg.obs->metrics.counter("obs.flight.rings_opened")
-                ->set(flight->rings_opened());
-            cfg.obs->metrics.counter("obs.flight.rings_denied")
-                ->set(flight->rings_denied());
+        cfg.obs->publish_trace_health(journal);
+        if (journal && journal->max_lanes()) {
+            cfg.obs->metrics.counter("obs.flight.events")->set(journal->lane_events());
+            cfg.obs->metrics.counter("obs.flight.dropped")->set(journal->lane_dropped());
+            cfg.obs->metrics.counter("obs.flight.rings_opened")->set(journal->lanes_opened());
+            cfg.obs->metrics.counter("obs.flight.rings_denied")->set(journal->lanes_denied());
             cfg.obs->metrics.counter("obs.flight.rings_recycled")
-                ->set(flight->rings_recycled());
+                ->set(journal->lanes_recycled());
         }
         cfg.obs->metrics.counter("fetch.completed")->set(completed_count);
         cfg.obs->metrics.counter("fetch.failed")->set(failed_count);
@@ -1542,7 +1518,7 @@ struct Testbed::Impl {
         last_shed = shed_total;
         last_declines = decline_total;
         last_evictions = evict_total;
-        if (cfg.spans) cfg.obs->publish_spans(*cfg.spans);
+        if (obs::span_on(journal)) cfg.obs->publish_spans(*journal);
     }
 };
 

@@ -125,11 +125,8 @@ struct TestbedConfig {
     // sessions without the testbed's keep-everything-alive default.
     bool retain_sessions = true;
 
-    // Telemetry hub. When set, every session created by the testbed emits
-    // trace events under a stable actor name ("client", "server", "mboxN"),
-    // the tracer's clock is bound to the sim loop, SimNet fault events are
-    // captured, and publish_session_stats() folds per-session snapshots into
-    // the hub's metrics registry. Borrowed; must outlive the testbed.
+    // Metrics hub: publish_session_stats() folds per-session snapshots into
+    // its registry. Borrowed; must outlive the testbed.
     obs::Hub* obs = nullptr;
 
     // Wire inspection (DESIGN.md "Wire inspection & audit"). `capture`
@@ -140,22 +137,24 @@ struct TestbedConfig {
     net::CaptureSink* capture = nullptr;
     tls::KeyLog* keylog = nullptr;
 
-    // Latency attribution (DESIGN.md "Latency attribution"). When set, every
-    // session/middlebox/connection the testbed creates emits causal spans:
-    // per-record stage times (encode, MAC, encrypt, reseal, decrypt/verify)
-    // plus per-hop queue-wait and transmit spans, all chained under one trace
-    // per application record. The collector's clock is bound to the sim loop;
-    // publish_session_stats() folds stage histograms into cfg.obs. Borrowed;
-    // must outlive the testbed. Null = off, zero overhead on the data path.
-    obs::SpanCollector* spans = nullptr;
-
-    // Flight-recorder forensics (DESIGN.md §17). When set, every client
-    // fetch gets its own black-box ring keyed by fetch id (label "client"),
-    // the server / relays / state plane share infrastructure rings under
-    // sid 0 ("server", "mboxN", "state"), and the recorder's clock is bound
-    // to the sim loop. Incident bundles snapshot these rings after a failed
-    // campaign. Borrowed; must outlive the testbed. Null = off.
-    obs::FlightRecorder* flight = nullptr;
+    // Event journal (DESIGN.md §8). When set, its clock is bound to the sim
+    // loop, and every session, middlebox and connection the testbed creates
+    // emits events under a stable actor name ("client", "server", "mboxN",
+    // "net", "testbed"), as do SimNet faults and state-plane decisions.
+    //   - When the journal keeps spans (it has a ring), the data path also
+    //     emits causal spans (DESIGN.md "Latency attribution"): per-record
+    //     stage times (encode, MAC, encrypt, reseal, decrypt/verify) plus
+    //     per-hop queue-wait and transmit spans, all chained under one trace
+    //     per application record; publish_session_stats() folds stage
+    //     histograms into cfg.obs.
+    //   - When the journal has lanes (DESIGN.md §17), every client fetch
+    //     gets its own lane keyed by fetch id (label "client"), and the
+    //     server / relays / state plane share infrastructure lanes under
+    //     sid 0 ("server", "mboxN", "state"). Incident bundles snapshot
+    //     these lanes after a failed campaign.
+    // Borrowed; must outlive the testbed. Null = off, zero overhead on the
+    // data path.
+    obs::Journal* journal = nullptr;
 };
 
 class Testbed {

@@ -23,12 +23,11 @@ MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg)
                           ? (cfg_.name.empty() ? "mbox" : cfg_.name)
                           : cfg_.trace_actor,
              .with_context_id = true,
-             .tracer = cfg_.tracer,
-             .spans = cfg_.spans,
-             .flight = cfg_.flight,
+             .journal = cfg_.journal,
+             .lane = cfg_.lane,
              .handshake_timeout = cfg_.handshake_timeout}),
-      to_client_(obs::span_on(cfg_.spans)),
-      to_server_(obs::span_on(cfg_.spans))
+      to_client_(obs::span_on(cfg_.journal)),
+      to_server_(obs::span_on(cfg_.journal))
 {
     if (!cfg_.rng) throw std::invalid_argument("MiddleboxSession: rng is required");
 }

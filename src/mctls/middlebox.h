@@ -48,16 +48,16 @@ struct MiddleboxConfig {
     const pki::TrustStore* trust = nullptr;
     Rng* rng = nullptr;
     crypto::OpCounters* ops = nullptr;
-    // Optional telemetry (see src/obs/): events are emitted under
-    // `trace_actor` (defaults to the middlebox name).
-    obs::Tracer* tracer = nullptr;
+    // Optional telemetry (see obs/journal.h): events are emitted under
+    // `trace_actor` (defaults to the middlebox name), plus per-record hop
+    // spans (forward / decrypt_verify / reseal) parented under the incoming
+    // transport context when the journal keeps spans. Borrowed; null
+    // disables.
+    obs::Journal* journal = nullptr;
     std::string trace_actor;
-    // Optional latency attribution (see obs/span.h): per-record hop spans
-    // (forward / decrypt_verify / reseal) parented under the incoming
-    // transport context. Null disables; borrowed.
-    obs::SpanCollector* spans = nullptr;
-    // Optional per-session black box (obs/flight.h). Borrowed; null disables.
-    obs::FlightRing* flight = nullptr;
+    // Optional per-session black box: this middlebox's lane in `journal`.
+    // Borrowed; null disables.
+    obs::Lane* lane = nullptr;
     uint64_t now = 100;
     // Handshake deadline for tick(), in the caller's clock units (armed at
     // the first tick() call). 0 disables the deadline.

@@ -38,9 +38,8 @@ Session::Session(SessionConfig cfg)
                           ? (cfg_.role == tls::Role::client ? "mctls-client" : "mctls-server")
                           : cfg_.trace_actor,
              .with_context_id = true,
-             .tracer = cfg_.tracer,
-             .spans = cfg_.spans,
-             .flight = cfg_.flight,
+             .journal = cfg_.journal,
+             .lane = cfg_.lane,
              .handshake_timeout = cfg_.handshake_timeout}),
       is_client_(cfg_.role == tls::Role::client)
 {

@@ -59,19 +59,17 @@ struct SessionConfig {
 
     Rng* rng = nullptr;
     crypto::OpCounters* ops = nullptr;
-    // Optional telemetry (see src/obs/): events are emitted under
-    // `trace_actor` (defaults to "mctls-client"/"mctls-server").
-    obs::Tracer* tracer = nullptr;
+    // Optional telemetry (see obs/journal.h): events are emitted under
+    // `trace_actor` (defaults to "mctls-client"/"mctls-server"). When the
+    // journal keeps spans, every sealed app record also starts a trace with
+    // encode/mac/encrypt child spans, and every opened one emits
+    // decrypt_verify/deliver spans parented under the incoming transport
+    // context. Borrowed; null disables.
+    obs::Journal* journal = nullptr;
     std::string trace_actor;
-    // Optional latency attribution (see obs/span.h): every sealed app record
-    // starts a trace with encode/mac/encrypt child spans, every opened one
-    // emits decrypt_verify/deliver spans parented under the incoming
-    // transport context. Null disables; borrowed.
-    obs::SpanCollector* spans = nullptr;
-    // Optional per-session black box (obs/flight.h): traced protocol events
-    // are also stamped into this ring for incident bundles. Borrowed; null
-    // disables.
-    obs::FlightRing* flight = nullptr;
+    // Optional per-session black box: this session's lane in `journal`, for
+    // incident bundles. Borrowed; null disables.
+    obs::Lane* lane = nullptr;
     uint64_t now = 100;
     // Handshake deadline for tick(), in the caller's clock units (armed at
     // the first tick() call). 0 disables the deadline.

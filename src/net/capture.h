@@ -19,7 +19,7 @@
 // consumes; tests can also build one directly with CaptureCollector.
 //
 // The disabled path costs one null-pointer test per segment (same idiom as
-// the connection tracer): no copies, no allocation.
+// the connection's journal): no copies, no allocation.
 #pragma once
 
 #include <cstdint>

@@ -45,7 +45,7 @@ void Connection::send(ConstBytes data)
 
 void Connection::send_traced(ConstBytes data, obs::SpanContext ctx)
 {
-    if (obs::span_on(spans_) && ctx.valid() && !data.empty()) {
+    if (obs::span_on(journal_) && ctx.valid() && !data.empty()) {
         SpanAnnotation a;
         a.start_seq = app_bytes_sent_;
         a.end_seq = app_bytes_sent_ + data.size();
@@ -70,28 +70,29 @@ std::vector<obs::SpanContext> Connection::take_rx_spans()
 void Connection::complete_delivered_spans()
 {
     Connection* sender = peer_;
-    if (!sender || !obs::span_on(sender->spans_)) return;
-    obs::SpanCollector* col = sender->spans_;
+    if (!sender || !obs::span_on(sender->journal_)) return;
+    obs::Journal* journal = sender->journal_;
     while (!sender->tx_spans_.empty() && sender->tx_spans_.front().end_seq <= recv_expected_) {
         SpanAnnotation a = sender->tx_spans_.front();
         sender->tx_spans_.pop_front();
         uint64_t first_tx = a.transmitted ? a.first_tx_ts : a.enqueue_ts;
-        obs::SpanRecord q;
+        obs::Event q;
+        q.type = obs::EventType::span;
         q.trace_id = a.ctx.trace_id;
-        q.span_id = col->next_span_id();
+        q.span_id = journal->next_span_id();
         q.parent_id = a.ctx.span_id;
-        q.start_ts = a.enqueue_ts;
+        q.ts = a.enqueue_ts;
         q.end_ts = first_tx;
         q.actor = sender->span_actor_;
         q.a = a.end_seq - a.start_seq;
         q.stage = obs::Stage::queue_wait;
-        col->emit(q);
-        obs::SpanRecord t = q;
-        t.span_id = col->next_span_id();
-        t.start_ts = first_tx;
+        journal->record(q);
+        obs::Event t = q;
+        t.span_id = journal->next_span_id();
+        t.ts = first_tx;
         t.end_ts = loop_->now();
         t.stage = obs::Stage::transmit;
-        col->emit(t);
+        journal->record(t);
         // The next hop parents under the transmit span, chaining the tree
         // across middleboxes.
         rx_spans_.push_back({a.ctx.trace_id, t.span_id});
@@ -108,8 +109,8 @@ void Connection::close()
 void Connection::abort()
 {
     if (fin_queued_) return;
-    obs::trace_at(tracer_, loop_->now(), trace_actor_, obs::EventType::net_conn_abort, 0,
-                  window_.size() - next_offset_);
+    obs::emit_at(journal_, loop_->now(), nullptr, trace_actor_, obs::EventType::net_conn_abort,
+                 0, window_.size() - next_offset_);
     window_.resize(next_offset_);  // discard bytes never handed to the wire
     fin_queued_ = true;
     if (established_) pump();
@@ -118,7 +119,8 @@ void Connection::abort()
 void Connection::establish()
 {
     established_ = true;
-    obs::trace_at(tracer_, loop_->now(), trace_actor_, obs::EventType::net_conn_established);
+    obs::emit_at(journal_, loop_->now(), nullptr, trace_actor_,
+                 obs::EventType::net_conn_established);
     if (on_connect_) on_connect_();
     pump();
 }
@@ -156,7 +158,7 @@ void Connection::send_segment_at(size_t offset, size_t payload_len)
 {
     Bytes payload(window_.begin() + offset, window_.begin() + offset + payload_len);
     uint64_t seq = acked_ + offset;
-    if (obs::span_on(spans_)) {
+    if (obs::span_on(journal_)) {
         // First transmission of an annotated range's first byte ends its
         // queue_wait. Annotations are ordered by start_seq; retransmissions
         // (go-back-N) re-cover old bytes but the flag keeps the first stamp.
@@ -247,9 +249,9 @@ void Connection::on_rto()
         if (++rto_failures_ >= kMaxRtoFailures) {
             // Reset: the peer is unreachable. Surface EOF so the
             // application fails typed instead of retrying forever.
-            obs::trace_at(tracer_, loop_->now(), trace_actor_,
-                          obs::EventType::net_rto_giveup, 0,
-                          static_cast<uint64_t>(rto_failures_));
+            obs::emit_at(journal_, loop_->now(), nullptr, trace_actor_,
+                         obs::EventType::net_rto_giveup, 0,
+                         static_cast<uint64_t>(rto_failures_));
             if (on_close_) {
                 VoidCallback cb = std::exchange(on_close_, nullptr);
                 cb();
@@ -293,14 +295,10 @@ void SimNet::listen(const std::string& host, uint16_t port, AcceptCallback on_ac
     listeners_[{host, port}] = std::move(on_accept);
 }
 
-void SimNet::set_tracer(obs::Tracer* tracer)
+void SimNet::set_journal(obs::Journal* journal)
 {
-    tracer_ = tracer;
-    if (tracer_) trace_actor_ = tracer_->intern("net");
-    for (auto& conn : connections_) {
-        conn->tracer_ = tracer_;
-        conn->trace_actor_ = trace_actor_;
-    }
+    journal_ = journal;
+    if (journal_) trace_actor_ = journal_->intern("net");
 }
 
 void SimNet::set_link_latency_factor(const std::string& a, const std::string& b, double factor)
@@ -315,10 +313,10 @@ void SimNet::set_link_down(const std::string& a, const std::string& b, bool down
     link_between(b, a)->set_down(down);
     // Fault events carry the monotonic sim clock so a recovery trace is
     // orderable against session/handshake events.
-    if (tracer_) {
-        uint16_t actor = tracer_->intern("link:" + a + "-" + b);
-        obs::trace_at(tracer_, loop_.now(), actor,
-                      down ? obs::EventType::net_link_down : obs::EventType::net_link_up);
+    if (journal_) {
+        uint16_t actor = journal_->intern("link:" + a + "-" + b);
+        obs::emit_at(journal_, loop_.now(), nullptr, actor,
+                     down ? obs::EventType::net_link_down : obs::EventType::net_link_up);
     }
 }
 
@@ -338,15 +336,13 @@ ConnectionPtr SimNet::connect(const std::string& from, const std::string& to, ui
     bool lossy = forward->lossy() || reverse->lossy();
     client->rto_enabled_ = lossy;
     server->rto_enabled_ = lossy;
-    client->tracer_ = tracer_;
+    client->journal_ = journal_;
     client->trace_actor_ = trace_actor_;
-    server->tracer_ = tracer_;
+    server->journal_ = journal_;
     server->trace_actor_ = trace_actor_;
-    if (spans_) {
-        client->spans_ = spans_;
-        client->span_actor_ = spans_->intern("tcp:" + from + "->" + to);
-        server->spans_ = spans_;
-        server->span_actor_ = spans_->intern("tcp:" + to + "->" + from);
+    if (obs::span_on(journal_)) {
+        client->span_actor_ = journal_->intern("tcp:" + from + "->" + to);
+        server->span_actor_ = journal_->intern("tcp:" + to + "->" + from);
     }
     if (capture_) {
         CaptureFlow flow;
@@ -381,15 +377,15 @@ ConnectionPtr SimNet::connect(const std::string& from, const std::string& to, ui
                  syn_attempts] {
         if (client_raw->established_) return;
         if (*syn_attempts > 0)
-            obs::trace_at(client_raw->tracer_, loop_.now(), client_raw->trace_actor_,
-                          obs::EventType::net_syn_retry, 0,
-                          static_cast<uint64_t>(*syn_attempts));
+            obs::emit_at(client_raw->journal_, loop_.now(), nullptr, client_raw->trace_actor_,
+                         obs::EventType::net_syn_retry, 0,
+                         static_cast<uint64_t>(*syn_attempts));
         if (++*syn_attempts > 8) {
             // Connection timed out (e.g. the far host is partitioned away):
             // report EOF instead of retrying the SYN forever.
-            obs::trace_at(client_raw->tracer_, loop_.now(), client_raw->trace_actor_,
-                          obs::EventType::net_rto_giveup, 0,
-                          static_cast<uint64_t>(*syn_attempts));
+            obs::emit_at(client_raw->journal_, loop_.now(), nullptr, client_raw->trace_actor_,
+                         obs::EventType::net_rto_giveup, 0,
+                         static_cast<uint64_t>(*syn_attempts));
             if (client_raw->on_close_) {
                 VoidCallback cb = std::exchange(client_raw->on_close_, nullptr);
                 cb();

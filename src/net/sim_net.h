@@ -27,8 +27,7 @@
 
 #include "net/capture.h"
 #include "net/event_loop.h"
-#include "obs/span.h"
-#include "obs/trace.h"
+#include "obs/journal.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -101,8 +100,8 @@ public:
     // and transmit (link serialization + propagation → in-order delivery)
     // spans parented under ctx.span_id, and queues a continuation context
     // for the peer (trace id + the transmit span as parent) retrievable via
-    // take_rx_spans(). Falls back to plain send() when no collector is
-    // attached or ctx is invalid.
+    // take_rx_spans(). Falls back to plain send() when no span-keeping
+    // journal is attached or ctx is invalid.
     void send_traced(ConstBytes data, obs::SpanContext ctx);
     // Span contexts for traced ranges fully delivered to this endpoint, in
     // stream order. The caller (a session pulling from on_data) matches them
@@ -178,12 +177,13 @@ private:
     // Telemetry: fault/lifecycle events are stamped with the loop clock
     // (loop_->now()) so recovery traces are orderable on the sim timeline —
     // never a wall clock.
-    obs::Tracer* tracer_ = nullptr;
-    uint16_t trace_actor_ = 0;
+    obs::Journal* journal_ = nullptr;
+    uint16_t trace_actor_ = 0;  // interned "net"
+    uint16_t span_actor_ = 0;   // interned "tcp:<from>-><to>" (this tx side)
 
     // Wire capture (see net/capture.h): segments are recorded at transmit
     // time under the flow id assigned at connect(). Null when capture is
-    // off — the same zero-overhead idiom as the tracer.
+    // off — the same zero-overhead idiom as the journal.
     CaptureSink* capture_ = nullptr;
     uint32_t capture_flow_ = 0;
     uint8_t capture_dir_ = 0;
@@ -206,7 +206,7 @@ private:
     uint64_t wire_bytes_sent_ = 0;
     uint64_t segments_sent_ = 0;
 
-    // Latency attribution (see obs/span.h). Annotations track traced byte
+    // Latency attribution (see obs/journal.h). Annotations track traced byte
     // ranges in absolute stream coordinates (cumulative app bytes), which
     // survive window_ compaction on ACK; the receiver's recv_expected_ is in
     // the same coordinate space, so completion is a plain comparison.
@@ -220,8 +220,6 @@ private:
     };
     std::deque<SpanAnnotation> tx_spans_;    // oldest first; drained by the peer
     std::deque<obs::SpanContext> rx_spans_;  // delivered to this endpoint
-    obs::SpanCollector* spans_ = nullptr;
-    uint16_t span_actor_ = 0;  // interned "tcp:<from>-><to>" (this tx side)
 
     void complete_delivered_spans();
 };
@@ -256,20 +254,18 @@ public:
     // The returned connection fires on_connect once the handshake completes.
     ConnectionPtr connect(const std::string& from, const std::string& to, uint16_t port);
 
-    // Attach a tracer: link up/down, connection lifecycle, and loss-recovery
+    // Attach a journal: link up/down, connection lifecycle, and loss-recovery
     // events are emitted with monotonic sim-time timestamps (loop_.now()).
-    void set_tracer(obs::Tracer* tracer);
+    // When the journal keeps spans, traced sends also emit queue_wait and
+    // transmit spans on a per-hop "tcp:<from>-><to>" actor. Applies to
+    // connections opened after this call — attach before connect().
+    void set_journal(obs::Journal* journal);
 
     // Attach a capture sink (see net/capture.h): every connection opened
     // AFTER this call gets a flow definition and per-segment frames.
     // Existing connections are unaffected — attach before connect(). Null
     // detaches (future connections only).
     void set_capture(CaptureSink* sink) { capture_ = sink; }
-
-    // Attach a span collector for latency attribution: connections opened
-    // after this call annotate traced sends and emit queue_wait/transmit
-    // spans on a per-hop "tcp:<from>-><to>" actor. Attach before connect().
-    void set_spans(obs::SpanCollector* spans) { spans_ = spans; }
 
     EventLoop& loop() { return loop_; }
 
@@ -283,10 +279,9 @@ private:
     std::map<std::pair<std::string, uint16_t>, AcceptCallback> listeners_;
     std::vector<ConnectionPtr> connections_;  // keep-alive for the sim's lifetime
     std::vector<std::shared_ptr<std::function<void()>>> syn_closures_;
-    obs::Tracer* tracer_ = nullptr;
+    obs::Journal* journal_ = nullptr;
     uint16_t trace_actor_ = 0;
     CaptureSink* capture_ = nullptr;
-    obs::SpanCollector* spans_ = nullptr;
     uint32_t next_flow_id_ = 1;
 };
 

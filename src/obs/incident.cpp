@@ -81,15 +81,16 @@ IncidentBundle build_incident_bundle(const IncidentMeta& meta,
         }
     }
 
-    if (sources.flight) {
-        for (const auto& snap : sources.flight->snapshot(sources.sids)) {
+    if (sources.journal) {
+        const Journal& journal = *sources.journal;
+        for (const auto& snap : journal.snapshot(sources.sids)) {
             IncidentRing r;
             r.sid = snap.sid;
             r.label = snap.label;
             r.total = snap.total;
             r.dropped = snap.dropped;
             r.events.reserve(snap.events.size());
-            for (const FlightEvent& e : snap.events) {
+            for (const Event& e : snap.events) {
                 IncidentRing::Event ie;
                 ie.seq = e.seq;
                 ie.ts = e.ts;
@@ -97,28 +98,28 @@ IncidentBundle build_incident_bundle(const IncidentMeta& meta,
                 ie.ctx = e.ctx;
                 ie.a = e.a;
                 ie.b = e.b;
-                ie.span = e.span;
+                ie.span = e.trace_id;
                 r.events.push_back(std::move(ie));
             }
             b.rings.push_back(std::move(r));
         }
-    }
 
-    if (sources.spans) {
-        std::vector<SpanRecord> all = sources.spans->ordered();
-        size_t start = all.size() > sources.span_tail ? all.size() - sources.span_tail : 0;
-        b.spans.reserve(all.size() - start);
-        for (size_t i = start; i < all.size(); ++i) {
-            const SpanRecord& r = all[i];
+        std::vector<Event> spans;
+        for (const Event& e : journal.events())
+            if (e.is_span()) spans.push_back(e);
+        size_t start = spans.size() > sources.span_tail ? spans.size() - sources.span_tail : 0;
+        b.spans.reserve(spans.size() - start);
+        for (size_t i = start; i < spans.size(); ++i) {
+            const Event& r = spans[i];
             IncidentSpan is;
             is.trace_id = r.trace_id;
             is.span_id = r.span_id;
             is.parent_id = r.parent_id;
-            is.start_ts = r.start_ts;
+            is.start_ts = r.ts;
             is.end_ts = r.end_ts;
             is.cpu_ns = r.cpu_ns;
             is.a = r.a;
-            is.actor = sources.spans->actor_name(r.actor);
+            is.actor = journal.actor_name(r.actor);
             is.stage = to_string(r.stage);
             is.ctx = r.ctx;
             b.spans.push_back(std::move(is));

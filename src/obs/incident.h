@@ -13,11 +13,11 @@
 //   counter/gauge/hist   the metrics registry at snapshot time; histograms
 //              carry their non-empty log-linear buckets so a reader can
 //              merge them and re-derive percentiles (Histogram::merge)
-//   ring/ev    the affected sessions' flight-recorder rings (obs/flight.h):
+//   ring/ev    the affected sessions' journal lanes (obs/journal.h):
 //              per-session event history, interleavable across hops via the
-//              recorder-global seq
-//   span       the tail of the latency-attribution collector, for
-//              correlating a dying record's span ids with stage timings
+//              journal-wide seq
+//   span       the newest spans of the journal's ring, for correlating a
+//              dying record's span ids with stage timings
 //   flow/frame the MCCAP capture tail as per-frame summaries (timestamps,
 //              stream offsets, leading bytes) — enough to line wire activity
 //              up against the event timeline
@@ -39,9 +39,8 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/flight.h"
+#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/result.h"
 
 namespace mct::obs {
@@ -123,12 +122,12 @@ struct IncidentBundle {
 // optional (null/empty sections are simply absent from the bundle).
 struct IncidentSources {
     const MetricsRegistry* metrics = nullptr;
-    const FlightRecorder* flight = nullptr;
-    // Ring filter: sids whose rings belong in the bundle (sid 0 carries the
-    // shared infrastructure rings — server, relays, state plane). Empty =
-    // every retained ring.
+    // Source of the ring (lane) and span sections.
+    const Journal* journal = nullptr;
+    // Lane filter: sids whose lanes belong in the bundle (sid 0 carries the
+    // shared infrastructure lanes — server, relays, state plane). Empty =
+    // every retained lane.
     std::vector<uint64_t> sids;
-    const SpanCollector* spans = nullptr;
     size_t span_tail = 512;  // newest spans retained in the bundle
     std::vector<IncidentChaosEvent> chaos;
     std::vector<IncidentFlow> flows;

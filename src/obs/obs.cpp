@@ -124,20 +124,21 @@ void Hub::publish_cache(const std::string& prefix, const util::CacheStats& s)
     set("bytes", s.bytes);
 }
 
-void Hub::publish_spans(const SpanCollector& spans)
+void Hub::publish_spans(const Journal& journal)
 {
-    for (const auto& r : spans.ordered()) {
+    for (const auto& r : journal.events()) {
+        if (!r.is_span()) continue;
         std::string stage = to_string(r.stage);
         metrics.histogram("span." + stage + ".sim_us")
-            ->record(r.end_ts >= r.start_ts ? r.end_ts - r.start_ts : 0);
+            ->record(r.end_ts >= r.ts ? r.end_ts - r.ts : 0);
         if (r.cpu_ns) metrics.histogram("span." + stage + ".cpu_ns")->record(r.cpu_ns);
     }
-    metrics.counter("span.dropped")->set(spans.dropped());
+    metrics.counter("span.dropped")->set(journal.dropped());
 }
 
-void Hub::publish_trace_health()
+void Hub::publish_trace_health(const Journal* journal)
 {
-    metrics.counter("obs.trace.dropped")->set(tracer.events_dropped());
+    metrics.counter("obs.trace.dropped")->set(journal ? journal->dropped() : 0);
 }
 
 }  // namespace mct::obs

@@ -1,5 +1,6 @@
-// Top-level observability surface: the Hub bundles one MetricsRegistry and
-// one Tracer per simulation/testbed run, and SessionStats is the uniform
+// Top-level observability surface: the Hub holds the MetricsRegistry of a
+// simulation/testbed run and folds the run's Journal into it, and
+// SessionStats is the uniform
 // snapshot every secure session (tls::Session, mctls::Session,
 // mctls::MiddleboxSession, the HTTP channels) can produce on demand.
 //
@@ -15,10 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight.h"
+#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/trace.h"
 #include "util/shard_cache.h"
 
 namespace mct::obs {
@@ -67,9 +66,9 @@ struct SessionStats {
     std::map<std::string, uint64_t> alerts_sent_by_type;
     std::map<std::string, uint64_t> alerts_received_by_type;
 
-    // Trace events the session's tracer sinks failed to retain (ring-buffer
-    // overwrites); nonzero means the captured trace is missing its oldest
-    // events and consumers should warn instead of silently truncating.
+    // Events the session's journal ring failed to retain (overwrites);
+    // nonzero means the captured trace is missing its oldest events and
+    // consumers should warn instead of silently truncating.
     uint64_t trace_events_dropped = 0;
 
     std::vector<ContextStats> contexts;
@@ -79,7 +78,6 @@ struct SessionStats {
 
 struct Hub {
     MetricsRegistry metrics;
-    Tracer tracer;
 
     // Fold a snapshot into the registry as counters named
     // "<prefix>.handshake_wire_bytes", "<prefix>.ctx.<name>.bytes_out", etc.
@@ -92,17 +90,18 @@ struct Hub {
     // Prometheus endpoint exports these like any other counter.
     void publish_cache(const std::string& prefix, const util::CacheStats& s);
 
-    // Aggregate the collector's retained spans into per-stage histograms:
+    // Aggregate the journal's retained spans into per-stage histograms:
     // "span.<stage>.sim_us" (sim-clock duration) and, for stages carrying a
     // measured CPU cost, "span.<stage>.cpu_ns"; plus a "span.dropped"
     // counter for ring overwrites. Histograms accumulate, so call once per
     // run (the testbed does, at publish_stats time).
-    void publish_spans(const SpanCollector& spans);
+    void publish_spans(const Journal& journal);
 
-    // Surface the tracer's own health as metrics: "obs.trace.dropped" is the
-    // sum of events its sinks failed to retain (ring overwrites). Zero in a
-    // properly-sized steady state — the fast-path test asserts exactly that.
-    void publish_trace_health();
+    // Surface the journal's own health as metrics: "obs.trace.dropped" is
+    // the number of events its ring failed to retain (0 without a journal).
+    // Zero in a properly-sized steady state — the fast-path test asserts
+    // exactly that.
+    void publish_trace_health(const Journal* journal);
 };
 
 }  // namespace mct::obs

@@ -8,8 +8,7 @@ namespace mct::obs {
 
 namespace {
 
-// Stable per-actor process ids, merged by *name* so span actors and trace
-// actors interned in different tables land on the same Perfetto process.
+// Stable per-actor process ids, numbered by name in order of first use.
 class PidTable {
 public:
     uint64_t pid_for(const std::string& name)
@@ -26,7 +25,7 @@ private:
     std::map<std::string, uint64_t> pids_;
 };
 
-constexpr uint64_t kEventsTid = 99;  // instant-marker track, after stage lanes
+constexpr uint64_t kEventsTid = 99;  // instant-marker track, after stage tracks
 
 void write_metadata(JsonWriter& w, const char* what, uint64_t pid, uint64_t tid,
                     const std::string& name, bool thread)
@@ -63,15 +62,20 @@ std::string to_chrome_trace(const ChromeTraceInput& in)
     w.begin_array();
 
     PidTable pids;
-    // (pid, tid) -> lane name, collected while writing events, named after.
-    std::map<std::pair<uint64_t, uint64_t>, std::string> lanes;
+    // (pid, tid) -> track name, collected while writing events, named after.
+    std::map<std::pair<uint64_t, uint64_t>, std::string> tracks;
 
-    if (in.spans) {
-        for (const auto& s : *in.spans) {
-            std::string actor = in.span_actors ? in.span_actors->actor_name(s.actor) : "?";
+    auto actor_of = [&in](const Event& e) -> std::string {
+        return in.journal ? in.journal->actor_name(e.actor) : "?";
+    };
+    // Spans first, then instants, so process ids go to span actors first.
+    if (in.events) {
+        for (const auto& s : *in.events) {
+            if (!s.is_span()) continue;
+            std::string actor = actor_of(s);
             uint64_t pid = pids.pid_for(actor);
             uint64_t tid = static_cast<uint64_t>(s.stage);
-            lanes.emplace(std::make_pair(pid, tid), to_string(s.stage));
+            tracks.emplace(std::make_pair(pid, tid), to_string(s.stage));
             w.begin_object();
             w.key("name");
             w.value(to_string(s.stage));
@@ -80,9 +84,9 @@ std::string to_chrome_trace(const ChromeTraceInput& in)
             w.key("ph");
             w.value("X");
             w.key("ts");
-            w.value(s.start_ts);
+            w.value(s.ts);
             w.key("dur");
-            w.value(s.end_ts >= s.start_ts ? s.end_ts - s.start_ts : 0);
+            w.value(s.end_ts >= s.ts ? s.end_ts - s.ts : 0);
             w.key("pid");
             w.value(pid);
             w.key("tid");
@@ -110,9 +114,10 @@ std::string to_chrome_trace(const ChromeTraceInput& in)
 
     if (in.events) {
         for (const auto& e : *in.events) {
-            std::string actor = in.event_actors ? in.event_actors->actor_name(e.actor) : "?";
+            if (e.is_span()) continue;
+            std::string actor = actor_of(e);
             uint64_t pid = pids.pid_for(actor);
-            lanes.emplace(std::make_pair(pid, kEventsTid), "events");
+            tracks.emplace(std::make_pair(pid, kEventsTid), "events");
             w.begin_object();
             w.key("name");
             w.value(to_string(e.type));
@@ -143,7 +148,7 @@ std::string to_chrome_trace(const ChromeTraceInput& in)
 
     for (const auto& [name, pid] : pids.all())
         write_metadata(w, "process_name", pid, 0, name, /*thread=*/false);
-    for (const auto& [key, name] : lanes)
+    for (const auto& [key, name] : tracks)
         write_metadata(w, "thread_name", key.first, key.second, name, /*thread=*/true);
 
     w.end_array();
@@ -151,8 +156,8 @@ std::string to_chrome_trace(const ChromeTraceInput& in)
     return out;
 }
 
-std::vector<HandshakePhase> handshake_phases(const std::vector<TraceEvent>& events,
-                                             const Tracer& tracer)
+std::vector<HandshakePhase> handshake_phases(const std::vector<Event>& events,
+                                             const Journal& journal)
 {
     auto is_handshake = [](EventType t) {
         return t <= EventType::hs_failed ||
@@ -167,7 +172,7 @@ std::vector<HandshakePhase> handshake_phases(const std::vector<TraceEvent>& even
         auto it = anchor.find(e.actor);
         if (it != anchor.end()) {
             HandshakePhase p;
-            p.actor = tracer.actor_name(e.actor);
+            p.actor = journal.actor_name(e.actor);
             p.phase = to_string(e.type);
             p.start_ts = it->second;
             p.end_ts = e.ts;

@@ -7,7 +7,7 @@
 //     record's journey reads top-to-bottom as a waterfall,
 //   - spans become "X" (complete) events with ts/dur in sim microseconds;
 //     trace/cpu payloads ride in "args",
-//   - TraceEvents become "i" (instant) markers on an "events" track.
+//   - other events become "i" (instant) markers on an "events" track.
 //
 // Also provides the handshake-waterfall synthesis shared by trace_dump and
 // the mcflame example: consecutive hs_* trace events per actor are folded
@@ -18,16 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.h"
-#include "obs/trace.h"
+#include "obs/journal.h"
 
 namespace mct::obs {
 
 struct ChromeTraceInput {
-    const std::vector<SpanRecord>* spans = nullptr;    // optional
-    const SpanCollector* span_actors = nullptr;        // names spans' actor ids
-    const std::vector<TraceEvent>* events = nullptr;   // optional
-    const Tracer* event_actors = nullptr;              // names events' actor ids
+    const std::vector<Event>* events = nullptr;  // spans and instant events, any mix
+    const Journal* journal = nullptr;            // names the events' actor ids
 };
 
 // Serialize to a complete JSON document: {"traceEvents":[...],...}.
@@ -44,7 +41,7 @@ struct HandshakePhase {
     uint64_t bytes = 0;   // flight wire bytes where the event carried them
 };
 
-std::vector<HandshakePhase> handshake_phases(const std::vector<TraceEvent>& events,
-                                             const Tracer& tracer);
+std::vector<HandshakePhase> handshake_phases(const std::vector<Event>& events,
+                                             const Journal& journal);
 
 }  // namespace mct::obs

@@ -26,9 +26,8 @@ Session::Session(SessionConfig cfg)
              .actor = cfg_.trace_actor.empty()
                           ? (cfg_.role == Role::client ? "tls-client" : "tls-server")
                           : cfg_.trace_actor,
-             .tracer = cfg_.tracer,
-             .spans = cfg_.spans,
-             .flight = cfg_.flight,
+             .journal = cfg_.journal,
+             .lane = cfg_.lane,
              .handshake_timeout = cfg_.handshake_timeout})
 {
     if (!cfg_.rng) throw std::invalid_argument("tls::Session: rng is required");

@@ -45,16 +45,15 @@ struct SessionConfig {
     const pki::TrustStore* trust = nullptr;
     Rng* rng = nullptr;  // required
     crypto::OpCounters* ops = nullptr;
-    // Optional telemetry (see src/obs/): events are emitted under
-    // `trace_actor` (defaults to "tls-client"/"tls-server").
-    obs::Tracer* tracer = nullptr;
+    // Optional telemetry (see obs/journal.h): events are emitted under
+    // `trace_actor` (defaults to "tls-client"/"tls-server"), and latency
+    // spans too when the journal keeps them. Borrowed; null disables.
+    obs::Journal* journal = nullptr;
     std::string trace_actor;
-    // Optional latency attribution (see obs/span.h). Null disables.
-    obs::SpanCollector* spans = nullptr;
-    // Optional per-session black box (obs/flight.h): every traced protocol
-    // event is also stamped into this ring so the session's last moments
-    // survive for incident bundles. Borrowed; null disables.
-    obs::FlightRing* flight = nullptr;
+    // Optional per-session black box: this session's lane in `journal`, so
+    // its last moments survive for incident bundles. Borrowed; null
+    // disables.
+    obs::Lane* lane = nullptr;
     uint64_t now = 100;  // certificate validity check time
     // Handshake deadline for tick(), in the caller's clock units (the
     // deadline arms at the first tick() call). 0 disables the deadline.

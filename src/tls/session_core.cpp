@@ -3,53 +3,47 @@
 namespace mct::tls {
 
 SessionCore::SessionCore(Config cfg)
-    : units(obs::span_on(cfg.spans)),
+    : units(obs::span_on(cfg.journal)),
       prefix_(cfg.prefix),
       actor_(std::move(cfg.actor)),
       framing_(cfg.with_context_id),
-      tracer_(cfg.tracer),
-      spans_(cfg.spans),
-      flight_(cfg.flight),
+      journal_(cfg.journal),
+      lane_(cfg.lane),
       handshake_timeout_(cfg.handshake_timeout)
 {
-    if (tracer_) trace_actor_ = tracer_->intern(actor_);
-    if (spans_) span_actor_ = spans_->intern(actor_);
+    if (journal_) actor_id_ = journal_->intern(actor_);
 }
 
 obs::SpanContext SessionCore::begin_record_trace(uint16_t ctx, uint64_t bytes)
 {
-    obs::SpanContext rec = spans_->begin_trace();
-    uint64_t now = spans_->now();
-    obs::SpanRecord root;
-    root.trace_id = rec.trace_id;
-    root.span_id = rec.span_id;
-    root.start_ts = now;
-    root.end_ts = now;
-    root.actor = span_actor_;
-    root.ctx = ctx;
-    root.a = bytes;
-    root.stage = obs::Stage::record;
-    spans_->emit(root);
+    obs::SpanContext rec = journal_->begin_trace();
+    emit_span_event(rec.trace_id, rec.span_id, 0, obs::Stage::record, ctx, 0, bytes);
     return rec;
 }
 
 uint64_t SessionCore::emit_span(obs::SpanContext parent, obs::Stage stage, uint16_t ctx,
                                 uint64_t cpu_ns, uint64_t a)
 {
-    uint64_t now = spans_->now();
-    obs::SpanRecord r;
-    r.trace_id = parent.trace_id;
-    r.span_id = spans_->next_span_id();
-    r.parent_id = parent.span_id;
-    r.start_ts = now;
-    r.end_ts = now;
-    r.cpu_ns = cpu_ns;
-    r.actor = span_actor_;
-    r.ctx = ctx;
-    r.a = a;
-    r.stage = stage;
-    spans_->emit(r);
-    return r.span_id;
+    uint64_t id = journal_->next_span_id();
+    emit_span_event(parent.trace_id, id, parent.span_id, stage, ctx, cpu_ns, a);
+    return id;
+}
+
+void SessionCore::emit_span_event(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
+                                  obs::Stage stage, uint16_t ctx, uint64_t cpu_ns, uint64_t a)
+{
+    obs::Event e;
+    e.type = obs::EventType::span;
+    e.ts = e.end_ts = journal_->now();
+    e.trace_id = trace_id;
+    e.span_id = span_id;
+    e.parent_id = parent_id;
+    e.stage = stage;
+    e.actor = actor_id_;
+    e.ctx = ctx;
+    e.cpu_ns = cpu_ns;
+    e.a = a;
+    journal_->record(e);
 }
 
 void SessionCore::note_failure(SessionError::Origin origin, AlertDescription description,
@@ -211,7 +205,7 @@ void SessionCore::fill_stats(obs::SessionStats& s) const
     s.alerts_received = alerts_received_;
     s.alerts_sent_by_type = alerts_sent_by_type_;
     s.alerts_received_by_type = alerts_received_by_type_;
-    if (tracer_) s.trace_events_dropped = tracer_->events_dropped();
+    if (journal_) s.trace_events_dropped = journal_->dropped();
 }
 
 }  // namespace mct::tls

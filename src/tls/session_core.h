@@ -4,8 +4,8 @@
 // SessionCore by composition. It owns the rules all three must apply
 // identically (DESIGN.md "Failure model"), so a fix to any of them lands
 // here once:
-//   - identity: the actor name interned into the tracer and span collector,
-//     plus the tracer, span and flight-recorder handles;
+//   - identity: the actor name interned into the journal, plus the journal
+//     and lane handles;
 //   - the failure record: error string, first typed failure, last alert
 //     sent and received, truncation flag;
 //   - alert bookkeeping and the send rules (at most one fatal alert, at most
@@ -105,11 +105,10 @@ class SessionCore {
 public:
     struct Config {
         const char* prefix = "tls";  // error-message prefix ("tls: ...")
-        std::string actor;           // trace / span actor name
+        std::string actor;           // journal actor name
         bool with_context_id = false;  // record framing of emitted alerts
-        obs::Tracer* tracer = nullptr;
-        obs::SpanCollector* spans = nullptr;
-        obs::FlightRing* flight = nullptr;
+        obs::Journal* journal = nullptr;
+        obs::Lane* lane = nullptr;   // this session's lane in `journal`
         uint64_t handshake_timeout = 0;  // 0 disables the deadline
     };
 
@@ -128,11 +127,12 @@ public:
     explicit SessionCore(Config cfg);
 
     // --- Observability handles ---
-    obs::SpanCollector* spans() const { return spans_; }
+    // The journal when it collects spans, else null.
+    obs::Journal* spans() const { return obs::span_on(journal_) ? journal_ : nullptr; }
     void trace(obs::EventType type, uint16_t ctx = 0, uint64_t a = 0, uint64_t b = 0,
-               uint64_t span = 0) const
+               uint64_t trace_id = 0) const
     {
-        obs::trace(tracer_, flight_, trace_actor_, type, ctx, a, b, span);
+        obs::emit(journal_, lane_, actor_id_, type, ctx, a, b, trace_id);
     }
     // Latency attribution (spans() must be set). Sim time does not advance
     // inside a session, so every span is an instant on the sim clock and CPU
@@ -210,16 +210,16 @@ private:
     Status fail_with(SessionError::Origin origin, AlertDescription description,
                      std::string message, bool emit_alert);
     void send_alert(const Alert& alert);
+    void emit_span_event(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
+                         obs::Stage stage, uint16_t ctx, uint64_t cpu_ns, uint64_t a);
     std::string prefixed(const char* text) const { return std::string(prefix_) + ": " + text; }
 
     const char* prefix_;
     std::string actor_;
     RecordCodec framing_;
-    obs::Tracer* tracer_;
-    obs::SpanCollector* spans_;
-    obs::FlightRing* flight_;
-    uint16_t trace_actor_ = 0;
-    uint16_t span_actor_ = 0;
+    obs::Journal* journal_;
+    obs::Lane* lane_;
+    uint16_t actor_id_ = 0;
     uint64_t handshake_timeout_;
     uint64_t handshake_deadline_ = 0;  // 0 = not armed
 

@@ -52,13 +52,5 @@ TEST(HmacSha256, EmptyKeyAndData)
     EXPECT_EQ(HmacSha256::mac({}, {}).size(), 32u);
 }
 
-TEST(HmacSha512, Rfc4231Case2)
-{
-    EXPECT_EQ(to_hex(hmac_sha512(str_to_bytes("Jefe"),
-                                 str_to_bytes("what do ya want for nothing?"))),
-              "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554"
-              "9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737");
-}
-
 }  // namespace
 }  // namespace mct::crypto

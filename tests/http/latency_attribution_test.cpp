@@ -29,26 +29,26 @@ struct TraceSummary {
     bool has_root = false;
     bool has_deliver = false;
     bool resealed = false;
-    std::vector<const obs::SpanRecord*> spans;
+    std::vector<const obs::Event*> spans;
 };
 
-std::map<uint64_t, TraceSummary> summarize(const std::vector<obs::SpanRecord>& spans)
+std::map<uint64_t, TraceSummary> summarize(const std::vector<obs::Event>& spans)
 {
     std::map<uint64_t, TraceSummary> traces;
     for (const auto& s : spans) {
-        if (s.stage == obs::Stage::handshake) continue;
+        if (!s.is_span() || s.stage == obs::Stage::handshake) continue;
         TraceSummary& t = traces[s.trace_id];
         t.spans.push_back(&s);
         t.last_end = std::max(t.last_end, s.end_ts);
         switch (s.stage) {
         case obs::Stage::record:
             t.has_root = true;
-            t.root_start = s.start_ts;
+            t.root_start = s.ts;
             t.bytes = s.a;
             break;
         case obs::Stage::queue_wait:
         case obs::Stage::transmit:
-            t.sim_stage_sum += s.end_ts - s.start_ts;
+            t.sim_stage_sum += s.end_ts - s.ts;
             break;
         case obs::Stage::deliver:
             t.has_deliver = true;
@@ -75,7 +75,7 @@ protected:
     void run(TestbedConfig cfg)
     {
         cfg.obs = &hub_;
-        cfg.spans = &spans_;
+        cfg.journal = &journal_;
         Testbed bed(cfg);
         bed.set_middlebox_customizer([](size_t index, mctls::MiddleboxConfig& mcfg) {
             if (index != 1) return;
@@ -93,11 +93,11 @@ protected:
         ASSERT_TRUE(fetch->completed);
         ASSERT_FALSE(fetch->failed) << fetch->error;
         bed.publish_session_stats();
-        ASSERT_EQ(spans_.dropped(), 0u) << "grow the collector for this test";
+        ASSERT_EQ(journal_.dropped(), 0u) << "grow the journal for this test";
     }
 
     obs::Hub hub_;
-    obs::SpanCollector spans_{65536};
+    obs::Journal journal_{{.capacity = 65536}};
 };
 
 TEST_F(LatencyAttribution, StageTimesSumToEndToEndLatency)
@@ -112,7 +112,7 @@ TEST_F(LatencyAttribution, StageTimesSumToEndToEndLatency)
     cfg.per_hop_links = {{20_ms, 0}, {10_ms, 0}, {5_ms, 0}};
     run(cfg);
 
-    std::vector<obs::SpanRecord> all = spans_.ordered();
+    std::vector<obs::Event> all = journal_.events();
     auto traces = summarize(all);
     size_t checked = 0, delivered = 0, resealed = 0;
     for (const auto& [id, t] : traces) {
@@ -146,7 +146,7 @@ TEST_F(LatencyAttribution, SpanTreeChainsAcrossHops)
     };
     run(cfg);
 
-    std::vector<obs::SpanRecord> all = spans_.ordered();
+    std::vector<obs::Event> all = journal_.events();
     auto traces = summarize(all);
     size_t full_chains = 0;
     for (const auto& [id, t] : traces) {
@@ -154,7 +154,7 @@ TEST_F(LatencyAttribution, SpanTreeChainsAcrossHops)
         // Every non-root span's parent is a span of the same trace: the tree
         // is connected, so the exporter can walk client -> hop -> mbox ->
         // hop -> server without dangling references.
-        std::map<uint64_t, const obs::SpanRecord*> by_id;
+        std::map<uint64_t, const obs::Event*> by_id;
         for (const auto* s : t.spans) by_id[s->span_id] = s;
         bool connected = true;
         size_t hops = 0;
@@ -164,7 +164,7 @@ TEST_F(LatencyAttribution, SpanTreeChainsAcrossHops)
                 connected = false;
                 ADD_FAILURE() << "trace " << id << ": " << obs::to_string(s->stage)
                               << " span " << s->span_id << " (actor "
-                              << spans_.actor_name(s->actor) << ") parents missing "
+                              << journal_.actor_name(s->actor) << ") parents missing "
                               << s->parent_id;
             }
             if (s->stage == obs::Stage::transmit) ++hops;
@@ -184,19 +184,16 @@ TEST_F(LatencyAttribution, ExportsLoadablePerfettoJson)
     cfg.mbox_permission = mctls::Permission::read;
     run(cfg);
 
-    std::vector<obs::SpanRecord> spans = spans_.ordered();
-    obs::ChromeTraceInput in;
-    in.spans = &spans;
-    in.span_actors = &spans_;
-    std::string text = obs::to_chrome_trace(in);
+    std::vector<obs::Event> events = journal_.events();
+    std::string text = obs::to_chrome_trace({&events, &journal_});
     auto doc = obs::json_parse(text);
     ASSERT_TRUE(doc.ok()) << doc.error().message;
-    const obs::JsonValue* events = doc.value().get("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->is_array());
+    const obs::JsonValue* trace_events = doc.value().get("traceEvents");
+    ASSERT_NE(trace_events, nullptr);
+    ASSERT_TRUE(trace_events->is_array());
     size_t complete = 0;
     bool saw_hop_actor = false;
-    for (const auto& item : events->items) {
+    for (const auto& item : trace_events->items) {
         const obs::JsonValue* ph = item.get("ph");
         if (ph && ph->str == "X") ++complete;
         const obs::JsonValue* name = item.get("name");
@@ -220,7 +217,7 @@ TEST_F(LatencyAttribution, BaselineTlsRecordsAreAlsoAttributed)
     cfg.n_middleboxes = 1;  // blind relay
     run(cfg);
 
-    std::vector<obs::SpanRecord> all = spans_.ordered();
+    std::vector<obs::Event> all = journal_.events();
     auto traces = summarize(all);
     size_t checked = 0;
     for (const auto& [id, t] : traces) {

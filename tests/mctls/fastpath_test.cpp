@@ -5,9 +5,8 @@
 // report; this test makes the property a CI invariant, not a bench artifact.
 #include <gtest/gtest.h>
 
-#include "obs/flight.h"
+#include "obs/journal.h"
 #include "obs/obs.h"
-#include "obs/span.h"
 #include "tests/mctls/harness.h"
 
 namespace mct::mctls {
@@ -63,18 +62,18 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocate)
     EXPECT_EQ(env.mboxes[1]->open_scratch().heap_allocations, write_allocs);
 }
 
-// The latency-attribution plane must not disturb the fast path: with a span
-// collector attached at every hop and transport contexts flowing record by
-// record — so the instrumented open path runs, not the untraced one — the
-// steady-state scratch still never grows.
+// The latency-attribution plane must not disturb the fast path: with a
+// span-keeping journal attached at every hop and transport contexts flowing
+// record by record — so the instrumented open path runs, not the untraced
+// one — the steady-state scratch still never grows.
 TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithSpans)
 {
 #if !defined(MCT_OBS_ENABLED)
     GTEST_SKIP() << "span emission compiled out under MCT_OBS=OFF";
 #endif
     uint64_t tick = 0;
-    obs::SpanCollector spans(1 << 15);
-    spans.set_clock([&tick] { return ++tick; });
+    obs::Journal journal({.capacity = 1 << 15});
+    journal.set_clock([&tick] { return ++tick; });
 
     ChainEnv env;
     ContextDescription ctx;
@@ -83,14 +82,14 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithSpans)
     ctx.permissions = {Permission::read, Permission::write};
     auto infos = env.make_middleboxes(2);
     auto ccfg = env.client_config(infos, {ctx});
-    ccfg.spans = &spans;
+    ccfg.journal = &journal;
     env.client = std::make_unique<Session>(ccfg);
     auto scfg = env.server_config();
-    scfg.spans = &spans;
+    scfg.journal = &journal;
     env.server = std::make_unique<Session>(scfg);
     for (size_t i = 0; i < 2; ++i) {
         auto mcfg = env.mbox_config(i);
-        mcfg.spans = &spans;
+        mcfg.journal = &journal;
         env.mboxes.push_back(std::make_unique<MiddleboxSession>(mcfg));
     }
     env.handshake();
@@ -185,28 +184,27 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithSpans)
 
     // The spans actually flowed: the contexts survived the whole chain, so
     // every delivered record emitted a deliver span at its endpoint.
-    EXPECT_EQ(spans.dropped(), 0u);
+    EXPECT_EQ(journal.dropped(), 0u);
     size_t delivers = 0;
-    for (const auto& s : spans.ordered())
-        if (s.stage == obs::Stage::deliver) ++delivers;
+    for (const auto& s : journal.events())
+        if (s.is_span() && s.stage == obs::Stage::deliver) ++delivers;
     EXPECT_GE(delivers, 100u);
 }
 
 // The flight-recorder plane must be equally invisible: with the shared
-// tracer *and* a per-hop black-box ring attached (the always-on production
-// shape from DESIGN.md §17), steady-state opens still never allocate, the
-// tracer's sink never overflows (obs.trace.dropped == 0 on the hub — the
-// steady-state health gate), and the recorder demonstrably captured the
-// traffic it rode along with.
+// journal ring *and* a per-hop black-box lane attached (the always-on
+// production shape from DESIGN.md §17), steady-state opens still never
+// allocate, the ring never overflows (obs.trace.dropped == 0 on the hub —
+// the steady-state health gate), and the lanes demonstrably captured the
+// traffic they rode along with.
 TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithFlightRecorder)
 {
 #if !defined(MCT_OBS_ENABLED)
     GTEST_SKIP() << "trace/flight emission compiled out under MCT_OBS=OFF";
 #endif
     obs::Hub hub;
-    obs::RingBufferSink sink(1 << 16);  // ample: nothing may drop
-    hub.tracer.add_sink(&sink);
-    obs::FlightRecorder flight;  // default: 128-event rings, 1024 slots
+    // Ample ring: nothing may drop. 128-event lanes, 1024 slots.
+    obs::Journal journal({.capacity = 1 << 16, .lane_capacity = 128, .max_lanes = 1024});
 
     ChainEnv env;
     ContextDescription ctx;
@@ -215,20 +213,20 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithFlightRecorder)
     ctx.permissions = {Permission::read, Permission::write};
     auto infos = env.make_middleboxes(2);
     auto ccfg = env.client_config(infos, {ctx});
-    ccfg.tracer = &hub.tracer;
+    ccfg.journal = &journal;
     ccfg.trace_actor = "client";
-    ccfg.flight = flight.open(1, "client");
+    ccfg.lane = journal.open_lane(1, "client");
     env.client = std::make_unique<Session>(ccfg);
     auto scfg = env.server_config();
-    scfg.tracer = &hub.tracer;
+    scfg.journal = &journal;
     scfg.trace_actor = "server";
-    scfg.flight = flight.open(0, "server");
+    scfg.lane = journal.open_lane(0, "server");
     env.server = std::make_unique<Session>(scfg);
     for (size_t i = 0; i < 2; ++i) {
         auto mcfg = env.mbox_config(i);
-        mcfg.tracer = &hub.tracer;
+        mcfg.journal = &journal;
         mcfg.trace_actor = "mbox" + std::to_string(i);
-        mcfg.flight = flight.open(0, "mbox" + std::to_string(i));
+        mcfg.lane = journal.open_lane(0, "mbox" + std::to_string(i));
         env.mboxes.push_back(std::make_unique<MiddleboxSession>(mcfg));
     }
     env.handshake();
@@ -247,7 +245,7 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithFlightRecorder)
     uint64_t read_allocs = env.mboxes[0]->open_scratch().heap_allocations;
     uint64_t write_allocs = env.mboxes[1]->open_scratch().heap_allocations;
     uint64_t server_records = env.server->open_scratch().records;
-    uint64_t events_before = flight.events_recorded();
+    uint64_t events_before = journal.lane_events();
 
     for (int i = 0; i < 50; ++i) {
         ASSERT_TRUE(env.client->send_app_data(1, Bytes(1460, uint8_t(i))).ok());
@@ -263,13 +261,13 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithFlightRecorder)
     EXPECT_EQ(env.mboxes[0]->open_scratch().heap_allocations, read_allocs);
     EXPECT_EQ(env.mboxes[1]->open_scratch().heap_allocations, write_allocs);
 
-    // The recorder rode the whole run: steady-state records landed in rings.
-    EXPECT_GT(flight.events_recorded(), events_before);
-    EXPECT_EQ(flight.rings_denied(), 0u);
+    // The lanes rode the whole run: steady-state records landed in them.
+    EXPECT_GT(journal.lane_events(), events_before);
+    EXPECT_EQ(journal.lanes_denied(), 0u);
 
-    // Steady-state trace health: an amply-sized sink dropped nothing, and
+    // Steady-state trace health: an amply-sized ring dropped nothing, and
     // the gate metric reflects that on the hub.
-    hub.publish_trace_health();
+    hub.publish_trace_health(&journal);
     EXPECT_EQ(hub.metrics.counter("obs.trace.dropped")->value(), 0u);
 }
 

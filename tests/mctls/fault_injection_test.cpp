@@ -199,10 +199,7 @@ TEST(FaultInjection, ResumePolicyRecoversViaAbbreviatedHandshake)
     net::SimTime kill_at = (base.handshake_done + base.done) / 2;
 
     obs::Hub hub;
-#if defined(MCT_OBS_ENABLED)
-    obs::RingBufferSink ring(1 << 16);
-    hub.tracer.add_sink(&ring);
-#endif
+    obs::Journal journal({.capacity = 1 << 16});
     TestbedConfig cfg;
     cfg.n_middleboxes = 1;
     cfg.handshake_deadline = 5_s;
@@ -213,6 +210,7 @@ TEST(FaultInjection, ResumePolicyRecoversViaAbbreviatedHandshake)
     cfg.recovery = RecoveryPolicy::resume;
     cfg.retry = {/*max_attempts=*/5, /*backoff=*/300_ms, /*multiplier=*/2.0};
     cfg.obs = &hub;
+    cfg.journal = &journal;
     Testbed tb(cfg);
     auto fetch = tb.fetch_sequence(kStream);
     tb.run();
@@ -237,7 +235,7 @@ TEST(FaultInjection, ResumePolicyRecoversViaAbbreviatedHandshake)
     EXPECT_LT(resumed, full);
 #if defined(MCT_OBS_ENABLED)
     bool saw_accept = false, saw_rejoin = false;
-    for (const auto& e : ring.ordered()) {
+    for (const auto& e : journal.events()) {
         if (e.type == obs::EventType::hs_resume_accept) saw_accept = true;
         if (e.type == obs::EventType::mbox_rejoin) saw_rejoin = true;
     }
@@ -252,10 +250,7 @@ TEST(FaultInjection, ExcisePolicySplicesOutDeadMiddlebox)
     ASSERT_LT(base.handshake_done, base.done);
 
     obs::Hub hub;
-#if defined(MCT_OBS_ENABLED)
-    obs::RingBufferSink ring(1 << 16);
-    hub.tracer.add_sink(&ring);
-#endif
+    obs::Journal journal({.capacity = 1 << 16});
     TestbedConfig cfg;
     cfg.n_middleboxes = 2;
     cfg.handshake_deadline = 5_s;
@@ -265,6 +260,7 @@ TEST(FaultInjection, ExcisePolicySplicesOutDeadMiddlebox)
     cfg.recovery = RecoveryPolicy::excise;
     cfg.retry = {/*max_attempts=*/4, /*backoff=*/200_ms, /*multiplier=*/2.0};
     cfg.obs = &hub;
+    cfg.journal = &journal;
     Testbed tb(cfg);
     auto fetch = tb.fetch_sequence(kStream);
     tb.run();
@@ -287,7 +283,7 @@ TEST(FaultInjection, ExcisePolicySplicesOutDeadMiddlebox)
     EXPECT_LT(resumed, full);
 #if defined(MCT_OBS_ENABLED)
     bool saw_excised = false;
-    for (const auto& e : ring.ordered())
+    for (const auto& e : journal.events())
         if (e.type == obs::EventType::mbox_excised) saw_excised = true;
     EXPECT_TRUE(saw_excised);
 #endif

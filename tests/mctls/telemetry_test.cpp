@@ -3,7 +3,8 @@
 // configured context, and MAC counters matching the endpoint–writer–reader
 // scheme (3 MACs generated per record at the sender, 2 verified at the
 // receiving endpoint, 1 per record a middlebox opens). A fault-injection run
-// must yield a causally ordered event trace on the sim clock.
+// must yield a causally ordered event trace on the sim clock, and a record's
+// spans and events must share one order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,7 @@ namespace {
 
 #if defined(MCT_OBS_ENABLED)
 // First retained event matching (actor, type); nullptr when absent.
-const obs::TraceEvent* find_event(const std::vector<obs::TraceEvent>& events,
+const obs::Event* find_event(const std::vector<obs::Event>& events,
                                   uint16_t actor, obs::EventType type)
 {
     for (const auto& e : events)
@@ -32,8 +33,7 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
 {
     ChainEnv env;
     obs::Hub hub;
-    obs::RingBufferSink ring(1 << 14);
-    hub.tracer.add_sink(&ring);
+    obs::Journal journal({.capacity = 1 << 14});
 
     std::vector<ContextDescription> contexts = {
         ctx_row(1, "headers", 1, Permission::read),
@@ -41,15 +41,15 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
     };
     auto infos = env.make_middleboxes(1);
     auto ccfg = env.client_config(infos, contexts);
-    ccfg.tracer = &hub.tracer;
+    ccfg.journal = &journal;
     ccfg.trace_actor = "client";
     env.client = std::make_unique<Session>(std::move(ccfg));
     auto scfg = env.server_config();
-    scfg.tracer = &hub.tracer;
+    scfg.journal = &journal;
     scfg.trace_actor = "server";
     env.server = std::make_unique<Session>(std::move(scfg));
     auto mcfg = env.mbox_config(0);
-    mcfg.tracer = &hub.tracer;
+    mcfg.journal = &journal;
     mcfg.trace_actor = "mbox0";
     env.mboxes.push_back(std::make_unique<MiddleboxSession>(std::move(mcfg)));
 
@@ -99,19 +99,19 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
               client_stats.macs_generated);
 
 #if defined(MCT_OBS_ENABLED)
-    auto events = ring.ordered();
+    auto events = journal.events();
     ASSERT_FALSE(events.empty());
-    uint16_t client_id = hub.tracer.intern("client");
-    uint16_t server_id = hub.tracer.intern("server");
-    uint16_t mbox_id = hub.tracer.intern("mbox0");
+    uint16_t client_id = journal.intern("client");
+    uint16_t server_id = journal.intern("server");
+    uint16_t mbox_id = journal.intern("mbox0");
 
     // Handshake-phase spans, in causal (seq) order at the client.
-    const obs::TraceEvent* start = find_event(events, client_id, obs::EventType::hs_start);
-    const obs::TraceEvent* keys =
+    const obs::Event* start = find_event(events, client_id, obs::EventType::hs_start);
+    const obs::Event* keys =
         find_event(events, client_id, obs::EventType::hs_key_distribution);
-    const obs::TraceEvent* fin_sent =
+    const obs::Event* fin_sent =
         find_event(events, client_id, obs::EventType::hs_finished_sent);
-    const obs::TraceEvent* complete =
+    const obs::Event* complete =
         find_event(events, client_id, obs::EventType::hs_complete);
     ASSERT_NE(start, nullptr);
     ASSERT_NE(keys, nullptr);
@@ -128,10 +128,10 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
 
     // Record-layer spans: seals carry b=3 (three MACs), endpoint opens b=2,
     // and the reader middlebox logged a read per context used.
-    const obs::TraceEvent* seal = find_event(events, client_id, obs::EventType::record_seal);
+    const obs::Event* seal = find_event(events, client_id, obs::EventType::record_seal);
     ASSERT_NE(seal, nullptr);
     EXPECT_EQ(seal->b, 3u);
-    const obs::TraceEvent* open = find_event(events, server_id, obs::EventType::record_open);
+    const obs::Event* open = find_event(events, server_id, obs::EventType::record_open);
     ASSERT_NE(open, nullptr);
     EXPECT_EQ(open->b, 2u);
     bool ctx1_read = false, ctx2_read = false;
@@ -143,6 +143,47 @@ TEST(Telemetry, FullHandshakeTraceCountersAndMacScheme)
     }
     EXPECT_TRUE(ctx1_read);
     EXPECT_TRUE(ctx2_read);
+#endif
+}
+
+TEST(Telemetry, RecordSpansPrecedeTheirRecordSeal)
+{
+#if !defined(MCT_OBS_ENABLED)
+    GTEST_SKIP() << "span emission compiled out under MCT_OBS=OFF";
+#else
+    // Every record stage runs at the same sim timestamp, so only the one
+    // journal-wide seq can order a record's spans against its record_seal:
+    // the sender stamps the encrypt span just before the seal event.
+    ChainEnv env;
+    obs::Journal journal({.capacity = 1 << 12});
+    std::vector<ContextDescription> contexts = {ctx_row(1, "body", 1, Permission::read)};
+    auto infos = env.make_middleboxes(1);
+    auto ccfg = env.client_config(infos, contexts);
+    ccfg.journal = &journal;
+    env.client = std::make_unique<Session>(std::move(ccfg));
+    env.server = std::make_unique<Session>(env.server_config());
+    env.mboxes.push_back(std::make_unique<MiddleboxSession>(env.mbox_config(0)));
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+    ASSERT_TRUE(env.client->send_app_data(1, str_to_bytes("GET / HTTP/1.1")));
+
+    auto events = journal.events();
+    const obs::Event* seal = find_event(events, journal.intern("mctls-client"),
+                                        obs::EventType::record_seal);
+    ASSERT_NE(seal, nullptr);
+    ASSERT_NE(seal->trace_id, 0u);
+    const obs::Event* last_span = nullptr;
+    size_t spans = 0;
+    for (const auto& e : events) {
+        if (!e.is_span() || e.trace_id != seal->trace_id) continue;
+        ++spans;
+        if (!last_span || e.seq > last_span->seq) last_span = &e;
+    }
+    EXPECT_EQ(spans, 4u);  // record root + encode, mac, encrypt
+    ASSERT_NE(last_span, nullptr);
+    EXPECT_EQ(last_span->stage, obs::Stage::encrypt);
+    EXPECT_EQ(last_span->ts, seal->ts);
+    EXPECT_LT(last_span->seq, seal->seq);
 #endif
 }
 
@@ -165,8 +206,7 @@ TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
     }
 
     obs::Hub hub;
-    obs::RingBufferSink ring(1 << 16);
-    hub.tracer.add_sink(&ring);
+    obs::Journal journal({.capacity = 1 << 16});
 
     net::SimTime kill_at = handshake_done / 2;
     http::TestbedConfig cfg;
@@ -177,6 +217,7 @@ TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
     cfg.recovery = http::RecoveryPolicy::reconnect;
     cfg.retry = {/*max_attempts=*/5, /*backoff=*/300_ms, /*multiplier=*/2.0};
     cfg.obs = &hub;
+    cfg.journal = &journal;
     http::Testbed tb(cfg);
     auto fetch = tb.fetch(2000);
     tb.run();
@@ -196,25 +237,32 @@ TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
     EXPECT_GT(hub.metrics.counter("loop.events_run")->value(), 0u);
 
 #if defined(MCT_OBS_ENABLED)
-    auto events = ring.ordered();
+    auto events = journal.events();
     ASSERT_FALSE(events.empty());
-    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(journal.dropped(), 0u);
 
-    // Total order: seq strictly increasing, sim-clock timestamps monotone.
-    for (size_t i = 1; i < events.size(); ++i) {
-        EXPECT_GT(events[i].seq, events[i - 1].seq);
-        EXPECT_GE(events[i].ts, events[i - 1].ts) << "event " << i;
+    // Total order: seq strictly increasing, and sim-clock timestamps
+    // monotone across instant events (a span is stamped when it ends, but
+    // its ts is its start).
+    uint64_t last_ts = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+        if (i > 0) {
+            EXPECT_GT(events[i].seq, events[i - 1].seq);
+        }
+        if (events[i].is_span()) continue;
+        EXPECT_GE(events[i].ts, last_ts) << "event " << i;
+        last_ts = events[i].ts;
     }
 
     // Causal chain across the fault: first attempt starts, the kill lands at
     // exactly kill_at on the sim clock, the attempt fails, a retry starts,
     // and the fetch completes — in that order.
-    uint16_t testbed_id = hub.tracer.intern("testbed");
+    uint16_t testbed_id = journal.intern("testbed");
     auto first_of = [&](obs::EventType t) { return find_event(events, testbed_id, t); };
-    const obs::TraceEvent* first_attempt = first_of(obs::EventType::attempt_start);
-    const obs::TraceEvent* fault = first_of(obs::EventType::fault_injected);
-    const obs::TraceEvent* failed = first_of(obs::EventType::attempt_failed);
-    const obs::TraceEvent* done = first_of(obs::EventType::fetch_complete);
+    const obs::Event* first_attempt = first_of(obs::EventType::attempt_start);
+    const obs::Event* fault = first_of(obs::EventType::fault_injected);
+    const obs::Event* failed = first_of(obs::EventType::attempt_failed);
+    const obs::Event* done = first_of(obs::EventType::fetch_complete);
     ASSERT_NE(first_attempt, nullptr);
     ASSERT_NE(fault, nullptr);
     ASSERT_NE(failed, nullptr);
@@ -226,7 +274,7 @@ TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
     EXPECT_LT(failed->seq, done->seq);
 
     // The retry is a second attempt_start after the failure.
-    const obs::TraceEvent* retry = nullptr;
+    const obs::Event* retry = nullptr;
     for (const auto& e : events)
         if (e.actor == testbed_id && e.type == obs::EventType::attempt_start &&
             e.seq > failed->seq) {
@@ -237,8 +285,8 @@ TEST(Telemetry, FaultInjectionTraceIsCausallyOrdered)
     EXPECT_LT(retry->seq, done->seq);
 
     // The crash is visible at the network layer too (aborted TCP legs).
-    uint16_t net_id = hub.tracer.intern("net");
-    const obs::TraceEvent* abort_ev =
+    uint16_t net_id = journal.intern("net");
+    const obs::Event* abort_ev =
         find_event(events, net_id, obs::EventType::net_conn_abort);
     ASSERT_NE(abort_ev, nullptr);
     EXPECT_GE(abort_ev->ts, kill_at);
