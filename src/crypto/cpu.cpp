@@ -2,9 +2,6 @@
 
 #include <cstdlib>
 
-#include "crypto/sha2.h"
-#include "util/bytes.h"
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #endif
@@ -110,14 +107,6 @@ const CryptoDispatch& dispatch()
         return accel;
     }();
     return *active;
-}
-
-void crypto_warmup()
-{
-    (void)dispatch();
-    // SHA-512 round constants are still derived lazily (BigUint roots);
-    // hashing one byte forces them. SHA-256/AES constants are constexpr.
-    (void)Sha512::digest(ConstBytes{});
 }
 
 ScopedDispatchOverride::ScopedDispatchOverride(const CryptoDispatch& table)

@@ -80,12 +80,6 @@ const CryptoDispatch* accelerated_dispatch();
 // ScopedDispatchOverride below).
 const CryptoDispatch& dispatch();
 
-// Warm every lazily-derived piece of crypto state (CPUID probe, dispatch
-// selection, the SHA-512 constant derivation) so the first record's
-// cpu_ns span measures steady-state crypto, not one-time setup. The AES
-// tables and SHA-256 constants are constexpr and need no warming.
-void crypto_warmup();
-
 // Test-only: pin dispatch() to a specific table within a scope, so
 // differential suites can run the same bytes through both arms in one
 // process. Not thread-safe; construct only in single-threaded test code.

@@ -1,8 +1,8 @@
 #include "crypto/ed25519.h"
 
+#include <array>
 #include <stdexcept>
 
-#include "crypto/bigint.h"
 #include "crypto/fe25519.h"
 #include "crypto/sha2.h"
 
@@ -10,12 +10,53 @@ namespace mct::crypto {
 
 namespace {
 
-// Group order L = 2^252 + 27742317777372353535851937790883648493.
-const BigUint& order_l()
+// Group order L = 2^252 + 27742317777372353535851937790883648493, as
+// little-endian bytes.
+constexpr std::array<int64_t, 32> kL = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+                                        0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+                                        0,    0,    0,    0,    0,    0,    0,    0,
+                                        0,    0,    0,    0,    0,    0,    0,    0x10};
+
+// x mod L into 32 little-endian bytes, where x is 64 signed radix-2^8 limbs
+// (TweetNaCl's modL). Each limb x[32..63], at 2^256 and up, folds down via
+// 2^256 = 16 * 2^252 ≡ -16 * (L - 2^252) (mod L) with signed carries; then
+// the bits at and above 2^252 go the same way, and a final conditional add
+// of L (a multiply by the 0/-1 carry, not a branch) makes the result
+// canonical. Fixed loop bounds, no data-dependent branch or index.
+void mod_l(uint8_t out[32], int64_t x[64])
 {
-    static const BigUint L =
-        BigUint::from_hex("1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed");
-    return L;
+    for (int i = 63; i >= 32; --i) {
+        int64_t carry = 0;
+        int j = i - 32;
+        for (; j < i - 12; ++j) {
+            x[j] += carry - 16 * x[i] * kL[j - (i - 32)];
+            carry = (x[j] + 128) >> 8;
+            x[j] -= carry * 256;
+        }
+        x[j] += carry;
+        x[i] = 0;
+    }
+    int64_t carry = 0;
+    for (int j = 0; j < 32; ++j) {
+        x[j] += carry - (x[31] >> 4) * kL[j];
+        carry = x[j] >> 8;
+        x[j] &= 255;
+    }
+    for (int j = 0; j < 32; ++j) x[j] -= carry * kL[j];
+    for (int i = 0; i < 32; ++i) {
+        x[i + 1] += x[i] >> 8;
+        out[i] = static_cast<uint8_t>(x[i] & 255);
+    }
+}
+
+// s < L for a public 32-byte little-endian s (RFC 8032 §5.1.7 rejects
+// s >= L to stop malleability).
+bool is_canonical_s(ConstBytes s_le)
+{
+    for (size_t i = 32; i-- > 0;) {
+        if (s_le[i] != kL[i]) return s_le[i] < kL[i];
+    }
+    return false;  // s == L
 }
 
 // Twisted Edwards curve -x^2 + y^2 = 1 + d x^2 y^2.
@@ -126,9 +167,11 @@ const Point& base_point()
     return B;
 }
 
-Bytes reduce_mod_l(ConstBytes wide_le)
+std::array<uint8_t, 32> reduce_mod_l(ConstBytes wide_le)
 {
-    return BigUint::from_le_bytes(wide_le).mod(order_l()).to_le_bytes(32);
+    std::array<uint8_t, 32> out;
+    detail::sc_reduce(out.data(), wide_le.data());
+    return out;
 }
 
 struct ExpandedSeed {
@@ -151,6 +194,29 @@ ExpandedSeed expand_seed(ConstBytes seed)
 
 }  // namespace
 
+namespace detail {
+
+void sc_reduce(uint8_t out[32], const uint8_t in[64])
+{
+    int64_t x[64];
+    for (int i = 0; i < 64; ++i) x[i] = in[i];
+    mod_l(out, x);
+}
+
+void sc_muladd(uint8_t out[32], const uint8_t r[32], const uint8_t k[32], const uint8_t a[32])
+{
+    // Schoolbook product in unnormalised limbs (each < 32 * 255^2 + 255);
+    // mod_l carries and reduces them.
+    int64_t x[64] = {};
+    for (int i = 0; i < 32; ++i) x[i] = r[i];
+    for (int i = 0; i < 32; ++i) {
+        for (int j = 0; j < 32; ++j) x[i + j] += int64_t{k[i]} * a[j];
+    }
+    mod_l(out, x);
+}
+
+}  // namespace detail
+
 Bytes ed25519_public_from_seed(ConstBytes seed)
 {
     auto exp = expand_seed(seed);
@@ -170,16 +236,13 @@ Bytes ed25519_sign(ConstBytes seed, ConstBytes message)
     auto exp = expand_seed(seed);
     Bytes a_pub = point_encode(point_mul(exp.scalar, base_point()));
 
-    Bytes r_wide = Sha512::digest(concat(exp.prefix, message));
-    Bytes r = reduce_mod_l(r_wide);
-    Bytes r_enc = point_encode(point_mul(r, base_point()));
+    auto r = reduce_mod_l(Sha512::digest(concat(exp.prefix, message)));
+    Bytes sig = point_encode(point_mul(r, base_point()));  // R; s goes after it
 
-    Bytes k_wide = Sha512::digest(concat(r_enc, a_pub, message));
-    BigUint k = BigUint::from_le_bytes(reduce_mod_l(k_wide));
-    BigUint s = BigUint::from_le_bytes(r).addmod(
-        k.mulmod(BigUint::from_le_bytes(exp.scalar), order_l()), order_l());
-
-    return concat(r_enc, s.to_le_bytes(32));
+    auto k = reduce_mod_l(Sha512::digest(concat(sig, a_pub, message)));
+    sig.resize(kEd25519SignatureSize);
+    detail::sc_muladd(sig.data() + 32, r.data(), k.data(), exp.scalar.data());
+    return sig;
 }
 
 bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signature)
@@ -189,16 +252,15 @@ bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signat
     if (!point_decode(public_key, a)) return false;
     ConstBytes r_enc = signature.subspan(0, 32);
     ConstBytes s_le = signature.subspan(32, 32);
-    BigUint s = BigUint::from_le_bytes(s_le);
-    if (!(s < order_l())) return false;  // reject malleable signatures
+    if (!is_canonical_s(s_le)) return false;
     Point r;
     if (!point_decode(r_enc, r)) return false;
 
-    Bytes k_wide = Sha512::digest(concat(to_bytes(r_enc), to_bytes(public_key), to_bytes(message)));
-    Bytes k = reduce_mod_l(k_wide);
+    auto k = reduce_mod_l(
+        Sha512::digest(concat(to_bytes(r_enc), to_bytes(public_key), to_bytes(message))));
 
     // Check s*B == R + k*A.
-    Point sb = point_mul(s.to_le_bytes(32), base_point());
+    Point sb = point_mul(s_le, base_point());
     Point rka = point_add(r, point_mul(k, a));
     return point_encode(sb) == point_encode(rka);
 }

@@ -28,4 +28,15 @@ Bytes ed25519_sign(ConstBytes seed, ConstBytes message);
 
 bool ed25519_verify(ConstBytes public_key, ConstBytes message, ConstBytes signature);
 
+namespace detail {
+
+// Scalar arithmetic mod the group order L on little-endian byte strings
+// (exposed for the boundary tests). Results are canonical (< L); neither
+// function allocates or branches or indexes on its inputs.
+void sc_reduce(uint8_t out[32], const uint8_t in[64]);  // in mod L
+void sc_muladd(uint8_t out[32], const uint8_t r[32], const uint8_t k[32],
+               const uint8_t a[32]);  // r + k * a mod L
+
+}  // namespace detail
+
 }  // namespace mct::crypto

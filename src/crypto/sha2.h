@@ -1,10 +1,10 @@
 // SHA-256 and SHA-512 (FIPS 180-4).
 //
-// Round constants and initial hash values are derived from the fractional
-// parts of prime roots (the FIPS definition) using exact integer
-// arithmetic — at compile time for SHA-256 (so first use costs nothing on
-// the record path), at first use for SHA-512 — and the whole construction
-// is validated against published test vectors in tests/crypto.
+// Round constants and initial hash values are compile-time tables, so first
+// use costs nothing: SHA-256's are derived from the fractional parts of
+// prime roots (the FIPS definition) by exact integer arithmetic in the
+// compiler, SHA-512's are the FIPS 180-4 values written out. The whole
+// construction is validated against published test vectors in tests/crypto.
 //
 // SHA-256 compression routes through the crypto dispatch table
 // (crypto/cpu.h): SHA-NI when the CPU has it, the portable scalar rounds

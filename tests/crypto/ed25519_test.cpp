@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "crypto/drbg.h"
+#include "crypto/sha2.h"
 #include "util/rng.h"
 
 namespace mct::crypto {
 namespace {
+
+// The group order L, little-endian.
+const char kLHex[] = "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
 
 // RFC 8032 §7.1 TEST 1 (empty message).
 TEST(Ed25519, Rfc8032Test1)
@@ -102,19 +110,80 @@ TEST(Ed25519, HighSRejected)
     auto kp = ed25519_keypair(rng);
     Bytes msg = str_to_bytes("malleable?");
     Bytes sig = ed25519_sign(kp.private_key, msg);
+
+    // The exact boundary: s = L with the signature's valid R.
+    Bytes at_l = sig;
+    Bytes l = from_hex(kLHex);
+    std::copy(l.begin(), l.end(), at_l.begin() + 32);
+    EXPECT_FALSE(ed25519_verify(kp.public_key, msg, at_l));
+    // The same with the identity as public key and R: there s*B = R + k*A
+    // holds for s = L (L*B is the identity), so only the s < L check
+    // rejects it.
+    Bytes identity = from_hex("01" + std::string(62, '0'));
+    EXPECT_FALSE(ed25519_verify(identity, msg, concat(identity, l)));
+
+    // s + L, added bytewise little-endian.
     Bytes bad = sig;
-    // s + L computed bytewise little-endian: L = 2^252 + delta.
-    Bytes delta = from_hex("edd3f55c1a631258d69cf7a2def9de14000000000000000000000000000000");
-    // delta above is little-endian of 27742317777372353535851937790883648493.
     unsigned carry = 0;
-    for (size_t i = 0; i < 31; ++i) {
-        unsigned sum = bad[32 + i] + delta[i] + carry;
+    for (size_t i = 0; i < 32; ++i) {
+        unsigned sum = bad[32 + i] + l[i] + carry;
         bad[32 + i] = static_cast<uint8_t>(sum);
         carry = sum >> 8;
     }
-    unsigned sum = bad[63] + 0x10 + carry;  // + 2^252 in the top byte
-    bad[63] = static_cast<uint8_t>(sum);
     EXPECT_FALSE(ed25519_verify(kp.public_key, msg, bad));
+}
+
+// Pins every signature byte (Ed25519 is deterministic) across changes to the
+// scalar or point code; the digest predates the fixed-width scalar layer.
+TEST(Ed25519, SeededSignaturesMatchPinnedDigest)
+{
+    HmacDrbg drbg(str_to_bytes("ed25519 pinned signatures"));
+    Sha256 all;
+    for (int i = 0; i < 1000; ++i) {
+        Bytes seed = drbg.bytes(32);
+        Bytes msg = drbg.bytes(i % 300);
+        Bytes pub = ed25519_public_from_seed(seed);
+        Bytes sig = ed25519_sign(seed, msg);
+        ASSERT_TRUE(ed25519_verify(pub, msg, sig)) << "i=" << i;
+        all.update(pub);
+        all.update(sig);
+    }
+    auto d = all.finish();
+    EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())),
+              "f436efbb642bf33e80b6cd4b4d03ad3fff516f2990af6443b1c51e2f67a2fce8");
+}
+
+// Boundary values of the mod-L scalar layer (expected values computed with
+// exact integers; all little-endian).
+TEST(Ed25519, ScalarBoundaryValues)
+{
+    const std::string zero(64, '0');
+    const std::string l = kLHex;
+    const std::string l_minus_1 = "ec" + l.substr(2);
+    const std::string one = "01" + zero.substr(2);
+    // 64-byte inputs: the 32-byte value zero-extended.
+    const struct {
+        std::string in, want;
+    } reduce_cases[] = {
+        {zero + zero, zero},
+        {l + zero, zero},
+        {l_minus_1 + zero, l_minus_1},
+        {"ee" + l.substr(2) + zero, one},  // L + 1
+        {std::string(128, 'f'),            // 2^512 - 1
+         "000f9c44e31106a447938568a71b0ed065bef517d273ecce3d9a307c1b419903"},
+    };
+    for (const auto& c : reduce_cases) {
+        Bytes in = from_hex(c.in);
+        Bytes out(32);
+        detail::sc_reduce(out.data(), in.data());
+        EXPECT_EQ(to_hex(out), c.want) << "sc_reduce(" << c.in << ")";
+    }
+
+    // (L-1) + (L-1)(L-1) = (L-1) L = 0 mod L.
+    Bytes m = from_hex(l_minus_1);
+    Bytes out(32, 0xaa);
+    detail::sc_muladd(out.data(), m.data(), m.data(), m.data());
+    EXPECT_EQ(to_hex(out), zero);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// First-use cost regression for the AES tables (its own binary so "first
-// use in the process" is well defined).
+// First-use cost regression for the AES tables and SHA round constants (its
+// own binary so "first use in the process" is well defined).
 //
 // The S-box used to be derived by a brute-force 256x256 GF(2^8) scan inside
 // a function-local static, so the first Aes128 constructed in a process —
@@ -64,7 +64,7 @@ TEST(FirstUse, AesTablesCostNothingToInitialize)
 TEST(FirstUse, Sha256ConstantsCostNothingToInitialize)
 {
     // Same property for the SHA-256 round constants (constexpr integer
-    // roots, no BigUint derivation at runtime).
+    // roots, no derivation at runtime).
     Bytes data(64, 0x5a);
     auto t0 = Clock::now();
     Bytes first = Sha256::digest(data);
@@ -75,6 +75,32 @@ TEST(FirstUse, Sha256ConstantsCostNothingToInitialize)
     for (int i = 0; i < 200; ++i) {
         auto a = Clock::now();
         Bytes d = Sha256::digest(data);
+        auto b = Clock::now();
+        ASSERT_EQ(d, first);
+        samples.push_back(ns(a, b));
+    }
+    std::sort(samples.begin(), samples.end());
+    uint64_t median_ns = samples[samples.size() / 2];
+
+    uint64_t budget = std::max<uint64_t>(100'000, 100 * median_ns);
+    EXPECT_LT(first_ns, budget)
+        << "first=" << first_ns << "ns median=" << median_ns << "ns";
+}
+
+TEST(FirstUse, Sha512ConstantsCostNothingToInitialize)
+{
+    // The first SHA-512 use in this process: its round constants and IV are
+    // a constexpr table, so the first digest costs what the 200th does.
+    Bytes data(128, 0x5a);
+    auto t0 = Clock::now();
+    Bytes first = Sha512::digest(data);
+    auto t1 = Clock::now();
+    uint64_t first_ns = ns(t0, t1);
+
+    std::vector<uint64_t> samples;
+    for (int i = 0; i < 200; ++i) {
+        auto a = Clock::now();
+        Bytes d = Sha512::digest(data);
         auto b = Clock::now();
         ASSERT_EQ(d, first);
         samples.push_back(ns(a, b));
