@@ -2,7 +2,8 @@
 //
 //  - three MACs (mcTLS §3.4) vs one MAC (TLS) per record, seal + open
 //  - writer reseal vs reader pass-through at a middlebox
-//  - record size sweep: where MAC overhead matters
+//  - record size sweep, 16 B to 15000 B: where the fixed per-record MAC
+//    and keying cost dominates and where per-byte work takes over
 //  - optional signed mode (b): per-record Ed25519 signatures
 //
 // Paper claim being probed: "an efficient fine-grained access control
@@ -43,8 +44,8 @@ int main()
     mctls::RecordScratch scratch;
     uint64_t sealed_records = 0;
 
-    std::vector<size_t> sizes{512, 1460, 4096, 15000};
-    if (bench::smoke_mode()) sizes = {1460};
+    std::vector<size_t> sizes{16, 64, 256, 512, 1460, 4096, 15000};
+    if (bench::smoke_mode()) sizes = {64, 1460};
     for (size_t size : sizes) {
         Bytes payload = rng.bytes(size);
         std::string x = std::to_string(size) + "B";

@@ -98,6 +98,23 @@ int main()
             (void)r;
         }));
     }
+    {
+        // A record-sized MAC: from raw key bytes (ipad/opad hashed per MAC)
+        // and from an HmacKey expanded once, as the record layer holds it.
+        Bytes key32 = rng.bytes(32);
+        Bytes data = rng.bytes(64);
+        crypto::HmacKey key(key32);
+        report.point("hmac_sha256_ops", "64B", bench::ops_per_sec([&] {
+            crypto::HmacSha256 mac(key32);
+            mac.update(data);
+            mac.finish_tag();
+        }));
+        report.point("hmac_sha256_keyed_ops", "64B", bench::ops_per_sec([&] {
+            crypto::HmacSha256 mac(key);
+            mac.update(data);
+            mac.finish_tag();
+        }));
+    }
     auto alice = crypto::x25519_keypair(rng);
     auto bob = crypto::x25519_keypair(rng);
     report.point("x25519_shared_ops", "op", bench::ops_per_sec([&] {

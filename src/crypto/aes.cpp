@@ -302,12 +302,16 @@ void aes128_cbc_encrypt_into(const Aes128& cipher, ConstBytes plaintext, Rng& rn
     stream.finish();
 }
 
-Bytes aes128_cbc_encrypt(ConstBytes key, ConstBytes plaintext, Rng& rng)
+Bytes aes128_cbc_encrypt(const Aes128& cipher, ConstBytes plaintext, Rng& rng)
 {
-    Aes128 cipher(key);
     Bytes out;
     aes128_cbc_encrypt_into(cipher, plaintext, rng, out);
     return out;
+}
+
+Bytes aes128_cbc_encrypt(ConstBytes key, ConstBytes plaintext, Rng& rng)
+{
+    return aes128_cbc_encrypt(Aes128(key), plaintext, rng);
 }
 
 bool aes128_cbc_decrypt_raw_into(const Aes128& cipher, ConstBytes iv_and_ciphertext, Bytes& out)
@@ -351,7 +355,11 @@ Result<size_t> aes128_cbc_decrypt_into(const Aes128& cipher, ConstBytes iv_and_c
 
 Result<Bytes> aes128_cbc_decrypt(ConstBytes key, ConstBytes iv_and_ciphertext)
 {
-    Aes128 cipher(key);
+    return aes128_cbc_decrypt(Aes128(key), iv_and_ciphertext);
+}
+
+Result<Bytes> aes128_cbc_decrypt(const Aes128& cipher, ConstBytes iv_and_ciphertext)
+{
     Bytes out;
     auto n = aes128_cbc_decrypt_into(cipher, iv_and_ciphertext, out);
     if (!n) return n.error();

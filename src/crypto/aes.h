@@ -54,6 +54,9 @@ private:
 
 // CBC with PKCS#7 padding; the IV is prepended to the ciphertext
 // (TLS 1.2 explicit-IV style).
+Bytes aes128_cbc_encrypt(const Aes128& cipher, ConstBytes plaintext, Rng& rng);
+Result<Bytes> aes128_cbc_decrypt(const Aes128& cipher, ConstBytes iv_and_ciphertext);
+// Raw-key forms: expand `key` for this one call.
 Bytes aes128_cbc_encrypt(ConstBytes key, ConstBytes plaintext, Rng& rng);
 Result<Bytes> aes128_cbc_decrypt(ConstBytes key, ConstBytes iv_and_ciphertext);
 

@@ -1,24 +1,35 @@
 #include "crypto/drbg.h"
 
-#include "crypto/hmac.h"
+#include <algorithm>
 
 namespace mct::crypto {
 
-HmacDrbg::HmacDrbg(ConstBytes seed)
-    : key_(Sha256::kDigestSize, 0x00), v_(Sha256::kDigestSize, 0x01)
+namespace {
+
+constexpr std::array<uint8_t, Sha256::kDigestSize> kInitialKey{};  // all 0x00
+
+}  // namespace
+
+HmacDrbg::HmacDrbg(ConstBytes seed) : key_(kInitialKey)
 {
+    v_.fill(0x01);
     update(seed);
 }
 
+// SP 800-90A §10.1.2.2: K = HMAC(K, V || round || provided), V = HMAC(K, V),
+// with the second round only when data was provided.
 void HmacDrbg::update(ConstBytes provided)
 {
-    Bytes msg = concat(v_, Bytes{0x00}, provided);
-    key_ = HmacSha256::mac(key_, msg);
-    v_ = HmacSha256::mac(key_, v_);
-    if (!provided.empty()) {
-        msg = concat(v_, Bytes{0x01}, provided);
-        key_ = HmacSha256::mac(key_, msg);
-        v_ = HmacSha256::mac(key_, v_);
+    for (uint8_t round = 0x00; round <= 0x01; ++round) {
+        if (round == 0x01 && provided.empty()) break;
+        HmacSha256 k(key_);
+        k.update(v_);
+        k.update({&round, 1});
+        k.update(provided);
+        key_ = HmacKey(k.finish_tag());
+        HmacSha256 v(key_);
+        v.update(v_);
+        v_ = v.finish_tag();
     }
 }
 
@@ -31,9 +42,11 @@ void HmacDrbg::fill(MutableBytes out)
 {
     size_t produced = 0;
     while (produced < out.size()) {
-        v_ = HmacSha256::mac(key_, v_);
+        HmacSha256 h(key_);
+        h.update(v_);
+        v_ = h.finish_tag();
         size_t take = std::min(v_.size(), out.size() - produced);
-        std::copy(v_.begin(), v_.begin() + take, out.begin() + produced);
+        std::copy_n(v_.begin(), take, out.begin() + static_cast<ptrdiff_t>(produced));
         produced += take;
     }
     update({});

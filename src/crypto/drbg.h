@@ -5,6 +5,9 @@
 // same code paths a production entropy source would.
 #pragma once
 
+#include <array>
+
+#include "crypto/hmac.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -14,6 +17,7 @@ class HmacDrbg final : public Rng {
 public:
     explicit HmacDrbg(ConstBytes seed);
 
+    // Allocation-free: the key is held expanded, V on the object.
     void fill(MutableBytes out) override;
 
     void reseed(ConstBytes entropy);
@@ -21,8 +25,8 @@ public:
 private:
     void update(ConstBytes provided);
 
-    Bytes key_;
-    Bytes v_;
+    HmacKey key_;
+    std::array<uint8_t, Sha256::kDigestSize> v_;
 };
 
 }  // namespace mct::crypto

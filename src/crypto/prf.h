@@ -15,6 +15,13 @@
 
 namespace mct::crypto {
 
+class HmacKey;
+
+// Fills `out` with PRF(secret, label, seed) under an already expanded
+// secret. Allocation-free: every HMAC starts from the key's midstates.
+void prf(const HmacKey& secret, std::string_view label, ConstBytes seed, MutableBytes out);
+
+// One-shot form: expands `secret` and returns `out_len` bytes.
 Bytes prf(ConstBytes secret, std::string_view label, ConstBytes seed, size_t out_len);
 
 }  // namespace mct::crypto

@@ -180,6 +180,11 @@ void sha256_compress_scalar(uint32_t state[8], const uint8_t* blocks, size_t nbl
 
 Sha256::Sha256() : state_(kSha256.iv), dispatch_(&dispatch()) {}
 
+Sha256::Sha256(const Sha256State& midstate, uint64_t blocks)
+    : state_(midstate), total_bytes_(blocks * kBlockSize), dispatch_(&dispatch())
+{
+}
+
 void Sha256::update(ConstBytes data)
 {
     if (data.empty()) return;  // empty spans may carry a null data()
@@ -211,20 +216,28 @@ void Sha256::update(ConstBytes data)
 std::array<uint8_t, Sha256::kDigestSize> Sha256::finish()
 {
     uint64_t bit_length = total_bytes_ * 8;
-    uint8_t pad[kBlockSize + 8] = {0x80};
-    size_t pad_len = (buffered_ < 56) ? 56 - buffered_ : 120 - buffered_;
-    update({pad, pad_len});
-    uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i) len_be[i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
-    // update() counted the padding in total_bytes_, but we already captured
-    // bit_length, so that is harmless.
-    update({len_be, 8});
+    buffer_[buffered_++] = 0x80;
+    if (buffered_ > kBlockSize - 8) {  // no room for the length: one more block
+        std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
+        dispatch_->sha256_compress(state_.data(), buffer_.data(), 1);
+        buffered_ = 0;
+    }
+    std::memset(buffer_.data() + buffered_, 0, kBlockSize - 8 - buffered_);
+    for (int i = 0; i < 8; ++i)
+        buffer_[kBlockSize - 8 + i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
+    dispatch_->sha256_compress(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
+    return state_digest(state_);
+}
+
+std::array<uint8_t, Sha256::kDigestSize> Sha256::state_digest(const Sha256State& state)
+{
     std::array<uint8_t, kDigestSize> out;
     for (int i = 0; i < 8; ++i) {
-        out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-        out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-        out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-        out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
+        out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
+        out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
+        out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
+        out[4 * i + 3] = static_cast<uint8_t>(state[i]);
     }
     return out;
 }

@@ -20,20 +20,36 @@ namespace mct::crypto {
 
 struct CryptoDispatch;
 
+// The eight 32-bit chaining words of SHA-256.
+using Sha256State = std::array<uint32_t, 8>;
+
 class Sha256 {
 public:
     static constexpr size_t kDigestSize = 32;
     static constexpr size_t kBlockSize = 64;
 
     Sha256();
+    // Continues a hash whose first `blocks` 64-byte blocks left `midstate`
+    // (HMAC starts from its pre-hashed key pads this way).
+    Sha256(const Sha256State& midstate, uint64_t blocks);
 
     void update(ConstBytes data);
+    // Pads in place and compresses each final block once.
     std::array<uint8_t, kDigestSize> finish();
+
+    // The chaining state; meaningful on a block boundary (nothing buffered).
+    const Sha256State& midstate() const { return state_; }
+    // The dispatch table this object was bound to at construction.
+    const CryptoDispatch& backend() const { return *dispatch_; }
+
+    // Big-endian serialization of a chaining state: the digest once the
+    // final block has been compressed.
+    static std::array<uint8_t, kDigestSize> state_digest(const Sha256State& state);
 
     static Bytes digest(ConstBytes data);
 
 private:
-    std::array<uint32_t, 8> state_;
+    Sha256State state_;
     std::array<uint8_t, kBlockSize> buffer_;
     size_t buffered_ = 0;
     uint64_t total_bytes_ = 0;

@@ -182,9 +182,9 @@ bool try_hellos(ConstBytes c2s, ConstBytes s2c, bool mctls_framing, HelloInfo* o
 
 // ---- Per-record crypto --------------------------------------------------
 
-bool tag_matches(ConstBytes key, ConstBytes mac_input, ConstBytes wire_tag)
+bool tag_matches(const crypto::MacKey& key, ConstBytes mac_input, ConstBytes wire_tag)
 {
-    crypto::HmacSha256 mac{key};
+    crypto::HmacSha256 mac{key.expanded()};
     mac.update(mac_input);
     auto tag = mac.finish_tag();
     return wire_tag.size() == tag.size() &&
@@ -200,7 +200,8 @@ void check_app_record(const ContextKeys& ck, const EndpointKeys* ep, uint8_t dir
                       DissectedRecord* rec)
 {
     rec->keys_found = true;
-    auto plain = crypto::aes128_cbc_decrypt(ck.reader_enc[dir], fragment);
+    if (ck.reader_enc[dir].empty()) return;
+    auto plain = crypto::aes128_cbc_decrypt(ck.reader_enc[dir].expanded(), fragment);
     if (!plain || plain.value().size() < 3 * mctls::kMacSize) return;  // decrypt failure
     rec->decrypted = true;
     ConstBytes all{plain.value()};
@@ -475,7 +476,8 @@ SessionDissection dissect_chain(const net::Capture& capture,
         if (session.is_mctls && hk.endpoint) {
             for (int d = 0; d < 2; ++d)
                 hk.protector[d] = std::make_unique<tls::CbcHmacProtector>(
-                    hk.endpoint->control_enc[d], hk.endpoint->record_mac[d]);
+                    hk.endpoint->control_enc[d].expanded(),
+                    hk.endpoint->record_mac[d].expanded());
         } else if (!session.is_mctls && master) {
             derive_tls_protectors(*master, session.client_random, session.server_random,
                                   &hk);

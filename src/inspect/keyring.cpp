@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "crypto/aes.h"
+
 namespace mct::inspect {
 
 namespace {
@@ -24,6 +26,16 @@ Result<Bytes> parse_key_field(std::string_view token)
     if (token == "-") return Bytes{};
     if (!is_hex(token)) return err("keylog: bad hex field '" + std::string(token) + "'");
     return from_hex(token);
+}
+
+// An AES key field: absent, or exactly one AES-128 key (installing a key
+// expands its schedule, which needs 16 bytes).
+Result<Bytes> parse_cipher_key_field(std::string_view token)
+{
+    auto key = parse_key_field(token);
+    if (key && !key.value().empty() && key.value().size() != crypto::Aes128::kKeySize)
+        return err("keylog: bad AES key size in '" + std::string(token) + "'");
+    return key;
 }
 
 std::vector<std::string_view> split_ws(std::string_view line)
@@ -110,7 +122,7 @@ Status KeyRing::add_line(std::string_view line)
             auto mac = parse_key_field(tokens[2 + static_cast<size_t>(i)]);
             if (!mac) return mac.error();
             keys.record_mac[i] = mac.take();
-            auto ctl = parse_key_field(tokens[4 + static_cast<size_t>(i)]);
+            auto ctl = parse_cipher_key_field(tokens[4 + static_cast<size_t>(i)]);
             if (!ctl) return ctl.error();
             keys.control_enc[i] = ctl.take();
         }
@@ -131,7 +143,7 @@ Status KeyRing::add_line(std::string_view line)
         mctls::ContextKeys keys;
         for (int i = 0; i < 2; ++i) {
             size_t d = static_cast<size_t>(i);
-            auto renc = parse_key_field(tokens[4 + d]);
+            auto renc = parse_cipher_key_field(tokens[4 + d]);
             if (!renc) return renc.error();
             keys.reader_enc[i] = renc.take();
             auto rmac = parse_key_field(tokens[6 + d]);

@@ -1,19 +1,32 @@
 #include "mctls/authenc.h"
 
-#include "crypto/aes.h"
 #include "crypto/ct.h"
-#include "crypto/hmac.h"
 
 namespace mct::mctls {
+
+namespace {
+
+std::array<uint8_t, crypto::HmacSha256::kTagSize> tag(const AuthEncKey& key,
+                                                      ConstBytes associated_data,
+                                                      ConstBytes ciphertext)
+{
+    crypto::HmacSha256 mac(key.mac_key.expanded());
+    mac.update(associated_data);
+    mac.update(ciphertext);
+    return mac.finish_tag();
+}
+
+}  // namespace
 
 Bytes authenc_seal(const AuthEncKey& key, ConstBytes associated_data, ConstBytes plaintext,
                    Rng& rng)
 {
-    Bytes ciphertext = crypto::aes128_cbc_encrypt(key.enc_key, plaintext, rng);
-    crypto::HmacSha256 mac(key.mac_key);
-    mac.update(associated_data);
-    mac.update(ciphertext);
-    return concat(ciphertext, mac.finish());
+    Bytes sealed;
+    sealed.reserve(crypto::cbc_ciphertext_size(plaintext.size()) +
+                   crypto::HmacSha256::kTagSize);
+    crypto::aes128_cbc_encrypt_into(key.enc_key.expanded(), plaintext, rng, sealed);
+    append(sealed, tag(key, associated_data, sealed));
+    return sealed;
 }
 
 Result<Bytes> authenc_open(const AuthEncKey& key, ConstBytes associated_data,
@@ -22,12 +35,10 @@ Result<Bytes> authenc_open(const AuthEncKey& key, ConstBytes associated_data,
     constexpr size_t kTag = crypto::HmacSha256::kTagSize;
     if (sealed.size() < kTag) return err("authenc: too short");
     ConstBytes ciphertext = sealed.subspan(0, sealed.size() - kTag);
-    ConstBytes tag = sealed.subspan(sealed.size() - kTag);
-    crypto::HmacSha256 mac(key.mac_key);
-    mac.update(associated_data);
-    mac.update(ciphertext);
-    if (!crypto::ct_equal(mac.finish(), tag)) return err("authenc: bad tag");
-    return crypto::aes128_cbc_decrypt(key.enc_key, ciphertext);
+    ConstBytes wire_tag = sealed.subspan(sealed.size() - kTag);
+    if (!crypto::ct_equal(tag(key, associated_data, ciphertext), wire_tag))
+        return err("authenc: bad tag");
+    return crypto::aes128_cbc_decrypt(key.enc_key.expanded(), ciphertext);
 }
 
 }  // namespace mct::mctls

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <initializer_list>
 
 #include "crypto/ct.h"
 #include "crypto/ed25519.h"
@@ -57,19 +58,26 @@ void mac_pseudo_header(crypto::HmacSha256& mac, uint64_t seq, uint8_t context_id
     mac.update(h);
 }
 
-std::array<uint8_t, kMacSize> compute_mac_tag(ConstBytes key, uint64_t seq, uint8_t context_id,
-                                              ConstBytes payload)
+std::array<uint8_t, kMacSize> mac_tag(const crypto::MacKey& key, uint64_t seq,
+                                      uint8_t context_id, ConstBytes payload)
 {
-    crypto::HmacSha256 mac(key);
+    crypto::HmacSha256 mac(key.expanded());
     mac_pseudo_header(mac, seq, context_id, payload.size());
     mac.update(payload);
     return mac.finish_tag();
 }
 
-Bytes compute_mac(ConstBytes key, uint64_t seq, uint8_t context_id, ConstBytes payload)
+// CBC-encrypts payload || MACs (plus a signature in mode (b)) under the
+// context's expanded reader key, appending IV and ciphertext to `out`.
+void encrypt_fragment(const crypto::CipherKey& key, std::initializer_list<ConstBytes> parts,
+                      Rng& rng, Bytes& out)
 {
-    auto tag = compute_mac_tag(key, seq, context_id, payload);
-    return Bytes(tag.begin(), tag.end());
+    size_t plaintext_len = 0;
+    for (ConstBytes part : parts) plaintext_len += part.size();
+    out.reserve(out.size() + crypto::cbc_ciphertext_size(plaintext_len));
+    crypto::CbcEncryptStream enc(key.expanded(), rng, out);
+    for (ConstBytes part : parts) enc.update(part);
+    enc.finish();
 }
 
 struct SplitView {
@@ -84,7 +92,7 @@ Result<SplitView> decrypt_and_split(const ContextKeys& ctx, Direction dir, Const
                                     RecordScratch& scratch, StageNanos* timing = nullptr)
 {
     if (!ctx.can_read()) return err("mctls: no read access to context");
-    crypto::Aes128 cipher(ctx.reader_enc[dir_index(dir)]);
+    const crypto::Aes128& cipher = ctx.reader_enc[dir_index(dir)].expanded();
     scratch.plain.clear();
     ++scratch.records;
     size_t capacity_before = scratch.plain.capacity();
@@ -127,20 +135,14 @@ void seal_record_into(const ContextKeys& ctx, const EndpointKeys& endpoint, Dire
     std::array<uint8_t, kMacSize> endpoint_mac, writer_mac, reader_mac;
     {
         StageTimer t(mac_slot(timing));
-        endpoint_mac = compute_mac_tag(endpoint.record_mac[d], seq, context_id, payload);
-        writer_mac = compute_mac_tag(ctx.writer_mac[d], seq, context_id, payload);
-        reader_mac = compute_mac_tag(ctx.reader_mac[d], seq, context_id, payload);
+        endpoint_mac = mac_tag(endpoint.record_mac[d], seq, context_id, payload);
+        writer_mac = mac_tag(ctx.writer_mac[d], seq, context_id, payload);
+        reader_mac = mac_tag(ctx.reader_mac[d], seq, context_id, payload);
     }
     if (timing) timing->macs += 3;
     StageTimer t(cipher_slot(timing));
-    crypto::Aes128 cipher(ctx.reader_enc[d]);
-    out.reserve(out.size() + sealed_record_size(payload.size()));
-    crypto::CbcEncryptStream enc(cipher, rng, out);
-    enc.update(payload);
-    enc.update(endpoint_mac);
-    enc.update(writer_mac);
-    enc.update(reader_mac);
-    enc.finish();
+    encrypt_fragment(ctx.reader_enc[d], {payload, endpoint_mac, writer_mac, reader_mac}, rng,
+                     out);
 }
 
 Bytes seal_record(const ContextKeys& ctx, const EndpointKeys& endpoint, Direction dir,
@@ -162,12 +164,11 @@ Result<EndpointOpenView> open_record_endpoint(const ContextKeys& ctx,
     size_t d = dir_index(dir);
     StageTimer t(mac_slot(timing));
     if (timing) timing->macs += 2;
-    auto expected_writer = compute_mac_tag(ctx.writer_mac[d], seq, context_id,
-                                           rec.value().payload);
+    auto expected_writer = mac_tag(ctx.writer_mac[d], seq, context_id, rec.value().payload);
     if (!crypto::ct_equal(expected_writer, rec.value().writer_mac))
         return err("mctls: illegal modification (writer MAC mismatch)");
     auto expected_endpoint =
-        compute_mac_tag(endpoint.record_mac[d], seq, context_id, rec.value().payload);
+        mac_tag(endpoint.record_mac[d], seq, context_id, rec.value().payload);
     EndpointOpenView out;
     out.payload = rec.value().payload;
     out.from_endpoint = crypto::ct_equal(expected_endpoint, rec.value().endpoint_mac);
@@ -197,8 +198,7 @@ Result<WriterOpenView> open_record_writer(const ContextKeys& ctx, Direction dir,
     size_t d = dir_index(dir);
     StageTimer t(mac_slot(timing));
     if (timing) timing->macs += 1;
-    auto expected_writer = compute_mac_tag(ctx.writer_mac[d], seq, context_id,
-                                           rec.value().payload);
+    auto expected_writer = mac_tag(ctx.writer_mac[d], seq, context_id, rec.value().payload);
     if (!crypto::ct_equal(expected_writer, rec.value().writer_mac))
         return err("mctls: illegal modification (writer MAC mismatch)");
     WriterOpenView out;
@@ -227,19 +227,13 @@ void reseal_record_writer_into(const ContextKeys& ctx, Direction dir, uint64_t s
     std::array<uint8_t, kMacSize> writer_mac, reader_mac;
     {
         StageTimer t(mac_slot(timing));
-        writer_mac = compute_mac_tag(ctx.writer_mac[d], seq, context_id, payload);
-        reader_mac = compute_mac_tag(ctx.reader_mac[d], seq, context_id, payload);
+        writer_mac = mac_tag(ctx.writer_mac[d], seq, context_id, payload);
+        reader_mac = mac_tag(ctx.reader_mac[d], seq, context_id, payload);
     }
     if (timing) timing->macs += 2;
     StageTimer t(cipher_slot(timing));
-    crypto::Aes128 cipher(ctx.reader_enc[d]);
-    out.reserve(out.size() + sealed_record_size(payload.size()));
-    crypto::CbcEncryptStream enc(cipher, rng, out);
-    enc.update(payload);
-    enc.update(endpoint_mac);
-    enc.update(writer_mac);
-    enc.update(reader_mac);
-    enc.finish();
+    encrypt_fragment(ctx.reader_enc[d], {payload, endpoint_mac, writer_mac, reader_mac}, rng,
+                     out);
 }
 
 Bytes reseal_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
@@ -260,8 +254,7 @@ Result<ConstBytes> open_record_reader(const ContextKeys& ctx, Direction dir, uin
     size_t d = dir_index(dir);
     StageTimer t(mac_slot(timing));
     if (timing) timing->macs += 1;
-    auto expected_reader = compute_mac_tag(ctx.reader_mac[d], seq, context_id,
-                                           rec.value().payload);
+    auto expected_reader = mac_tag(ctx.reader_mac[d], seq, context_id, rec.value().payload);
     if (!crypto::ct_equal(expected_reader, rec.value().reader_mac))
         return err("mctls: third-party modification (reader MAC mismatch)");
     return rec.value().payload;
@@ -281,14 +274,15 @@ Bytes seal_record_signed(const ContextKeys& ctx, const EndpointKeys& endpoint, D
                          ConstBytes signer_seed, Rng& rng)
 {
     size_t d = dir_index(dir);
-    Bytes endpoint_mac = compute_mac(endpoint.record_mac[d], seq, context_id, payload);
-    Bytes writer_mac = compute_mac(ctx.writer_mac[d], seq, context_id, payload);
-    Bytes reader_mac = compute_mac(ctx.reader_mac[d], seq, context_id, payload);
+    auto endpoint_mac = mac_tag(endpoint.record_mac[d], seq, context_id, payload);
+    auto writer_mac = mac_tag(ctx.writer_mac[d], seq, context_id, payload);
+    auto reader_mac = mac_tag(ctx.reader_mac[d], seq, context_id, payload);
     Bytes signature =
         crypto::ed25519_sign(signer_seed, record_mac_input(seq, context_id, payload));
-    return crypto::aes128_cbc_encrypt(
-        ctx.reader_enc[d], concat(payload, endpoint_mac, writer_mac, reader_mac, signature),
-        rng);
+    Bytes out;
+    encrypt_fragment(ctx.reader_enc[d], {payload, endpoint_mac, writer_mac, reader_mac, signature},
+                     rng, out);
+    return out;
 }
 
 Result<SignedOpen> open_record_reader_signed(const ContextKeys& ctx, Direction dir,
@@ -297,19 +291,20 @@ Result<SignedOpen> open_record_reader_signed(const ContextKeys& ctx, Direction d
 {
     if (!ctx.can_read()) return err("mctls: no read access to context");
     size_t d = dir_index(dir);
-    auto plain = crypto::aes128_cbc_decrypt(ctx.reader_enc[d], fragment);
+    auto plain = crypto::aes128_cbc_decrypt(ctx.reader_enc[d].expanded(), fragment);
     if (!plain) return plain.error();
     Bytes& data = plain.value();
     constexpr size_t kTrailer = 3 * kMacSize + crypto::kEd25519SignatureSize;
     if (data.size() < kTrailer) return err("mctls: signed record too short");
     size_t payload_len = data.size() - kTrailer;
     ConstBytes payload{data.data(), payload_len};
-    ConstBytes endpoint_mac{data.data() + payload_len, kMacSize};
     ConstBytes reader_mac{data.data() + payload_len + 2 * kMacSize, kMacSize};
     ConstBytes signature{data.data() + payload_len + 3 * kMacSize,
                          crypto::kEd25519SignatureSize};
 
-    Bytes expected_reader = compute_mac(ctx.reader_mac[d], seq, context_id, payload);
+    // The endpoint MAC is not checked: attribution is the signature's job
+    // in this mode.
+    auto expected_reader = mac_tag(ctx.reader_mac[d], seq, context_id, payload);
     if (!crypto::ct_equal(expected_reader, reader_mac))
         return err("mctls: third-party modification (reader MAC mismatch)");
     if (!crypto::ed25519_verify(signer_public, record_mac_input(seq, context_id, payload),
@@ -317,7 +312,6 @@ Result<SignedOpen> open_record_reader_signed(const ContextKeys& ctx, Direction d
         return err("mctls: reader/writer forgery (signature mismatch)");
     SignedOpen out;
     out.payload = to_bytes(payload);
-    (void)endpoint_mac;  // attribution is the signature's job in this mode
     return out;
 }
 

@@ -1,5 +1,7 @@
 #include "mctls/key_schedule.h"
 
+#include <array>
+
 #include "crypto/prf.h"
 #include "util/serde.h"
 
@@ -7,9 +9,43 @@ namespace mct::mctls {
 
 namespace {
 
-constexpr size_t kEncKeySize = 16;
+constexpr size_t kEncKeySize = crypto::Aes128::kKeySize;
 constexpr size_t kMacKeySize = 32;
 constexpr size_t kHalfSize = 32;
+
+// N bytes of PRF output on the stack, cut into keys by the callers.
+template <size_t N>
+std::array<uint8_t, N> key_block(const crypto::HmacKey& secret, std::string_view label,
+                                 ConstBytes seed)
+{
+    std::array<uint8_t, N> block{};
+    crypto::prf(secret, label, seed, block);
+    return block;
+}
+
+template <size_t N>
+std::array<uint8_t, N> key_block(ConstBytes secret, std::string_view label, ConstBytes seed)
+{
+    return key_block<N>(crypto::HmacKey(secret), label, seed);
+}
+
+void expand_reader_keys(ContextKeys& keys, ConstBytes reader_secret, ConstBytes seed)
+{
+    auto block = key_block<2 * kEncKeySize + 2 * kMacKeySize>(reader_secret, "reader keys", seed);
+    ConstBytes view{block};
+    keys.reader_enc[0] = view.subspan(0, kEncKeySize);
+    keys.reader_enc[1] = view.subspan(kEncKeySize, kEncKeySize);
+    keys.reader_mac[0] = view.subspan(2 * kEncKeySize, kMacKeySize);
+    keys.reader_mac[1] = view.subspan(2 * kEncKeySize + kMacKeySize, kMacKeySize);
+}
+
+void expand_writer_keys(ContextKeys& keys, ConstBytes writer_secret, ConstBytes seed)
+{
+    auto block = key_block<2 * kMacKeySize>(writer_secret, "writer keys", seed);
+    ConstBytes view{block};
+    keys.writer_mac[0] = view.subspan(0, kMacKeySize);
+    keys.writer_mac[1] = view.subspan(kMacKeySize, kMacKeySize);
+}
 
 }  // namespace
 
@@ -17,13 +53,13 @@ Bytes ContextKeys::serialize(bool writer) const
 {
     Writer w;
     w.u8(writer ? 1 : 0);
-    w.vec8(reader_enc[0]);
-    w.vec8(reader_enc[1]);
-    w.vec8(reader_mac[0]);
-    w.vec8(reader_mac[1]);
+    w.vec8(reader_enc[0].bytes());
+    w.vec8(reader_enc[1].bytes());
+    w.vec8(reader_mac[0].bytes());
+    w.vec8(reader_mac[1].bytes());
     if (writer) {
-        w.vec8(writer_mac[0]);
-        w.vec8(writer_mac[1]);
+        w.vec8(writer_mac[0].bytes());
+        w.vec8(writer_mac[1].bytes());
     }
     return w.take();
 }
@@ -37,6 +73,8 @@ Result<ContextKeys> ContextKeys::parse(ConstBytes wire)
     for (int d = 0; d < 2; ++d) {
         auto k = r.vec8();
         if (!k) return k.error();
+        // Installing expands the AES schedule, which needs exactly 16 bytes.
+        if (k.value().size() != kEncKeySize) return err("mctls: bad context key size");
         keys.reader_enc[d] = k.take();
     }
     for (int d = 0; d < 2; ++d) {
@@ -62,84 +100,71 @@ Bytes derive_shared_secret(ConstBytes pre_secret, ConstBytes rand_a, ConstBytes 
 
 AuthEncKey derive_pairwise_key(ConstBytes shared_secret, ConstBytes rand_a, ConstBytes rand_b)
 {
-    Bytes block = crypto::prf(shared_secret, "k", concat(rand_a, rand_b),
-                              kEncKeySize + kMacKeySize);
+    auto block = key_block<kEncKeySize + kMacKeySize>(shared_secret, "k", concat(rand_a, rand_b));
     ConstBytes view{block};
-    return AuthEncKey{to_bytes(view.subspan(0, kEncKeySize)),
-                      to_bytes(view.subspan(kEncKeySize, kMacKeySize))};
+    return AuthEncKey(view.subspan(0, kEncKeySize), view.subspan(kEncKeySize, kMacKeySize));
 }
 
 EndpointKeys derive_endpoint_keys(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s)
 {
-    Bytes block = crypto::prf(s_cs, "k", concat(rand_c, rand_s),
-                              2 * kMacKeySize + 2 * kEncKeySize + kEncKeySize + kMacKeySize);
+    auto block = key_block<2 * kMacKeySize + 2 * kEncKeySize + kEncKeySize + kMacKeySize>(
+        s_cs, "k", concat(rand_c, rand_s));
     ConstBytes view{block};
     size_t off = 0;
     EndpointKeys keys;
     for (int d = 0; d < 2; ++d) {
-        keys.record_mac[d] = to_bytes(view.subspan(off, kMacKeySize));
+        keys.record_mac[d] = view.subspan(off, kMacKeySize);
         off += kMacKeySize;
     }
     for (int d = 0; d < 2; ++d) {
-        keys.control_enc[d] = to_bytes(view.subspan(off, kEncKeySize));
+        keys.control_enc[d] = view.subspan(off, kEncKeySize);
         off += kEncKeySize;
     }
-    keys.key_material.enc_key = to_bytes(view.subspan(off, kEncKeySize));
+    keys.key_material.enc_key = view.subspan(off, kEncKeySize);
     off += kEncKeySize;
-    keys.key_material.mac_key = to_bytes(view.subspan(off, kMacKeySize));
+    keys.key_material.mac_key = view.subspan(off, kMacKeySize);
     return keys;
 }
 
 PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
                                        uint8_t context_id)
 {
-    Bytes seed = concat(rand_e, Bytes{context_id});
-    Bytes block = crypto::prf(endpoint_secret, "ck", seed, 2 * kHalfSize);
+    auto block =
+        key_block<2 * kHalfSize>(endpoint_secret, "ck", concat(rand_e, Bytes{context_id}));
     ConstBytes view{block};
     return PartialContextKeys{to_bytes(view.subspan(0, kHalfSize)),
                               to_bytes(view.subspan(kHalfSize, kHalfSize))};
 }
 
-namespace {
-
-ContextKeys expand_context_keys(ConstBytes reader_secret, ConstBytes writer_secret,
-                                ConstBytes seed)
+ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server_reader_half,
+                                ConstBytes rand_c, ConstBytes rand_s)
 {
     ContextKeys keys;
-    Bytes reader_block = crypto::prf(reader_secret, "reader keys", seed,
-                                     2 * kEncKeySize + 2 * kMacKeySize);
-    ConstBytes rv{reader_block};
-    keys.reader_enc[0] = to_bytes(rv.subspan(0, kEncKeySize));
-    keys.reader_enc[1] = to_bytes(rv.subspan(kEncKeySize, kEncKeySize));
-    keys.reader_mac[0] = to_bytes(rv.subspan(2 * kEncKeySize, kMacKeySize));
-    keys.reader_mac[1] = to_bytes(rv.subspan(2 * kEncKeySize + kMacKeySize, kMacKeySize));
-
-    Bytes writer_block = crypto::prf(writer_secret, "writer keys", seed, 2 * kMacKeySize);
-    ConstBytes wv{writer_block};
-    keys.writer_mac[0] = to_bytes(wv.subspan(0, kMacKeySize));
-    keys.writer_mac[1] = to_bytes(wv.subspan(kMacKeySize, kMacKeySize));
+    expand_reader_keys(keys, concat(client_reader_half, server_reader_half),
+                       concat(rand_c, rand_s));
     return keys;
 }
-
-}  // namespace
 
 ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                  const PartialContextKeys& server_half, ConstBytes rand_c,
                                  ConstBytes rand_s)
 {
-    Bytes seed = concat(rand_c, rand_s);
-    return expand_context_keys(concat(client_half.reader_half, server_half.reader_half),
-                               concat(client_half.writer_half, server_half.writer_half),
-                               seed);
+    ContextKeys keys =
+        combine_reader_keys(client_half.reader_half, server_half.reader_half, rand_c, rand_s);
+    expand_writer_keys(keys, concat(client_half.writer_half, server_half.writer_half),
+                       concat(rand_c, rand_s));
+    return keys;
 }
 
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id)
 {
     Bytes seed = concat(rand_c, rand_s, Bytes{context_id});
-    Bytes reader_secret = crypto::prf(s_cs, "ckd reader secret", seed, kHalfSize);
-    Bytes writer_secret = crypto::prf(s_cs, "ckd writer secret", seed, kHalfSize);
-    return expand_context_keys(reader_secret, writer_secret, seed);
+    crypto::HmacKey master(s_cs);
+    ContextKeys keys;
+    expand_reader_keys(keys, key_block<kHalfSize>(master, "ckd reader secret", seed), seed);
+    expand_writer_keys(keys, key_block<kHalfSize>(master, "ckd writer secret", seed), seed);
+    return keys;
 }
 
 void switch_direction_keys(std::map<uint8_t, ContextKeys>& current,

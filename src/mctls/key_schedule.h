@@ -36,21 +36,23 @@ inline Direction opposite(Direction d)
 
 // K_endpoints expansion: record MACs per direction, control-context (id 0)
 // encryption keys per direction, and the AuthEnc pair protecting key
-// material exchanged directly between the endpoints.
+// material exchanged directly between the endpoints. Every key is held
+// expanded (crypto/key.h): the record path never re-keys.
 struct EndpointKeys {
-    Bytes record_mac[2];  // 32 bytes each, indexed by Direction
-    Bytes control_enc[2];  // 16 bytes each
+    crypto::MacKey record_mac[2];     // 32 bytes each, indexed by Direction
+    crypto::CipherKey control_enc[2];  // 16 bytes each
     AuthEncKey key_material;
 
     bool valid() const { return !record_mac[0].empty(); }
 };
 
 // Final per-context keys. Readers hold the reader_* members; writers
-// additionally hold writer_mac.
+// additionally hold writer_mac. Assigning or clearing a member rebuilds or
+// drops its expanded state along with the raw bytes.
 struct ContextKeys {
-    Bytes reader_enc[2];  // 16 bytes each: context payload encryption
-    Bytes reader_mac[2];  // 32 bytes each
-    Bytes writer_mac[2];  // 32 bytes each; empty for read-only parties
+    crypto::CipherKey reader_enc[2];  // 16 bytes each: context payload encryption
+    crypto::MacKey reader_mac[2];     // 32 bytes each
+    crypto::MacKey writer_mac[2];     // 32 bytes each; empty for read-only parties
 
     bool can_read() const { return !reader_enc[0].empty(); }
     bool can_write() const { return !writer_mac[0].empty(); }
@@ -84,6 +86,12 @@ PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes ra
 ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                  const PartialContextKeys& server_half, ConstBytes rand_c,
                                  ConstBytes rand_s);
+
+// Reader-only combination for a party granted read access: the reader keys
+// of combine_context_keys from the two reader halves, and no writer key
+// (can_write() is false).
+ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server_reader_half,
+                                ConstBytes rand_c, ConstBytes rand_s);
 
 // Client-key-distribution mode (§3.6): complete context keys straight from
 // the endpoint master secret — both endpoints can compute them; middleboxes

@@ -237,8 +237,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
             // The echo accepts the abbreviated handshake: rejoin from the
             // cached pairwise keys; fresh key halves arrive sealed under them.
             resumed_ = true;
-            pairwise_client_ = resume_ticket_.pairwise_client;
-            pairwise_server_ = resume_ticket_.pairwise_server;
+            pairwise_client_ = AuthEncKey(resume_ticket_.pairwise_client);
+            pairwise_server_ = AuthEncKey(resume_ticket_.pairwise_server);
             core_.trace(obs::EventType::mbox_rejoin,
                         static_cast<uint16_t>(entity_index_), middleboxes_.size());
         } else if (!session_id_.empty() && session_id_ == offered_session_id_ &&
@@ -452,19 +452,15 @@ void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry
         for (const auto& se : server) {
             if (se.context_id != ce.context_id) continue;
             if (ce.reader_half.empty() || se.reader_half.empty()) continue;
-            PartialContextKeys client_half{ce.reader_half, ce.writer_half};
-            PartialContextKeys server_half{se.reader_half, se.writer_half};
+            // Write access needs both writer halves; a reader derives (and
+            // holds) no writer key at all.
             bool writer = !ce.writer_half.empty() && !se.writer_half.empty();
-            // combine_context_keys needs both halves for the writer secret;
-            // substitute zeros when read-only so derivation stays defined.
-            if (client_half.writer_half.empty()) client_half.writer_half = Bytes(32, 0);
-            if (server_half.writer_half.empty()) server_half.writer_half = Bytes(32, 0);
-            ContextKeys combined = combine_context_keys(client_half, server_half,
-                                                        client_random_, server_random_);
-            if (!writer) {
-                combined.writer_mac[0].clear();
-                combined.writer_mac[1].clear();
-            }
+            ContextKeys combined =
+                writer ? combine_context_keys({ce.reader_half, ce.writer_half},
+                                              {se.reader_half, se.writer_half}, client_random_,
+                                              server_random_)
+                       : combine_reader_keys(ce.reader_half, se.reader_half, client_random_,
+                                             server_random_);
             crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
             keys[ce.context_id] = std::move(combined);
             permissions[ce.context_id] = writer ? Permission::write : Permission::read;
@@ -479,8 +475,8 @@ MiddleboxTicket MiddleboxSession::ticket() const
     // pairwise keys would only poison a later rejoin attempt.
     if (!keys_ready_ || rejoin_missed_) return t;
     t.session_id = session_id_;
-    t.pairwise_client = pairwise_client_;
-    t.pairwise_server = pairwise_server_;
+    t.pairwise_client = pairwise_client_.raw();
+    t.pairwise_server = pairwise_server_.raw();
     return t;
 }
 
@@ -601,6 +597,12 @@ Permission MiddleboxSession::permission(uint8_t context_id) const
 {
     auto it = permissions_.find(context_id);
     return it == permissions_.end() ? Permission::none : it->second;
+}
+
+const ContextKeys* MiddleboxSession::context_keys(uint8_t context_id) const
+{
+    auto it = context_keys_.find(context_id);
+    return it == context_keys_.end() ? nullptr : &it->second;
 }
 
 Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& view)

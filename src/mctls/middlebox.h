@@ -123,6 +123,9 @@ public:
 
     // Effective permission (both halves received) for a context.
     Permission permission(uint8_t context_id) const;
+    // Installed keys for a context, or nullptr without access. A reader's
+    // keys hold no writer key at all (can_write() is false).
+    const ContextKeys* context_keys(uint8_t context_id) const;
     size_t entity_index() const { return entity_index_; }
     const std::vector<ContextDescription>& contexts() const { return contexts_; }
 

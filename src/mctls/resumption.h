@@ -53,7 +53,7 @@ struct ResumptionTicket {
     std::vector<MiddleboxInfo> middleboxes;
     std::vector<ContextDescription> contexts;       // client-requested permissions
     std::vector<std::vector<Permission>> granted;   // [context][middlebox]
-    std::vector<AuthEncKey> pairwise;               // per middlebox, this side's key
+    std::vector<AuthEncKeyBytes> pairwise;          // per middlebox, this side's key
 
     bool valid() const { return !session_id.empty() && !s_cs.empty(); }
     // Deep payload size for the cache's byte accounting: every heap block
@@ -84,8 +84,8 @@ public:
 // the abbreviated handshake, so nothing else needs caching.
 struct MiddleboxTicket {
     Bytes session_id;
-    AuthEncKey pairwise_client;  // K_C-M
-    AuthEncKey pairwise_server;  // K_S-M
+    AuthEncKeyBytes pairwise_client;  // K_C-M
+    AuthEncKeyBytes pairwise_server;  // K_S-M
 
     bool valid() const { return !session_id.empty(); }
     size_t memory_footprint() const

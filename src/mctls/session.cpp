@@ -593,9 +593,11 @@ void Session::derive_endpoint_secrets_from_scs()
     size_t send_dir = is_client_ ? 0 : 1;
     size_t recv_dir = 1 - send_dir;
     control_send_ = std::make_unique<tls::CbcHmacProtector>(
-        endpoint_keys_.control_enc[send_dir], endpoint_keys_.record_mac[send_dir]);
+        endpoint_keys_.control_enc[send_dir].expanded(),
+        endpoint_keys_.record_mac[send_dir].expanded());
     control_recv_ = std::make_unique<tls::CbcHmacProtector>(
-        endpoint_keys_.control_enc[recv_dir], endpoint_keys_.record_mac[recv_dir]);
+        endpoint_keys_.control_enc[recv_dir].expanded(),
+        endpoint_keys_.record_mac[recv_dir].expanded());
 
     if (ckd_) {
         for (const auto& ctx : contexts_) {
@@ -936,7 +938,7 @@ ResumptionTicket Session::ticket() const
     t.middleboxes = middleboxes_;
     t.contexts = contexts_;
     t.granted = granted_;
-    for (const auto& m : mbox_state_) t.pairwise.push_back(m.pairwise);
+    for (const auto& m : mbox_state_) t.pairwise.push_back(m.pairwise.raw());
     return t;
 }
 
@@ -981,7 +983,7 @@ bool Session::server_try_resumption(const tls::ClientHello& hello)
     }
     for (size_t i = 0; i < middleboxes_.size(); ++i) {
         int tm = t->find_middlebox(middleboxes_[i].name);
-        mbox_state_[i].pairwise = t->pairwise[static_cast<size_t>(tm)];
+        mbox_state_[i].pairwise = AuthEncKey(t->pairwise[static_cast<size_t>(tm)]);
     }
     return true;
 }
@@ -1026,7 +1028,7 @@ Status Session::client_accept_resumption(ConstBytes server_hello_wire)
         if (idx < 0 || static_cast<size_t>(idx) >= cfg_.ticket->pairwise.size())
             return core_.fail(AlertDescription::handshake_failure,
                               "mctls: resumed middlebox missing from ticket");
-        mbox_state_[i].pairwise = cfg_.ticket->pairwise[static_cast<size_t>(idx)];
+        mbox_state_[i].pairwise = AuthEncKey(cfg_.ticket->pairwise[static_cast<size_t>(idx)]);
     }
     append(resumed_transcript_, server_hello_wire);
     derive_endpoint_secrets_from_scs();

@@ -116,8 +116,13 @@ Result<std::optional<RecordView>> RecordCodec::next_view()
     return std::optional<RecordView>{view};
 }
 
-CbcHmacProtector::CbcHmacProtector(Bytes enc_key, Bytes mac_key)
-    : cipher_(enc_key), mac_key_(std::move(mac_key))
+CbcHmacProtector::CbcHmacProtector(const crypto::Aes128& cipher, const crypto::HmacKey& mac_key)
+    : cipher_(cipher), mac_key_(mac_key)
+{
+}
+
+CbcHmacProtector::CbcHmacProtector(ConstBytes enc_key, ConstBytes mac_key)
+    : cipher_(enc_key), mac_key_(mac_key)
 {
 }
 

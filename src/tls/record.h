@@ -104,12 +104,15 @@ private:
 };
 
 // One direction of CBC+HMAC record protection with its own sequence number.
-// The AES key schedule is expanded once at construction; protect_into /
-// unprotect_into append to caller-owned buffers so the steady-state record
-// path does no per-record heap allocation.
+// The AES key schedule and the HMAC midstates are expanded once at
+// construction; protect_into / unprotect_into append to caller-owned
+// buffers so the steady-state record path does no per-record heap
+// allocation and no re-keying.
 class CbcHmacProtector {
 public:
-    CbcHmacProtector(Bytes enc_key, Bytes mac_key);
+    CbcHmacProtector(const crypto::Aes128& cipher, const crypto::HmacKey& mac_key);
+    // Raw-key form: expands both keys once, here.
+    CbcHmacProtector(ConstBytes enc_key, ConstBytes mac_key);
 
     // Exact fragment size protect() produces for `payload_len` bytes.
     static constexpr size_t protected_size(size_t payload_len)
@@ -139,7 +142,7 @@ private:
                            size_t len) const;
 
     crypto::Aes128 cipher_;
-    Bytes mac_key_;
+    crypto::HmacKey mac_key_;
     uint64_t seq_ = 0;
 };
 

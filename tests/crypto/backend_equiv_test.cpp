@@ -358,6 +358,60 @@ TEST_F(BackendDifferential, Sha256AndHmacMatchAcrossSplits)
     }
 }
 
+// RFC 2104 straight from Sha256, independent of HmacKey's midstates.
+Bytes reference_hmac(ConstBytes key, ConstBytes data)
+{
+    Bytes k = key.size() > Sha256::kBlockSize ? Sha256::digest(key) : to_bytes(key);
+    k.resize(Sha256::kBlockSize, 0);
+    Bytes ipad = k, opad = k;
+    for (auto& b : ipad) b ^= 0x36;
+    for (auto& b : opad) b ^= 0x5c;
+    Sha256 inner;
+    inner.update(ipad);
+    inner.update(data);
+    auto inner_digest = inner.finish();
+    Sha256 outer;
+    outer.update(opad);
+    outer.update(inner_digest);
+    auto tag = outer.finish();
+    return Bytes(tag.begin(), tag.end());
+}
+
+// The keyed path (HmacKey midstates, one-block outer hash) against the
+// one-shot raw-key path and the reference, on every compiled backend, for
+// keys below, at and above the block size and messages across three blocks.
+TEST(BackendCavp, KeyedHmacMatchesOneShotAcrossLengths)
+{
+    TestRng rng(211);
+    Bytes message = rng.bytes(200);
+    for (size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 131u}) {
+        Bytes key = rng.bytes(key_len);
+        std::vector<Bytes> first_backend_tags;
+        for (const CryptoDispatch* d : all_backends()) {
+            ScopedDispatchOverride pin(*d);
+            HmacKey keyed(key);
+            std::vector<Bytes> tags;
+            for (size_t len = 0; len <= message.size(); ++len) {
+                ConstBytes data = ConstBytes{message}.first(len);
+                Bytes one_shot = HmacSha256::mac(key, data);
+                ASSERT_EQ(one_shot, reference_hmac(key, data))
+                    << d->name << " key=" << key_len << " len=" << len;
+                HmacSha256 mac(keyed);
+                mac.update(data.first(len / 3));
+                mac.update(data.subspan(len / 3));
+                auto tag = mac.finish_tag();
+                ASSERT_EQ(Bytes(tag.begin(), tag.end()), one_shot)
+                    << d->name << " key=" << key_len << " len=" << len;
+                tags.push_back(one_shot);
+            }
+            if (first_backend_tags.empty())
+                first_backend_tags = tags;
+            else
+                ASSERT_EQ(tags, first_backend_tags) << d->name << " key=" << key_len;
+        }
+    }
+}
+
 TEST_F(BackendDifferential, RawDecryptIntoMatches)
 {
     TestRng rng(210);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+
+#include "crypto/sha2.h"
 
 namespace mct::crypto {
 namespace {
@@ -58,6 +61,31 @@ TEST(HmacDrbg, OutputLooksUniform)
     Bytes buf = rng.bytes(4096);
     std::set<uint8_t> seen(buf.begin(), buf.end());
     EXPECT_EQ(seen.size(), 256u);  // all byte values appear in 4 KiB w.h.p.
+}
+
+// Pins the HMAC-DRBG output stream across implementation changes: 1 MiB
+// drawn in odd chunk sizes (every fill() ends with its own state update, so
+// chunking is part of the stream), reseeded at one and two thirds. The
+// digest was computed with the Bytes-based implementation this replaced.
+TEST(HmacDrbg, StreamMatchesPinnedDigest)
+{
+    HmacDrbg drbg(str_to_bytes("drbg pinned stream"));
+    constexpr size_t kTotal = size_t{1} << 20;
+    constexpr size_t kChunks[] = {1, 15, 17, 31, 33, 63, 1001};
+    Bytes stream(kTotal);
+    size_t produced = 0;
+    int reseeds = 0;
+    for (size_t i = 0; produced < kTotal; ++i) {
+        if (reseeds < 2 && produced >= (reseeds + 1) * kTotal / 3) {
+            drbg.reseed(str_to_bytes(reseeds == 0 ? "reseed one" : "reseed two"));
+            ++reseeds;
+        }
+        size_t take = std::min(kChunks[i % 7], kTotal - produced);
+        drbg.fill(MutableBytes{stream.data() + produced, take});
+        produced += take;
+    }
+    EXPECT_EQ(to_hex(Sha256::digest(stream)),
+              "364672f7bc8d75c4b1a8bff28560b11d2b408da0d785fedc9f671bf0720d601a");
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "crypto/hmac.h"
+#include "crypto/sha2.h"
 
 namespace mct::crypto {
 namespace {
@@ -60,6 +63,35 @@ TEST(Prf, MatchesManualPSha256FirstBlock)
     Bytes a1 = HmacSha256::mac(secret, label_seed);
     Bytes expected = HmacSha256::mac(secret, concat(a1, label_seed));
     EXPECT_EQ(prf(secret, "test label", seed, 32), expected);
+}
+
+// Pins the PRF stream across implementation changes: SHA-256 over the
+// outputs of a grid of secret lengths (below, at and above the HMAC block
+// size), labels, seed lengths and output lengths. The digest was computed
+// with the allocating one-shot implementation this keyed overload replaced.
+TEST(Prf, SeededGridMatchesPinnedDigest)
+{
+    Sha256 all;
+    Bytes out;
+    for (size_t secret_len : {0u, 32u, 48u, 64u, 65u, 100u}) {
+        Bytes secret(secret_len);
+        for (size_t i = 0; i < secret_len; ++i)
+            secret[i] = static_cast<uint8_t>(0x11 * (i + 1) + secret_len);
+        HmacKey key(secret);
+        for (std::string_view label : {"", "k", "reader keys"}) {
+            for (size_t seed_len = 0; seed_len <= 80; ++seed_len) {
+                Bytes seed(seed_len);
+                for (size_t i = 0; i < seed_len; ++i) seed[i] = static_cast<uint8_t>(31 * i + 7);
+                for (size_t n = 0; n <= 200; ++n) {
+                    out.assign(n, 0);
+                    prf(key, label, seed, out);
+                    all.update(out);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(to_hex(all.finish()),
+              "c0b4489bcf028cbe9ac9ff062a0f35b5387ffcf002b6a6b7e3306cec48592e7e");
 }
 
 }  // namespace

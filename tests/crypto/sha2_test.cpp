@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/bytes.h"
 
 namespace mct::crypto {
@@ -54,14 +56,29 @@ TEST(Sha256, IncrementalMatchesOneShot)
 
 TEST(Sha256, BlockBoundaryLengths)
 {
-    // Every length around the 64-byte block edge hashes without error and
-    // distinct inputs give distinct digests.
-    Bytes prev;
-    for (size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 127u, 128u, 129u}) {
-        Bytes input(len, 0x5a);
-        Bytes d = Sha256::digest(input);
-        EXPECT_NE(d, prev);
-        prev = d;
+    // finish() pads in place: lengths up to 55 fit the length field in the
+    // final block, 56..63 need one more block, and whole blocks pad into a
+    // fresh one. Digests of 0x5a * len from Python's hashlib.sha256.
+    const std::pair<size_t, const char*> kVectors[] = {
+        {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        {55, "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44"},
+        {56, "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a"},
+        {57, "30ab35131f9b368e840dc65fc1eb832706e748e3c5e44ec40bc19cd1ce5c0dc2"},
+        {63, "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333"},
+        {64, "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282"},
+        {65, "b8de0db62b6c87db61345504a8038bf973d987e8d2111abd8beb407c0bf3d9db"},
+        {119, "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e"},
+        {120, "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee"},
+        {127, "f4651f880655488aadc1ea0287ef8954296d9e7487a642bd4800744e15ee3771"},
+        {128, "349d65e9ba1de7b0a13f9a3eadcc5b0202f15d6008fe9477f2a7b80f6194b20f"},
+        {129, "651526df875ac6cec56a649780e20fc4b9c71df77afb62199bf15864cb1f1241"},
+    };
+    for (const auto& [len, hex] : kVectors) {
+        EXPECT_EQ(to_hex(Sha256::digest(Bytes(len, 0x5a))), hex) << "len " << len;
+        // Byte-at-a-time updates reach finish() with every buffered count.
+        Sha256 h;
+        for (size_t i = 0; i < len; ++i) h.update(Bytes{0x5a});
+        EXPECT_EQ(to_hex(h.finish()), hex) << "len " << len << " bytewise";
     }
 }
 

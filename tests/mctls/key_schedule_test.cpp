@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
+
 #include "util/rng.h"
 
 namespace mct::mctls {
@@ -91,6 +93,52 @@ TEST_F(KsFixture, ReaderAndWriterKeysIndependent)
     ContextKeys b = combine_context_keys(ch, sh2, rand_c, rand_s);
     EXPECT_EQ(a.reader_enc[0], b.reader_enc[0]);
     EXPECT_NE(a.writer_mac[0], b.writer_mac[0]);
+}
+
+TEST_F(KsFixture, ReaderOnlyCombineMatchesReaderKeysWithoutWriterKey)
+{
+    PartialContextKeys c = derive_partial_keys(rng.bytes(32), rand_c, 1);
+    PartialContextKeys s = derive_partial_keys(rng.bytes(32), rand_s, 1);
+    ContextKeys full = combine_context_keys(c, s, rand_c, rand_s);
+    ContextKeys reader = combine_reader_keys(c.reader_half, s.reader_half, rand_c, rand_s);
+    EXPECT_TRUE(reader.can_read());
+    EXPECT_FALSE(reader.can_write());
+    for (int d = 0; d < 2; ++d) {
+        EXPECT_EQ(reader.reader_enc[d], full.reader_enc[d]);
+        EXPECT_EQ(reader.reader_mac[d], full.reader_mac[d]);
+        EXPECT_TRUE(reader.writer_mac[d].empty());
+    }
+}
+
+TEST_F(KsFixture, OverwritingAKeyChangesTheKeyInUse)
+{
+    // Raw bytes and expanded state are one value: assigning new bytes
+    // re-expands, clearing drops both (an empty key MACs as the empty key).
+    auto tag = [](const crypto::MacKey& key) {
+        crypto::HmacSha256 mac(key.expanded());
+        mac.update(str_to_bytes("record"));
+        return mac.finish();
+    };
+    ContextKeys keys = derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 1);
+    Bytes derived = tag(keys.writer_mac[0]);
+    EXPECT_EQ(derived, crypto::HmacSha256::mac(keys.writer_mac[0].bytes(), str_to_bytes("record")));
+    keys.writer_mac[0] = Bytes(32, 0);
+    EXPECT_NE(tag(keys.writer_mac[0]), derived);
+    EXPECT_EQ(tag(keys.writer_mac[0]),
+              crypto::HmacSha256::mac(Bytes(32, 0), str_to_bytes("record")));
+    keys.writer_mac[0].clear();
+    EXPECT_TRUE(keys.writer_mac[0].empty());
+    EXPECT_EQ(tag(keys.writer_mac[0]), crypto::HmacSha256::mac({}, str_to_bytes("record")));
+}
+
+TEST_F(KsFixture, ParseRejectsWrongSizeEncryptionKey)
+{
+    ContextKeys keys = derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 1);
+    Bytes wire = keys.serialize(false);
+    ASSERT_TRUE(ContextKeys::parse(wire).ok());
+    wire[1] = 15;  // first reader_enc length prefix: one byte short
+    wire.erase(wire.begin() + 2);
+    EXPECT_FALSE(ContextKeys::parse(wire).ok());
 }
 
 TEST_F(KsFixture, CkdKeysVaryByContext)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
+#include "mctls/context_crypto.h"
+
 #include "tests/mctls/harness.h"
 
 namespace mct::mctls {
@@ -67,6 +70,51 @@ TEST(McTlsHandshake, PerMiddleboxPermissionsHonored)
     ASSERT_TRUE(env.all_complete());
     EXPECT_EQ(env.mboxes[0]->permission(1), Permission::read);
     EXPECT_EQ(env.mboxes[1]->permission(1), Permission::none);
+}
+
+TEST(McTlsHandshake, ReadOnlyMiddleboxHoldsNoWriterKey)
+{
+    // Contributory mode: a middlebox granted read access combines only the
+    // reader halves, so it holds reader keys and no writer key at all: no
+    // raw bytes, and the only writer MAC it can compute is the empty key's.
+    // It cannot open as a writer.
+    ChainEnv env;
+    env.build(1, {ctx_row(1, "headers", 1, Permission::read),
+                  ctx_row(2, "body", 1, Permission::write)});
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+
+    const ContextKeys* reader = env.mboxes[0]->context_keys(1);
+    const ContextKeys* writer = env.mboxes[0]->context_keys(2);
+    ASSERT_NE(reader, nullptr);
+    ASSERT_NE(writer, nullptr);
+    EXPECT_TRUE(reader->can_read());
+    EXPECT_FALSE(reader->can_write());
+    EXPECT_TRUE(writer->can_write());
+    auto tag = [](const crypto::MacKey& key) {
+        crypto::HmacSha256 mac(key.expanded());
+        return mac.finish();
+    };
+    for (int d = 0; d < 2; ++d) {
+        EXPECT_TRUE(reader->writer_mac[d].empty());
+        EXPECT_EQ(tag(reader->writer_mac[d]), crypto::HmacSha256::mac({}, {}));
+        EXPECT_EQ(tag(writer->writer_mac[d]),
+                  crypto::HmacSha256::mac(writer->writer_mac[d].bytes(), {}));
+    }
+
+    // The client's first record on the read-only context: the middlebox's
+    // keys open it as a reader and are refused as a writer.
+    ASSERT_TRUE(env.client->send_app_data(1, str_to_bytes("GET /")).ok());
+    auto units = env.client->take_write_units();
+    ASSERT_EQ(units.size(), 1u);
+    constexpr size_t kHeader = 6;  // type, version, context id, length
+    ConstBytes fragment = ConstBytes{units[0]}.subspan(kHeader);
+    auto as_writer = open_record_writer(*reader, Direction::client_to_server, 0, 1, fragment);
+    ASSERT_FALSE(as_writer.ok());
+    EXPECT_EQ(as_writer.error().message, "mctls: no write access to context");
+    auto as_reader = open_record_reader(*reader, Direction::client_to_server, 0, 1, fragment);
+    ASSERT_TRUE(as_reader.ok()) << as_reader.error().message;
+    EXPECT_EQ(as_reader.value(), str_to_bytes("GET /"));
 }
 
 TEST(McTlsData, EndToEndBothDirections)
