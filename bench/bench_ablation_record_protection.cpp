@@ -9,8 +9,9 @@
 // Paper claim being probed: "an efficient fine-grained access control
 // mechanism which we show comes at very low cost".
 //
-// Measures the zero-copy data plane (seal_record_into / scratch-based opens
-// with pooled buffers) — the path the sessions and middlebox actually run.
+// Measures the zero-copy data plane (seal_record_into into one reused wire
+// buffer, scratch-based opens) — the path the sessions and middlebox
+// actually run.
 // Series names and loop shape match bench/baselines/pre/, which was captured
 // from the pre-fast-path implementation, so the JSON emitted here diffs
 // directly against it (scripts/bench_baseline.sh). Emits
@@ -26,7 +27,6 @@
 #include "crypto/ed25519.h"
 #include "mctls/context_crypto.h"
 #include "tls/record.h"
-#include "util/buffer_pool.h"
 #include "util/rng.h"
 
 using namespace mct;
@@ -40,9 +40,19 @@ int main()
     mctls::ContextKeys ctx = mctls::derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 1);
     tls::CbcHmacProtector tls_seal(rng.bytes(16), rng.bytes(32));
 
-    BufferPool pool;
     mctls::RecordScratch scratch;
+    // One seal buffer for every record: cleared before each seal, it keeps
+    // its high-water capacity, so each growth is one seal-side allocation.
+    Bytes wire;
     uint64_t sealed_records = 0;
+    uint64_t seal_heap_allocations = 0;
+    auto seal_into_wire = [&](auto&& seal) {
+        size_t capacity = wire.capacity();
+        wire.clear();
+        seal(wire);
+        if (wire.capacity() != capacity) ++seal_heap_allocations;
+        ++sealed_records;
+    };
 
     std::vector<size_t> sizes{16, 64, 256, 512, 1460, 4096, 15000};
     if (bench::smoke_mode()) sizes = {64, 1460};
@@ -51,10 +61,10 @@ int main()
         std::string x = std::to_string(size) + "B";
         uint64_t seq = 0;
         report.point("mctls_seal", x, bench::ops_per_sec([&] {
-            PooledBuffer wire(pool, mctls::sealed_record_size(payload.size()));
-            mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server, seq++, 1,
-                                    payload, rng, *wire);
-            ++sealed_records;
+            seal_into_wire([&](Bytes& out) {
+                mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server, seq++,
+                                        1, payload, rng, out);
+            });
         }));
         Bytes frag =
             mctls::seal_record(ctx, endpoint, mctls::Direction::client_to_server, 7, 1, payload, rng);
@@ -71,16 +81,16 @@ int main()
         report.point("mctls_writer_rewrite", x, bench::ops_per_sec([&] {
             auto opened =
                 mctls::open_record_writer(ctx, mctls::Direction::client_to_server, 7, 1, frag, scratch);
-            PooledBuffer wire(pool, mctls::sealed_record_size(payload.size()));
-            mctls::reseal_record_writer_into(ctx, mctls::Direction::client_to_server, 7, 1,
-                                             opened.value().payload, opened.value().endpoint_mac,
-                                             rng, *wire);
-            ++sealed_records;
+            seal_into_wire([&](Bytes& out) {
+                mctls::reseal_record_writer_into(ctx, mctls::Direction::client_to_server, 7, 1,
+                                                 opened.value().payload,
+                                                 opened.value().endpoint_mac, rng, out);
+            });
         }));
         report.point("tls_seal", x, bench::ops_per_sec([&] {
-            PooledBuffer wire(pool, tls::CbcHmacProtector::protected_size(payload.size()));
-            tls_seal.protect_into(tls::ContentType::application_data, 0, payload, rng, *wire);
-            ++sealed_records;
+            seal_into_wire([&](Bytes& out) {
+                tls_seal.protect_into(tls::ContentType::application_data, 0, payload, rng, out);
+            });
         }));
         // Full record seal with the crypto pinned to the portable scalar
         // table: what the paper's numbers look like without AES-NI/SHA-NI,
@@ -88,10 +98,10 @@ int main()
         {
             crypto::ScopedDispatchOverride pin(crypto::scalar_dispatch());
             report.point("mctls_seal@scalar", x, bench::ops_per_sec([&] {
-                PooledBuffer wire(pool, mctls::sealed_record_size(payload.size()));
-                mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server, seq++,
-                                        1, payload, rng, *wire);
-                ++sealed_records;
+                seal_into_wire([&](Bytes& out) {
+                    mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server,
+                                            seq++, 1, payload, rng, out);
+                });
             }));
         }
     }
@@ -119,13 +129,13 @@ int main()
     }
 
     // Zero-allocation pin: in steady state the open scratch and the seal
-    // pool stop allocating, so records-per-allocation is the headline
+    // buffer stop allocating, so records-per-allocation is the headline
     // counter — it collapses to ~1 if the fast path regresses.
     report.metrics().counter("open_records")->set(scratch.records);
     report.metrics().counter("open_heap_allocations")->set(scratch.heap_allocations);
     report.metrics().counter("seal_records")->set(sealed_records);
-    report.metrics().counter("seal_heap_allocations")->set(pool.stats().heap_allocations);
-    uint64_t total_allocs = scratch.heap_allocations + pool.stats().heap_allocations;
+    report.metrics().counter("seal_heap_allocations")->set(seal_heap_allocations);
+    uint64_t total_allocs = scratch.heap_allocations + seal_heap_allocations;
     report.metrics().counter("records_per_allocation")
         ->set((scratch.records + sealed_records) / (total_allocs ? total_allocs : 1));
 

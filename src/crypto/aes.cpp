@@ -204,22 +204,6 @@ void aes128_cbc_decrypt_blocks_scalar(const uint8_t rk[176], const uint8_t drk[1
     }
 }
 
-void aes128_ctr_xor_scalar(const uint8_t rk[176], uint8_t counter[16], const uint8_t* in,
-                           uint8_t* out, size_t len)
-{
-    size_t off = 0;
-    while (off < len) {
-        uint8_t keystream[16];
-        aes128_encrypt_block_scalar(rk, counter, keystream);
-        size_t take = std::min<size_t>(16, len - off);
-        for (size_t i = 0; i < take; ++i) out[off + i] = in[off + i] ^ keystream[i];
-        off += take;
-        for (int i = 15; i >= 0; --i) {
-            if (++counter[i] != 0) break;
-        }
-    }
-}
-
 }  // namespace detail
 
 Aes128::Aes128(ConstBytes key) : dispatch_(&dispatch())
@@ -302,18 +286,6 @@ void aes128_cbc_encrypt_into(const Aes128& cipher, ConstBytes plaintext, Rng& rn
     stream.finish();
 }
 
-Bytes aes128_cbc_encrypt(const Aes128& cipher, ConstBytes plaintext, Rng& rng)
-{
-    Bytes out;
-    aes128_cbc_encrypt_into(cipher, plaintext, rng, out);
-    return out;
-}
-
-Bytes aes128_cbc_encrypt(ConstBytes key, ConstBytes plaintext, Rng& rng)
-{
-    return aes128_cbc_encrypt(Aes128(key), plaintext, rng);
-}
-
 bool aes128_cbc_decrypt_raw_into(const Aes128& cipher, ConstBytes iv_and_ciphertext, Bytes& out)
 {
     constexpr size_t B = Aes128::kBlockSize;
@@ -351,33 +323,6 @@ Result<size_t> aes128_cbc_decrypt_into(const Aes128& cipher, ConstBytes iv_and_c
     }
     out.resize(out.size() - pad);
     return out.size() - base;
-}
-
-Result<Bytes> aes128_cbc_decrypt(ConstBytes key, ConstBytes iv_and_ciphertext)
-{
-    return aes128_cbc_decrypt(Aes128(key), iv_and_ciphertext);
-}
-
-Result<Bytes> aes128_cbc_decrypt(const Aes128& cipher, ConstBytes iv_and_ciphertext)
-{
-    Bytes out;
-    auto n = aes128_cbc_decrypt_into(cipher, iv_and_ciphertext, out);
-    if (!n) return n.error();
-    return out;
-}
-
-Result<Bytes> aes128_ctr(ConstBytes key, ConstBytes nonce16, ConstBytes data)
-{
-    if (key.size() != Aes128::kKeySize) return err("ctr: key must be 16 bytes");
-    if (nonce16.size() != 16) return err("ctr: nonce must be 16 bytes");
-    Aes128 cipher(key);
-    uint8_t counter[16];
-    std::memcpy(counter, nonce16.data(), 16);
-    Bytes out(data.size());
-    if (!data.empty())
-        cipher.backend().aes128_ctr_xor(cipher.round_keys(), counter, data.data(), out.data(),
-                                        data.size());
-    return out;
 }
 
 }  // namespace mct::crypto

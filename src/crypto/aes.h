@@ -1,4 +1,4 @@
-// AES-128 (FIPS 197) block cipher plus CBC (PKCS#7) and CTR modes.
+// AES-128 (FIPS 197) block cipher plus CBC mode with PKCS#7 padding.
 //
 // The S-box and round constants are derived from their algebraic definition
 // (GF(2^8) inversion + affine map) at compile time and the cipher is
@@ -7,7 +7,7 @@
 //
 // All bulk work routes through the active crypto dispatch table
 // (crypto/cpu.h): AES-NI on CPUs that have it, the portable scalar code
-// otherwise. Ciphertext bytes are identical either way (CBC/CTR are
+// otherwise. Ciphertext bytes are identical either way (CBC is
 // deterministic in key, IV and input); tests/crypto/backend_equiv_test.cpp
 // holds the two arms to byte equality.
 #pragma once
@@ -52,14 +52,6 @@ private:
     const CryptoDispatch* dispatch_;
 };
 
-// CBC with PKCS#7 padding; the IV is prepended to the ciphertext
-// (TLS 1.2 explicit-IV style).
-Bytes aes128_cbc_encrypt(const Aes128& cipher, ConstBytes plaintext, Rng& rng);
-Result<Bytes> aes128_cbc_decrypt(const Aes128& cipher, ConstBytes iv_and_ciphertext);
-// Raw-key forms: expand `key` for this one call.
-Bytes aes128_cbc_encrypt(ConstBytes key, ConstBytes plaintext, Rng& rng);
-Result<Bytes> aes128_cbc_decrypt(ConstBytes key, ConstBytes iv_and_ciphertext);
-
 // Exact IV+ciphertext size CBC produces for `plaintext_len` plaintext bytes.
 constexpr size_t cbc_ciphertext_size(size_t plaintext_len)
 {
@@ -69,7 +61,7 @@ constexpr size_t cbc_ciphertext_size(size_t plaintext_len)
 
 // Streaming CBC encryption: appends IV and ciphertext to `out` as data
 // arrives, so callers can encrypt multiple spans (payload || MACs) without
-// concatenating them first. Wire-identical to aes128_cbc_encrypt over the
+// concatenating them first. Wire-identical to aes128_cbc_encrypt_into over the
 // concatenation of all update() spans. finish() must be called exactly once;
 // it appends the final PKCS#7-padded block. The stream owns the tail of
 // `out` while alive: the caller must not append to (or shrink) `out`
@@ -93,11 +85,12 @@ private:
     size_t pending_len_ = 0;
 };
 
-// Append-to-buffer variants for the record fast path; they reuse a cached
-// key schedule and an existing output buffer so steady-state callers do no
-// per-record heap allocation. `plaintext` may view into `out` (e.g. sealing
-// a buffer onto its own tail) provided the caller reserved capacity so the
-// append does not reallocate.
+// CBC with PKCS#7 padding; a fresh IV is drawn from `rng` and prepended to
+// the ciphertext (TLS 1.2 explicit-IV style). Every CBC call appends to a
+// caller-owned buffer and takes an already-expanded key schedule, so
+// steady-state callers do no per-record heap allocation or key expansion.
+// `plaintext` may view into `out` (e.g. sealing a buffer onto its own tail)
+// provided the caller reserved capacity so the append does not reallocate.
 void aes128_cbc_encrypt_into(const Aes128& cipher, ConstBytes plaintext, Rng& rng, Bytes& out);
 
 // Appends the decrypted, still-padded plaintext to `out`; returns false if
@@ -109,13 +102,10 @@ bool aes128_cbc_decrypt_raw_into(const Aes128& cipher, ConstBytes iv_and_ciphert
 // PKCS#7 pad length of a raw-decrypted buffer; 0 means invalid padding.
 size_t pkcs7_padding(ConstBytes padded);
 
-// Appends the unpadded plaintext to `out` and returns its length.
+// Appends the unpadded plaintext to `out` and returns its length. On a bad
+// length or bad padding it returns an error and leaves `out` exactly as it
+// was, so callers may decrypt onto the tail of a buffer they still use.
 Result<size_t> aes128_cbc_decrypt_into(const Aes128& cipher, ConstBytes iv_and_ciphertext,
                                        Bytes& out);
-
-// CTR keystream mode; nonce is 16 bytes used as the initial counter block.
-// A wrong-sized key or nonce is reported as an error (never thrown), so the
-// record layer has no throwing crypto edge.
-Result<Bytes> aes128_ctr(ConstBytes key, ConstBytes nonce16, ConstBytes data);
 
 }  // namespace mct::crypto

@@ -3,17 +3,14 @@
 // Compiled with -maes (CMake adds the flags on x86 only); nothing here runs
 // unless the CPUID probe reported AES-NI support, so the unguarded
 // intrinsics are safe. Every function is the byte-identical counterpart of
-// its scalar reference in aes.cpp: same schedules, same chaining, same
-// counter semantics — the differential suite in
-// tests/crypto/backend_equiv_test.cpp holds the two to equality.
+// its scalar reference in aes.cpp: same schedules, same chaining — the
+// differential suite in tests/crypto/backend_equiv_test.cpp holds the two
+// to equality.
 #include "crypto/cpu.h"
 
 #ifdef MCT_X86_CRYPTO_BACKENDS
 
 #include <immintrin.h>
-
-#include <algorithm>
-#include <cstring>
 
 namespace mct::crypto::detail {
 
@@ -147,57 +144,6 @@ void aes128_cbc_decrypt_blocks_aesni(const uint8_t rk176[176], const uint8_t drk
         t = _mm_aesdeclast_si128(t, dk[10]);
         store(out + 16 * b, _mm_xor_si128(t, prev));
         prev = c;
-    }
-}
-
-void aes128_ctr_xor_aesni(const uint8_t rk176[176], uint8_t counter[16], const uint8_t* in,
-                          uint8_t* out, size_t len)
-{
-    __m128i rk[11];
-    load_schedule(rk176, rk);
-    // Counter blocks are produced by the scalar big-endian increment (the
-    // carry can ripple through all 16 bytes, which SIMD increments get
-    // wrong at the 64-bit seam); generating them costs a few cycles per
-    // block next to 10 AESENC rounds. Four keystream blocks run in flight.
-    auto bump = [&] {
-        for (int i = 15; i >= 0; --i) {
-            if (++counter[i] != 0) break;
-        }
-    };
-    size_t off = 0;
-    while (len - off >= 64) {
-        uint8_t ctrs[64];
-        for (int b = 0; b < 4; ++b) {
-            std::memcpy(ctrs + 16 * b, counter, 16);
-            bump();
-        }
-        __m128i t0 = _mm_xor_si128(load(ctrs), rk[0]);
-        __m128i t1 = _mm_xor_si128(load(ctrs + 16), rk[0]);
-        __m128i t2 = _mm_xor_si128(load(ctrs + 32), rk[0]);
-        __m128i t3 = _mm_xor_si128(load(ctrs + 48), rk[0]);
-        for (int r = 1; r < 10; ++r) {
-            t0 = _mm_aesenc_si128(t0, rk[r]);
-            t1 = _mm_aesenc_si128(t1, rk[r]);
-            t2 = _mm_aesenc_si128(t2, rk[r]);
-            t3 = _mm_aesenc_si128(t3, rk[r]);
-        }
-        t0 = _mm_aesenclast_si128(t0, rk[10]);
-        t1 = _mm_aesenclast_si128(t1, rk[10]);
-        t2 = _mm_aesenclast_si128(t2, rk[10]);
-        t3 = _mm_aesenclast_si128(t3, rk[10]);
-        store(out + off, _mm_xor_si128(load(in + off), t0));
-        store(out + off + 16, _mm_xor_si128(load(in + off + 16), t1));
-        store(out + off + 32, _mm_xor_si128(load(in + off + 32), t2));
-        store(out + off + 48, _mm_xor_si128(load(in + off + 48), t3));
-        off += 64;
-    }
-    while (off < len) {
-        uint8_t keystream[16];
-        store(keystream, encrypt_one(rk, load(counter)));
-        size_t take = std::min<size_t>(16, len - off);
-        for (size_t i = 0; i < take; ++i) out[off + i] = in[off + i] ^ keystream[i];
-        off += take;
-        bump();
     }
 }
 

@@ -35,7 +35,6 @@ constexpr CryptoDispatch kScalar = {
     detail::aes128_decrypt_block_scalar,
     detail::aes128_cbc_encrypt_blocks_scalar,
     detail::aes128_cbc_decrypt_blocks_scalar,
-    detail::aes128_ctr_xor_scalar,
     detail::sha256_compress_scalar,
 };
 
@@ -57,7 +56,6 @@ const CryptoDispatch* build_accelerated()
             t.aes128_decrypt_block = detail::aes128_decrypt_block_aesni;
             t.aes128_cbc_encrypt_blocks = detail::aes128_cbc_encrypt_blocks_aesni;
             t.aes128_cbc_decrypt_blocks = detail::aes128_cbc_decrypt_blocks_aesni;
-            t.aes128_ctr_xor = detail::aes128_ctr_xor_aesni;
         }
         if (sha) t.sha256_compress = detail::sha256_compress_shani;
         t.name = aes && sha ? "aesni+shani" : (aes ? "aesni" : "shani");

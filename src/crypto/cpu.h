@@ -1,11 +1,11 @@
 // CPU feature probe and the crypto dispatch table.
 //
 // Every bulk symmetric primitive behind the src/crypto API (AES-128
-// block/CBC/CTR, the SHA-256 compression function) routes through one
+// block and CBC, the SHA-256 compression function) routes through one
 // CryptoDispatch table of function pointers. The portable scalar
 // implementations (aes.cpp, sha2.cpp) are always present and are the
 // reference the hardware backends (aes_ni.cpp, sha2_ni.cpp) must match
-// byte-for-byte: CBC/CTR/SHA-256 are deterministic functions of key, IV and
+// byte-for-byte: CBC and SHA-256 are deterministic functions of key, IV and
 // input, so wire bytes are identical no matter which table ran — the
 // backend-equivalence tests (tests/crypto/backend_equiv_test.cpp) and the
 // golden record tests pin this.
@@ -56,11 +56,6 @@ struct CryptoDispatch {
     void (*aes128_cbc_decrypt_blocks)(const uint8_t rk[176], const uint8_t drk[176],
                                       const uint8_t iv[16], const uint8_t* in, uint8_t* out,
                                       size_t nblocks);
-    // CTR keystream XOR over `len` bytes (any length, including partial
-    // final blocks). `counter` is the next counter block, incremented
-    // big-endian in place; in == out (in-place) is allowed.
-    void (*aes128_ctr_xor)(const uint8_t rk[176], uint8_t counter[16], const uint8_t* in,
-                           uint8_t* out, size_t len);
     // SHA-256 compression over `nblocks` consecutive 64-byte blocks.
     void (*sha256_compress)(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 };
@@ -106,8 +101,6 @@ void aes128_cbc_encrypt_blocks_scalar(const uint8_t rk[176], uint8_t chain[16], 
 void aes128_cbc_decrypt_blocks_scalar(const uint8_t rk[176], const uint8_t drk[176],
                                       const uint8_t iv[16], const uint8_t* in, uint8_t* out,
                                       size_t nblocks);
-void aes128_ctr_xor_scalar(const uint8_t rk[176], uint8_t counter[16], const uint8_t* in,
-                           uint8_t* out, size_t len);
 void sha256_compress_scalar(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 
 // The FIPS 180-4 SHA-256 round constants (derived at compile time in
@@ -126,8 +119,6 @@ void aes128_cbc_encrypt_blocks_aesni(const uint8_t rk[176], uint8_t chain[16], c
 void aes128_cbc_decrypt_blocks_aesni(const uint8_t rk[176], const uint8_t drk[176],
                                      const uint8_t iv[16], const uint8_t* in, uint8_t* out,
                                      size_t nblocks);
-void aes128_ctr_xor_aesni(const uint8_t rk[176], uint8_t counter[16], const uint8_t* in,
-                          uint8_t* out, size_t len);
 // SHA-NI kernel (sha2_ni.cpp); call only when cpu_features().sha_ni+ssse3+sse41.
 void sha256_compress_shani(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 #endif

@@ -829,7 +829,7 @@ struct Testbed::Impl {
         void down_data(ConstBytes data)
         {
             if (up_ready) {
-                if (!up->close_queued()) up->send(data);
+                if (!up->close_queued()) down->forward_to(*up, data);
             } else {
                 append(up_backlog, data);
             }
@@ -995,7 +995,8 @@ struct Testbed::Impl {
                         relay->up = connect_upstream(
                             [relay] { relay->up_connected(); },
                             [relay](ConstBytes b) {
-                                if (!relay->down->close_queued()) relay->down->send(b);
+                                if (!relay->down->close_queued())
+                                    relay->up->forward_to(*relay->down, b);
                             },
                             [relay, retire] {
                                 relay->side_closed(/*from_down=*/false);

@@ -201,10 +201,12 @@ void check_app_record(const ContextKeys& ck, const EndpointKeys* ep, uint8_t dir
 {
     rec->keys_found = true;
     if (ck.reader_enc[dir].empty()) return;
-    auto plain = crypto::aes128_cbc_decrypt(ck.reader_enc[dir].expanded(), fragment);
-    if (!plain || plain.value().size() < 3 * mctls::kMacSize) return;  // decrypt failure
+    Bytes plain;
+    if (!crypto::aes128_cbc_decrypt_into(ck.reader_enc[dir].expanded(), fragment, plain) ||
+        plain.size() < 3 * mctls::kMacSize)
+        return;  // decrypt failure
     rec->decrypted = true;
-    ConstBytes all{plain.value()};
+    ConstBytes all{plain};
     size_t n = all.size();
     ConstBytes payload = all.subspan(0, n - 3 * mctls::kMacSize);
     ConstBytes mac_endpoints = all.subspan(n - 3 * mctls::kMacSize, mctls::kMacSize);
@@ -281,10 +283,8 @@ void dissect_record(const tls::RecordView& rv, uint8_t dir, DirState& st,
         if (!st.ccs) {
             drain_handshake(st.hs, rv.payload, rec, error);
         } else if (prot) {
-            auto plain = prot->unprotect(rv.type, rv.context_id, rv.payload);
-            if (plain) {
+            if (prot->unprotect_into(rv.type, rv.context_id, rv.payload, rec->payload)) {
                 rec->decrypted = true;
-                rec->payload = plain.take();
                 rec->endpoint_mac = MacStatus::ok;
                 drain_handshake(st.hs, rec->payload, rec, error);
             } else {
@@ -340,10 +340,8 @@ void dissect_record(const tls::RecordView& rv, uint8_t dir, DirState& st,
                                  rv.context_id, rv.payload, rec);
         } else if (prot) {
             rec->keys_found = true;
-            auto plain = prot->unprotect(rv.type, rv.context_id, rv.payload);
-            if (plain) {
+            if (prot->unprotect_into(rv.type, rv.context_id, rv.payload, rec->payload)) {
                 rec->decrypted = true;
-                rec->payload = plain.take();
                 rec->endpoint_mac = MacStatus::ok;
             } else {
                 rec->endpoint_mac = MacStatus::mismatch;

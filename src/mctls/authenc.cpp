@@ -38,7 +38,10 @@ Result<Bytes> authenc_open(const AuthEncKey& key, ConstBytes associated_data,
     ConstBytes wire_tag = sealed.subspan(sealed.size() - kTag);
     if (!crypto::ct_equal(tag(key, associated_data, ciphertext), wire_tag))
         return err("authenc: bad tag");
-    return crypto::aes128_cbc_decrypt(key.enc_key.expanded(), ciphertext);
+    Bytes plaintext;
+    auto n = crypto::aes128_cbc_decrypt_into(key.enc_key.expanded(), ciphertext, plaintext);
+    if (!n) return n.error();
+    return plaintext;
 }
 
 }  // namespace mct::mctls

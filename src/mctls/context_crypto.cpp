@@ -8,7 +8,6 @@
 #include "crypto/ed25519.h"
 #include "crypto/hmac.h"
 #include "tls/record.h"
-#include "util/serde.h"
 
 namespace mct::mctls {
 
@@ -43,26 +42,12 @@ size_t dir_index(Direction dir)
     return static_cast<size_t>(dir);
 }
 
-// seq(8) | type(1) | version(2) | context_id(1) | length(2), big-endian —
-// identical bytes to the Writer-built prefix of record_mac_input().
-void mac_pseudo_header(crypto::HmacSha256& mac, uint64_t seq, uint8_t context_id, size_t len)
-{
-    uint8_t h[14];
-    for (int i = 0; i < 8; ++i) h[i] = static_cast<uint8_t>(seq >> (56 - 8 * i));
-    h[8] = static_cast<uint8_t>(tls::ContentType::application_data);
-    h[9] = static_cast<uint8_t>(tls::kProtocolVersion >> 8);
-    h[10] = static_cast<uint8_t>(tls::kProtocolVersion);
-    h[11] = context_id;
-    h[12] = static_cast<uint8_t>(len >> 8);
-    h[13] = static_cast<uint8_t>(len);
-    mac.update(h);
-}
-
 std::array<uint8_t, kMacSize> mac_tag(const crypto::MacKey& key, uint64_t seq,
                                       uint8_t context_id, ConstBytes payload)
 {
     crypto::HmacSha256 mac(key.expanded());
-    mac_pseudo_header(mac, seq, context_id, payload.size());
+    mac.update(tls::mac_pseudo_header(seq, tls::ContentType::application_data, context_id,
+                                      payload.size()));
     mac.update(payload);
     return mac.finish_tag();
 }
@@ -117,14 +102,11 @@ Result<SplitView> decrypt_and_split(const ContextKeys& ctx, Direction dir, Const
 
 Bytes record_mac_input(uint64_t seq, uint8_t context_id, ConstBytes payload)
 {
-    Writer w;
-    w.u64(seq);
-    w.u8(static_cast<uint8_t>(tls::ContentType::application_data));
-    w.u16(tls::kProtocolVersion);
-    w.u8(context_id);
-    w.u16(static_cast<uint16_t>(payload.size()));
-    w.raw(payload);
-    return w.take();
+    auto header =
+        tls::mac_pseudo_header(seq, tls::ContentType::application_data, context_id, payload.size());
+    Bytes out(header.begin(), header.end());
+    append(out, payload);
+    return out;
 }
 
 void seal_record_into(const ContextKeys& ctx, const EndpointKeys& endpoint, Direction dir,
@@ -175,19 +157,6 @@ Result<EndpointOpenView> open_record_endpoint(const ContextKeys& ctx,
     return out;
 }
 
-Result<EndpointOpen> open_record_endpoint(const ContextKeys& ctx, const EndpointKeys& endpoint,
-                                          Direction dir, uint64_t seq, uint8_t context_id,
-                                          ConstBytes fragment)
-{
-    RecordScratch scratch;
-    auto view = open_record_endpoint(ctx, endpoint, dir, seq, context_id, fragment, scratch);
-    if (!view) return view.error();
-    EndpointOpen out;
-    out.payload = to_bytes(view.value().payload);
-    out.from_endpoint = view.value().from_endpoint;
-    return out;
-}
-
 Result<WriterOpenView> open_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
                                           uint8_t context_id, ConstBytes fragment,
                                           RecordScratch& scratch, StageNanos* timing)
@@ -204,18 +173,6 @@ Result<WriterOpenView> open_record_writer(const ContextKeys& ctx, Direction dir,
     WriterOpenView out;
     out.payload = rec.value().payload;
     out.endpoint_mac = rec.value().endpoint_mac;
-    return out;
-}
-
-Result<WriterOpen> open_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                                      uint8_t context_id, ConstBytes fragment)
-{
-    RecordScratch scratch;
-    auto view = open_record_writer(ctx, dir, seq, context_id, fragment, scratch);
-    if (!view) return view.error();
-    WriterOpen out;
-    out.payload = to_bytes(view.value().payload);
-    out.endpoint_mac = to_bytes(view.value().endpoint_mac);
     return out;
 }
 
@@ -236,15 +193,6 @@ void reseal_record_writer_into(const ContextKeys& ctx, Direction dir, uint64_t s
                      out);
 }
 
-Bytes reseal_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                           uint8_t context_id, ConstBytes payload, ConstBytes endpoint_mac,
-                           Rng& rng)
-{
-    Bytes out;
-    reseal_record_writer_into(ctx, dir, seq, context_id, payload, endpoint_mac, rng, out);
-    return out;
-}
-
 Result<ConstBytes> open_record_reader(const ContextKeys& ctx, Direction dir, uint64_t seq,
                                       uint8_t context_id, ConstBytes fragment,
                                       RecordScratch& scratch, StageNanos* timing)
@@ -258,15 +206,6 @@ Result<ConstBytes> open_record_reader(const ContextKeys& ctx, Direction dir, uin
     if (!crypto::ct_equal(expected_reader, rec.value().reader_mac))
         return err("mctls: third-party modification (reader MAC mismatch)");
     return rec.value().payload;
-}
-
-Result<Bytes> open_record_reader(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                                 uint8_t context_id, ConstBytes fragment)
-{
-    RecordScratch scratch;
-    auto view = open_record_reader(ctx, dir, seq, context_id, fragment, scratch);
-    if (!view) return view.error();
-    return to_bytes(view.value());
 }
 
 Bytes seal_record_signed(const ContextKeys& ctx, const EndpointKeys& endpoint, Direction dir,
@@ -291,9 +230,9 @@ Result<SignedOpen> open_record_reader_signed(const ContextKeys& ctx, Direction d
 {
     if (!ctx.can_read()) return err("mctls: no read access to context");
     size_t d = dir_index(dir);
-    auto plain = crypto::aes128_cbc_decrypt(ctx.reader_enc[d].expanded(), fragment);
-    if (!plain) return plain.error();
-    Bytes& data = plain.value();
+    Bytes data;
+    auto n = crypto::aes128_cbc_decrypt_into(ctx.reader_enc[d].expanded(), fragment, data);
+    if (!n) return n.error();
     constexpr size_t kTrailer = 3 * kMacSize + crypto::kEd25519SignatureSize;
     if (data.size() < kTrailer) return err("mctls: signed record too short");
     size_t payload_len = data.size() - kTrailer;

@@ -8,9 +8,10 @@
 //
 // encrypted under the context's reader encryption key for the direction of
 // travel. All three MACs cover seq || type || version || ctx || len ||
-// payload. Sequence numbers are global across contexts per direction and
-// implicit (never on the wire), so deleting or reordering a record breaks
-// every subsequent MAC — the property §3.4 calls out.
+// payload (tls::mac_pseudo_header, then the payload). Sequence numbers are
+// global across contexts per direction and implicit (never on the wire), so
+// deleting or reordering a record breaks every subsequent MAC — the property
+// §3.4 calls out.
 //
 //   - Endpoints generate all three MACs.
 //   - A writer verifies MAC_writers, may replace the payload, regenerates
@@ -20,11 +21,11 @@
 //     report whether MAC_endpoints still matches (was the data modified by
 //     a legal writer?).
 //
-// Fast path: the *_into seal variants append straight into a caller-owned
-// wire buffer, and the scratch-based open variants decrypt into a reusable
+// One API per role: the seal and reseal *_into forms append straight into a
+// caller-owned wire buffer, and the opens decrypt into a reusable
 // RecordScratch and return borrowed views, so the steady-state triple-MAC
-// pipeline performs zero per-record heap allocations. The owning forms are
-// wrappers kept for control paths and tests.
+// pipeline performs zero per-record heap allocations. seal_record is the
+// one owning wrapper, kept for the record micro-benchmarks.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,8 @@ struct RecordScratch {
     uint64_t heap_allocations = 0;  // times `plain` had to grow
 };
 
-// MAC pseudo-header shared by all three MACs.
+// The bytes all three MACs (and a mode-(b) signature) cover: the
+// tls::mac_pseudo_header of an application_data record, then the payload.
 Bytes record_mac_input(uint64_t seq, uint8_t context_id, ConstBytes payload);
 
 // Optional per-stage CPU cost breakdown for the latency attribution plane
@@ -76,17 +78,12 @@ void seal_record_into(const ContextKeys& ctx, const EndpointKeys& endpoint, Dire
                       uint64_t seq, uint8_t context_id, ConstBytes payload, Rng& rng,
                       Bytes& out, StageNanos* timing = nullptr);
 
-struct EndpointOpen {
-    Bytes payload;
-    // False when a writer (legally) modified the record in flight: the
-    // writer MAC verified but the endpoint MAC no longer matches.
-    bool from_endpoint = true;
-};
-
-// Borrowed-view results of the scratch-based opens; views point into the
-// scratch and stay valid until its next use.
+// Borrowed-view results of the opens; views point into the scratch and stay
+// valid until its next use.
 struct EndpointOpenView {
     ConstBytes payload;
+    // False when a writer (legally) modified the record in flight: the
+    // writer MAC verified but the endpoint MAC no longer matches.
     bool from_endpoint = true;
 };
 
@@ -97,40 +94,25 @@ struct WriterOpenView {
 
 // Receiving-endpoint open: decrypt, require a valid writer MAC, report
 // endpoint-MAC status.
-Result<EndpointOpen> open_record_endpoint(const ContextKeys& ctx, const EndpointKeys& endpoint,
-                                          Direction dir, uint64_t seq, uint8_t context_id,
-                                          ConstBytes fragment);
 Result<EndpointOpenView> open_record_endpoint(const ContextKeys& ctx,
                                               const EndpointKeys& endpoint, Direction dir,
                                               uint64_t seq, uint8_t context_id,
                                               ConstBytes fragment, RecordScratch& scratch,
                                               StageNanos* timing = nullptr);
 
-struct WriterOpen {
-    Bytes payload;
-    Bytes endpoint_mac;  // forwarded verbatim on reseal
-};
-
 // Writer-side open: decrypt and require a valid writer MAC.
-Result<WriterOpen> open_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                                      uint8_t context_id, ConstBytes fragment);
 Result<WriterOpenView> open_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
                                           uint8_t context_id, ConstBytes fragment,
                                           RecordScratch& scratch, StageNanos* timing = nullptr);
 
 // Writer-side reseal with a (possibly modified) payload; regenerates writer
 // and reader MACs and forwards `endpoint_mac` untouched.
-Bytes reseal_record_writer(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                           uint8_t context_id, ConstBytes payload, ConstBytes endpoint_mac,
-                           Rng& rng);
 void reseal_record_writer_into(const ContextKeys& ctx, Direction dir, uint64_t seq,
                                uint8_t context_id, ConstBytes payload, ConstBytes endpoint_mac,
                                Rng& rng, Bytes& out, StageNanos* timing = nullptr);
 
 // Reader-side open: decrypt and require a valid reader MAC. The caller
 // forwards the original fragment bytes.
-Result<Bytes> open_record_reader(const ContextKeys& ctx, Direction dir, uint64_t seq,
-                                 uint8_t context_id, ConstBytes fragment);
 Result<ConstBytes> open_record_reader(const ContextKeys& ctx, Direction dir, uint64_t seq,
                                       uint8_t context_id, ConstBytes fragment,
                                       RecordScratch& scratch, StageNanos* timing = nullptr);

@@ -736,17 +736,7 @@ obs::SessionStats MiddleboxSession::session_stats() const
     s.established = keys_ready_;
     s.app_records_received =
         records_forwarded_blind_ + records_read_ + records_rewritten_;
-    for (const auto& ctx : contexts_) {
-        obs::ContextStats cs;
-        cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;
-        cs.id = ctx.id;
-        auto it = ctx_counters_.find(ctx.id);
-        if (it != ctx_counters_.end()) {
-            cs.bytes_in = it->second.bytes_in;
-            cs.records_in = it->second.records_in;
-        }
-        s.contexts.push_back(std::move(cs));
-    }
+    s.contexts = context_stats(contexts_, ctx_counters_);
     return s;
 }
 

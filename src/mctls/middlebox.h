@@ -263,11 +263,8 @@ private:
     uint64_t records_read_ = 0;
     uint64_t records_rewritten_ = 0;
 
-    // Telemetry (see session_stats()).
-    struct CtxCounters {
-        uint64_t bytes_in = 0;   // payload bytes seen (plaintext when readable)
-        uint64_t records_in = 0;
-    };
+    // Telemetry (see session_stats()): inbound payload bytes seen, plaintext
+    // when readable, wire size when blind.
     std::map<uint8_t, CtxCounters> ctx_counters_;
 };
 

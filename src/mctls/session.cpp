@@ -84,11 +84,11 @@ Bytes Session::queue_flight_with_finished(ConstBytes flight, Bytes verify_data)
 
     Bytes fin_wire = tls::Finished{std::move(verify_data)}.to_message().serialize();
     crypto::count_hash(cfg_.ops);
-    Bytes protected_payload =
-        control_send_->protect(tls::ContentType::handshake, kControlContext, fin_wire,
-                               *cfg_.rng);
+    codec_.encode_header_into(tls::ContentType::handshake, kControlContext,
+                              tls::CbcHmacProtector::protected_size(fin_wire.size()), unit);
+    control_send_->protect_into(tls::ContentType::handshake, kControlContext, fin_wire,
+                                *cfg_.rng, unit);
     crypto::count_enc(cfg_.ops);
-    codec_.encode_into({tls::ContentType::handshake, kControlContext, protected_payload}, unit);
     core_.counters.handshake_wire_bytes += unit.size() - flight_end;
     core_.trace(obs::EventType::hs_finished_sent);
     core_.units.push(std::move(unit));
@@ -242,15 +242,16 @@ Status Session::handle_record(const tls::Record& record)
         return core_.receive_ccs();
     case tls::ContentType::handshake: {
         core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        Bytes payload = record.payload;
+        ConstBytes payload = record.payload;
+        Bytes plain;
         if (core_.ccs_received() && control_recv_) {
-            auto plain =
-                control_recv_->unprotect(record.type, record.context_id, payload);
-            if (!plain)
+            auto n = control_recv_->unprotect_into(record.type, record.context_id,
+                                                   record.payload, plain);
+            if (!n)
                 return core_.fail(AlertDescription::bad_record_mac,
-                                  "mctls: " + plain.error().message);
+                                  "mctls: " + n.error().message);
             crypto::count_dec(cfg_.ops);
-            payload = plain.take();
+            payload = plain;
         }
         handshake_reader_.feed(payload);
         while (true) {
@@ -1328,21 +1329,7 @@ obs::SessionStats Session::session_stats() const
     s.resumed = resumed_;
     s.epoch = epoch_;
     s.rekeys = rekeys_completed_;
-    // Report every negotiated context, including idle ones, so callers see
-    // the full permission matrix shape in a single snapshot.
-    for (const auto& ctx : contexts_) {
-        obs::ContextStats cs;
-        cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;
-        cs.id = ctx.id;
-        auto it = ctx_counters_.find(ctx.id);
-        if (it != ctx_counters_.end()) {
-            cs.bytes_out = it->second.bytes_out;
-            cs.bytes_in = it->second.bytes_in;
-            cs.records_out = it->second.records_out;
-            cs.records_in = it->second.records_in;
-        }
-        s.contexts.push_back(std::move(cs));
-    }
+    s.contexts = context_stats(contexts_, ctx_counters_);
     return s;
 }
 

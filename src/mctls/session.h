@@ -291,12 +291,6 @@ private:
     uint64_t app_recv_seq_ = 0;
 
     // Telemetry beyond the core's counters (see session_stats()).
-    struct CtxCounters {
-        uint64_t bytes_out = 0;
-        uint64_t bytes_in = 0;
-        uint64_t records_out = 0;
-        uint64_t records_in = 0;
-    };
     std::map<uint8_t, CtxCounters> ctx_counters_;
 
     // --- Session continuity state ---

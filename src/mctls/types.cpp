@@ -17,6 +17,24 @@ const char* to_string(Permission p)
     return "?";
 }
 
+std::vector<obs::ContextStats> context_stats(const std::vector<ContextDescription>& contexts,
+                                             const std::map<uint8_t, CtxCounters>& counters)
+{
+    std::vector<obs::ContextStats> out;
+    for (const auto& ctx : contexts) {
+        obs::ContextStats& cs = out.emplace_back();
+        cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;
+        cs.id = ctx.id;
+        auto it = counters.find(ctx.id);
+        if (it == counters.end()) continue;
+        cs.bytes_out = it->second.bytes_out;
+        cs.bytes_in = it->second.bytes_in;
+        cs.records_out = it->second.records_out;
+        cs.records_in = it->second.records_in;
+    }
+    return out;
+}
+
 Bytes MiddleboxListExtension::serialize() const
 {
     Writer w;

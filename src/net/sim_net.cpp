@@ -43,24 +43,45 @@ void Connection::send(ConstBytes data)
     if (established_) pump();
 }
 
+void Connection::annotate(uint64_t start_seq, uint64_t end_seq, obs::SpanContext ctx)
+{
+    if (!obs::span_on(journal_) || !ctx.valid() || start_seq == end_seq) return;
+    SpanAnnotation a;
+    a.start_seq = start_seq;
+    a.end_seq = end_seq;
+    a.ctx = ctx;
+    a.enqueue_ts = loop_->now();
+    tx_spans_.push_back(a);
+}
+
 void Connection::send_traced(ConstBytes data, obs::SpanContext ctx)
 {
-    if (obs::span_on(journal_) && ctx.valid() && !data.empty()) {
-        SpanAnnotation a;
-        a.start_seq = app_bytes_sent_;
-        a.end_seq = app_bytes_sent_ + data.size();
-        a.ctx = ctx;
-        a.enqueue_ts = loop_->now();
-        tx_spans_.push_back(a);
-    }
+    annotate(app_bytes_sent_, app_bytes_sent_ + data.size(), ctx);
     send(data);
 }
 
 std::vector<obs::SpanContext> Connection::take_rx_spans()
 {
-    std::vector<obs::SpanContext> out(rx_spans_.begin(), rx_spans_.end());
+    std::vector<obs::SpanContext> out;
+    for (const RxSpan& s : rx_spans_) out.push_back(s.ctx);
     rx_spans_.clear();
     return out;
+}
+
+void Connection::forward_to(Connection& next, ConstBytes data)
+{
+    // `data` is the newest in-order tail of this stream, so a range ending
+    // inside it ends at the same offset of `data` once resent on `next`.
+    uint64_t base = app_bytes_received_ - data.size();
+    uint64_t start = next.app_bytes_sent_;
+    for (const RxSpan& s : rx_spans_) {
+        if (s.end_seq <= base) continue;  // ended in bytes relayed earlier
+        uint64_t end = next.app_bytes_sent_ + (s.end_seq - base);
+        next.annotate(start, end, s.ctx);
+        start = end;
+    }
+    rx_spans_.clear();
+    next.send(data);
 }
 
 // Runs on the receiving endpoint: the sender (peer_) owns the annotations,
@@ -95,7 +116,7 @@ void Connection::complete_delivered_spans()
         journal->record(t);
         // The next hop parents under the transmit span, chaining the tree
         // across middleboxes.
-        rx_spans_.push_back({a.ctx.trace_id, t.span_id});
+        rx_spans_.push_back({{a.ctx.trace_id, t.span_id}, a.end_seq});
     }
 }
 

@@ -107,6 +107,12 @@ public:
     // stream order. The caller (a session pulling from on_data) matches them
     // FIFO against the records it decodes.
     std::vector<obs::SpanContext> take_rx_spans();
+    // Byte-level relaying: sends `data`, which on_data just delivered here,
+    // on `next`, and re-annotates every traced range that ended inside it as
+    // a traced range ending at the same byte of `next`'s stream. A blind
+    // relay built on this keeps each record's trace chained to the far end
+    // without parsing records.
+    void forward_to(Connection& next, ConstBytes data);
     // Half-close after all queued data: peer sees on_close.
     void close();
     // Crash-style close: unsent queued data is discarded (a dead process
@@ -218,9 +224,14 @@ private:
         uint64_t first_tx_ts = 0;
         bool transmitted = false;
     };
-    std::deque<SpanAnnotation> tx_spans_;    // oldest first; drained by the peer
-    std::deque<obs::SpanContext> rx_spans_;  // delivered to this endpoint
+    struct RxSpan {
+        obs::SpanContext ctx;
+        uint64_t end_seq = 0;  // where the delivered range ended
+    };
+    std::deque<SpanAnnotation> tx_spans_;  // oldest first; drained by the peer
+    std::deque<RxSpan> rx_spans_;          // delivered to this endpoint
 
+    void annotate(uint64_t start_seq, uint64_t end_seq, obs::SpanContext ctx);
     void complete_delivered_spans();
 };
 

@@ -126,35 +126,11 @@ CbcHmacProtector::CbcHmacProtector(ConstBytes enc_key, ConstBytes mac_key)
 {
 }
 
-void CbcHmacProtector::mac_pseudo_header(crypto::HmacSha256& mac, ContentType type,
-                                         uint8_t context_id, size_t len) const
-{
-    // seq(8) | type(1) | version(2) | context_id(1) | length(2), big-endian —
-    // identical bytes to the Writer-built header the MAC always covered.
-    uint8_t h[14];
-    for (int i = 0; i < 8; ++i) h[i] = static_cast<uint8_t>(seq_ >> (56 - 8 * i));
-    h[8] = static_cast<uint8_t>(type);
-    h[9] = static_cast<uint8_t>(kProtocolVersion >> 8);
-    h[10] = static_cast<uint8_t>(kProtocolVersion);
-    h[11] = context_id;
-    h[12] = static_cast<uint8_t>(len >> 8);
-    h[13] = static_cast<uint8_t>(len);
-    mac.update(h);
-}
-
-Bytes CbcHmacProtector::protect(ContentType type, uint8_t context_id, ConstBytes payload,
-                                Rng& rng)
-{
-    Bytes out;
-    protect_into(type, context_id, payload, rng, out);
-    return out;
-}
-
 void CbcHmacProtector::protect_into(ContentType type, uint8_t context_id, ConstBytes payload,
                                     Rng& rng, Bytes& out)
 {
     crypto::HmacSha256 mac(mac_key_);
-    mac_pseudo_header(mac, type, context_id, payload.size());
+    mac.update(mac_pseudo_header(seq_, type, context_id, payload.size()));
     mac.update(payload);
     auto tag = mac.finish_tag();
     ++seq_;
@@ -163,15 +139,6 @@ void CbcHmacProtector::protect_into(ContentType type, uint8_t context_id, ConstB
     enc.update(payload);
     enc.update(tag);
     enc.finish();
-}
-
-Result<Bytes> CbcHmacProtector::unprotect(ContentType type, uint8_t context_id,
-                                          ConstBytes fragment)
-{
-    Bytes plain;
-    auto n = unprotect_into(type, context_id, fragment, plain);
-    if (!n) return n.error();
-    return plain;
 }
 
 Result<size_t> CbcHmacProtector::unprotect_into(ContentType type, uint8_t context_id,
@@ -192,7 +159,7 @@ Result<size_t> CbcHmacProtector::unprotect_into(ContentType type, uint8_t contex
     size_t payload_len = length_ok ? content_len - crypto::HmacSha256::kTagSize : 0;
 
     crypto::HmacSha256 mac(mac_key_);
-    mac_pseudo_header(mac, type, context_id, payload_len);
+    mac.update(mac_pseudo_header(seq_, type, context_id, payload_len));
     mac.update(padded.subspan(0, payload_len));
     auto tag = mac.finish_tag();
     bool mac_ok = length_ok &&

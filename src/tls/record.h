@@ -9,12 +9,13 @@
 // IV, matching the paper's AES128-SHA256 suite. mcTLS layers its three-MAC
 // scheme on top of the same primitives (mctls/context_crypto.h).
 //
-// The codec and protector expose a zero-copy fast path (next_view,
-// protect_into/unprotect_into) used by the data plane; the owning
-// encode/next/protect/unprotect forms are thin wrappers kept for control
-// paths and tests. See DESIGN.md "Record fast path".
+// The protector has one API, the zero-copy protect_into/unprotect_into,
+// which appends to caller-owned buffers. The codec's zero-copy next_view
+// serves the data plane; its owning encode/next forms are thin wrappers
+// kept for control paths and tests. See DESIGN.md "Record fast path".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -49,6 +50,26 @@ constexpr size_t kMaxRecordExpansion = crypto::Aes128::kBlockSize /* IV */ +
                                        3 * crypto::HmacSha256::kTagSize /* MACs */ +
                                        64 /* Ed25519 signature */;
 constexpr size_t kMaxWireFragment = kMaxFragment + kMaxRecordExpansion;
+
+// The pseudo-header every record MAC covers ahead of the payload:
+// seq(8) | type(1) | version(2) | context_id(1) | length(2), big-endian.
+// The TLS protector and all three mcTLS MACs (mctls/context_crypto.h) share
+// it; the baseline TLS stack passes context_id 0.
+constexpr size_t kMacHeaderSize = 14;
+
+constexpr std::array<uint8_t, kMacHeaderSize> mac_pseudo_header(uint64_t seq, ContentType type,
+                                                                uint8_t context_id, size_t len)
+{
+    std::array<uint8_t, kMacHeaderSize> h{};
+    for (int i = 0; i < 8; ++i) h[i] = static_cast<uint8_t>(seq >> (56 - 8 * i));
+    h[8] = static_cast<uint8_t>(type);
+    h[9] = static_cast<uint8_t>(kProtocolVersion >> 8);
+    h[10] = static_cast<uint8_t>(kProtocolVersion);
+    h[11] = context_id;
+    h[12] = static_cast<uint8_t>(len >> 8);
+    h[13] = static_cast<uint8_t>(len);
+    return h;
+}
 
 struct Record {
     ContentType type = ContentType::handshake;
@@ -114,23 +135,21 @@ public:
     // Raw-key form: expands both keys once, here.
     CbcHmacProtector(ConstBytes enc_key, ConstBytes mac_key);
 
-    // Exact fragment size protect() produces for `payload_len` bytes.
+    // Exact fragment size protect_into() appends for `payload_len` bytes.
     static constexpr size_t protected_size(size_t payload_len)
     {
         return crypto::cbc_ciphertext_size(payload_len + crypto::HmacSha256::kTagSize);
     }
 
-    // Returns ciphertext fragment (IV || CBC(payload || MAC)).
-    Bytes protect(ContentType type, uint8_t context_id, ConstBytes payload, Rng& rng);
-    // Appends the ciphertext fragment to `out`.
+    // Appends the ciphertext fragment IV || CBC(payload || MAC) to `out` and
+    // advances the sequence number.
     void protect_into(ContentType type, uint8_t context_id, ConstBytes payload, Rng& rng,
                       Bytes& out);
 
-    // Inverse; verifies the MAC and advances the sequence number.
-    Result<Bytes> unprotect(ContentType type, uint8_t context_id, ConstBytes fragment);
-    // Appends the plaintext payload to `plain` and returns its length. CBC
-    // padding and MAC failures are indistinguishable: the MAC check runs
-    // even when padding is invalid and both surface as "record:
+    // Inverse: appends the plaintext payload to `plain`, returns its length
+    // and advances the sequence number. On failure `plain` is left as it
+    // was. CBC padding and MAC failures are indistinguishable: the MAC
+    // check runs even when padding is invalid and both surface as "record:
     // bad_record_mac" (padding-oracle hardening).
     Result<size_t> unprotect_into(ContentType type, uint8_t context_id, ConstBytes fragment,
                                   Bytes& plain);
@@ -138,9 +157,6 @@ public:
     uint64_t seq() const { return seq_; }
 
 private:
-    void mac_pseudo_header(crypto::HmacSha256& mac, ContentType type, uint8_t context_id,
-                           size_t len) const;
-
     crypto::Aes128 cipher_;
     crypto::HmacKey mac_key_;
     uint64_t seq_ = 0;

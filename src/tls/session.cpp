@@ -110,16 +110,30 @@ Status Session::handle_record_view(const RecordView& view)
     // Established app data is the hot path: decrypt straight from the codec
     // buffer into the receive scratch, no owning Record in between.
     if (view.type == ContentType::application_data && core_.established()) {
+        // Pop the transport span context before any failure path (see
+        // mctls::Session::handle_app_record for the alignment argument).
+        obs::SpanContext in_ctx = core_.units.pop_rx_span();
+        std::chrono::steady_clock::time_point t0;
+        bool sp = obs::span_on(core_.spans()) && in_ctx.valid();
+        if (sp) t0 = std::chrono::steady_clock::now();
         recv_scratch_.clear();
         auto plain = recv_protector_->unprotect_into(view.type, 0, view.payload, recv_scratch_);
         if (!plain) {
             core_.note_mac_failure(0, view.payload.size());
             return core_.fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
         }
+        if (sp) {
+            uint64_t cpu = static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
+            core_.emit_span(in_ctx, obs::Stage::decrypt_verify, 0, cpu, 1);
+            core_.emit_span(in_ctx, obs::Stage::deliver, 0, 0, plain.value());
+        }
         ++core_.counters.macs_verified;
         ++core_.counters.app_records_received;
         app_bytes_received_ += plain.value();
-        core_.trace(obs::EventType::record_open, 0, plain.value(), 1);
+        core_.trace(obs::EventType::record_open, 0, plain.value(), 1, in_ctx.trace_id);
         append(app_data_, ConstBytes{recv_scratch_.data(), plain.value()});
         return {};
     }
@@ -147,14 +161,14 @@ Status Session::handle_record(const Record& record)
         return core_.receive_ccs();
     case ContentType::handshake: {
         core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        Bytes payload = record.payload;
+        ConstBytes payload = record.payload;
+        Bytes plain;
         if (core_.ccs_received() && recv_protector_) {
-            auto plain = recv_protector_->unprotect(record.type, 0, payload);
-            if (!plain)
-                return core_.fail(AlertDescription::bad_record_mac,
-                                  "tls: " + plain.error().message);
+            auto n = recv_protector_->unprotect_into(record.type, 0, record.payload, plain);
+            if (!n)
+                return core_.fail(AlertDescription::bad_record_mac, "tls: " + n.error().message);
             crypto::count_dec(cfg_.ops);
-            payload = plain.take();
+            payload = plain;
         }
         handshake_reader_.feed(payload);
         while (true) {
@@ -167,35 +181,9 @@ Status Session::handle_record(const Record& record)
     case ContentType::rekey:
         // In-band rekeying is an mcTLS extension; baseline TLS rejects it.
         return core_.fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
-    case ContentType::application_data: {
-        // Pop the transport span context before any failure path (see
-        // mctls::Session::handle_app_record for the alignment argument).
-        obs::SpanContext in_ctx = core_.units.pop_rx_span();
-        if (!core_.established())
-            return core_.fail(AlertDescription::unexpected_message, "tls: early app data");
-        std::chrono::steady_clock::time_point t0;
-        bool sp = obs::span_on(core_.spans()) && in_ctx.valid();
-        if (sp) t0 = std::chrono::steady_clock::now();
-        auto plain = recv_protector_->unprotect(record.type, 0, record.payload);
-        if (!plain) {
-            core_.note_mac_failure(0, record.payload.size());
-            return core_.fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
-        }
-        if (sp) {
-            uint64_t cpu = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            core_.emit_span(in_ctx, obs::Stage::decrypt_verify, 0, cpu, 1);
-            core_.emit_span(in_ctx, obs::Stage::deliver, 0, 0, plain.value().size());
-        }
-        ++core_.counters.macs_verified;
-        ++core_.counters.app_records_received;
-        app_bytes_received_ += plain.value().size();
-        core_.trace(obs::EventType::record_open, 0, plain.value().size(), 1, in_ctx.trace_id);
-        append(app_data_, plain.value());
-        return {};
-    }
+    case ContentType::application_data:
+        // Established app data never gets here (handle_record_view).
+        return core_.fail(AlertDescription::unexpected_message, "tls: early app data");
     }
     return core_.fail(AlertDescription::decode_error, "tls: unknown record type");
 }
@@ -434,10 +422,11 @@ void Session::send_ccs_and_finished()
     append(transcript_, wire);
     crypto::count_hash(cfg_.ops);
 
-    Bytes protected_payload =
-        send_protector_->protect(ContentType::handshake, 0, wire, *cfg_.rng);
+    Record protected_fin{ContentType::handshake, 0, {}};
+    send_protector_->protect_into(ContentType::handshake, 0, wire, *cfg_.rng,
+                                  protected_fin.payload);
     crypto::count_enc(cfg_.ops);
-    queue_record({ContentType::handshake, 0, protected_payload});
+    queue_record(protected_fin);
     core_.trace(obs::EventType::hs_finished_sent);
 }
 

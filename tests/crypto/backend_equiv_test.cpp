@@ -1,7 +1,7 @@
 // Backend equivalence: every compiled crypto backend must produce exactly
 // the bytes the portable scalar reference produces, on NIST vectors and on
 // a seeded differential fuzz (random keys/IVs/lengths up to 18 KB,
-// non-block-aligned CTR, append-into-self aliasing). Wire bytes must be
+// append-into-self aliasing). Wire bytes must be
 // backend-invariant — the record golden tests depend on it.
 //
 // On machines without the instructions, accelerated_dispatch() is null and
@@ -87,36 +87,6 @@ TEST(BackendCavp, Sp800_38aCbc)
     }
 }
 
-// NIST SP 800-38A F.5.1 / F.5.2 (CTR-AES128).
-TEST(BackendCavp, Sp800_38aCtr)
-{
-    Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-    Bytes ctr0 = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    Bytes pt = from_hex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710");
-    Bytes ct = from_hex(
-        "874d6191b620e3261bef6864990db6ce"
-        "9806f66b7970fdff8617187bb9fffdff"
-        "5ae4df3edbd5d35e5b4f09020db03eab"
-        "1e031dda2fbe03d1792170a0f3009cee");
-    for (const CryptoDispatch* d : all_backends()) {
-        SCOPED_TRACE(d->name);
-        auto s = expand_with(*d, key);
-        Bytes out(64);
-        uint8_t counter[16];
-        std::memcpy(counter, ctr0.data(), 16);
-        d->aes128_ctr_xor(s.rk, counter, pt.data(), out.data(), 64);
-        EXPECT_EQ(out, ct);
-        // And through the public API under a pinned dispatch.
-        ScopedDispatchOverride pin(*d);
-        EXPECT_EQ(aes128_ctr(key, ctr0, pt).value(), ct);
-        EXPECT_EQ(aes128_ctr(key, ctr0, ct).value(), pt);
-    }
-}
-
 // FIPS 180-4 SHA-256 vectors, including a multi-block message (the bulk
 // dispatch path) and the counter-carry over a long input.
 TEST(BackendCavp, Sha256Vectors)
@@ -193,26 +163,22 @@ TEST_F(BackendDifferential, CbcEncryptMatchesAcrossLengths)
         Bytes ct_scalar, ct_accel;
         {
             ScopedDispatchOverride pin(scalar_dispatch());
-            ct_scalar = aes128_cbc_encrypt(key, pt, iv_a);
+            aes128_cbc_encrypt_into(Aes128(key), pt, iv_a, ct_scalar);
         }
         {
             ScopedDispatchOverride pin(accel());
-            ct_accel = aes128_cbc_encrypt(key, pt, iv_b);
+            aes128_cbc_encrypt_into(Aes128(key), pt, iv_b, ct_accel);
         }
         ASSERT_EQ(ct_scalar, ct_accel) << "len=" << len;
         // Cross-decrypt: scalar ciphertext through the accelerated arm and
         // vice versa.
-        {
-            ScopedDispatchOverride pin(accel());
-            auto back = aes128_cbc_decrypt(key, ct_scalar);
-            ASSERT_TRUE(back.ok()) << "len=" << len;
-            ASSERT_EQ(back.value(), pt) << "len=" << len;
-        }
-        {
-            ScopedDispatchOverride pin(scalar_dispatch());
-            auto back = aes128_cbc_decrypt(key, ct_accel);
-            ASSERT_TRUE(back.ok()) << "len=" << len;
-            ASSERT_EQ(back.value(), pt) << "len=" << len;
+        for (bool scalar : {true, false}) {
+            ScopedDispatchOverride pin(scalar ? accel() : scalar_dispatch());
+            Bytes back;
+            ASSERT_TRUE(aes128_cbc_decrypt_into(Aes128(key), scalar ? ct_scalar : ct_accel, back)
+                            .ok())
+                << "len=" << len;
+            ASSERT_EQ(back, pt) << "len=" << len;
         }
     }
 }
@@ -238,62 +204,6 @@ TEST_F(BackendDifferential, CbcStreamChunkingMatches)
             }
             ASSERT_EQ(out_scalar, out_accel) << "len=" << len << " cut=" << cut;
         }
-    }
-}
-
-TEST_F(BackendDifferential, CtrMatchesIncludingPartialBlocksAndCarry)
-{
-    TestRng rng(205);
-    for (size_t len : fuzz_lengths(rng)) {
-        Bytes key = rng.bytes(16);
-        Bytes nonce = rng.bytes(16);
-        Bytes data = rng.bytes(len);
-        Bytes a, b;
-        {
-            ScopedDispatchOverride pin(scalar_dispatch());
-            a = aes128_ctr(key, nonce, data).value();
-        }
-        {
-            ScopedDispatchOverride pin(accel());
-            b = aes128_ctr(key, nonce, data).value();
-        }
-        ASSERT_EQ(a, b) << "len=" << len;
-    }
-    // Force the full 16-byte carry ripple: a counter at ~2^128 wraps inside
-    // a multi-block run.
-    Bytes key = rng.bytes(16);
-    Bytes edge = from_hex("fffffffffffffffffffffffffffffffd");
-    Bytes data = rng.bytes(16 * 9 + 7);
-    Bytes a, b;
-    uint8_t ctr_s[16], ctr_a[16];
-    std::memcpy(ctr_s, edge.data(), 16);
-    std::memcpy(ctr_a, edge.data(), 16);
-    auto ss = expand_with(scalar_dispatch(), key);
-    auto sa = expand_with(accel(), key);
-    a.resize(data.size());
-    b.resize(data.size());
-    scalar_dispatch().aes128_ctr_xor(ss.rk, ctr_s, data.data(), a.data(), data.size());
-    accel().aes128_ctr_xor(sa.rk, ctr_a, data.data(), b.data(), data.size());
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(Bytes(ctr_s, ctr_s + 16), Bytes(ctr_a, ctr_a + 16));
-}
-
-TEST_F(BackendDifferential, CtrInPlaceAliasing)
-{
-    TestRng rng(206);
-    for (const CryptoDispatch* d : all_backends()) {
-        SCOPED_TRACE(d->name);
-        Bytes key = rng.bytes(16);
-        Bytes nonce = rng.bytes(16);
-        Bytes data = rng.bytes(1000);
-        Bytes expected = aes128_ctr(key, nonce, data).value();
-        // in == out: XOR keystream over the buffer itself.
-        Bytes buf = data;
-        auto s = expand_with(*d, key);
-        uint8_t counter[16];
-        std::memcpy(counter, nonce.data(), 16);
-        d->aes128_ctr_xor(s.rk, counter, buf.data(), buf.data(), buf.size());
-        EXPECT_EQ(buf, expected);
     }
 }
 

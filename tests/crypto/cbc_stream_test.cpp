@@ -18,7 +18,8 @@ TEST(CbcEncryptStream, MatchesOneShotEncryptAcrossSplits)
     for (size_t len : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 100u, 1460u}) {
         Bytes pt = TestRng(len + 3).bytes(len);
         TestRng iv_a(5), iv_b(5), iv_c(5);
-        Bytes oneshot = aes128_cbc_encrypt(key, pt, iv_a);
+        Bytes oneshot;
+        aes128_cbc_encrypt_into(cipher, pt, iv_a, oneshot);
         EXPECT_EQ(oneshot.size(), cbc_ciphertext_size(len)) << "len=" << len;
 
         Bytes streamed;
@@ -55,7 +56,9 @@ TEST(CbcEncryptStream, AppendsAfterExistingContent)
     enc.finish();
     EXPECT_EQ(to_bytes(ConstBytes(out).subspan(0, 6)), str_to_bytes("header"));
     TestRng iv2(9);
-    EXPECT_EQ(to_bytes(ConstBytes(out).subspan(6)), aes128_cbc_encrypt(key, str_to_bytes("body"), iv2));
+    Bytes oneshot;
+    aes128_cbc_encrypt_into(cipher, str_to_bytes("body"), iv2, oneshot);
+    EXPECT_EQ(to_bytes(ConstBytes(out).subspan(6)), oneshot);
 }
 
 TEST(CbcDecrypt, RawIntoRoundTripAndLengthCheck)
@@ -64,7 +67,8 @@ TEST(CbcDecrypt, RawIntoRoundTripAndLengthCheck)
     Bytes key = rng.bytes(16);
     Aes128 cipher(key);
     Bytes pt = rng.bytes(50);
-    Bytes ct = aes128_cbc_encrypt(key, pt, rng);
+    Bytes ct;
+    aes128_cbc_encrypt_into(cipher, pt, rng, ct);
 
     Bytes raw;
     ASSERT_TRUE(aes128_cbc_decrypt_raw_into(cipher, ct, raw));
@@ -98,34 +102,55 @@ TEST(CbcDecrypt, Pkcs7PaddingValidation)
     EXPECT_EQ(pkcs7_padding({}), 0u);  // empty input is invalid, not UB
 }
 
-TEST(CbcDecrypt, DecryptIntoMatchesOwningDecrypt)
+TEST(CbcDecrypt, DecryptIntoFailureLeavesPrefixIntact)
 {
     TestRng rng(73);
-    Bytes key = rng.bytes(16);
-    Aes128 cipher(key);
-    for (size_t len : {0u, 16u, 33u}) {
-        Bytes pt = TestRng(len + 9).bytes(len);
-        Bytes ct = aes128_cbc_encrypt(key, pt, rng);
-        auto owning = aes128_cbc_decrypt(key, ct);
-        ASSERT_TRUE(owning.ok());
-        EXPECT_EQ(owning.value(), pt);
-        Bytes out;
-        auto n = aes128_cbc_decrypt_into(cipher, ct, out);
-        ASSERT_TRUE(n.ok());
-        EXPECT_EQ(out, pt);
-        EXPECT_EQ(n.value(), pt.size());
-    }
+    Aes128 cipher(rng.bytes(16));
+    const Bytes prefix = str_to_bytes("prefix");
+
+    // Success appends the unpadded plaintext after the prefix.
+    Bytes pt = rng.bytes(33);
+    Bytes ct;
+    aes128_cbc_encrypt_into(cipher, pt, rng, ct);
+    Bytes out = prefix;
+    auto n = aes128_cbc_decrypt_into(cipher, ct, out);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), pt.size());
+    EXPECT_EQ(out, concat(prefix, pt));
+
+    // Bad length: not IV plus a positive multiple of the block size.
+    out = prefix;
+    auto short_ct = aes128_cbc_decrypt_into(cipher, ConstBytes(ct).subspan(0, 16), out);
+    ASSERT_FALSE(short_ct.ok());
+    EXPECT_EQ(short_ct.error().message, "cbc: bad ciphertext length");
+    EXPECT_EQ(out, prefix);
+    auto ragged = aes128_cbc_decrypt_into(cipher, ConstBytes(ct).subspan(1), out);
+    ASSERT_FALSE(ragged.ok());
+    EXPECT_EQ(out, prefix);
+
+    // Bad padding: IV || C1 of a one-block all-zero plaintext decrypts to a
+    // block ending in 0x00, which is never valid PKCS#7.
+    Bytes zeros_ct;
+    aes128_cbc_encrypt_into(cipher, Bytes(16, 0), rng, zeros_ct);
+    out = prefix;
+    auto bad_pad = aes128_cbc_decrypt_into(cipher, ConstBytes(zeros_ct).subspan(0, 32), out);
+    ASSERT_FALSE(bad_pad.ok());
+    EXPECT_EQ(bad_pad.error().message, "cbc: bad padding");
+    EXPECT_EQ(out, prefix);
 }
 
 TEST(EmptyInputs, EncryptDecryptEmptyPayload)
 {
     TestRng rng(74);
-    Bytes key = rng.bytes(16);
-    Bytes ct = aes128_cbc_encrypt(key, {}, rng);
+    Aes128 cipher(rng.bytes(16));
+    Bytes ct;
+    aes128_cbc_encrypt_into(cipher, {}, rng, ct);
     EXPECT_EQ(ct.size(), 32u);  // IV + one padding block
-    auto back = aes128_cbc_decrypt(key, ct);
-    ASSERT_TRUE(back.ok());
-    EXPECT_TRUE(back.value().empty());
+    Bytes back;
+    auto n = aes128_cbc_decrypt_into(cipher, ct, back);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 0u);
+    EXPECT_TRUE(back.empty());
 }
 
 TEST(EmptyInputs, HmacStreamingWithEmptyUpdates)

@@ -223,6 +223,8 @@ TEST_F(LatencyAttribution, BaselineTlsRecordsAreAlsoAttributed)
     for (const auto& [id, t] : traces) {
         if (!t.has_root) continue;
         ++checked;
+        // The TLS receiver closes every rooted trace, as mcTLS endpoints do.
+        EXPECT_TRUE(t.has_deliver) << "trace " << id;
         uint64_t e2e = t.last_end - t.root_start;
         double rel = e2e ? std::abs(static_cast<double>(t.sim_stage_sum) -
                                     static_cast<double>(e2e)) /

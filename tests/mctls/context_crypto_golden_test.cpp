@@ -1,6 +1,6 @@
 // Golden wire-byte pins for the mcTLS triple-MAC scheme, captured before the
-// zero-copy fast path landed, plus equivalence and zero-allocation checks
-// for the *_into / scratch-based variants.
+// zero-copy fast path landed, plus append, error and zero-allocation checks
+// for the *_into seals and scratch-based opens.
 #include <gtest/gtest.h>
 
 #include "crypto/ed25519.h"
@@ -40,11 +40,13 @@ TEST(ContextCryptoGolden, SealResealSignedWireBytes)
               "8d9bffd336f4b28d73fa050f0e260ae0");
     EXPECT_EQ(sealed.size(), sealed_record_size(payload.size()));
 
-    auto opened = open_record_writer(f.ctx, Direction::client_to_server, 5, 1, sealed);
+    RecordScratch scratch;
+    auto opened = open_record_writer(f.ctx, Direction::client_to_server, 5, 1, sealed, scratch);
     ASSERT_TRUE(opened.ok());
-    Bytes resealed = reseal_record_writer(f.ctx, Direction::client_to_server, 5, 1,
-                                          str_to_bytes("THE QUICK BROWN FOX"),
-                                          opened.value().endpoint_mac, ivrng);
+    Bytes resealed;
+    reseal_record_writer_into(f.ctx, Direction::client_to_server, 5, 1,
+                              str_to_bytes("THE QUICK BROWN FOX"), opened.value().endpoint_mac,
+                              ivrng, resealed);
     EXPECT_EQ(to_hex(resealed),
               "a202a2257a25f4c84aa578c52eef38736432efc7d81d959f49d9af4c10a6042a"
               "6e5d8aa80c808e1ed5500611c42f5325f7c9a3eb70ad6e4ef618ccfa3bd545c4"
@@ -80,17 +82,21 @@ TEST(ContextCryptoGolden, IntoVariantsMatchOwningForms)
     seal_record_into(f.ctx, f.endpoint, Direction::client_to_server, 5, 1, payload, rng_b, into);
     EXPECT_EQ(into, concat(str_to_bytes("hdr"), sealed));
 
-    auto writer = open_record_writer(f.ctx, Direction::client_to_server, 5, 1, sealed);
+    // Reseal appends after existing content, too.
+    RecordScratch scratch;
+    auto writer = open_record_writer(f.ctx, Direction::client_to_server, 5, 1, sealed, scratch);
     ASSERT_TRUE(writer.ok());
-    Bytes resealed = reseal_record_writer(f.ctx, Direction::client_to_server, 5, 1, payload,
-                                          writer.value().endpoint_mac, rng_a);
-    Bytes resealed_into;
+    Bytes resealed;
+    reseal_record_writer_into(f.ctx, Direction::client_to_server, 5, 1, payload,
+                              writer.value().endpoint_mac, rng_a, resealed);
+    Bytes resealed_into = str_to_bytes("hdr");
     reseal_record_writer_into(f.ctx, Direction::client_to_server, 5, 1, payload,
                               writer.value().endpoint_mac, rng_b, resealed_into);
-    EXPECT_EQ(resealed_into, resealed);
+    EXPECT_EQ(resealed_into, concat(str_to_bytes("hdr"), resealed));
+    EXPECT_EQ(resealed.size(), sealed_record_size(payload.size()));
 }
 
-TEST(ContextCryptoGolden, ScratchOpensMatchOwningOpens)
+TEST(ContextCryptoGolden, ScratchOpensReturnPayloadAndEndpointMac)
 {
     Fixture f;
     TestRng ivrng(21);
@@ -104,17 +110,24 @@ TEST(ContextCryptoGolden, ScratchOpensMatchOwningOpens)
     EXPECT_EQ(to_bytes(ep.value().payload), payload);
     EXPECT_TRUE(ep.value().from_endpoint);
 
-    auto wr = open_record_writer(f.ctx, Direction::client_to_server, 9, 1, sealed, scratch);
-    ASSERT_TRUE(wr.ok());
-    EXPECT_EQ(to_bytes(wr.value().payload), payload);
-    auto wr_owning = open_record_writer(f.ctx, Direction::client_to_server, 9, 1, sealed);
-    ASSERT_TRUE(wr_owning.ok());
-    EXPECT_EQ(to_bytes(wr.value().endpoint_mac), wr_owning.value().endpoint_mac);
-
     auto rd = open_record_reader(f.ctx, Direction::client_to_server, 9, 1, sealed, scratch);
     ASSERT_TRUE(rd.ok());
     EXPECT_EQ(to_bytes(rd.value()), payload);
+
+    // The writer's endpoint MAC is the sender's: resealing the unchanged
+    // payload with it still opens as endpoint-original.
+    auto wr = open_record_writer(f.ctx, Direction::client_to_server, 9, 1, sealed, scratch);
+    ASSERT_TRUE(wr.ok());
+    EXPECT_EQ(to_bytes(wr.value().payload), payload);
+    Bytes resealed;
+    reseal_record_writer_into(f.ctx, Direction::client_to_server, 9, 1, payload,
+                              wr.value().endpoint_mac, ivrng, resealed);
     EXPECT_EQ(scratch.records, 3u);
+    RecordScratch downstream;
+    auto again = open_record_endpoint(f.ctx, f.endpoint, Direction::client_to_server, 9, 1,
+                                      resealed, downstream);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again.value().from_endpoint);
 }
 
 TEST(ContextCryptoGolden, ScratchSteadyStateIsAllocationFree)
@@ -140,7 +153,7 @@ TEST(ContextCryptoGolden, ScratchSteadyStateIsAllocationFree)
     EXPECT_EQ(scratch.heap_allocations, baseline);  // zero allocations in steady state
 }
 
-TEST(ContextCryptoGolden, ScratchOpenErrorsMatchOwningErrors)
+TEST(ContextCryptoGolden, ScratchOpenErrorsNameTheFailedCheck)
 {
     Fixture f;
     TestRng ivrng(44);
@@ -149,22 +162,22 @@ TEST(ContextCryptoGolden, ScratchOpenErrorsMatchOwningErrors)
     RecordScratch scratch;
     Bytes tampered = sealed;
     tampered[sealed.size() - 1] ^= 1;
-    auto owning = open_record_writer(f.ctx, Direction::client_to_server, 2, 1, tampered);
-    auto scratched = open_record_writer(f.ctx, Direction::client_to_server, 2, 1, tampered, scratch);
-    ASSERT_FALSE(owning.ok());
-    ASSERT_FALSE(scratched.ok());
-    EXPECT_EQ(owning.error().message, scratched.error().message);
+    auto writer = open_record_writer(f.ctx, Direction::client_to_server, 2, 1, tampered, scratch);
+    ASSERT_FALSE(writer.ok());
+    EXPECT_EQ(writer.error().message, "cbc: bad padding");
 
-    // Wrong sequence number: reader MAC mismatch, identical messages again.
-    auto o2 = open_record_reader(f.ctx, Direction::client_to_server, 3, 1, sealed);
-    auto s2 = open_record_reader(f.ctx, Direction::client_to_server, 3, 1, sealed, scratch);
-    ASSERT_FALSE(o2.ok());
-    ASSERT_FALSE(s2.ok());
-    EXPECT_EQ(o2.error().message, s2.error().message);
+    // Wrong sequence number: the writer and reader MACs no longer match.
+    auto w2 = open_record_writer(f.ctx, Direction::client_to_server, 3, 1, sealed, scratch);
+    ASSERT_FALSE(w2.ok());
+    EXPECT_EQ(w2.error().message, "mctls: illegal modification (writer MAC mismatch)");
+    auto r2 = open_record_reader(f.ctx, Direction::client_to_server, 3, 1, sealed, scratch);
+    ASSERT_FALSE(r2.ok());
+    EXPECT_EQ(r2.error().message, "mctls: third-party modification (reader MAC mismatch)");
 
     auto short_frag = open_record_endpoint(f.ctx, f.endpoint, Direction::client_to_server, 2, 1,
                                            ConstBytes(sealed).subspan(0, 16), scratch);
-    EXPECT_FALSE(short_frag.ok());
+    ASSERT_FALSE(short_frag.ok());
+    EXPECT_EQ(short_frag.error().message, "cbc: bad ciphertext length");
 }
 
 }  // namespace

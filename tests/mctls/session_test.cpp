@@ -109,12 +109,15 @@ TEST(McTlsHandshake, ReadOnlyMiddleboxHoldsNoWriterKey)
     ASSERT_EQ(units.size(), 1u);
     constexpr size_t kHeader = 6;  // type, version, context id, length
     ConstBytes fragment = ConstBytes{units[0]}.subspan(kHeader);
-    auto as_writer = open_record_writer(*reader, Direction::client_to_server, 0, 1, fragment);
+    RecordScratch scratch;
+    auto as_writer =
+        open_record_writer(*reader, Direction::client_to_server, 0, 1, fragment, scratch);
     ASSERT_FALSE(as_writer.ok());
     EXPECT_EQ(as_writer.error().message, "mctls: no write access to context");
-    auto as_reader = open_record_reader(*reader, Direction::client_to_server, 0, 1, fragment);
+    auto as_reader =
+        open_record_reader(*reader, Direction::client_to_server, 0, 1, fragment, scratch);
     ASSERT_TRUE(as_reader.ok()) << as_reader.error().message;
-    EXPECT_EQ(as_reader.value(), str_to_bytes("GET /"));
+    EXPECT_EQ(to_bytes(as_reader.value()), str_to_bytes("GET /"));
 }
 
 TEST(McTlsData, EndToEndBothDirections)

@@ -126,14 +126,16 @@ TEST_P(RecordSweep, SealOpenRoundTrip)
     ContextKeys ctx = derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 7);
 
     Bytes payload = rng.bytes(size);
+    RecordScratch scratch;
     for (uint64_t seq : {uint64_t{0}, uint64_t{1}, uint64_t{1000000}}) {
         Bytes frag = seal_record(ctx, endpoint, dir, seq, 7, payload, rng);
-        auto open = open_record_endpoint(ctx, endpoint, dir, seq, 7, frag);
+        auto open = open_record_endpoint(ctx, endpoint, dir, seq, 7, frag, scratch);
         ASSERT_TRUE(open.ok());
-        EXPECT_EQ(open.value().payload, payload);
+        EXPECT_EQ(to_bytes(open.value().payload), payload);
         EXPECT_TRUE(open.value().from_endpoint);
         // Opposite direction must fail.
-        EXPECT_FALSE(open_record_endpoint(ctx, endpoint, opposite(dir), seq, 7, frag).ok());
+        EXPECT_FALSE(
+            open_record_endpoint(ctx, endpoint, opposite(dir), seq, 7, frag, scratch).ok());
     }
 }
 

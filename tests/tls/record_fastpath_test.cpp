@@ -171,24 +171,32 @@ TEST(RecordCodecBounds, ContentTypeCheckedBeforeCrossFramingRetry)
     EXPECT_EQ(out.error().message, "record: unknown content type");
 }
 
+Bytes protect(CbcHmacProtector& sender, ConstBytes payload, Rng& rng)
+{
+    Bytes frag;
+    sender.protect_into(ContentType::application_data, 0, payload, rng, frag);
+    return frag;
+}
+
 TEST(CbcHmacProtector, PaddingAndMacFailuresIndistinguishable)
 {
     TestRng rng(60);
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 0, Bytes(48, 'p'), rng);
+    Bytes frag = protect(sender, Bytes(48, 'p'), rng);
+    Bytes plain;
 
     // Corrupt the CBC padding: flipping the last byte of the next-to-last
     // ciphertext block flips the decrypted padding-length byte.
     Bytes pad_tampered = frag;
     pad_tampered[frag.size() - 17] ^= 0x80;
     CbcHmacProtector r1(enc_key, mac_key);
-    auto pad_err = r1.unprotect(ContentType::application_data, 0, pad_tampered);
+    auto pad_err = r1.unprotect_into(ContentType::application_data, 0, pad_tampered, plain);
     ASSERT_FALSE(pad_err.ok());
 
     // Valid padding, wrong MAC: same fragment, wrong pseudo-header.
     CbcHmacProtector r2(enc_key, mac_key);
-    auto mac_err = r2.unprotect(ContentType::handshake, 0, frag);
+    auto mac_err = r2.unprotect_into(ContentType::handshake, 0, frag, plain);
     ASSERT_FALSE(mac_err.ok());
 
     EXPECT_EQ(pad_err.error().message, "record: bad_record_mac");
@@ -196,10 +204,11 @@ TEST(CbcHmacProtector, PaddingAndMacFailuresIndistinguishable)
 
     // Distinct, non-secret-dependent error for a structurally bad length.
     CbcHmacProtector r3(enc_key, mac_key);
-    auto len_err = r3.unprotect(ContentType::application_data, 0,
-                                ConstBytes(frag).subspan(0, frag.size() - 1));
+    auto len_err = r3.unprotect_into(ContentType::application_data, 0,
+                                     ConstBytes(frag).subspan(0, frag.size() - 1), plain);
     ASSERT_FALSE(len_err.ok());
     EXPECT_EQ(len_err.error().message, "record: bad ciphertext length");
+    EXPECT_TRUE(plain.empty());
 }
 
 TEST(CbcHmacProtector, FailedUnprotectLeavesStateUntouched)
@@ -208,8 +217,8 @@ TEST(CbcHmacProtector, FailedUnprotectLeavesStateUntouched)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes f0 = sender.protect(ContentType::application_data, 0, str_to_bytes("first"), rng);
-    Bytes f1 = sender.protect(ContentType::application_data, 0, str_to_bytes("second"), rng);
+    Bytes f0 = protect(sender, str_to_bytes("first"), rng);
+    Bytes f1 = protect(sender, str_to_bytes("second"), rng);
 
     Bytes tampered = f0;
     tampered[8] ^= 1;
@@ -219,12 +228,12 @@ TEST(CbcHmacProtector, FailedUnprotectLeavesStateUntouched)
     EXPECT_EQ(receiver.seq(), 0u);           // seq does not advance on failure
 
     // The untampered stream still decrypts in order afterwards.
-    auto p0 = receiver.unprotect(ContentType::application_data, 0, f0);
-    ASSERT_TRUE(p0.ok());
-    EXPECT_EQ(p0.value(), str_to_bytes("first"));
-    auto p1 = receiver.unprotect(ContentType::application_data, 0, f1);
-    ASSERT_TRUE(p1.ok());
-    EXPECT_EQ(p1.value(), str_to_bytes("second"));
+    plain.clear();
+    ASSERT_TRUE(receiver.unprotect_into(ContentType::application_data, 0, f0, plain).ok());
+    EXPECT_EQ(plain, str_to_bytes("first"));
+    plain.clear();
+    ASSERT_TRUE(receiver.unprotect_into(ContentType::application_data, 0, f1, plain).ok());
+    EXPECT_EQ(plain, str_to_bytes("second"));
 }
 
 TEST(CbcHmacProtector, UnprotectIntoAppendsAtOffset)
@@ -233,7 +242,7 @@ TEST(CbcHmacProtector, UnprotectIntoAppendsAtOffset)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 0, str_to_bytes("tail"), rng);
+    Bytes frag = protect(sender, str_to_bytes("tail"), rng);
     Bytes plain = str_to_bytes("head ");
     auto n = receiver.unprotect_into(ContentType::application_data, 0, frag, plain);
     ASSERT_TRUE(n.ok());

@@ -96,6 +96,22 @@ TEST(RecordCodec, OversizedRecordRejected)
                  std::length_error);
 }
 
+// Protects `payload` with `sender` into a fresh fragment.
+Bytes protect(CbcHmacProtector& sender, ContentType type, uint8_t context_id, ConstBytes payload,
+              Rng& rng)
+{
+    Bytes frag;
+    sender.protect_into(type, context_id, payload, rng, frag);
+    return frag;
+}
+
+bool unprotects(CbcHmacProtector& receiver, ContentType type, uint8_t context_id,
+                ConstBytes frag)
+{
+    Bytes plain;
+    return receiver.unprotect_into(type, context_id, frag, plain).ok();
+}
+
 TEST(CbcHmacProtector, ProtectUnprotectRoundTrip)
 {
     TestRng rng(50);
@@ -104,10 +120,13 @@ TEST(CbcHmacProtector, ProtectUnprotectRoundTrip)
     CbcHmacProtector receiver(enc_key, mac_key);
     for (int i = 0; i < 5; ++i) {
         Bytes payload = rng.bytes(100 + i);
-        Bytes frag = sender.protect(ContentType::application_data, 0, payload, rng);
-        auto out = receiver.unprotect(ContentType::application_data, 0, frag);
-        ASSERT_TRUE(out.ok()) << out.error().message;
-        EXPECT_EQ(out.value(), payload);
+        Bytes frag = protect(sender, ContentType::application_data, 0, payload, rng);
+        EXPECT_EQ(frag.size(), CbcHmacProtector::protected_size(payload.size()));
+        Bytes plain;
+        auto n = receiver.unprotect_into(ContentType::application_data, 0, frag, plain);
+        ASSERT_TRUE(n.ok()) << n.error().message;
+        EXPECT_EQ(n.value(), payload.size());
+        EXPECT_EQ(plain, payload);
     }
 }
 
@@ -117,10 +136,10 @@ TEST(CbcHmacProtector, SequenceNumberMismatchFails)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag1 = sender.protect(ContentType::application_data, 0, str_to_bytes("one"), rng);
-    Bytes frag2 = sender.protect(ContentType::application_data, 0, str_to_bytes("two"), rng);
+    Bytes frag1 = protect(sender, ContentType::application_data, 0, str_to_bytes("one"), rng);
+    Bytes frag2 = protect(sender, ContentType::application_data, 0, str_to_bytes("two"), rng);
     // Receiver skips frag1: replay/deletion must be detected via seq MAC.
-    EXPECT_FALSE(receiver.unprotect(ContentType::application_data, 0, frag2).ok());
+    EXPECT_FALSE(unprotects(receiver, ContentType::application_data, 0, frag2));
 }
 
 TEST(CbcHmacProtector, ReplayFails)
@@ -129,9 +148,9 @@ TEST(CbcHmacProtector, ReplayFails)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 0, str_to_bytes("x"), rng);
-    EXPECT_TRUE(receiver.unprotect(ContentType::application_data, 0, frag).ok());
-    EXPECT_FALSE(receiver.unprotect(ContentType::application_data, 0, frag).ok());
+    Bytes frag = protect(sender, ContentType::application_data, 0, str_to_bytes("x"), rng);
+    EXPECT_TRUE(unprotects(receiver, ContentType::application_data, 0, frag));
+    EXPECT_FALSE(unprotects(receiver, ContentType::application_data, 0, frag));
 }
 
 TEST(CbcHmacProtector, TamperedCiphertextFails)
@@ -140,9 +159,9 @@ TEST(CbcHmacProtector, TamperedCiphertextFails)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 0, Bytes(64, 'a'), rng);
+    Bytes frag = protect(sender, ContentType::application_data, 0, Bytes(64, 'a'), rng);
     frag[20] ^= 1;
-    EXPECT_FALSE(receiver.unprotect(ContentType::application_data, 0, frag).ok());
+    EXPECT_FALSE(unprotects(receiver, ContentType::application_data, 0, frag));
 }
 
 TEST(CbcHmacProtector, ContentTypeBound)
@@ -151,8 +170,8 @@ TEST(CbcHmacProtector, ContentTypeBound)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 0, str_to_bytes("x"), rng);
-    EXPECT_FALSE(receiver.unprotect(ContentType::handshake, 0, frag).ok());
+    Bytes frag = protect(sender, ContentType::application_data, 0, str_to_bytes("x"), rng);
+    EXPECT_FALSE(unprotects(receiver, ContentType::handshake, 0, frag));
 }
 
 TEST(CbcHmacProtector, ContextIdBound)
@@ -161,8 +180,8 @@ TEST(CbcHmacProtector, ContextIdBound)
     Bytes enc_key = rng.bytes(16), mac_key = rng.bytes(32);
     CbcHmacProtector sender(enc_key, mac_key);
     CbcHmacProtector receiver(enc_key, mac_key);
-    Bytes frag = sender.protect(ContentType::application_data, 2, str_to_bytes("x"), rng);
-    EXPECT_FALSE(receiver.unprotect(ContentType::application_data, 3, frag).ok());
+    Bytes frag = protect(sender, ContentType::application_data, 2, str_to_bytes("x"), rng);
+    EXPECT_FALSE(unprotects(receiver, ContentType::application_data, 3, frag));
 }
 
 }  // namespace
