@@ -3,6 +3,7 @@
 // same shape as the committed pre-change baseline; emits
 // BENCH_crypto_micro.json when MCT_BENCH_JSON_DIR is set so
 // scripts/bench_baseline.sh can diff runs.
+#include <array>
 #include <string>
 
 #include "bench_json.h"
@@ -92,6 +93,14 @@ int main()
             auto r = crypto::prf(secret, "key expansion", seed, 128);
             (void)r;
         }));
+        // The key-schedule shape: one context's reader keys from a freshly
+        // combined 64 B secret (expanded per call, as combine_reader_keys
+        // does) and the 64 B hello randoms.
+        Bytes reader_secret = rng.bytes(64);
+        std::array<uint8_t, 96> reader_keys;
+        report.point("prf_reader_keys_96B_ops", "op", bench::ops_per_sec([&] {
+            crypto::prf(crypto::HmacKey(reader_secret), "reader keys", seed, reader_keys);
+        }));
     }
     {
         // A record-sized MAC: from raw key bytes (ipad/opad hashed per MAC)
@@ -127,5 +136,8 @@ int main()
     crypto::HmacDrbg drbg(str_to_bytes("bench"));
     report.point("hmac_drbg_1k_ops", "op",
                  bench::ops_per_sec([&] { drbg.bytes(1024); }));
+    // One CBC IV: the draw every sealed record makes.
+    std::array<uint8_t, 16> iv;
+    report.point("drbg_fill16_ops", "op", bench::ops_per_sec([&] { drbg.fill(iv); }));
     return 0;
 }

@@ -22,14 +22,8 @@ void HmacDrbg::update(ConstBytes provided)
 {
     for (uint8_t round = 0x00; round <= 0x01; ++round) {
         if (round == 0x01 && provided.empty()) break;
-        HmacSha256 k(key_);
-        k.update(v_);
-        k.update({&round, 1});
-        k.update(provided);
-        key_ = HmacKey(k.finish_tag());
-        HmacSha256 v(key_);
-        v.update(v_);
-        v_ = v.finish_tag();
+        key_ = HmacKey(hmac_sha256(key_, {v_, ConstBytes{&round, 1}, provided}));
+        v_ = hmac_sha256(key_, {v_});
     }
 }
 
@@ -42,9 +36,7 @@ void HmacDrbg::fill(MutableBytes out)
 {
     size_t produced = 0;
     while (produced < out.size()) {
-        HmacSha256 h(key_);
-        h.update(v_);
-        v_ = h.finish_tag();
+        v_ = hmac_sha256(key_, {v_});
         size_t take = std::min(v_.size(), out.size() - produced);
         std::copy_n(v_.begin(), take, out.begin() + static_cast<ptrdiff_t>(produced));
         produced += take;

@@ -26,7 +26,7 @@ private:
     void update(ConstBytes provided);
 
     HmacKey key_;
-    std::array<uint8_t, Sha256::kDigestSize> v_;
+    HmacTag v_;
 };
 
 }  // namespace mct::crypto

@@ -1,32 +1,53 @@
 #include "crypto/prf.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "crypto/cpu.h"
 #include "crypto/hmac.h"
 
 namespace mct::crypto {
 
+namespace {
+
+// A(i) || label || seed for every label || seed up to this size minus
+// 41 bytes (32 for A(i), 9 of padding) is padded once per call.
+constexpr size_t kFusedBuffer = 4 * Sha256::kBlockSize;
+
+}  // namespace
+
 void prf(const HmacKey& secret, std::string_view label, ConstBytes seed, MutableBytes out)
 {
     if (out.empty()) return;
+    constexpr size_t kDigest = Sha256::kDigestSize;
     ConstBytes label_bytes{reinterpret_cast<const uint8_t*>(label.data()), label.size()};
-    HmacSha256 first(secret);
-    first.update(label_bytes);
-    first.update(seed);
-    auto a = first.finish_tag();  // A(1) = HMAC(secret, label || seed)
+    HmacTag a = hmac_sha256(secret, {label_bytes, seed});  // A(1) = HMAC(secret, label || seed)
+
+    // The block inputs differ only in their first 32 bytes, A(i): write the
+    // label || seed tail and the padding once, then only A(i) per block.
+    const CryptoDispatch& d = dispatch();
+    uint8_t msg[kFusedBuffer];
+    size_t msg_len = kDigest + label_bytes.size() + seed.size();
+    bool fused = msg_len + 9 <= sizeof msg;
+    size_t blocks = 0;
+    if (fused) {
+        std::copy(label_bytes.begin(), label_bytes.end(), msg + kDigest);
+        std::copy(seed.begin(), seed.end(), msg + kDigest + label_bytes.size());
+        blocks = detail::hmac_pad(msg, msg_len, msg_len);
+    }
     for (size_t produced = 0;;) {
-        HmacSha256 block(secret);
-        block.update(a);
-        block.update(label_bytes);
-        block.update(seed);
-        auto tag = block.finish_tag();
+        HmacTag tag;
+        if (fused) {
+            std::memcpy(msg, a.data(), kDigest);
+            tag = detail::hmac_padded(d, secret, msg, blocks);
+        } else {
+            tag = hmac_sha256(secret, {a, label_bytes, seed});
+        }
         size_t take = std::min(tag.size(), out.size() - produced);
         std::copy_n(tag.begin(), take, out.begin() + static_cast<ptrdiff_t>(produced));
         produced += take;
         if (produced == out.size()) return;
-        HmacSha256 next(secret);
-        next.update(a);
-        a = next.finish_tag();  // A(i+1) = HMAC(secret, A(i))
+        a = hmac_sha256(secret, {a});  // A(i+1) = HMAC(secret, A(i))
     }
 }
 

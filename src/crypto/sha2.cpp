@@ -230,16 +230,9 @@ std::array<uint8_t, Sha256::kDigestSize> Sha256::finish()
     return state_digest(state_);
 }
 
-std::array<uint8_t, Sha256::kDigestSize> Sha256::state_digest(const Sha256State& state)
+const Sha256State& Sha256::initial_state()
 {
-    std::array<uint8_t, kDigestSize> out;
-    for (int i = 0; i < 8; ++i) {
-        out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
-        out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
-        out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
-        out[4 * i + 3] = static_cast<uint8_t>(state[i]);
-    }
-    return out;
+    return kSha256.iv;
 }
 
 Bytes Sha256::digest(ConstBytes data)

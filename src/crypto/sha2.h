@@ -12,7 +12,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "util/bytes.h"
 
@@ -42,9 +44,34 @@ public:
     // The dispatch table this object was bound to at construction.
     const CryptoDispatch& backend() const { return *dispatch_; }
 
-    // Big-endian serialization of a chaining state: the digest once the
-    // final block has been compressed.
-    static std::array<uint8_t, kDigestSize> state_digest(const Sha256State& state);
+    // The FIPS 180-4 initial hash value: the state before the first block.
+    static const Sha256State& initial_state();
+
+    // Big-endian serialization of a chaining state into out[0, 32): the
+    // digest once the final block has been compressed. On little-endian
+    // hosts it is two 16-byte stores, so a compression that loads these
+    // bytes next (HMAC's outer block) is forwarded from the store buffer
+    // instead of waiting for 32 single-byte stores to retire.
+    static void store_digest(const Sha256State& state, uint8_t* out)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            typedef uint32_t Lanes __attribute__((vector_size(16)));
+            for (size_t half = 0; half < 2; ++half) {
+                Lanes x;
+                std::memcpy(&x, state.data() + 4 * half, sizeof x);
+                x = (x << 24) | ((x << 8) & 0xff0000) | ((x >> 8) & 0xff00) | (x >> 24);
+                std::memcpy(out + 16 * half, &x, sizeof x);
+            }
+        } else {
+            std::memcpy(out, state.data(), kDigestSize);
+        }
+    }
+    static std::array<uint8_t, kDigestSize> state_digest(const Sha256State& state)
+    {
+        std::array<uint8_t, kDigestSize> out;
+        store_digest(state, out.data());
+        return out;
+    }
 
     static Bytes digest(ConstBytes data);
 

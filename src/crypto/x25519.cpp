@@ -54,13 +54,23 @@ Bytes x25519(ConstBytes scalar32, ConstBytes u32)
     return fe_to_bytes(fe_mul(x2, fe_invert(z2)));
 }
 
+Bytes x25519_private_key(Rng& rng)
+{
+    return clamp(rng.bytes(32));
+}
+
+Bytes x25519_public_key(ConstBytes private_key)
+{
+    Bytes base(32, 0);
+    base[0] = 9;
+    return x25519(private_key, base);
+}
+
 X25519KeyPair x25519_keypair(Rng& rng)
 {
     X25519KeyPair kp;
-    kp.private_key = clamp(rng.bytes(32));
-    Bytes base(32, 0);
-    base[0] = 9;
-    kp.public_key = x25519(kp.private_key, base);
+    kp.private_key = x25519_private_key(rng);
+    kp.public_key = x25519_public_key(kp.private_key);
     return kp;
 }
 

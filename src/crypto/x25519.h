@@ -20,6 +20,13 @@ struct X25519KeyPair {
 // Scalar multiplication k * u on the Montgomery curve.
 Bytes x25519(ConstBytes scalar32, ConstBytes u32);
 
+// The two halves of key generation, for callers that may never need the
+// public key: 32 bytes drawn from `rng` and clamped, and the base-point
+// multiplication (the curve work) for that private key.
+Bytes x25519_private_key(Rng& rng);
+Bytes x25519_public_key(ConstBytes private_key);
+
+// x25519_private_key then x25519_public_key.
 X25519KeyPair x25519_keypair(Rng& rng);
 
 // DHCombine: shared secret from our private key and the peer's public key.

@@ -184,9 +184,7 @@ bool try_hellos(ConstBytes c2s, ConstBytes s2c, bool mctls_framing, HelloInfo* o
 
 bool tag_matches(const crypto::MacKey& key, ConstBytes mac_input, ConstBytes wire_tag)
 {
-    crypto::HmacSha256 mac{key.expanded()};
-    mac.update(mac_input);
-    auto tag = mac.finish_tag();
+    auto tag = crypto::hmac_sha256(key.expanded(), {mac_input});
     return wire_tag.size() == tag.size() &&
            std::equal(tag.begin(), tag.end(), wire_tag.begin());
 }

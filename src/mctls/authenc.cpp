@@ -6,14 +6,9 @@ namespace mct::mctls {
 
 namespace {
 
-std::array<uint8_t, crypto::HmacSha256::kTagSize> tag(const AuthEncKey& key,
-                                                      ConstBytes associated_data,
-                                                      ConstBytes ciphertext)
+crypto::HmacTag tag(const AuthEncKey& key, ConstBytes associated_data, ConstBytes ciphertext)
 {
-    crypto::HmacSha256 mac(key.mac_key.expanded());
-    mac.update(associated_data);
-    mac.update(ciphertext);
-    return mac.finish_tag();
+    return crypto::hmac_sha256(key.mac_key.expanded(), {associated_data, ciphertext});
 }
 
 }  // namespace

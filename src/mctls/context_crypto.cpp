@@ -45,11 +45,9 @@ size_t dir_index(Direction dir)
 std::array<uint8_t, kMacSize> mac_tag(const crypto::MacKey& key, uint64_t seq,
                                       uint8_t context_id, ConstBytes payload)
 {
-    crypto::HmacSha256 mac(key.expanded());
-    mac.update(tls::mac_pseudo_header(seq, tls::ContentType::application_data, context_id,
-                                      payload.size()));
-    mac.update(payload);
-    return mac.finish_tag();
+    auto header =
+        tls::mac_pseudo_header(seq, tls::ContentType::application_data, context_id, payload.size());
+    return crypto::hmac_sha256(key.expanded(), {header, payload});
 }
 
 // CBC-encrypts payload || MACs (plus a signature in mode (b)) under the

@@ -1,6 +1,8 @@
 #include "mctls/key_schedule.h"
 
+#include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "crypto/prf.h"
 #include "util/serde.h"
@@ -126,14 +128,26 @@ EndpointKeys derive_endpoint_keys(ConstBytes s_cs, ConstBytes rand_c, ConstBytes
     return keys;
 }
 
-PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
+PartialContextKeys derive_partial_keys(const crypto::HmacKey& endpoint_secret, ConstBytes rand_e,
                                        uint8_t context_id)
 {
-    auto block =
-        key_block<2 * kHalfSize>(endpoint_secret, "ck", concat(rand_e, Bytes{context_id}));
+    // rand_e || context_id on the stack; hello randoms are 32 bytes.
+    std::array<uint8_t, 64> seed;
+    if (rand_e.size() >= seed.size())
+        throw std::invalid_argument("derive_partial_keys: rand_e too long");
+    std::copy(rand_e.begin(), rand_e.end(), seed.begin());
+    seed[rand_e.size()] = context_id;
+    auto block = key_block<2 * kHalfSize>(endpoint_secret, "ck",
+                                          ConstBytes{seed.data(), rand_e.size() + 1});
     ConstBytes view{block};
     return PartialContextKeys{to_bytes(view.subspan(0, kHalfSize)),
                               to_bytes(view.subspan(kHalfSize, kHalfSize))};
+}
+
+PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
+                                       uint8_t context_id)
+{
+    return derive_partial_keys(crypto::HmacKey(endpoint_secret), rand_e, context_id);
 }
 
 ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server_reader_half,

@@ -79,6 +79,9 @@ AuthEncKey derive_pairwise_key(ConstBytes shared_secret, ConstBytes rand_a, Cons
 EndpointKeys derive_endpoint_keys(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s);
 
 // {K^E_readers, K^E_writers} for one context from the endpoint's secret S_E.
+// Sessions expand S_E once and use the HmacKey form for every context.
+PartialContextKeys derive_partial_keys(const crypto::HmacKey& endpoint_secret, ConstBytes rand_e,
+                                       uint8_t context_id);
 PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
                                        uint8_t context_id);
 

@@ -159,9 +159,9 @@ void Session::start()
 
     client_random_ = cfg_.rng->bytes(tls::kRandomSize);
     own_secret_ = cfg_.rng->bytes(32);
-    auto kp = crypto::x25519_keypair(*cfg_.rng);
-    dh_private_ = kp.private_key;
-    dh_public_ = kp.public_key;
+    // The public key is computed at ClientKeyExchange: a resumed session
+    // never sends one, so it does no curve work at all.
+    dh_private_ = crypto::x25519_private_key(*cfg_.rng);
 
     tls::ClientHello hello;
     hello.random = client_random_;
@@ -491,7 +491,6 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
 
         auto kp = crypto::x25519_keypair(*cfg_.rng);
         dh_private_ = kp.private_key;
-        dh_public_ = kp.public_key;
 
         Bytes flight;
         tls::ServerHello sh;
@@ -518,7 +517,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         tls::KeyExchange ske;
         ske.msg_type = tls::HandshakeType::server_key_exchange;
         ske.entity = kEntityServer;
-        ske.public_key = dh_public_;
+        ske.public_key = kp.public_key;
         ske.signature = crypto::ed25519_sign(cfg_.private_key, ske.signed_payload());
         crypto::count_sign(cfg_.ops);
         Bytes ske_wire = ske.to_message().serialize();
@@ -607,9 +606,10 @@ void Session::derive_endpoint_secrets_from_scs()
             crypto::count_keygen(cfg_.ops, 2);  // reader + writer keys
         }
     } else {
+        crypto::HmacKey own_secret(own_secret_);
         for (const auto& ctx : contexts_) {
             own_partials_[ctx.id] = derive_partial_keys(
-                own_secret_, is_client_ ? client_random_ : server_random_, ctx.id);
+                own_secret, is_client_ ? client_random_ : server_random_, ctx.id);
             crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
         }
     }
@@ -707,7 +707,7 @@ Status Session::client_send_second_flight()
     derive_endpoint_secrets();
 
     Bytes flight;
-    tls::ClientKeyExchange cke{dh_public_};
+    tls::ClientKeyExchange cke{crypto::x25519_public_key(dh_private_)};
     Bytes cke_wire = cke.to_message().serialize();
     transcript_.set(Transcript::Slot::client_key_exchange, cke_wire);
     crypto::count_hash(cfg_.ops);
@@ -1098,7 +1098,7 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     rekey_own_partials_.clear();
     pending_context_keys_.clear();
 
-    Bytes secret = cfg_.rng->bytes(32);
+    crypto::HmacKey secret(cfg_.rng->bytes(32));
     for (const auto& ctx : contexts_) {
         rekey_own_partials_[ctx.id] = derive_partial_keys(secret, client_random_, ctx.id);
         crypto::count_keygen(cfg_.ops, 2);
@@ -1266,7 +1266,7 @@ Status Session::handle_rekey_record(const tls::Record& record)
         std::map<uint8_t, PartialContextKeys> client_halves;
         for (const auto& e : entries.value()) client_halves[e.context_id] = e.partial;
 
-        Bytes secret = cfg_.rng->bytes(32);
+        crypto::HmacKey secret(cfg_.rng->bytes(32));
         for (const auto& ctx : contexts_) {
             rekey_own_partials_[ctx.id] =
                 derive_partial_keys(secret, server_random_, ctx.id);

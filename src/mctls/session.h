@@ -272,7 +272,6 @@ private:
     Bytes server_random_;
     Bytes own_secret_;       // S_C or S_S (partial-key seed)
     Bytes dh_private_;
-    Bytes dh_public_;
     Bytes peer_dh_public_;
     Bytes s_cs_;             // endpoint master secret
     EndpointKeys endpoint_keys_;

@@ -129,10 +129,8 @@ CbcHmacProtector::CbcHmacProtector(ConstBytes enc_key, ConstBytes mac_key)
 void CbcHmacProtector::protect_into(ContentType type, uint8_t context_id, ConstBytes payload,
                                     Rng& rng, Bytes& out)
 {
-    crypto::HmacSha256 mac(mac_key_);
-    mac.update(mac_pseudo_header(seq_, type, context_id, payload.size()));
-    mac.update(payload);
-    auto tag = mac.finish_tag();
+    auto tag = crypto::hmac_sha256(
+        mac_key_, {mac_pseudo_header(seq_, type, context_id, payload.size()), payload});
     ++seq_;
     out.reserve(out.size() + protected_size(payload.size()));
     crypto::CbcEncryptStream enc(cipher_, rng, out);
@@ -158,10 +156,8 @@ Result<size_t> CbcHmacProtector::unprotect_into(ContentType type, uint8_t contex
     bool length_ok = content_len >= crypto::HmacSha256::kTagSize;
     size_t payload_len = length_ok ? content_len - crypto::HmacSha256::kTagSize : 0;
 
-    crypto::HmacSha256 mac(mac_key_);
-    mac.update(mac_pseudo_header(seq_, type, context_id, payload_len));
-    mac.update(padded.subspan(0, payload_len));
-    auto tag = mac.finish_tag();
+    auto tag = crypto::hmac_sha256(mac_key_, {mac_pseudo_header(seq_, type, context_id, payload_len),
+                                               padded.subspan(0, payload_len)});
     bool mac_ok = length_ok &&
                   crypto::ct_equal(tag, padded.subspan(payload_len, crypto::HmacSha256::kTagSize));
     if (pad == 0 || !mac_ok) {

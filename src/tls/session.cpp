@@ -74,9 +74,9 @@ void Session::start()
         throw std::logic_error("tls::Session: start() is for idle clients");
 
     client_random_ = cfg_.rng->bytes(kRandomSize);
-    auto kp = crypto::x25519_keypair(*cfg_.rng);
-    our_dh_private_ = kp.private_key;
-    our_dh_public_ = kp.public_key;
+    // The public key is computed at ClientKeyExchange: a resumed session
+    // never sends one, so it does no curve work at all.
+    our_dh_private_ = crypto::x25519_private_key(*cfg_.rng);
 
     ClientHello hello;
     hello.random = client_random_;
@@ -254,7 +254,7 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
         derive_keys();
 
         Bytes flight;
-        ClientKeyExchange cke{our_dh_public_};
+        ClientKeyExchange cke{crypto::x25519_public_key(our_dh_private_)};
         queue_handshake(cke.to_message(), &flight);
         flush_flight(std::move(flight));
         send_ccs_and_finished();
@@ -314,7 +314,6 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
 
     auto kp = crypto::x25519_keypair(*cfg_.rng);
     our_dh_private_ = kp.private_key;
-    our_dh_public_ = kp.public_key;
 
     Bytes flight;
     ServerHello sh;
@@ -333,7 +332,7 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
     KeyExchange ske;
     ske.msg_type = HandshakeType::server_key_exchange;
     ske.entity = 0xff;
-    ske.public_key = our_dh_public_;
+    ske.public_key = kp.public_key;
     ske.signature = crypto::ed25519_sign(cfg_.private_key, ske.signed_payload());
     crypto::count_sign(cfg_.ops);
     queue_handshake(ske.to_message(), &flight);

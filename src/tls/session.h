@@ -182,7 +182,6 @@ private:
     Bytes client_random_;
     Bytes server_random_;
     Bytes our_dh_private_;
-    Bytes our_dh_public_;
     Bytes peer_dh_public_;
     Bytes master_secret_;
     std::vector<pki::Certificate> peer_chain_;

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/cpu.h"
 #include "crypto/hmac.h"
+#include "crypto/prf.h"
 #include "crypto/sha2.h"
 #include "util/rng.h"
 
@@ -287,13 +289,28 @@ Bytes reference_hmac(ConstBytes key, ConstBytes data)
     return Bytes(tag.begin(), tag.end());
 }
 
-// The keyed path (HmacKey midstates, one-block outer hash) against the
+// Every message length up to 200, then lengths around the one-shot's 1 KiB
+// buffer (a full buffer, a part hashed in place, the padding in the slack).
+std::vector<size_t> hmac_lengths()
+{
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 200; ++len) lengths.push_back(len);
+    for (size_t len : {1015u, 1016u, 1023u, 1024u, 1025u, 1087u, 1088u, 2047u, 2048u, 2049u,
+                       3000u, 16397u})
+        lengths.push_back(len);
+    return lengths;
+}
+
+// The keyed paths (HmacKey midstates, one-block outer hash) against the
 // one-shot raw-key path and the reference, on every compiled backend, for
-// keys below, at and above the block size and messages across three blocks.
+// keys below, at and above the block size and messages across three blocks
+// and across the one-shot's buffer: the streaming HmacSha256 and
+// hmac_sha256() with the message in three parts.
 TEST(BackendCavp, KeyedHmacMatchesOneShotAcrossLengths)
 {
     TestRng rng(211);
-    Bytes message = rng.bytes(200);
+    std::vector<size_t> lengths = hmac_lengths();
+    Bytes message = rng.bytes(lengths.back());
     for (size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 131u}) {
         Bytes key = rng.bytes(key_len);
         std::vector<Bytes> first_backend_tags;
@@ -301,7 +318,7 @@ TEST(BackendCavp, KeyedHmacMatchesOneShotAcrossLengths)
             ScopedDispatchOverride pin(*d);
             HmacKey keyed(key);
             std::vector<Bytes> tags;
-            for (size_t len = 0; len <= message.size(); ++len) {
+            for (size_t len : lengths) {
                 ConstBytes data = ConstBytes{message}.first(len);
                 Bytes one_shot = HmacSha256::mac(key, data);
                 ASSERT_EQ(one_shot, reference_hmac(key, data))
@@ -312,12 +329,70 @@ TEST(BackendCavp, KeyedHmacMatchesOneShotAcrossLengths)
                 auto tag = mac.finish_tag();
                 ASSERT_EQ(Bytes(tag.begin(), tag.end()), one_shot)
                     << d->name << " key=" << key_len << " len=" << len;
+                auto parts = hmac_sha256(keyed, {data.first(len / 7), data.subspan(len / 7, len / 2),
+                                                 data.subspan(len / 7 + len / 2)});
+                ASSERT_EQ(Bytes(parts.begin(), parts.end()), one_shot)
+                    << d->name << " key=" << key_len << " len=" << len;
                 tags.push_back(one_shot);
             }
             if (first_backend_tags.empty())
                 first_backend_tags = tags;
             else
                 ASSERT_EQ(tags, first_backend_tags) << d->name << " key=" << key_len;
+        }
+    }
+}
+
+// RFC 5246 §5 P_SHA256 built from the streaming HmacSha256, independent of
+// the one-shot core prf() runs on.
+Bytes reference_p_sha256(ConstBytes secret, ConstBytes label_seed, size_t n)
+{
+    auto mac = [&](ConstBytes a, ConstBytes b) {
+        HmacSha256 h(secret);
+        h.update(a);
+        h.update(b);
+        return h.finish();
+    };
+    Bytes out;
+    Bytes a = mac(label_seed, {});  // A(1)
+    while (out.size() < n) {
+        append(out, mac(a, label_seed));
+        a = mac(a, {});  // A(i+1)
+    }
+    out.resize(n);
+    return out;
+}
+
+// prf() on every compiled backend against the reference. A(1) hashes
+// label || seed and every output block A(i) || label || seed, so tail
+// lengths 0-140 put both messages on each side of the 55/56-byte padding
+// split and the 64-byte block edge (e.g. tails 55, 56, 64, 119, 120, 128);
+// the longest tails no longer fit prf()'s fused buffer. Output lengths run
+// 1-200 (up to seven P_SHA256 blocks).
+TEST(BackendCavp, PrfMatchesStreamingReferenceAcrossPaddingBoundaries)
+{
+    TestRng rng(212);
+    std::vector<size_t> tails;
+    for (size_t t = 0; t <= 140; ++t) tails.push_back(t);
+    for (size_t t : {214u, 215u, 216u, 300u, 1100u}) tails.push_back(t);
+    for (size_t secret_len : {0u, 32u, 65u}) {
+        Bytes secret = rng.bytes(secret_len);
+        for (size_t tail : tails) {
+            Bytes label_seed = rng.bytes(tail);
+            std::string_view label{reinterpret_cast<const char*>(label_seed.data()), tail / 4};
+            ConstBytes seed = ConstBytes{label_seed}.subspan(tail / 4);
+            Bytes expected = reference_p_sha256(secret, label_seed, 200);
+            for (const CryptoDispatch* d : all_backends()) {
+                ScopedDispatchOverride pin(*d);
+                HmacKey key(secret);
+                for (size_t n = 1; n <= expected.size(); ++n) {
+                    Bytes out(n);
+                    prf(key, label, seed, out);
+                    ASSERT_EQ(out, Bytes(expected.begin(), expected.begin() + n))
+                        << d->name << " secret=" << secret_len << " tail=" << tail
+                        << " n=" << n;
+                }
+            }
         }
     }
 }

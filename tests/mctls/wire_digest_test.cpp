@@ -1,0 +1,269 @@
+// Session-level wire-byte pins. Each test runs seeded sessions through a
+// full handshake, a resumed handshake and one 64 B record each way, and
+// takes one SHA-256 over every wire unit in delivery order (each prefixed
+// by the hop it crossed). All parties draw from one HmacDrbg, so the digest
+// covers the DRBG stream, every PRF and MAC, the ephemeral keys and each
+// message encoding: a change that draws one random byte more or less, or
+// moves one byte on the wire, changes it.
+//
+// The pinned digests were computed by building this file against the
+// libraries from before the client deferred its X25519 public key to
+// ClientKeyExchange and before every MAC moved to the one-shot HMAC core.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "crypto/drbg.h"
+#include "crypto/sha2.h"
+#include "mctls/middlebox.h"
+#include "mctls/resumption.h"
+#include "mctls/session.h"
+#include "pki/authority.h"
+#include "tls/resumption.h"
+#include "tls/session.h"
+
+namespace mct {
+namespace {
+
+void hash_unit(crypto::Sha256& wire, uint8_t hop, ConstBytes unit)
+{
+    wire.update({&hop, 1});
+    wire.update(unit);
+}
+
+// Client -> mbox0 (read) -> mbox1 (write) -> server over four contexts.
+struct McTlsChain {
+    crypto::HmacDrbg rng{str_to_bytes("mctls session wire digest")};
+    pki::Authority ca{"Root CA", rng};
+    pki::TrustStore store;
+    pki::Identity server_id = ca.issue("server.example.com", rng);
+    std::vector<pki::Identity> mbox_ids{ca.issue("mbox0.isp.net", rng),
+                                        ca.issue("mbox1.isp.net", rng)};
+    mctls::ServerSessionCache server_cache;
+    mctls::MiddleboxSessionCache mbox_caches[2];
+    mctls::ResumptionTicket ticket;
+    crypto::Sha256 wire;
+
+    std::unique_ptr<mctls::Session> client, server;
+    std::unique_ptr<mctls::MiddleboxSession> mboxes[2];
+
+    McTlsChain() { store.add_root(ca.root_certificate()); }
+
+    void connect(bool resume)
+    {
+        using mctls::Permission;
+        std::vector<mctls::MiddleboxInfo> infos;
+        for (const auto& id : mbox_ids)
+            infos.push_back({id.certificate.subject, id.certificate.subject});
+        auto row = [](uint8_t id, Permission m0, Permission m1) {
+            mctls::ContextDescription ctx;
+            ctx.id = id;
+            ctx.purpose = "ctx" + std::to_string(id);
+            ctx.permissions = {m0, m1};
+            return ctx;
+        };
+        mctls::SessionConfig ccfg;
+        ccfg.role = tls::Role::client;
+        ccfg.server_name = "server.example.com";
+        ccfg.middleboxes = infos;
+        ccfg.contexts = {row(1, Permission::read, Permission::write),
+                         row(2, Permission::read, Permission::read),
+                         row(3, Permission::none, Permission::write),
+                         row(4, Permission::read, Permission::none)};
+        ccfg.trust = &store;
+        ccfg.rng = &rng;
+        if (resume) {
+            ticket = client->ticket();
+            ccfg.ticket = &ticket;
+        }
+        client = std::make_unique<mctls::Session>(ccfg);
+
+        mctls::SessionConfig scfg;
+        scfg.role = tls::Role::server;
+        scfg.chain = {server_id.certificate};
+        scfg.private_key = server_id.private_key;
+        scfg.trust = &store;
+        scfg.rng = &rng;
+        scfg.session_cache = &server_cache;
+        server = std::make_unique<mctls::Session>(scfg);
+
+        for (size_t i = 0; i < 2; ++i) {
+            mctls::MiddleboxConfig mcfg;
+            mcfg.name = mbox_ids[i].certificate.subject;
+            mcfg.chain = {mbox_ids[i].certificate};
+            mcfg.private_key = mbox_ids[i].private_key;
+            mcfg.trust = &store;
+            mcfg.rng = &rng;
+            mcfg.session_cache = &mbox_caches[i];
+            mboxes[i] = std::make_unique<mctls::MiddleboxSession>(mcfg);
+        }
+        client->start();
+        pump();
+    }
+
+    void pump()
+    {
+        for (bool progress = true; progress;) {
+            progress = false;
+            for (auto& unit : client->take_write_units()) {
+                progress = true;
+                hash_unit(wire, 0, unit);
+                (void)mboxes[0]->feed_from_client(unit);
+            }
+            for (auto& unit : mboxes[0]->take_to_server()) {
+                progress = true;
+                hash_unit(wire, 1, unit);
+                (void)mboxes[1]->feed_from_client(unit);
+            }
+            for (auto& unit : mboxes[1]->take_to_server()) {
+                progress = true;
+                hash_unit(wire, 2, unit);
+                (void)server->feed(unit);
+            }
+            for (auto& unit : server->take_write_units()) {
+                progress = true;
+                hash_unit(wire, 3, unit);
+                (void)mboxes[1]->feed_from_server(unit);
+            }
+            for (auto& unit : mboxes[1]->take_to_client()) {
+                progress = true;
+                hash_unit(wire, 4, unit);
+                (void)mboxes[0]->feed_from_server(unit);
+            }
+            for (auto& unit : mboxes[0]->take_to_client()) {
+                progress = true;
+                hash_unit(wire, 5, unit);
+                (void)client->feed(unit);
+            }
+        }
+    }
+
+    void exchange_records()
+    {
+        Bytes request(64, 0x5a), response(64, 0xa5);
+        ASSERT_TRUE(client->send_app_data(1, request).ok());
+        pump();
+        auto got = server->take_app_data();
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0].data, request);
+        ASSERT_TRUE(server->send_app_data(1, response).ok());
+        pump();
+        got = client->take_app_data();
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0].data, response);
+    }
+
+    bool all_complete() const
+    {
+        return client->handshake_complete() && server->handshake_complete() &&
+               mboxes[0]->handshake_complete() && mboxes[1]->handshake_complete();
+    }
+};
+
+TEST(SessionWireDigest, McTlsFullResumedAndRecords)
+{
+    McTlsChain chain;
+    chain.connect(/*resume=*/false);
+    ASSERT_TRUE(chain.all_complete()) << chain.client->error() << chain.server->error();
+    ASSERT_FALSE(chain.client->resumed());
+    chain.exchange_records();
+
+    chain.connect(/*resume=*/true);
+    ASSERT_TRUE(chain.all_complete()) << chain.client->error() << chain.server->error();
+    ASSERT_TRUE(chain.client->resumed());
+    ASSERT_TRUE(chain.server->resumed());
+    ASSERT_TRUE(chain.mboxes[0]->resumed());
+    ASSERT_TRUE(chain.mboxes[1]->resumed());
+    chain.exchange_records();
+
+    EXPECT_EQ(to_hex(chain.wire.finish()),
+              "fd79ab5b06298c3b54646561e2292135369db9ad1e201e924d68a8061597ca48");
+}
+
+struct TlsPair {
+    crypto::HmacDrbg rng{str_to_bytes("tls session wire digest")};
+    pki::Authority ca{"Root CA", rng};
+    pki::TrustStore store;
+    pki::Identity server_id = ca.issue("server.example.com", rng);
+    tls::TlsSessionCache cache;
+    tls::TlsTicket ticket;
+    crypto::Sha256 wire;
+
+    std::unique_ptr<tls::Session> client, server;
+
+    TlsPair() { store.add_root(ca.root_certificate()); }
+
+    void connect(bool resume)
+    {
+        tls::SessionConfig ccfg;
+        ccfg.role = tls::Role::client;
+        ccfg.server_name = "server.example.com";
+        ccfg.trust = &store;
+        ccfg.rng = &rng;
+        if (resume) {
+            ticket = client->ticket();
+            ccfg.ticket = &ticket;
+        }
+        client = std::make_unique<tls::Session>(ccfg);
+
+        tls::SessionConfig scfg;
+        scfg.role = tls::Role::server;
+        scfg.chain = {server_id.certificate};
+        scfg.private_key = server_id.private_key;
+        scfg.rng = &rng;
+        scfg.session_cache = &cache;
+        server = std::make_unique<tls::Session>(scfg);
+        client->start();
+        pump();
+    }
+
+    void pump()
+    {
+        for (bool progress = true; progress;) {
+            progress = false;
+            for (auto& unit : client->take_write_units()) {
+                progress = true;
+                hash_unit(wire, 0, unit);
+                (void)server->feed(unit);
+            }
+            for (auto& unit : server->take_write_units()) {
+                progress = true;
+                hash_unit(wire, 1, unit);
+                (void)client->feed(unit);
+            }
+        }
+    }
+
+    void exchange_records()
+    {
+        Bytes request(64, 0x5a), response(64, 0xa5);
+        ASSERT_TRUE(client->send_app_data(request).ok());
+        pump();
+        EXPECT_EQ(server->take_app_data(), request);
+        ASSERT_TRUE(server->send_app_data(response).ok());
+        pump();
+        EXPECT_EQ(client->take_app_data(), response);
+    }
+};
+
+TEST(SessionWireDigest, TlsFullResumedAndRecords)
+{
+    TlsPair pair;
+    pair.connect(/*resume=*/false);
+    ASSERT_TRUE(pair.client->handshake_complete()) << pair.client->error();
+    ASSERT_FALSE(pair.client->resumed());
+    pair.exchange_records();
+
+    pair.connect(/*resume=*/true);
+    ASSERT_TRUE(pair.client->handshake_complete()) << pair.client->error();
+    ASSERT_TRUE(pair.client->resumed());
+    pair.exchange_records();
+
+    EXPECT_EQ(to_hex(pair.wire.finish()),
+              "795cc7b0aed656072c0810317b00f9d8a9a1b32c7c227ad2ab4986ed9c2ec68b");
+}
+
+}  // namespace
+}  // namespace mct
