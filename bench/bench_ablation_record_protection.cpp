@@ -11,13 +11,9 @@
 //
 // Measures the zero-copy data plane (seal_record_into into one reused wire
 // buffer, scratch-based opens) — the path the sessions and middlebox
-// actually run.
-// Series names and loop shape match bench/baselines/pre/, which was captured
-// from the pre-fast-path implementation, so the JSON emitted here diffs
-// directly against it (scripts/bench_baseline.sh). Emits
-// BENCH_ablation_record_protection.json when MCT_BENCH_JSON_DIR is set; the
-// records/allocations counters in the metrics block pin the steady-state
-// zero-allocation property.
+// actually run. Emits BENCH_ablation_record_protection.json when
+// MCT_BENCH_JSON_DIR is set; the records/allocations counters in the
+// metrics block pin the steady-state zero-allocation property.
 #include <cstdio>
 #include <string>
 

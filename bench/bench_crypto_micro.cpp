@@ -1,8 +1,6 @@
 // Crypto primitive micro-benchmarks: sanity-checks the substrate the
-// protocol benches stand on. Manual timing loop (bench_timing.h) with the
-// same shape as the committed pre-change baseline; emits
-// BENCH_crypto_micro.json when MCT_BENCH_JSON_DIR is set so
-// scripts/bench_baseline.sh can diff runs.
+// protocol benches stand on. Manual timing loop (bench_timing.h); emits
+// BENCH_crypto_micro.json when MCT_BENCH_JSON_DIR is set.
 #include <array>
 #include <string>
 

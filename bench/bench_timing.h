@@ -1,9 +1,8 @@
 // Manual steady-clock timing loop shared by the micro/ablation benches.
 //
-// Deliberately not google-benchmark: the loop shape here (16 warmup calls,
-// batches of 32 against a wall-clock deadline) is the exact shape used to
-// capture bench/baselines/pre/, so post-change numbers written by these
-// benches are directly comparable to the committed pre-change baseline.
+// Deliberately not google-benchmark: one loop shape (16 warmup calls,
+// batches of 32 against a wall-clock deadline) for every micro/ablation
+// bench, so their numbers compare with each other across runs.
 #pragma once
 
 #include <chrono>

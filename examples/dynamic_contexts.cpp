@@ -11,6 +11,7 @@
 // visibility.
 #include <cstdio>
 
+#include "chain_pump.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
@@ -19,30 +20,6 @@
 using namespace mct;
 
 namespace {
-
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
 
 constexpr uint8_t kCompressible = 1;  // proxy: write
 constexpr uint8_t kPrivate = 2;       // proxy: none
@@ -91,7 +68,7 @@ int main()
     mctls::MiddleboxSession proxy(mcfg);
 
     client.start();
-    pump(client, proxy, server);
+    examples::pump(client, proxy, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -100,7 +77,7 @@ int main()
     std::printf("On cellular: images ride the proxy-writable context.\n");
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0001.raw"));
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0002.raw"));
-    pump(client, proxy, server);
+    examples::pump(client, proxy, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",
@@ -110,7 +87,7 @@ int main()
                 "Same session, no new handshake:\n");
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0003.raw"));
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0004.raw"));
-    pump(client, proxy, server);
+    examples::pump(client, proxy, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",

@@ -10,40 +10,13 @@
 #include <map>
 #include <string>
 
+#include "chain_pump.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
 
 using namespace mct;
-
-namespace {
-
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
-
-}  // namespace
 
 int main()
 {
@@ -93,7 +66,7 @@ int main()
     mctls::MiddleboxSession optimizer(mcfg);
 
     client.start();
-    pump(client, optimizer, server);
+    examples::pump(client, optimizer, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -107,7 +80,7 @@ int main()
     (void)server.send_app_data(1, str_to_bytes("PNG-DATA-FRAME"));
     (void)server.send_app_data(3, str_to_bytes("api-token=SECRET"));
     (void)server.send_app_data(2, str_to_bytes("<html>frame</html>"));
-    pump(client, optimizer, server);
+    examples::pump(client, optimizer, server);
 
     std::printf("\nFrames as the client receives them (in order):\n");
     for (const auto& chunk : client.take_app_data()) {

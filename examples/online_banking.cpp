@@ -6,40 +6,13 @@
 // still works end-to-end.
 #include <cstdio>
 
+#include "chain_pump.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
 
 using namespace mct;
-
-namespace {
-
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
-
-}  // namespace
 
 int main()
 {
@@ -91,7 +64,7 @@ int main()
 
     std::printf("Client asks to include proxy.isp.net with WRITE access to account data.\n");
     client.start();
-    pump(client, proxy, server);
+    examples::pump(client, proxy, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -103,7 +76,7 @@ int main()
                 mctls::to_string(client.granted_permission(0, 1)));
 
     (void)client.send_app_data(1, str_to_bytes("transfer $1,000,000 to savings"));
-    pump(client, proxy, server);
+    examples::pump(client, proxy, server);
     auto chunks = server.take_app_data();
     std::printf("\nBank received %zu chunk(s); proxy observed plaintext: %s\n",
                 chunks.size(), proxy_saw_anything ? "YES (!)" : "no");

@@ -14,42 +14,13 @@
 #include <cstdio>
 #include <memory>
 
+#include "chain_pump.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
 
 using namespace mct;
-
-namespace {
-
-// Deliver pending write units along client <-> middlebox <-> server until
-// everything goes quiet.
-void pump(mctls::Session& client, mctls::MiddleboxSession& mbox, mctls::Session& server)
-{
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_client(unit);
-        }
-        for (auto& unit : mbox.take_to_server()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)mbox.feed_from_server(unit);
-        }
-        for (auto& unit : mbox.take_to_client()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
-}
-
-}  // namespace
 
 int main()
 {
@@ -110,7 +81,7 @@ int main()
     // --- Handshake --------------------------------------------------------
     std::printf("Handshaking (client + proxy.isp.net + server.example.com)...\n");
     client.start();
-    pump(client, mbox, server);
+    examples::pump(client, mbox, server);
     if (!client.handshake_complete() || !server.handshake_complete() ||
         !mbox.handshake_complete()) {
         std::printf("handshake failed: %s / %s / %s\n", client.error().c_str(),
@@ -127,7 +98,7 @@ int main()
     std::printf("\nClient sends a request header + body...\n");
     (void)client.send_app_data(1, str_to_bytes("GET /article HTTP/1.1"));
     (void)client.send_app_data(2, str_to_bytes("please summarize"));
-    pump(client, mbox, server);
+    examples::pump(client, mbox, server);
 
     for (const auto& chunk : server.take_app_data()) {
         std::printf("  [server] ctx %u%s: \"%s\"\n", chunk.context_id,
@@ -137,7 +108,7 @@ int main()
 
     std::printf("\nServer responds on the body context...\n");
     (void)server.send_app_data(2, str_to_bytes("the article, summarized"));
-    pump(client, mbox, server);
+    examples::pump(client, mbox, server);
     for (const auto& chunk : client.take_app_data()) {
         std::printf("  [client] ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (writer-modified!)",

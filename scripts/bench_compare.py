@@ -15,8 +15,8 @@ Two classes of bench, compared differently:
   * Wall-clock benches (crypto throughput, connections/sec, cache churn)
     depend on the host, so only their *structure* is gated: every baseline
     series/x point must still be emitted, with a finite non-negative value.
-    Throughput regressions for these are tracked by scripts/bench_baseline.sh
-    on a fixed reference machine, not by CI.
+    Throughput regressions are judged by chainbench's alternating
+    parent/change pairs (chainbench/README.md, "Steadiness"), not by CI.
 
 Either way the gate catches the failure mode that actually bites CI: a bench
 silently dropping a series (or a whole report) after a refactor.

@@ -14,7 +14,7 @@
 # $MCT_INCIDENT_DIR — on green runs too, so there is always a replayable
 # artifact. Triage one with:
 #
-#   build/examples/mcreport <bundle.jsonl>
+#   build/examples/mctool report <bundle.jsonl>
 #
 # The acceptance-scale 10k-concurrent-session campaign is skipped unless
 # MCT_SOAK_10K=1 is set (several minutes on one core).
@@ -30,7 +30,7 @@ MCT_INCIDENT_DIR="$(cd "$MCT_INCIDENT_DIR" && pwd)"
 export MCT_INCIDENT_DIR
 
 cmake -B build -S .
-cmake --build build -j "$(nproc)" --target soak_test mcreport
+cmake --build build -j "$(nproc)" --target soak_test mctool
 
 status=0
 ctest --test-dir build --output-on-failure -L soak "$@" || status=$?
@@ -45,7 +45,7 @@ fi
 shopt -s nullglob
 bundles=("$MCT_INCIDENT_DIR"/incident-*.jsonl)
 if ((${#bundles[@]})); then
-  echo "soak: incident bundles (render with build/examples/mcreport <path>):"
+  echo "soak: incident bundles (render with build/examples/mctool report <path>):"
   for b in "${bundles[@]}"; do
     echo "  $b"
   done

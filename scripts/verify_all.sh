@@ -30,7 +30,7 @@ echo "=== [3/6] soak: seeded chaos campaigns (ctest label: soak) ==="
 # "Concurrency model & chaos plane"). A red soak prints MCT_CHAOS_SEED=<n>
 # in every failure; scripts/soak.sh replays that exact schedule. With
 # MCT_INCIDENT_DIR exported, every campaign leaves an incident bundle
-# (DESIGN.md §17) in build/incidents — triage with build/examples/mcreport.
+# (DESIGN.md §17) in build/incidents — triage with `build/examples/mctool report`.
 # Absolute path: ctest runs tests from their own directories, and a
 # relative incident dir would silently fail to open there.
 MCT_INCIDENT_DIR="${MCT_INCIDENT_DIR:-build/incidents}"

@@ -91,9 +91,15 @@ private:
     Bytes received_;
 };
 
-class TlsChannel final : public SecureChannel {
+// Everything a session-backed channel forwards to its session. tls::Session
+// and mctls::Session share these calls (both hold a tls::SessionCore); the
+// two subclasses add only send_part and take_received, whose signatures
+// differ between the protocols.
+template <typename S>
+class SessionChannel : public SecureChannel {
 public:
-    explicit TlsChannel(tls::SessionConfig cfg) : session_(std::move(cfg)) {}
+    template <typename Config>
+    explicit SessionChannel(Config cfg) : session_(std::move(cfg)) {}
 
     void start() override { session_.start(); }
     Status on_bytes(ConstBytes wire) override { return session_.feed(wire); }
@@ -101,8 +107,6 @@ public:
     bool ready() const override { return session_.handshake_complete(); }
     bool failed() const override { return session_.failed(); }
     std::string error() const override { return session_.error(); }
-    Status send_part(uint8_t, ConstBytes data) override { return session_.send_app_data(data); }
-    Bytes take_received() override { return session_.take_app_data(); }
     Status tick(uint64_t now) override { return session_.tick(now); }
     void close() override { session_.close(); }
     void transport_closed() override { session_.transport_closed(); }
@@ -119,31 +123,28 @@ public:
     }
     void queue_rx_span(obs::SpanContext ctx) override { session_.queue_rx_span(ctx); }
 
-    tls::Session& session() { return session_; }
+    S& session() { return session_; }
 
-private:
-    tls::Session session_;
+protected:
+    S session_;
 };
 
-class McTlsChannel final : public SecureChannel {
+class TlsChannel final : public SessionChannel<tls::Session> {
 public:
-    explicit McTlsChannel(mctls::SessionConfig cfg) : session_(std::move(cfg)) {}
+    using SessionChannel::SessionChannel;
 
-    void start() override { session_.start(); }
-    Status on_bytes(ConstBytes wire) override { return session_.feed(wire); }
-    std::vector<Bytes> take_outgoing() override { return session_.take_write_units(); }
-    bool ready() const override { return session_.handshake_complete(); }
-    bool failed() const override { return session_.failed(); }
-    std::string error() const override { return session_.error(); }
+    Status send_part(uint8_t, ConstBytes data) override { return session_.send_app_data(data); }
+    Bytes take_received() override { return session_.take_app_data(); }
+};
+
+class McTlsChannel final : public SessionChannel<mctls::Session> {
+public:
+    using SessionChannel::SessionChannel;
+
     Status send_part(uint8_t context_id, ConstBytes data) override
     {
         return session_.send_app_data(context_id, data);
     }
-    Status tick(uint64_t now) override { return session_.tick(now); }
-    void close() override { session_.close(); }
-    void transport_closed() override { session_.transport_closed(); }
-    bool closed() const override { return session_.closed(); }
-    const tls::SessionError* failure() const override { return &session_.failure(); }
     Bytes take_received() override
     {
         Bytes out;
@@ -153,22 +154,10 @@ public:
         }
         return out;
     }
-    uint64_t handshake_wire_bytes() const override { return session_.handshake_wire_bytes(); }
-    uint64_t app_overhead_bytes() const override { return session_.app_overhead_bytes(); }
-    uint64_t app_records_sent() const override { return session_.app_records_sent(); }
-    obs::SessionStats session_stats() const override { return session_.session_stats(); }
-    bool resumed() const override { return session_.resumed(); }
-    std::vector<obs::SpanContext> take_outgoing_spans() override
-    {
-        return session_.take_unit_spans();
-    }
-    void queue_rx_span(obs::SpanContext ctx) override { session_.queue_rx_span(ctx); }
 
     uint64_t writer_modified_chunks() const { return writer_modified_chunks_; }
-    mctls::Session& session() { return session_; }
 
 private:
-    mctls::Session session_;
     uint64_t writer_modified_chunks_ = 0;
 };
 

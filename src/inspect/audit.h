@@ -61,7 +61,7 @@ struct AuditReport {
 
     const AuditCell* cell(size_t entity, uint8_t context_id) const;
 
-    // Serialize via obs::JsonWriter (mcdump --audit output).
+    // Serialize via obs::JsonWriter (`mctool dump --audit` output).
     void to_json(std::string* out) const;
 };
 

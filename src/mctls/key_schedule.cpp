@@ -181,18 +181,33 @@ ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstByt
     return keys;
 }
 
-void switch_direction_keys(std::map<uint8_t, ContextKeys>& current,
-                           const std::map<uint8_t, ContextKeys>& pending, Direction dir,
-                           bool (&switched)[2])
+void PendingEpoch::begin(uint32_t next_epoch)
+{
+    active = true;
+    epoch = next_epoch;
+    keys.clear();
+    switched[0] = switched[1] = false;
+}
+
+void PendingEpoch::switch_direction(std::map<uint8_t, ContextKeys>& current, Direction dir)
 {
     size_t d = static_cast<size_t>(dir);
-    for (const auto& [id, next] : pending) {
-        ContextKeys& keys = current[id];
-        keys.reader_enc[d] = next.reader_enc[d];
-        keys.reader_mac[d] = next.reader_mac[d];
-        keys.writer_mac[d] = next.writer_mac[d];
+    for (const auto& [id, next] : keys) {
+        ContextKeys& k = current[id];
+        k.reader_enc[d] = next.reader_enc[d];
+        k.reader_mac[d] = next.reader_mac[d];
+        k.writer_mac[d] = next.writer_mac[d];
     }
     switched[d] = true;
+}
+
+bool PendingEpoch::complete(uint32_t& current_epoch)
+{
+    if (!active || !switched[0] || !switched[1]) return false;
+    current_epoch = epoch;
+    active = false;
+    keys.clear();
+    return true;
 }
 
 }  // namespace mct::mctls

@@ -102,12 +102,28 @@ ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id);
 
-// In-band rekey key switch for one direction: every context with pending
-// next-epoch keys takes that direction's reader and writer keys from
-// `pending`, and `switched` (indexed by Direction) records the flip. The
-// other direction keeps running under the current epoch.
-void switch_direction_keys(std::map<uint8_t, ContextKeys>& current,
-                           const std::map<uint8_t, ContextKeys>& pending, Direction dir,
-                           bool (&switched)[2]);
+// In-band rekey state shared by endpoints and middleboxes: the next epoch's
+// context keys, switched in one direction at a time as the rekey markers
+// pass (the server's response flips server->client, the client's commit
+// flips client->server). The direction that has not switched yet keeps
+// running under the current epoch.
+struct PendingEpoch {
+    bool active = false;
+    uint32_t epoch = 0;  // the epoch being established
+    std::map<uint8_t, ContextKeys> keys;
+    bool switched[2] = {false, false};  // indexed by Direction
+
+    void begin(uint32_t next_epoch);
+    bool has_switched(Direction dir) const
+    {
+        return active && switched[static_cast<size_t>(dir)];
+    }
+    // Every context with pending keys takes `dir`'s reader and writer keys
+    // into `current`.
+    void switch_direction(std::map<uint8_t, ContextKeys>& current, Direction dir);
+    // Once both directions have switched: `current_epoch` becomes the new
+    // epoch, the record is cleared, and the result is true.
+    bool complete(uint32_t& current_epoch);
+};
 
 }  // namespace mct::mctls

@@ -1,5 +1,6 @@
 #include "mctls/middlebox.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/ed25519.h"
@@ -506,32 +507,15 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
     const RekeyRecord& rk = parsed.value();
 
     if (rk.phase == RekeyPhase::init && from == From::client) {
-        rekey_pending_ = true;
-        pending_epoch_ = rk.epoch;
-        dir_switched_[0] = dir_switched_[1] = false;
-        pending_keys_.clear();
+        rekey_.begin(rk.epoch);
         pending_permissions_.clear();
-        pending_client_material_.clear();
-        pending_server_material_.clear();
-        pending_client_seen_ = pending_server_seen_ = false;
-        pending_revoked_ = true;
-        for (const auto& e : rk.entries) {
-            if (e.entity != entity_index_) continue;
-            pending_revoked_ = false;
-            auto plain = authenc_open(
-                pairwise_client_,
-                rekey_ad(kEntityClient, static_cast<uint8_t>(entity_index_), rk.epoch),
-                e.sealed);
-            if (!plain)
-                return fail(AlertDescription::decrypt_error,
-                            "mctls mbox: rekey material: " + plain.error().message);
-            crypto::count_dec(cfg_.ops);
-            auto entries = parse_middlebox_material(plain.value());
-            if (!entries)
-                return fail(AlertDescription::decode_error, entries.error().message);
-            pending_client_material_ = entries.take();
-            pending_client_seen_ = true;
-        }
+        pending_material_[0].reset();
+        pending_material_[1].reset();
+        pending_revoked_ = std::none_of(rk.entries.begin(), rk.entries.end(),
+                                        [&](const RekeyEntry& e) {
+                                            return e.entity == entity_index_;
+                                        });
+        if (auto st = open_rekey_material(From::client, rk); !st) return st;
         core_.trace(obs::EventType::rekey_init,
                     static_cast<uint16_t>(entity_index_), rk.epoch,
                     pending_revoked_ ? 1 : 0);
@@ -541,56 +525,52 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
         return {};
     }
 
-    if (rk.phase == RekeyPhase::resp && from == From::server && rekey_pending_ &&
-        rk.epoch == pending_epoch_) {
+    if (rk.phase == RekeyPhase::resp && from == From::server && rekey_.active &&
+        rk.epoch == rekey_.epoch) {
         if (!pending_revoked_) {
-            for (const auto& e : rk.entries) {
-                if (e.entity != entity_index_) continue;
-                auto plain = authenc_open(
-                    pairwise_server_,
-                    rekey_ad(kEntityServer, static_cast<uint8_t>(entity_index_), rk.epoch),
-                    e.sealed);
-                if (!plain)
-                    return fail(AlertDescription::decrypt_error,
-                                "mctls mbox: rekey material: " + plain.error().message);
-                crypto::count_dec(cfg_.ops);
-                auto entries = parse_middlebox_material(plain.value());
-                if (!entries)
-                    return fail(AlertDescription::decode_error, entries.error().message);
-                pending_server_material_ = entries.take();
-                pending_server_seen_ = true;
-            }
-            if (pending_client_seen_ && pending_server_seen_)
-                combine_material(pending_client_material_, pending_server_material_,
-                                 pending_keys_, pending_permissions_);
+            if (auto st = open_rekey_material(From::server, rk); !st) return st;
+            if (pending_material_[0] && pending_material_[1])
+                combine_material(*pending_material_[0], *pending_material_[1], rekey_.keys,
+                                 pending_permissions_);
         }
-        switch_direction_keys(context_keys_, pending_keys_, Direction::server_to_client,
-                              dir_switched_);
+        rekey_.switch_direction(context_keys_, Direction::server_to_client);
         return {};
     }
 
-    if (rk.phase == RekeyPhase::commit && from == From::client && rekey_pending_ &&
-        rk.epoch == pending_epoch_) {
-        switch_direction_keys(context_keys_, pending_keys_, Direction::client_to_server,
-                              dir_switched_);
-        finish_rekey_if_switched();
+    if (rk.phase == RekeyPhase::commit && from == From::client && rekey_.active &&
+        rk.epoch == rekey_.epoch) {
+        rekey_.switch_direction(context_keys_, Direction::client_to_server);
+        if (rekey_.complete(epoch_)) {
+            permissions_ = std::exchange(pending_permissions_, {});
+            pending_material_[0].reset();
+            pending_material_[1].reset();
+            core_.trace(obs::EventType::rekey_complete, static_cast<uint16_t>(entity_index_),
+                        epoch_);
+        }
         return {};
     }
     return {};  // stale/out-of-order phases: forwarded above, nothing to track
 }
 
-void MiddleboxSession::finish_rekey_if_switched()
+Status MiddleboxSession::open_rekey_material(From from, const RekeyRecord& rk)
 {
-    if (!rekey_pending_ || !dir_switched_[0] || !dir_switched_[1]) return;
-    permissions_ = pending_permissions_;
-    epoch_ = pending_epoch_;
-    rekey_pending_ = false;
-    pending_keys_.clear();
-    pending_permissions_.clear();
-    pending_client_material_.clear();
-    pending_server_material_.clear();
-    pending_client_seen_ = pending_server_seen_ = false;
-    core_.trace(obs::EventType::rekey_complete, static_cast<uint16_t>(entity_index_), epoch_);
+    size_t side = static_cast<size_t>(from);
+    const AuthEncKey& pairwise = from == From::client ? pairwise_client_ : pairwise_server_;
+    uint8_t sender = from == From::client ? kEntityClient : kEntityServer;
+    for (const auto& e : rk.entries) {
+        if (e.entity != entity_index_) continue;
+        auto plain = authenc_open(
+            pairwise, rekey_ad(sender, static_cast<uint8_t>(entity_index_), rk.epoch),
+            e.sealed);
+        if (!plain)
+            return fail(AlertDescription::decrypt_error,
+                        "mctls mbox: rekey material: " + plain.error().message);
+        crypto::count_dec(cfg_.ops);
+        auto entries = parse_middlebox_material(plain.value());
+        if (!entries) return fail(AlertDescription::decode_error, entries.error().message);
+        pending_material_[side] = entries.take();
+    }
+    return {};
 }
 
 Permission MiddleboxSession::permission(uint8_t context_id) const
@@ -631,7 +611,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     // Mid-rekey, a direction that already switched runs under the pending
     // epoch's permissions: a revoked (or downgraded) middlebox must forward
     // blind rather than fail on keys it was not given.
-    if (rekey_pending_ && dir_switched_[static_cast<size_t>(dir)]) {
+    if (rekey_.has_switched(dir)) {
         auto it = pending_permissions_.find(view.context_id);
         perm = it == pending_permissions_.end() ? Permission::none : it->second;
     }

@@ -195,7 +195,10 @@ private:
                           const std::vector<MiddleboxMaterialEntry>& server,
                           std::map<uint8_t, ContextKeys>& keys,
                           std::map<uint8_t, Permission>& permissions);
-    void finish_rekey_if_switched();
+    // Unseal our entry in `rk` (if it has one) with the pairwise key shared
+    // with the endpoint on the `from` side, into that side's pending
+    // material. Fails the session when the entry does not open or parse.
+    Status open_rekey_material(From from, const RekeyRecord& rk);
 
     MiddleboxConfig cfg_;
     tls::SessionCore core_;
@@ -245,19 +248,15 @@ private:
     AuthEncKey pairwise_client_;  // K_C-M (cached or derived)
     AuthEncKey pairwise_server_;  // K_S-M
 
-    // In-band rekey: pending material/keys for the next epoch, switched in
-    // per direction as the resp/commit markers pass through.
+    // In-band rekey: the next epoch's keys (switched in per direction as
+    // the resp/commit markers pass through), plus what only a middlebox
+    // tracks: each endpoint's material (indexed by From) and the
+    // permissions the new epoch grants us.
     uint32_t epoch_ = 0;
-    bool rekey_pending_ = false;
-    uint32_t pending_epoch_ = 0;
+    PendingEpoch rekey_;
     bool pending_revoked_ = false;
-    std::vector<MiddleboxMaterialEntry> pending_client_material_;
-    std::vector<MiddleboxMaterialEntry> pending_server_material_;
-    bool pending_client_seen_ = false;
-    bool pending_server_seen_ = false;
-    std::map<uint8_t, ContextKeys> pending_keys_;
+    std::optional<std::vector<MiddleboxMaterialEntry>> pending_material_[2];
     std::map<uint8_t, Permission> pending_permissions_;
-    bool dir_switched_[2] = {false, false};  // indexed by Direction
 
     uint64_t records_forwarded_blind_ = 0;
     uint64_t records_read_ = 0;

@@ -1089,14 +1089,11 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     if (core_.close_sent()) return err("mctls: rekey after close");
     if (ckd_)
         return err("mctls: rekey requires contributory key mode");
-    if (rekey_in_progress_) return err("mctls: rekey already in progress");
+    if (rekey_.active) return err("mctls: rekey already in progress");
 
-    rekey_in_progress_ = true;
-    pending_epoch_ = epoch_ + 1;
+    rekey_.begin(epoch_ + 1);
     rekey_revoked_ = revoke;
-    dir_switched_[0] = dir_switched_[1] = false;
     rekey_own_partials_.clear();
-    pending_context_keys_.clear();
 
     crypto::HmacKey secret(cfg_.rng->bytes(32));
     for (const auto& ctx : contexts_) {
@@ -1110,7 +1107,7 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     };
     RekeyRecord rec;
     rec.phase = RekeyPhase::init;
-    rec.epoch = pending_epoch_;
+    rec.epoch = rekey_.epoch;
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
         if (revoked(middleboxes_[i].name)) continue;
         rec.entries.push_back(
@@ -1122,13 +1119,13 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     RekeyEntry endpoint;
     endpoint.entity = kEntityServer;
     endpoint.sealed = authenc_seal(endpoint_keys_.key_material,
-                                   rekey_ad(kEntityClient, kEntityServer, pending_epoch_),
+                                   rekey_ad(kEntityClient, kEntityServer, rekey_.epoch),
                                    serialize_endpoint_material(entries), *cfg_.rng);
     crypto::count_enc(cfg_.ops);
     rec.entries.push_back(std::move(endpoint));
 
     queue_rekey_record(rec);
-    core_.trace(obs::EventType::rekey_init, 0, pending_epoch_, rekey_revoked_.size());
+    core_.trace(obs::EventType::rekey_init, 0, rekey_.epoch, rekey_revoked_.size());
     return {};
 }
 
@@ -1149,7 +1146,7 @@ Bytes Session::seal_rekey_middlebox_material(size_t mbox_index)
     uint8_t sender = is_client_ ? kEntityClient : kEntityServer;
     Bytes sealed = authenc_seal(
         mbox_state_[mbox_index].pairwise,
-        rekey_ad(sender, static_cast<uint8_t>(mbox_index), pending_epoch_),
+        rekey_ad(sender, static_cast<uint8_t>(mbox_index), rekey_.epoch),
         serialize_middlebox_material(entries), *cfg_.rng);
     crypto::count_enc(cfg_.ops);
     return sealed;
@@ -1167,14 +1164,35 @@ void Session::queue_rekey_record(const RekeyRecord& rec)
 
 void Session::finish_rekey_if_switched()
 {
-    if (!rekey_in_progress_ || !dir_switched_[0] || !dir_switched_[1]) return;
-    epoch_ = pending_epoch_;
+    if (!rekey_.complete(epoch_)) return;
     ++rekeys_completed_;
-    rekey_in_progress_ = false;
     rekey_own_partials_.clear();
-    pending_context_keys_.clear();
     rekey_revoked_.clear();
     core_.trace(obs::EventType::rekey_complete, 0, epoch_);
+}
+
+Status Session::open_peer_halves(const RekeyRecord& rk,
+                                 std::map<uint8_t, PartialContextKeys>& halves)
+{
+    uint8_t self = is_client_ ? kEntityClient : kEntityServer;
+    uint8_t peer = is_client_ ? kEntityServer : kEntityClient;
+    const RekeyEntry* own = nullptr;
+    for (const auto& e : rk.entries)
+        if (e.entity == self) own = &e;
+    if (!own)
+        return core_.fail(AlertDescription::illegal_parameter,
+                          is_client_ ? "mctls: rekey response without endpoint entry"
+                                     : "mctls: rekey init without endpoint entry");
+    auto plain = authenc_open(endpoint_keys_.key_material, rekey_ad(peer, self, rk.epoch),
+                              own->sealed);
+    if (!plain)
+        return core_.fail(AlertDescription::decrypt_error,
+                          "mctls: rekey material: " + plain.error().message);
+    crypto::count_dec(cfg_.ops);
+    auto entries = parse_endpoint_material(plain.value());
+    if (!entries) return core_.fail(entries.error().message);
+    for (const auto& e : entries.value()) halves[e.context_id] = e.partial;
+    return {};
 }
 
 Status Session::handle_rekey_record(const tls::Record& record)
@@ -1188,83 +1206,47 @@ Status Session::handle_rekey_record(const tls::Record& record)
     if (is_client_) {
         // Only the server's response is legal here: it carries the fresh
         // server halves and doubles as the s->c key-switch marker.
-        if (rk.phase != RekeyPhase::resp || !rekey_in_progress_ ||
-            rk.epoch != pending_epoch_)
+        if (rk.phase != RekeyPhase::resp || !rekey_.active || rk.epoch != rekey_.epoch)
             return core_.fail(AlertDescription::unexpected_message,
                               "mctls: unexpected rekey record");
-        const RekeyEntry* own = nullptr;
-        for (const auto& e : rk.entries)
-            if (e.entity == kEntityClient) own = &e;
-        if (!own)
-            return core_.fail(AlertDescription::illegal_parameter,
-                              "mctls: rekey response without endpoint entry");
-        auto plain = authenc_open(endpoint_keys_.key_material,
-                                  rekey_ad(kEntityServer, kEntityClient, rk.epoch),
-                                  own->sealed);
-        if (!plain)
-            return core_.fail(AlertDescription::decrypt_error,
-                              "mctls: rekey material: " + plain.error().message);
-        crypto::count_dec(cfg_.ops);
-        auto entries = parse_endpoint_material(plain.value());
-        if (!entries) return core_.fail(entries.error().message);
         std::map<uint8_t, PartialContextKeys> server_halves;
-        for (const auto& e : entries.value()) server_halves[e.context_id] = e.partial;
+        if (auto st = open_peer_halves(rk, server_halves); !st) return st;
         for (const auto& ctx : contexts_) {
             auto own_it = rekey_own_partials_.find(ctx.id);
             auto peer_it = server_halves.find(ctx.id);
             if (own_it == rekey_own_partials_.end() || peer_it == server_halves.end())
                 return core_.fail(AlertDescription::handshake_failure,
                                   "mctls: missing rekey halves");
-            pending_context_keys_[ctx.id] = combine_context_keys(
-                own_it->second, peer_it->second, client_random_, server_random_);
+            rekey_.keys[ctx.id] = combine_context_keys(own_it->second, peer_it->second,
+                                                       client_random_, server_random_);
             crypto::count_keygen(cfg_.ops, 2);
         }
-        keylog_contexts(rk.epoch, pending_context_keys_);
-        switch_direction_keys(context_keys_, pending_context_keys_, Direction::server_to_client,
-                              dir_switched_);
+        keylog_contexts(rk.epoch, rekey_.keys);
+        rekey_.switch_direction(context_keys_, Direction::server_to_client);
         RekeyRecord commit;
         commit.phase = RekeyPhase::commit;
         commit.epoch = rk.epoch;
         queue_rekey_record(commit);
-        switch_direction_keys(context_keys_, pending_context_keys_, Direction::client_to_server,
-                              dir_switched_);
+        rekey_.switch_direction(context_keys_, Direction::client_to_server);
         finish_rekey_if_switched();
         return {};
     }
 
     // Server.
     if (rk.phase == RekeyPhase::init) {
-        if (rekey_in_progress_)
+        if (rekey_.active)
             return core_.fail(AlertDescription::unexpected_message, "mctls: overlapping rekey");
         if (ckd_)
             return core_.fail(AlertDescription::unexpected_message, "mctls: rekey in CKD mode");
         if (rk.epoch != epoch_ + 1)
             return core_.fail(AlertDescription::illegal_parameter,
                               "mctls: rekey epoch out of sequence");
-        rekey_in_progress_ = true;
-        pending_epoch_ = rk.epoch;
-        dir_switched_[0] = dir_switched_[1] = false;
-        pending_context_keys_.clear();
+        rekey_.begin(rk.epoch);
         rekey_own_partials_.clear();
         core_.trace(obs::EventType::rekey_init, 0, rk.epoch);
 
-        const RekeyEntry* own = nullptr;
-        for (const auto& e : rk.entries)
-            if (e.entity == kEntityServer) own = &e;
-        if (!own)
-            return core_.fail(AlertDescription::illegal_parameter,
-                              "mctls: rekey init without endpoint entry");
-        auto plain = authenc_open(endpoint_keys_.key_material,
-                                  rekey_ad(kEntityClient, kEntityServer, rk.epoch),
-                                  own->sealed);
-        if (!plain)
-            return core_.fail(AlertDescription::decrypt_error,
-                              "mctls: rekey material: " + plain.error().message);
-        crypto::count_dec(cfg_.ops);
-        auto entries = parse_endpoint_material(plain.value());
-        if (!entries) return core_.fail(entries.error().message);
         std::map<uint8_t, PartialContextKeys> client_halves;
-        for (const auto& e : entries.value()) client_halves[e.context_id] = e.partial;
+        if (auto st = open_peer_halves(rk, client_halves); !st) return st;
 
         crypto::HmacKey secret(cfg_.rng->bytes(32));
         for (const auto& ctx : contexts_) {
@@ -1277,11 +1259,11 @@ Status Session::handle_rekey_record(const tls::Record& record)
             if (c == client_halves.end())
                 return core_.fail(AlertDescription::handshake_failure,
                                   "mctls: missing rekey halves");
-            pending_context_keys_[ctx.id] = combine_context_keys(
+            rekey_.keys[ctx.id] = combine_context_keys(
                 c->second, rekey_own_partials_[ctx.id], client_random_, server_random_);
             crypto::count_keygen(cfg_.ops, 2);
         }
-        keylog_contexts(rk.epoch, pending_context_keys_);
+        keylog_contexts(rk.epoch, rekey_.keys);
 
         // Mirror the client's recipient list: a middlebox with no entry in
         // the init is being revoked and gets nothing from us either.
@@ -1305,16 +1287,14 @@ Status Session::handle_rekey_record(const tls::Record& record)
         resp.entries.push_back(std::move(endpoint));
         queue_rekey_record(resp);
         // The response doubles as our own send-direction switch marker.
-        switch_direction_keys(context_keys_, pending_context_keys_, Direction::server_to_client,
-                              dir_switched_);
+        rekey_.switch_direction(context_keys_, Direction::server_to_client);
         return {};
     }
     if (rk.phase == RekeyPhase::commit) {
-        if (!rekey_in_progress_ || rk.epoch != pending_epoch_)
+        if (!rekey_.active || rk.epoch != rekey_.epoch)
             return core_.fail(AlertDescription::unexpected_message,
                               "mctls: unexpected rekey commit");
-        switch_direction_keys(context_keys_, pending_context_keys_, Direction::client_to_server,
-                              dir_switched_);
+        rekey_.switch_direction(context_keys_, Direction::client_to_server);
         finish_rekey_if_switched();
         return {};
     }

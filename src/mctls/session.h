@@ -237,6 +237,11 @@ private:
     void derive_endpoint_secrets_from_scs();  // key schedule minus the DH step
     Bytes resumed_finished_verify_data(const char* label);
     Status handle_rekey_record(const tls::Record& record);
+    // Unseal the peer endpoint's fresh halves from its entry in `rk`, keyed
+    // by context id. Fails the session when the entry is missing, does not
+    // open or does not parse.
+    Status open_peer_halves(const RekeyRecord& rk,
+                            std::map<uint8_t, PartialContextKeys>& halves);
     Bytes seal_rekey_middlebox_material(size_t mbox_index);
     void queue_rekey_record(const RekeyRecord& rec);
     void finish_rekey_if_switched();
@@ -300,11 +305,8 @@ private:
 
     uint32_t epoch_ = 0;
     uint64_t rekeys_completed_ = 0;
-    bool rekey_in_progress_ = false;
-    uint32_t pending_epoch_ = 0;
+    PendingEpoch rekey_;
     std::map<uint8_t, PartialContextKeys> rekey_own_partials_;
-    std::map<uint8_t, ContextKeys> pending_context_keys_;
-    bool dir_switched_[2] = {false, false};  // indexed by Direction
     std::vector<std::string> rekey_revoked_;  // client: names to starve
 };
 

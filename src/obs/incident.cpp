@@ -422,7 +422,7 @@ Result<IncidentBundle> parse_incident_bundle(std::string_view jsonl)
             b.frames.push_back(std::move(f));
         } else {
             // Unknown kinds are skipped, not fatal: newer writers may add
-            // line kinds an older mcreport should read past.
+            // line kinds an older `mctool report` should read past.
         }
     }
 

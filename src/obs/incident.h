@@ -24,7 +24,7 @@
 //
 // The format is line-oriented JSON (one object per line, discriminated by
 // "kind") so bundles stream out of a dying process, survive truncation, and
-// stay grep-able. `mcreport` (examples/) renders a bundle into a
+// stay grep-able. `mctool report` (examples/) renders a bundle into a
 // human-readable timeline; parse_incident_bundle() is the library half it
 // uses, and the write -> parse -> write round trip is pinned by tests.
 //

@@ -1,7 +1,7 @@
 // Minimal JSON support for the observability layer: a streaming writer used
 // by the metric/trace sinks (no intermediate DOM, no allocation beyond the
 // caller's output string) and a small recursive-descent parser used by
-// offline consumers (`examples/trace_dump`, the bench-smoke schema check).
+// offline consumers (`mctool trace`, the bench-smoke schema check).
 // Not a general-purpose JSON library: numbers are parsed as doubles, no
 // \uXXXX escapes beyond pass-through, inputs are trusted tool output.
 #pragma once

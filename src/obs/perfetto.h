@@ -9,8 +9,8 @@
 //     trace/cpu payloads ride in "args",
 //   - other events become "i" (instant) markers on an "events" track.
 //
-// Also provides the handshake-waterfall synthesis shared by trace_dump and
-// the mcflame example: consecutive hs_* trace events per actor are folded
+// Also provides the handshake-waterfall synthesis used by `mctool flame`:
+// consecutive hs_* trace events per actor are folded
 // into [start,end) phases, without the sessions needing extra state.
 #pragma once
 

@@ -2,7 +2,7 @@
 // *forced* to violate the liveness invariant must emit a self-contained
 // JSONL bundle from which the failing session's timeline is reconstructable
 // without re-running — and the bundle must survive a byte-identical
-// write -> parse -> write round trip (the contract mcreport builds on).
+// write -> parse -> write round trip (the contract `mctool report` builds on).
 //
 // The forced failure is deterministic, not chaotic: with a 1 ms invariant
 // poll and a stall threshold of 2 polls, every handshake (≥ 20 ms of link

@@ -290,5 +290,168 @@ TEST(Rekey, CkdSessionsRejectInBandRekey)
     EXPECT_FALSE(env.client->initiate_rekey().ok());
 }
 
+// ---- Hostile rekey records ------------------------------------------------
+//
+// Rekey records are plaintext control records, so an on-path party can drop,
+// edit or forge them. Each case below edits one record on the hop next to
+// the endpoint under test and checks that the endpoint fails closed with the
+// expected alert.
+
+RekeyRecord decode_rekey(ConstBytes unit)
+{
+    tls::RecordCodec codec{/*with_context_id=*/true};
+    codec.feed(unit);
+    auto record = codec.next();
+    EXPECT_TRUE(record.ok() && record.value().has_value());
+    EXPECT_EQ(record.value()->type, tls::ContentType::rekey);
+    auto rk = RekeyRecord::parse(record.value()->payload);
+    EXPECT_TRUE(rk.ok());
+    return rk.value();
+}
+
+Bytes encode_rekey(const RekeyRecord& rk)
+{
+    tls::RecordCodec codec{/*with_context_id=*/true};
+    return codec.encode({tls::ContentType::rekey, kControlContext, rk.serialize()});
+}
+
+void drop_entry(RekeyRecord& rk, uint8_t entity)
+{
+    std::erase_if(rk.entries, [&](const RekeyEntry& e) { return e.entity == entity; });
+}
+
+void flip_entry(RekeyRecord& rk, uint8_t entity)
+{
+    for (auto& e : rk.entries)
+        if (e.entity == entity) e.sealed.back() ^= 0x01;
+}
+
+// One established client -> mbox0 (read) -> server chain.
+struct HostileRekeyEnv : ChainEnv {
+    HostileRekeyEnv()
+    {
+        build(1, {ctx_row(1, "data", 1, Permission::read)});
+        handshake();
+        EXPECT_TRUE(all_complete());
+    }
+
+    // The client's rekey init as it leaves the middlebox toward the server.
+    RekeyRecord init_toward_server()
+    {
+        EXPECT_TRUE(client->initiate_rekey().ok());
+        for (auto& unit : client->take_write_units()) (void)mboxes[0]->feed_from_client(unit);
+        auto units = mboxes[0]->take_to_server();
+        EXPECT_EQ(units.size(), 1u);
+        return decode_rekey(units.at(0));
+    }
+
+    // The server's rekey response as it leaves the middlebox toward the
+    // client (the init reached the server untouched).
+    RekeyRecord resp_toward_client()
+    {
+        RekeyRecord init = init_toward_server();
+        EXPECT_TRUE(server->feed(encode_rekey(init)).ok());
+        for (auto& unit : server->take_write_units()) (void)mboxes[0]->feed_from_server(unit);
+        auto units = mboxes[0]->take_to_client();
+        EXPECT_EQ(units.size(), 1u);
+        return decode_rekey(units.at(0));
+    }
+};
+
+// `message` is matched as a prefix: an unsealing failure appends the
+// AuthEnc error to it.
+void expect_failed_closed(Session& session, tls::AlertDescription alert,
+                          const std::string& message)
+{
+    EXPECT_TRUE(session.failed());
+    EXPECT_EQ(session.failure().origin, tls::SessionError::Origin::local);
+    EXPECT_EQ(session.failure().alert, alert);
+    EXPECT_EQ(session.failure().message.rfind(message, 0), 0u) << session.failure().message;
+    EXPECT_EQ(session.epoch(), 0u);
+    EXPECT_FALSE(session.send_app_data(1, str_to_bytes("after")).ok());
+}
+
+TEST(Rekey, ServerRejectsInitWithoutEndpointEntry)
+{
+    HostileRekeyEnv env;
+    RekeyRecord init = env.init_toward_server();
+    drop_entry(init, kEntityServer);
+    EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
+    expect_failed_closed(*env.server, tls::AlertDescription::illegal_parameter,
+                         "mctls: rekey init without endpoint entry");
+}
+
+TEST(Rekey, ServerRejectsTamperedInitEntry)
+{
+    HostileRekeyEnv env;
+    RekeyRecord init = env.init_toward_server();
+    flip_entry(init, kEntityServer);
+    EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
+    expect_failed_closed(*env.server, tls::AlertDescription::decrypt_error,
+                         "mctls: rekey material: ");
+}
+
+TEST(Rekey, ServerRejectsOutOfSequenceEpoch)
+{
+    HostileRekeyEnv env;
+    RekeyRecord init = env.init_toward_server();
+    init.epoch = 2;
+    EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
+    expect_failed_closed(*env.server, tls::AlertDescription::illegal_parameter,
+                         "mctls: rekey epoch out of sequence");
+}
+
+TEST(Rekey, ServerRejectsCommitWithoutInit)
+{
+    HostileRekeyEnv env;
+    RekeyRecord commit;
+    commit.phase = RekeyPhase::commit;
+    commit.epoch = 1;
+    EXPECT_FALSE(env.server->feed(encode_rekey(commit)).ok());
+    expect_failed_closed(*env.server, tls::AlertDescription::unexpected_message,
+                         "mctls: unexpected rekey commit");
+}
+
+TEST(Rekey, ClientRejectsResponseWithoutEndpointEntry)
+{
+    HostileRekeyEnv env;
+    RekeyRecord resp = env.resp_toward_client();
+    drop_entry(resp, kEntityClient);
+    EXPECT_FALSE(env.client->feed(encode_rekey(resp)).ok());
+    expect_failed_closed(*env.client, tls::AlertDescription::illegal_parameter,
+                         "mctls: rekey response without endpoint entry");
+}
+
+TEST(Rekey, ClientRejectsTamperedResponseEntry)
+{
+    HostileRekeyEnv env;
+    RekeyRecord resp = env.resp_toward_client();
+    flip_entry(resp, kEntityClient);
+    EXPECT_FALSE(env.client->feed(encode_rekey(resp)).ok());
+    expect_failed_closed(*env.client, tls::AlertDescription::decrypt_error,
+                         "mctls: rekey material: ");
+}
+
+TEST(Rekey, ClientRejectsOutOfSequenceEpoch)
+{
+    HostileRekeyEnv env;
+    RekeyRecord resp = env.resp_toward_client();
+    resp.epoch = 2;
+    EXPECT_FALSE(env.client->feed(encode_rekey(resp)).ok());
+    expect_failed_closed(*env.client, tls::AlertDescription::unexpected_message,
+                         "mctls: unexpected rekey record");
+}
+
+TEST(Rekey, ClientRejectsCommitWithoutInit)
+{
+    HostileRekeyEnv env;
+    RekeyRecord commit;
+    commit.phase = RekeyPhase::commit;
+    commit.epoch = 1;
+    EXPECT_FALSE(env.client->feed(encode_rekey(commit)).ok());
+    expect_failed_closed(*env.client, tls::AlertDescription::unexpected_message,
+                         "mctls: unexpected rekey record");
+}
+
 }  // namespace
 }  // namespace mct::mctls

@@ -8,7 +8,9 @@
 //
 // The pinned digests were computed by building this file against the
 // libraries from before the client deferred its X25519 public key to
-// ClientKeyExchange and before every MAC moved to the one-shot HMAC core.
+// ClientKeyExchange and before every MAC moved to the one-shot HMAC core;
+// the rekey digest against the libraries from before the endpoint and the
+// middlebox rekey state machines shared one PendingEpoch record.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -180,6 +182,28 @@ TEST(SessionWireDigest, McTlsFullResumedAndRecords)
 
     EXPECT_EQ(to_hex(chain.wire.finish()),
               "fd79ab5b06298c3b54646561e2292135369db9ad1e201e924d68a8061597ca48");
+}
+
+// The chain above, then an in-band rekey that revokes mbox0, then one 64 B
+// record each way under the new epoch: pins the rekey init/resp/commit
+// bytes, the fresh halves' DRBG draws and the post-rekey record keys.
+TEST(SessionWireDigest, McTlsRekeyWithRevocation)
+{
+    McTlsChain chain;
+    chain.connect(/*resume=*/false);
+    ASSERT_TRUE(chain.all_complete()) << chain.client->error() << chain.server->error();
+    ASSERT_TRUE(chain.client->initiate_rekey({chain.mbox_ids[0].certificate.subject}).ok());
+    chain.pump();
+    ASSERT_EQ(chain.client->epoch(), 1u);
+    ASSERT_EQ(chain.server->epoch(), 1u);
+    ASSERT_EQ(chain.mboxes[0]->epoch(), 1u);
+    ASSERT_EQ(chain.mboxes[1]->epoch(), 1u);
+    EXPECT_EQ(chain.mboxes[0]->permission(1), mctls::Permission::none);
+    EXPECT_EQ(chain.mboxes[1]->permission(1), mctls::Permission::write);
+    chain.exchange_records();
+
+    EXPECT_EQ(to_hex(chain.wire.finish()),
+              "17e359476b8d3bca490433ab20be819707460c0646088541ad5408b369709d7c");
 }
 
 struct TlsPair {

@@ -46,7 +46,7 @@ Event make_span(SpanContext ctx, uint64_t parent, Stage stage, uint64_t start, u
 TEST(EventType, NamesAreUniqueAndNonEmpty)
 {
     // Every enumerator up to the declared last one has its own name, and
-    // the name parses back: JSONL consumers and trace_dump key on names.
+    // the name parses back: JSONL consumers and `mctool trace` key on names.
     std::set<std::string> seen;
     for (int i = 0; i <= static_cast<int>(kLastEventType); ++i) {
         auto type = static_cast<EventType>(i);
