@@ -1,8 +1,8 @@
-// State-plane churn bench (DESIGN.md "State plane"): can the sharded
+// State-plane churn bench (DESIGN.md "State plane"): can the bounded
 // session caches hold a million live resumption entries inside a configured
 // memory budget while lookups stay fast and bounded?
 //
-// Four phases over one TlsSessionCache sized for the target population:
+// Three phases over one TlsSessionCache sized for the target population:
 //
 //   fill    insert until the cache holds the full target population, then
 //           verify the byte accounting stayed inside the budget
@@ -12,16 +12,11 @@
 //           (p50/p99 in ns are the headline numbers)
 //   sweep   stamp a TTL over the population, advance the clock, and reclaim
 //           every expired entry through bounded incremental sweeps
-//   mt      reader threads hammer the thread-safe lookup() against a writer
-//           churning puts, to show the shard striping scales
 //
 // Smoke mode shrinks the population from 1M to 20k so bench-smoke runs in
 // milliseconds; the JSON schema is identical.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
 #include "bench_json.h"
 #include "tls/resumption.h"
@@ -90,7 +85,6 @@ int main()
     util::CacheConfig cc;
     cc.capacity = target + target / 20;
     cc.memory_budget = budget;
-    cc.shards = 64;
     cc.policy = util::DegradationPolicy::evict_coldest;
     tls::TlsSessionCache cache(cc);
 
@@ -167,50 +161,12 @@ int main()
     std::printf("sweep: reclaimed %zu stale entries at %.2fM/s (4096-entry batches)\n",
                 reclaimed, double(reclaimed) / sweep_s / 1e6);
 
-    // --- Phase 4: concurrent readers vs a churning writer ---
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned readers = hw > 2 ? (hw > 5 ? 4u : hw - 2) : 1u;
-    const size_t reads_per_thread = smoke_mode() ? 20'000 : 500'000;
-    std::atomic<uint64_t> read_hits{0};
-    std::atomic<bool> stop_writer{false};
-    start = Clock::now();
-    std::thread writer([&] {
-        uint64_t i = target + churn_rounds;
-        while (!stop_writer.load(std::memory_order_relaxed)) cache.put(make_ticket(i++));
-    });
-    {
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t < readers; ++t) {
-            pool.emplace_back([&, t] {
-                IndexStream stream{0x9e3779b97f4a7c15ULL * (t + 1)};
-                uint64_t local = 0;
-                tls::TlsTicket out;
-                for (size_t r = 0; r < reads_per_thread; ++r) {
-                    if (cache.lookup(make_ticket(stream.next(target)).session_id,
-                                     sim_clock, &out))
-                        ++local;
-                }
-                read_hits.fetch_add(local, std::memory_order_relaxed);
-            });
-        }
-        for (auto& th : pool) th.join();
-    }
-    stop_writer.store(true);
-    writer.join();
-    double mt_s = seconds_since(start);
-    double mt_ops = double(readers) * double(reads_per_thread) / mt_s;
-    report.point("mt", "lookups_per_sec", mt_ops);
-    report.point("mt", "readers", double(readers));
-    std::printf("mt:    %u readers vs 1 writer: %.2fM lookups/s (%llu hits)\n", readers,
-                mt_ops / 1e6, static_cast<unsigned long long>(read_hits.load()));
-
     std::printf("\nbounds: population %s (%zu >= %zu), bytes %s budget, churn %s\n",
                 at_population ? "reached" : "MISSED", cache.size(), target,
                 within_budget ? "within" : "OVER", still_bounded ? "bounded" : "UNBOUNDED");
     std::printf("Expected: the population fits the byte budget exactly (the budget was\n"
                 "derived from the per-entry charge), churn at capacity degrades by\n"
-                "evicting the coldest entry per insert instead of growing, lookup p99\n"
-                "stays within a small multiple of p50 (striped shards, no global lock),\n"
-                "and reader throughput scales past a single thread's.\n");
+                "evicting the coldest entry per insert instead of growing, and lookup\n"
+                "p99 stays within a small multiple of p50.\n");
     return (at_population && within_budget && still_bounded) ? 0 : 1;
 }

@@ -165,7 +165,6 @@ bool run_demo(obs::Journal& journal)
     }
     if (!obs::write_jsonl(journal, kDemoTrace))
         std::fprintf(stderr, "mctool: could not write %s\n", kDemoTrace);
-    journal.set_clock({});  // the sim loop goes away with the testbed
     return true;
 }
 

@@ -4,12 +4,15 @@
 # via scripts/verify_sanitize.sh, then the forced-scalar crypto build, then
 # the build with the observability hooks compiled out (-DMCT_OBS=OFF).
 # Extra arguments are forwarded to the ctest invocations
-# (e.g. `scripts/verify_all.sh -R StatePlane`).
+# (e.g. `scripts/verify_all.sh -R StatePlane`). Every build also compiles
+# the end-to-end benchmark's sources (chainbench/main.cpp, micro.cpp)
+# as the build-only `chainbench_build_check` target, so an API change that
+# would break the benchmark fails here first.
 #
 # The sanitizer pass is not optional garnish: the state-plane eviction,
 # sweep, and crash-restart teardown paths (DESIGN.md "State plane",
-# "Failure model") move node ownership under shard locks, and lifetime
-# bugs there only surface under ASan.
+# "Failure model") unlink cache nodes and destroy sessions mid-flight, and
+# lifetime bugs there only surface under ASan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -549,11 +549,11 @@ mctls::StatePlaneConfig soak_state_plane(size_t sessions)
     // ladder organically; byte budgets sized at a few hundred bytes per
     // admitted entry (tickets and pairwise keys are small).
     size_t cap = std::max<size_t>(32, sessions / 4);
-    sp.tls = {cap, static_cast<uint64_t>(cap) * 512, 8, 60_s,
+    sp.tls = {cap, static_cast<uint64_t>(cap) * 512, 60_s,
               util::DegradationPolicy::evict_coldest, 32};
-    sp.server = {cap, static_cast<uint64_t>(cap) * 512, 8, 60_s,
+    sp.server = {cap, static_cast<uint64_t>(cap) * 512, 60_s,
                  util::DegradationPolicy::shed, 8};
-    sp.middlebox = {cap, static_cast<uint64_t>(cap) * 512, 8, 60_s,
+    sp.middlebox = {cap, static_cast<uint64_t>(cap) * 512, 60_s,
                     util::DegradationPolicy::decline, 32};
     sp.sweep_interval = 500_ms;
     sp.sweep_batch = 128;

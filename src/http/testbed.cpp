@@ -1529,7 +1529,15 @@ Testbed::Testbed(TestbedConfig cfg)
     total_conn_bytes_ = [this] { return impl_->total_app_bytes(); };
 }
 
-Testbed::~Testbed() = default;
+Testbed::~Testbed()
+{
+    // The journal may outlive the testbed: pin its clock at the final sim
+    // time so later emissions never call into the destroyed loop.
+    if (obs::Journal* journal = impl_->journal) {
+        net::SimTime end = loop_.now();
+        journal->set_clock([end] { return end; });
+    }
+}
 
 Testbed::FetchPtr Testbed::fetch_sequence(std::vector<size_t> sizes,
                                           std::function<void()> on_done)

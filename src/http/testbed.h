@@ -138,7 +138,8 @@ struct TestbedConfig {
     tls::KeyLog* keylog = nullptr;
 
     // Event journal (DESIGN.md §8). When set, its clock is bound to the sim
-    // loop, and every session, middlebox and connection the testbed creates
+    // loop (and pinned at the final sim time when the testbed is destroyed),
+    // and every session, middlebox and connection the testbed creates
     // emits events under a stable actor name ("client", "server", "mboxN",
     // "net", "testbed"), as do SimNet faults and state-plane decisions.
     //   - When the journal keeps spans (it has a ring), the data path also
@@ -242,8 +243,10 @@ public:
 
 private:
     struct Impl;
-    std::unique_ptr<Impl> impl_;
+    // Declared before impl_ so the network and sessions die while the loop
+    // they schedule on still exists.
     net::EventLoop loop_;
+    std::unique_ptr<Impl> impl_;
     std::function<uint64_t()> total_conn_bytes_;
 };
 

@@ -39,7 +39,7 @@
 #include "tls/resumption.h"
 #include "util/bytes.h"
 #include "util/result.h"
-#include "util/shard_cache.h"
+#include "util/session_cache.h"
 
 namespace mct::mctls {
 
@@ -69,15 +69,11 @@ struct ResumptionTicket {
     }
 };
 
-// Server-side ticket store, keyed by session id: a bounded sharded LRU with
-// TTL enforced at lookup (util::ShardedCache). A miss — evicted, expired,
+// Server-side ticket store, keyed by session id: a bounded LRU with TTL
+// enforced at lookup (util::SessionCache). A miss — evicted, expired,
 // declined at insert — only means the peer re-runs the full handshake, so
 // the cache degrades under pressure instead of failing sessions.
-class ServerSessionCache : public util::ShardedCache<ResumptionTicket> {
-public:
-    using util::ShardedCache<ResumptionTicket>::ShardedCache;
-    ServerSessionCache() : util::ShardedCache<ResumptionTicket>(size_t{256}) {}
-};
+using ServerSessionCache = util::SessionCache<ResumptionTicket>;
 
 // What a middlebox must remember to rejoin a session: its two pairwise
 // AuthEnc keys. Fresh context-key halves arrive sealed under these during
@@ -96,11 +92,7 @@ struct MiddleboxTicket {
     }
 };
 
-class MiddleboxSessionCache : public util::ShardedCache<MiddleboxTicket> {
-public:
-    using util::ShardedCache<MiddleboxTicket>::ShardedCache;
-    MiddleboxSessionCache() : util::ShardedCache<MiddleboxTicket>(size_t{256}) {}
-};
+using MiddleboxSessionCache = util::SessionCache<MiddleboxTicket>;
 
 // ---- In-band rekey wire format ----------------------------------------
 

@@ -31,7 +31,7 @@
 #include "mctls/resumption.h"
 #include "tls/resumption.h"
 #include "util/scheduler.h"
-#include "util/shard_cache.h"
+#include "util/session_cache.h"
 
 namespace mct::mctls {
 

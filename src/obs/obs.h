@@ -18,7 +18,7 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "util/shard_cache.h"
+#include "util/session_cache.h"
 
 namespace mct::obs {
 

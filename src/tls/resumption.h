@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "util/bytes.h"
-#include "util/shard_cache.h"
+#include "util/session_cache.h"
 
 namespace mct::tls {
 
@@ -35,14 +35,8 @@ struct TlsTicket {
     }
 };
 
-// Server-side store, keyed by session id: a bounded sharded LRU with TTL
-// enforced at lookup (util::ShardedCache). The historical single-argument
-// constructor keeps old call sites working; pass a full CacheConfig to set
-// a memory budget, ttl, or degradation policy.
-class TlsSessionCache : public util::ShardedCache<TlsTicket> {
-public:
-    using util::ShardedCache<TlsTicket>::ShardedCache;
-    TlsSessionCache() : util::ShardedCache<TlsTicket>(size_t{256}) {}
-};
+// Server-side store, keyed by session id: a bounded LRU with TTL enforced
+// at lookup (util::SessionCache).
+using TlsSessionCache = util::SessionCache<TlsTicket>;
 
 }  // namespace mct::tls

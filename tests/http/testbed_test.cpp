@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+
+#include "obs/journal.h"
 
 namespace mct::http {
 namespace {
@@ -213,6 +216,27 @@ TEST(Testbed, ParallelConnectionsIndependent)
     auto f3 = bed.fetch(500);
     bed.run();
     EXPECT_TRUE(f1->completed && f2->completed && f3->completed);
+}
+
+TEST(Testbed, JournalOutlivingTestbedKeepsFinalSimTime)
+{
+    // The journal is borrowed and may outlive the testbed; an emission after
+    // the testbed is gone must be stamped with the final sim time instead of
+    // reading the destroyed event loop.
+    obs::Journal journal;
+    TestbedConfig cfg = base_config(Mode::mctls, 1);
+    cfg.journal = &journal;
+    auto bed = std::make_unique<Testbed>(cfg);
+    auto fetch = bed->fetch(1000);
+    bed->run();
+    ASSERT_TRUE(fetch->completed);
+    const net::SimTime end = bed->loop().now();
+    ASSERT_GT(end, 0u);
+    bed.reset();
+
+    journal.emit(nullptr, journal.intern("after"), obs::EventType::hs_start);
+    ASSERT_FALSE(journal.events().empty());
+    EXPECT_EQ(journal.events().back().ts, end);
 }
 
 }  // namespace

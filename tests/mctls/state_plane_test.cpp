@@ -42,14 +42,18 @@ TEST(StatePlane, ResumptionTicketTtlEnforcedAtLookup)
     util::CacheConfig cc;
     cc.ttl = 100;
     ServerSessionCache cache(cc);
+    uint64_t clock = 50;
+    cache.set_clock([&clock] { return clock; });
     ResumptionTicket t = server_ticket(7);
     Bytes id = t.session_id;
-    cache.put_at(std::move(t), /*at=*/50);
+    cache.put(std::move(t));
 
-    EXPECT_NE(cache.find_at(id, 149), nullptr);
+    clock = 149;
+    EXPECT_NE(cache.find(id), nullptr);
     // Stale at lookup: rejected AND purged, so the peer re-runs the full
     // handshake and the entry stops occupying budget.
-    EXPECT_EQ(cache.find_at(id, 150), nullptr);
+    clock = 150;
+    EXPECT_EQ(cache.find(id), nullptr);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.stats().expirations, 1u);
 }
@@ -59,14 +63,18 @@ TEST(StatePlane, MiddleboxTicketTtlEnforcedAtLookup)
     util::CacheConfig cc;
     cc.ttl = 100;
     MiddleboxSessionCache cache(cc);
+    uint64_t clock = 0;
+    cache.set_clock([&clock] { return clock; });
     MiddleboxTicket t = relay_ticket(9);
     Bytes id = t.session_id;
-    cache.put_at(std::move(t), /*at=*/0);
+    cache.put(std::move(t));
 
-    MiddleboxTicket out;
-    EXPECT_TRUE(cache.lookup(id, 99, &out));
-    EXPECT_EQ(out.pairwise_client.mac_key.size(), 32u);
-    EXPECT_FALSE(cache.lookup(id, 100, &out));
+    clock = 99;
+    const MiddleboxTicket* hit = cache.find(id);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->pairwise_client.mac_key.size(), 32u);
+    clock = 100;
+    EXPECT_EQ(cache.find(id), nullptr);
     EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -80,10 +88,10 @@ TEST(StatePlane, SweepTaskReclaimsEveryCacheKind)
     tls::TlsTicket tt;
     tt.session_id.assign(16, 1);
     tt.master_secret.assign(48, 2);
-    plane.tls_cache().put_at(std::move(tt), 0);
-    plane.server_cache().put_at(server_ticket(2), 0);
-    plane.middlebox_cache(0).put_at(relay_ticket(3), 0);
-    plane.middlebox_cache(1).put_at(relay_ticket(4), 0);
+    plane.tls_cache().put(std::move(tt));  // no clock: stamped at 0
+    plane.server_cache().put(server_ticket(2));
+    plane.middlebox_cache(0).put(relay_ticket(3));
+    plane.middlebox_cache(1).put(relay_ticket(4));
 
     size_t reclaimed_reported = 0;
     plane.on_sweep = [&](size_t reclaimed, uint64_t) { reclaimed_reported += reclaimed; };
@@ -126,7 +134,7 @@ TEST(StatePlane, ExciseGraceFiresOnlyIfStillDown)
     StatePlaneConfig cfg;
     cfg.excise_grace = 50;
     StatePlane plane(cfg, 2);
-    plane.middlebox_cache(1).put_at(relay_ticket(8), 0);
+    plane.middlebox_cache(1).put(relay_ticket(8));
 
     std::vector<size_t> excised;
     plane.on_excise_due = [&](size_t index, uint64_t) {
@@ -278,9 +286,7 @@ TEST(StatePlane, ScaleBudgetsSqueezesAndRestores)
 {
     StatePlaneConfig cfg;
     cfg.server.capacity = 8;
-    cfg.server.shards = 1;
     cfg.middlebox.capacity = 8;
-    cfg.middlebox.shards = 1;
     StatePlane plane(cfg, /*n_middleboxes=*/2);
     for (uint8_t i = 0; i < 8; ++i) {
         plane.server_cache().put(server_ticket(i));
