@@ -1,78 +1,98 @@
 #include "chain_bench.h"
 
+#include <chrono>
+
+#include "bench/chain.h"
+
 namespace mct::bench {
 
 namespace {
 
-std::vector<mctls::ContextDescription> make_contexts(size_t n_contexts, size_t n_mboxes)
+// The chain::pump probe of the handshake benches: charges the CPU time of
+// each call to the party's bucket in `seconds`, or to nothing when null.
+class Stopwatch {
+public:
+    explicit Stopwatch(PartySeconds* seconds) : seconds_(seconds) {}
+
+    template <typename Call>
+    void operator()(chain::Party party, Call&& call)
+    {
+        auto start = std::chrono::steady_clock::now();
+        (void)call();
+        std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+        if (!seconds_) return;
+        switch (party) {
+        case chain::Party::client: seconds_->client += elapsed.count(); break;
+        case chain::Party::middlebox: seconds_->middlebox += elapsed.count(); break;
+        case chain::Party::server: seconds_->server += elapsed.count(); break;
+        }
+    }
+
+private:
+    PartySeconds* seconds_;
+};
+
+mctls::SessionConfig mctls_client_config(BenchPki& pki, const ChainConfig& cfg, Rng& rng)
 {
-    std::vector<mctls::ContextDescription> contexts;
-    for (size_t i = 0; i < n_contexts; ++i) {
+    mctls::SessionConfig ccfg;
+    ccfg.role = tls::Role::client;
+    ccfg.server_name = "server.example.com";
+    for (size_t i = 0; i < cfg.n_contexts; ++i) {
         mctls::ContextDescription ctx;
         ctx.id = static_cast<uint8_t>(i + 1);
         ctx.purpose = "ctx" + std::to_string(i + 1);
         // Worst case for mcTLS: full read/write everywhere (paper §5).
-        ctx.permissions.assign(n_mboxes, mctls::Permission::write);
-        contexts.push_back(std::move(ctx));
+        ctx.permissions.assign(cfg.n_middleboxes, mctls::Permission::write);
+        ccfg.contexts.push_back(std::move(ctx));
     }
-    return contexts;
+    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
+        ccfg.middleboxes.push_back(
+            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
+    ccfg.trust = &pki.store;
+    ccfg.rng = &rng;
+    return ccfg;
+}
+
+mctls::SessionConfig mctls_server_config(BenchPki& pki, Rng& rng)
+{
+    mctls::SessionConfig scfg;
+    scfg.role = tls::Role::server;
+    scfg.chain = {pki.server_id.certificate};
+    scfg.private_key = pki.server_id.private_key;
+    scfg.trust = &pki.store;
+    scfg.rng = &rng;
+    return scfg;
+}
+
+// The middleboxes of the chain; mbox 0 counts into `ops`, and mbox i keeps
+// its resumption state in caches[i] when `caches` is set.
+std::vector<std::unique_ptr<mctls::MiddleboxSession>> make_mboxes(
+    BenchPki& pki, size_t n, Rng& rng, crypto::OpCounters* ops = nullptr,
+    mctls::MiddleboxSessionCache* caches = nullptr)
+{
+    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
+    for (size_t i = 0; i < n; ++i) {
+        mctls::MiddleboxConfig mcfg;
+        mcfg.name = pki.mbox_ids[i].certificate.subject;
+        mcfg.chain = {pki.mbox_ids[i].certificate};
+        mcfg.private_key = pki.mbox_ids[i].private_key;
+        mcfg.rng = &rng;
+        if (i == 0) mcfg.ops = ops;
+        if (caches) mcfg.session_cache = &caches[i];
+        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
+    }
+    return mboxes;
 }
 
 // Drive one mcTLS handshake across the chain, charging each party's CPU to
-// its bucket. Shared by the full and resumed entry points.
-bool pump_mctls_chain(mctls::Session& client, mctls::Session& server,
-                      std::vector<std::unique_ptr<mctls::MiddleboxSession>>& mboxes,
-                      Stopwatch& watch, double* client_bucket, double* server_bucket,
-                      double* mbox_bucket)
+// its bucket.
+bool pump_handshake(mctls::Session& client,
+                    std::vector<std::unique_ptr<mctls::MiddleboxSession>>& mboxes,
+                    mctls::Session& server, Stopwatch& watch)
 {
-    watch.run(client_bucket, [&] { client.start(); });
-
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        // Client -> chain -> server.
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            if (mboxes.empty()) {
-                watch.run(server_bucket, [&] { (void)server.feed(unit); });
-            } else {
-                watch.run(mbox_bucket, [&] { (void)mboxes[0]->feed_from_client(unit); });
-            }
-        }
-        for (size_t i = 0; i < mboxes.size(); ++i) {
-            for (auto& unit : mboxes[i]->take_to_server()) {
-                progress = true;
-                if (i + 1 < mboxes.size()) {
-                    watch.run(mbox_bucket,
-                              [&] { (void)mboxes[i + 1]->feed_from_client(unit); });
-                } else {
-                    watch.run(server_bucket, [&] { (void)server.feed(unit); });
-                }
-            }
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            if (mboxes.empty()) {
-                watch.run(client_bucket, [&] { (void)client.feed(unit); });
-            } else {
-                watch.run(mbox_bucket,
-                          [&] { (void)mboxes.back()->feed_from_server(unit); });
-            }
-        }
-        for (size_t i = mboxes.size(); i-- > 0;) {
-            for (auto& unit : mboxes[i]->take_to_client()) {
-                progress = true;
-                if (i > 0) {
-                    watch.run(mbox_bucket,
-                              [&] { (void)mboxes[i - 1]->feed_from_server(unit); });
-                } else {
-                    watch.run(client_bucket, [&] { (void)client.feed(unit); });
-                }
-            }
-        }
-    }
-
-    bool ok = client.handshake_complete() && server.handshake_complete();
+    watch(chain::Party::client, [&] { client.start(); });
+    bool ok = chain::pump(client, mboxes, server, watch) && client.handshake_complete() &&
+              server.handshake_complete();
     for (auto& mbox : mboxes) ok = ok && mbox->handshake_complete();
     return ok;
 }
@@ -82,50 +102,20 @@ bool pump_mctls_chain(mctls::Session& client, mctls::Session& server,
 bool run_mctls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
                          PartySeconds* seconds, PartyOps* ops)
 {
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
-            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
+    mctls::SessionConfig ccfg = mctls_client_config(pki, cfg, rng);
     if (ops) ccfg.ops = &ops->client;
-
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
+    mctls::SessionConfig scfg = mctls_server_config(pki, rng);
     scfg.client_key_distribution = cfg.client_key_distribution;
     // Paper §3.1: servers typically skip middlebox authentication to save
     // CPU; Table 3 and Figure 5 assume that default.
     scfg.authenticate_middleboxes = false;
-    scfg.rng = &rng;
     if (ops) scfg.ops = &ops->server;
 
     mctls::Session client(std::move(ccfg));
     mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = pki.mbox_ids[i].certificate.subject;
-        mcfg.chain = {pki.mbox_ids[i].certificate};
-        mcfg.private_key = pki.mbox_ids[i].private_key;
-        mcfg.rng = &rng;
-        if (ops && i == 0) mcfg.ops = &ops->middlebox;
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
-
-    return pump_mctls_chain(client, server, mboxes, watch, client_bucket,
-                            server_bucket, mbox_bucket);
+    auto mboxes = make_mboxes(pki, cfg.n_middleboxes, rng, ops ? &ops->middlebox : nullptr);
+    Stopwatch watch(seconds);
+    return pump_handshake(client, mboxes, server, watch);
 }
 
 bool run_mctls_resumed_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
@@ -135,49 +125,19 @@ bool run_mctls_resumed_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng
         state.mbox_caches.resize(cfg.n_middleboxes);
     bool warm = state.mctls_ticket.valid();
 
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
-            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
+    mctls::SessionConfig ccfg = mctls_client_config(pki, cfg, rng);
     if (warm) ccfg.ticket = &state.mctls_ticket;
-
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
+    mctls::SessionConfig scfg = mctls_server_config(pki, rng);
     scfg.client_key_distribution = cfg.client_key_distribution;
     scfg.authenticate_middleboxes = false;
-    scfg.rng = &rng;
     scfg.session_cache = &state.mctls_cache;
 
     mctls::Session client(std::move(ccfg));
     mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = pki.mbox_ids[i].certificate.subject;
-        mcfg.chain = {pki.mbox_ids[i].certificate};
-        mcfg.private_key = pki.mbox_ids[i].private_key;
-        mcfg.rng = &rng;
-        mcfg.session_cache = &state.mbox_caches[i];
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
-
-    if (!pump_mctls_chain(client, server, mboxes, watch, client_bucket,
-                          server_bucket, mbox_bucket))
-        return false;
+    auto mboxes =
+        make_mboxes(pki, cfg.n_middleboxes, rng, nullptr, state.mbox_caches.data());
+    Stopwatch watch(seconds);
+    if (!pump_handshake(client, mboxes, server, watch)) return false;
     // A warm state must actually take the abbreviated path; silently timing
     // full handshakes would corrupt the resumed series.
     if (warm && !client.resumed()) return false;
@@ -210,25 +170,18 @@ tls::SessionConfig tls_server_config(const pki::Identity& id, Rng& rng,
     return cfg;
 }
 
-// Drive one TLS handshake between two sessions, charging each side's CPU to
-// its bucket.
-bool pump_tls_pair(tls::Session& client, tls::Session& server, Stopwatch& watch,
-                   double* client_bucket, double* server_bucket)
+// Drive one TLS handshake between two sessions, charging the client's CPU
+// to `left`'s bucket and the server's to `right`'s.
+bool pump_handshake(tls::Session& client, tls::Session& server, Stopwatch& watch,
+                    chain::Party left = chain::Party::client,
+                    chain::Party right = chain::Party::server)
 {
-    watch.run(client_bucket, [&] { client.start(); });
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            watch.run(server_bucket, [&] { (void)server.feed(unit); });
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            watch.run(client_bucket, [&] { (void)client.feed(unit); });
-        }
-    }
-    return client.handshake_complete() && server.handshake_complete();
+    auto hop_watch = [&](chain::Party to, auto&& call) {
+        watch(to == chain::Party::client ? left : right, call);
+    };
+    hop_watch(chain::Party::client, [&] { client.start(); });
+    return chain::pump(client, chain::none, server, hop_watch) && client.handshake_complete() &&
+           server.handshake_complete();
 }
 
 }  // namespace
@@ -236,12 +189,7 @@ bool pump_tls_pair(tls::Session& client, tls::Session& server, Stopwatch& watch,
 bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
                              PartySeconds* seconds, PartyOps* ops)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-    double* mbox_bucket = seconds ? &seconds->middlebox : &sink;
-
+    Stopwatch watch(seconds);
     // Hop 0: client <-> mbox0 (or server when no middleboxes).
     // Hops i: mbox(i-1) client-role <-> mbox(i) server-role / server.
     bool ok = true;
@@ -255,14 +203,13 @@ bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
             left_ops = left_is_client ? &ops->client : (hop == 1 ? &ops->middlebox : nullptr);
             right_ops = right_is_server ? &ops->server : (hop == 0 ? &ops->middlebox : nullptr);
         }
-        double* left_bucket = left_is_client ? client_bucket : mbox_bucket;
-        double* right_bucket = right_is_server ? server_bucket : mbox_bucket;
-
         const pki::Identity& right_id =
             right_is_server ? pki.server_id : pki.impersonation_ids[hop];
         tls::Session left(tls_client_config(pki, rng, left_ops));
         tls::Session right(tls_server_config(right_id, rng, right_ops));
-        ok = ok && pump_tls_pair(left, right, watch, left_bucket, right_bucket);
+        ok = ok && pump_handshake(left, right, watch,
+                                  left_is_client ? chain::Party::client : chain::Party::middlebox,
+                                  right_is_server ? chain::Party::server : chain::Party::middlebox);
     }
     return ok;
 }
@@ -270,24 +217,16 @@ bool run_split_tls_handshake(BenchPki& pki, const ChainConfig& cfg, Rng& rng,
 bool run_e2e_tls_handshake(BenchPki& pki, const ChainConfig&, Rng& rng,
                            PartySeconds* seconds, PartyOps* ops)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
     // Middleboxes only copy bytes; their cost is ~0 and charged nowhere.
     tls::Session client(tls_client_config(pki, rng, ops ? &ops->client : nullptr));
     tls::Session server(tls_server_config(pki.server_id, rng, ops ? &ops->server : nullptr));
-    return pump_tls_pair(client, server, watch, client_bucket, server_bucket);
+    Stopwatch watch(seconds);
+    return pump_handshake(client, server, watch);
 }
 
 bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
                                PartySeconds* seconds)
 {
-    Stopwatch watch;
-    double sink = 0;
-    double* client_bucket = seconds ? &seconds->client : &sink;
-    double* server_bucket = seconds ? &seconds->server : &sink;
-
     bool warm = state.tls_ticket.valid();
     tls::SessionConfig ccfg = tls_client_config(pki, rng, nullptr);
     if (warm) ccfg.ticket = &state.tls_ticket;
@@ -296,8 +235,8 @@ bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
 
     tls::Session client(std::move(ccfg));
     tls::Session server(std::move(scfg));
-    if (!pump_tls_pair(client, server, watch, client_bucket, server_bucket))
-        return false;
+    Stopwatch watch(seconds);
+    if (!pump_handshake(client, server, watch)) return false;
     if (warm && !client.resumed()) return false;
     state.tls_ticket = client.ticket();
     return true;
@@ -305,72 +244,11 @@ bool run_tls_resumed_handshake(BenchPki& pki, Rng& rng, ResumeState& state,
 
 uint64_t mctls_handshake_bytes(BenchPki& pki, const ChainConfig& cfg, Rng& rng)
 {
-    mctls::SessionConfig ccfg;
-    ccfg.role = tls::Role::client;
-    ccfg.server_name = "server.example.com";
-    ccfg.contexts = make_contexts(cfg.n_contexts, cfg.n_middleboxes);
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i)
-        ccfg.middleboxes.push_back(
-            {pki.mbox_ids[i].certificate.subject, "mbox" + std::to_string(i)});
-    ccfg.trust = &pki.store;
-    ccfg.rng = &rng;
-
-    mctls::SessionConfig scfg;
-    scfg.role = tls::Role::server;
-    scfg.chain = {pki.server_id.certificate};
-    scfg.private_key = pki.server_id.private_key;
-    scfg.trust = &pki.store;
-    scfg.rng = &rng;
-
-    mctls::Session client(std::move(ccfg));
-    mctls::Session server(std::move(scfg));
-    std::vector<std::unique_ptr<mctls::MiddleboxSession>> mboxes;
-    for (size_t i = 0; i < cfg.n_middleboxes; ++i) {
-        mctls::MiddleboxConfig mcfg;
-        mcfg.name = pki.mbox_ids[i].certificate.subject;
-        mcfg.chain = {pki.mbox_ids[i].certificate};
-        mcfg.private_key = pki.mbox_ids[i].private_key;
-        mcfg.rng = &rng;
-        mboxes.push_back(std::make_unique<mctls::MiddleboxSession>(std::move(mcfg)));
-    }
-
+    mctls::Session client(mctls_client_config(pki, cfg, rng));
+    mctls::Session server(mctls_server_config(pki, rng));
+    auto mboxes = make_mboxes(pki, cfg.n_middleboxes, rng);
     client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)server.feed(unit);
-            else
-                (void)mboxes[0]->feed_from_client(unit);
-        }
-        for (size_t i = 0; i < mboxes.size(); ++i) {
-            for (auto& unit : mboxes[i]->take_to_server()) {
-                progress = true;
-                if (i + 1 < mboxes.size())
-                    (void)mboxes[i + 1]->feed_from_client(unit);
-                else
-                    (void)server.feed(unit);
-            }
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            if (mboxes.empty())
-                (void)client.feed(unit);
-            else
-                (void)mboxes.back()->feed_from_server(unit);
-        }
-        for (size_t i = mboxes.size(); i-- > 0;) {
-            for (auto& unit : mboxes[i]->take_to_client()) {
-                progress = true;
-                if (i > 0)
-                    (void)mboxes[i - 1]->feed_from_server(unit);
-                else
-                    (void)client.feed(unit);
-            }
-        }
-    }
+    (void)chain::pump(client, mboxes, server);
     return client.handshake_wire_bytes();
 }
 
@@ -379,18 +257,7 @@ uint64_t tls_handshake_bytes(BenchPki& pki, Rng& rng)
     tls::Session client(tls_client_config(pki, rng, nullptr));
     tls::Session server(tls_server_config(pki.server_id, rng, nullptr));
     client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : client.take_write_units()) {
-            progress = true;
-            (void)server.feed(unit);
-        }
-        for (auto& unit : server.take_write_units()) {
-            progress = true;
-            (void)client.feed(unit);
-        }
-    }
+    (void)chain::pump(client, chain::none, server);
     return client.handshake_wire_bytes();
 }
 

@@ -7,8 +7,6 @@
 // connections-per-second experiments.
 #pragma once
 
-#include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,18 +50,6 @@ struct BenchPki {
             mbox_ids.push_back(ca.issue("mbox" + std::to_string(i) + ".isp.net", rng));
             impersonation_ids.push_back(ca.issue("server.example.com", rng));
         }
-    }
-};
-
-class Stopwatch {
-public:
-    template <typename F>
-    void run(double* bucket, F&& f)
-    {
-        auto start = std::chrono::steady_clock::now();
-        f();
-        std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-        *bucket += elapsed.count();
     }
 };
 

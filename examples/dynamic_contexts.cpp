@@ -11,7 +11,7 @@
 // visibility.
 #include <cstdio>
 
-#include "chain_pump.h"
+#include "bench/chain.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
@@ -66,9 +66,10 @@ int main()
     mctls::Session client(ccfg);
     mctls::Session server(scfg);
     mctls::MiddleboxSession proxy(mcfg);
+    mctls::MiddleboxSession* mboxes[] = {&proxy};
 
     client.start();
-    examples::pump(client, proxy, server);
+    chain::pump(client, mboxes, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -77,7 +78,7 @@ int main()
     std::printf("On cellular: images ride the proxy-writable context.\n");
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0001.raw"));
     (void)server.send_app_data(kCompressible, str_to_bytes("IMG_0002.raw"));
-    examples::pump(client, proxy, server);
+    chain::pump(client, mboxes, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",
@@ -87,7 +88,7 @@ int main()
                 "Same session, no new handshake:\n");
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0003.raw"));
     (void)server.send_app_data(kPrivate, str_to_bytes("IMG_0004.raw"));
-    examples::pump(client, proxy, server);
+    chain::pump(client, mboxes, server);
     for (auto& chunk : client.take_app_data())
         std::printf("  ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (compressed in-network)",

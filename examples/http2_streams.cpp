@@ -10,7 +10,7 @@
 #include <map>
 #include <string>
 
-#include "chain_pump.h"
+#include "bench/chain.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
@@ -64,9 +64,10 @@ int main()
     mctls::Session client(ccfg);
     mctls::Session server(scfg);
     mctls::MiddleboxSession optimizer(mcfg);
+    mctls::MiddleboxSession* mboxes[] = {&optimizer};
 
     client.start();
-    examples::pump(client, optimizer, server);
+    chain::pump(client, mboxes, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -80,7 +81,7 @@ int main()
     (void)server.send_app_data(1, str_to_bytes("PNG-DATA-FRAME"));
     (void)server.send_app_data(3, str_to_bytes("api-token=SECRET"));
     (void)server.send_app_data(2, str_to_bytes("<html>frame</html>"));
-    examples::pump(client, optimizer, server);
+    chain::pump(client, mboxes, server);
 
     std::printf("\nFrames as the client receives them (in order):\n");
     for (const auto& chunk : client.take_app_data()) {

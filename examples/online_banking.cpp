@@ -6,7 +6,7 @@
 // still works end-to-end.
 #include <cstdio>
 
-#include "chain_pump.h"
+#include "bench/chain.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
@@ -61,10 +61,11 @@ int main()
     mctls::Session client(ccfg);
     mctls::Session server(scfg);
     mctls::MiddleboxSession proxy(mcfg);
+    mctls::MiddleboxSession* mboxes[] = {&proxy};
 
     std::printf("Client asks to include proxy.isp.net with WRITE access to account data.\n");
     client.start();
-    examples::pump(client, proxy, server);
+    chain::pump(client, mboxes, server);
     if (!client.handshake_complete() || !server.handshake_complete()) {
         std::printf("handshake failed\n");
         return 1;
@@ -76,7 +77,7 @@ int main()
                 mctls::to_string(client.granted_permission(0, 1)));
 
     (void)client.send_app_data(1, str_to_bytes("transfer $1,000,000 to savings"));
-    examples::pump(client, proxy, server);
+    chain::pump(client, mboxes, server);
     auto chunks = server.take_app_data();
     std::printf("\nBank received %zu chunk(s); proxy observed plaintext: %s\n",
                 chunks.size(), proxy_saw_anything ? "YES (!)" : "no");

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "chain_pump.h"
+#include "bench/chain.h"
 #include "crypto/drbg.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
@@ -77,11 +77,12 @@ int main()
     mctls::Session client(client_cfg);
     mctls::Session server(server_cfg);
     mctls::MiddleboxSession mbox(mbox_cfg);
+    mctls::MiddleboxSession* mboxes[] = {&mbox};
 
     // --- Handshake --------------------------------------------------------
     std::printf("Handshaking (client + proxy.isp.net + server.example.com)...\n");
     client.start();
-    examples::pump(client, mbox, server);
+    chain::pump(client, mboxes, server);
     if (!client.handshake_complete() || !server.handshake_complete() ||
         !mbox.handshake_complete()) {
         std::printf("handshake failed: %s / %s / %s\n", client.error().c_str(),
@@ -98,7 +99,7 @@ int main()
     std::printf("\nClient sends a request header + body...\n");
     (void)client.send_app_data(1, str_to_bytes("GET /article HTTP/1.1"));
     (void)client.send_app_data(2, str_to_bytes("please summarize"));
-    examples::pump(client, mbox, server);
+    chain::pump(client, mboxes, server);
 
     for (const auto& chunk : server.take_app_data()) {
         std::printf("  [server] ctx %u%s: \"%s\"\n", chunk.context_id,
@@ -108,7 +109,7 @@ int main()
 
     std::printf("\nServer responds on the body context...\n");
     (void)server.send_app_data(2, str_to_bytes("the article, summarized"));
-    examples::pump(client, mbox, server);
+    chain::pump(client, mboxes, server);
     for (const auto& chunk : client.take_app_data()) {
         std::printf("  [client] ctx %u%s: \"%s\"\n", chunk.context_id,
                     chunk.from_endpoint ? "" : " (writer-modified!)",

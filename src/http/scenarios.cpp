@@ -34,12 +34,6 @@ const char* to_string(FaultPlan p)
     return "?";
 }
 
-std::vector<FaultPlan> all_fault_plans()
-{
-    return {FaultPlan::clean, FaultPlan::kill_restart, FaultPlan::flap,
-            FaultPlan::corrupt};
-}
-
 ScenarioSpec scenario_spec(Scenario s)
 {
     ScenarioSpec spec;

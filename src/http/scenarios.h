@@ -39,7 +39,6 @@ enum class FaultPlan {
 };
 
 const char* to_string(FaultPlan p);
-std::vector<FaultPlan> all_fault_plans();
 
 // Static description of one scenario: enough to build a TestbedConfig and
 // to know what the matrix should expect of it.

@@ -178,7 +178,6 @@ struct Testbed::Impl {
     // totals survive sessions that no longer exist.
     std::map<std::string, obs::SessionStats> retired_stats;
     Testbed::OverheadTotals retired_overhead;
-    uint64_t retired_app_bytes = 0;
     uint64_t retired_sessions = 0;
 
     // Degradation-rate gauges: last published cumulative totals + sim time.
@@ -374,8 +373,7 @@ struct Testbed::Impl {
     void release_conn(net::ConnectionPtr conn, std::shared_ptr<void> anchor)
     {
         if (!conn) return;
-        loop->schedule(0, [this, conn = std::move(conn), anchor = std::move(anchor)] {
-            retired_app_bytes += conn->app_bytes_sent();
+        loop->schedule(0, [conn = std::move(conn), anchor = std::move(anchor)] {
             conn->set_on_connect({});
             conn->set_on_data({});
             conn->set_on_close({});
@@ -1424,14 +1422,6 @@ struct Testbed::Impl {
         return totals;
     }
 
-    uint64_t total_app_bytes() const
-    {
-        uint64_t total = retired_app_bytes;
-        for (const auto& conn : tracked_conns)
-            total += conn->app_bytes_sent();
-        return total;
-    }
-
     void publish_stats()
     {
         if (!cfg.obs) return;
@@ -1526,7 +1516,6 @@ struct Testbed::Impl {
 Testbed::Testbed(TestbedConfig cfg)
 {
     impl_ = std::make_unique<Impl>(std::move(cfg), &loop_);
-    total_conn_bytes_ = [this] { return impl_->total_app_bytes(); };
 }
 
 Testbed::~Testbed()
@@ -1583,21 +1572,6 @@ void Testbed::inject_fault(const FaultEvent& fault)
 size_t Testbed::rekey_live_sessions()
 {
     return impl_->rekey_live_sessions();
-}
-
-size_t Testbed::live_fetches() const
-{
-    return impl_->outstanding_fetches;
-}
-
-uint64_t Testbed::completed_fetches() const
-{
-    return impl_->completed_count;
-}
-
-uint64_t Testbed::failed_fetches() const
-{
-    return impl_->failed_count;
 }
 
 }  // namespace mct::http

@@ -197,9 +197,6 @@ public:
         return fetch_sequence({size}, std::move(on_done));
     }
 
-    // Total TCP payload bytes so far on every link (handshake-size probes).
-    uint64_t total_app_bytes_all_connections() const { return total_conn_bytes_(); }
-
     // Aggregate record-protection overhead and payload across every channel
     // in the testbed (both directions) — §5.2's data-volume accounting.
     struct OverheadTotals {
@@ -236,18 +233,12 @@ public:
     void inject_fault(const FaultEvent& fault);
     size_t rekey_live_sessions();
 
-    // Concurrency counters: fetches currently in flight / finished so far.
-    size_t live_fetches() const;
-    uint64_t completed_fetches() const;
-    uint64_t failed_fetches() const;
-
 private:
     struct Impl;
     // Declared before impl_ so the network and sessions die while the loop
     // they schedule on still exists.
     net::EventLoop loop_;
     std::unique_ptr<Impl> impl_;
-    std::function<uint64_t()> total_conn_bytes_;
 };
 
 }  // namespace mct::http

@@ -126,7 +126,6 @@ public:
     // Installed keys for a context, or nullptr without access. A reader's
     // keys hold no writer key at all (can_write() is false).
     const ContextKeys* context_keys(uint8_t context_id) const;
-    size_t entity_index() const { return entity_index_; }
     const std::vector<ContextDescription>& contexts() const { return contexts_; }
 
     // --- Session continuity (see DESIGN.md "Session continuity") ---
@@ -134,10 +133,6 @@ public:
     // True when this relay rejoined a resumed session from cached pairwise
     // keys instead of running its own DH exchanges.
     bool resumed() const { return resumed_; }
-    // True when the endpoints resumed but this relay's ticket was gone
-    // (evicted, expired, or a cold restart): it relays the session keyless,
-    // forwarding every record blind, instead of failing the connection.
-    bool rejoin_missed() const { return rejoin_missed_; }
     // Current key epoch (bumped by completed in-band rekeys we tracked).
     uint32_t epoch() const { return epoch_; }
     // What to cache for a later rejoin; valid() only once keys are ready and

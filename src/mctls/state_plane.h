@@ -52,7 +52,6 @@ public:
     tls::TlsSessionCache& tls_cache() { return tls_; }
     ServerSessionCache& server_cache() { return server_; }
     MiddleboxSessionCache& middlebox_cache(size_t index) { return mbox_[index]; }
-    size_t middlebox_count() const { return mbox_.size(); }
 
     // Shared monotonic clock for TTL stamping in every cache.
     void set_clock(std::function<uint64_t()> clock);

@@ -44,10 +44,4 @@ Bytes Transcript::hash(bool include_client_finished) const
     return Bytes(digest.begin(), digest.end());
 }
 
-size_t Transcript::piece_count() const
-{
-    return slots_.size() + bundles_.size() + key_material_.size() +
-           (client_finished_.empty() ? 0 : 1);
-}
-
 }  // namespace mct::mctls

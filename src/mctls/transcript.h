@@ -34,10 +34,8 @@ public:
     void add_client_key_material(uint8_t destination, ConstBytes wire);
     void set_client_finished(ConstBytes wire);
 
-    // SHA-256 over the canonical assembly; hashed message count is reported
-    // via `pieces` for op accounting.
+    // SHA-256 over the canonical assembly.
     Bytes hash(bool include_client_finished) const;
-    size_t piece_count() const;
 
 private:
     std::map<Slot, Bytes> slots_;

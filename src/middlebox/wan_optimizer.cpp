@@ -47,7 +47,6 @@ Bytes WanOptimizerEncoder::transform(uint8_t ctx, mctls::Direction dir, Bytes pa
         if (it != seen_.end() && equal(it->second, chunk)) {
             w.u8(0x01);
             w.u64(id);
-            ++chunks_deduplicated_;
             bytes_saved_ += take > 9 ? take - 9 : 0;
             any_dedup = true;
         } else {

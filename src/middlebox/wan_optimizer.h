@@ -29,12 +29,10 @@ public:
 
     Bytes transform(uint8_t ctx, mctls::Direction dir, Bytes payload) override;
 
-    uint64_t chunks_deduplicated() const { return chunks_deduplicated_; }
     uint64_t bytes_saved() const { return bytes_saved_; }
 
 private:
     std::map<uint64_t, Bytes> seen_;  // chunk id -> content
-    uint64_t chunks_deduplicated_ = 0;
     uint64_t bytes_saved_ = 0;
 };
 

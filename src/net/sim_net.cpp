@@ -9,11 +9,7 @@ namespace mct::net {
 
 void Link::transmit(size_t wire_bytes, std::function<void()> on_arrival)
 {
-    if (down_) {
-        ++packets_dropped_;
-        return;
-    }
-    bytes_carried_ += wire_bytes;
+    if (down_) return;
     SimTime start = std::max(loop_.now(), busy_until_);
     SimTime serialization = 0;
     if (cfg_.bandwidth_bps > 0) {
@@ -22,10 +18,8 @@ void Link::transmit(size_t wire_bytes, std::function<void()> on_arrival)
                                            cfg_.bandwidth_bps));
     }
     busy_until_ = start + serialization;
-    if (cfg_.loss_rate > 0 && rng_ && rng_->unit() < cfg_.loss_rate) {
-        ++packets_dropped_;  // consumed link time, never arrives
-        return;
-    }
+    // A lost packet consumed link time but never arrives.
+    if (cfg_.loss_rate > 0 && rng_ && rng_->unit() < cfg_.loss_rate) return;
     auto latency = static_cast<SimTime>(
         std::ceil(static_cast<double>(cfg_.latency) * latency_factor_));
     // A spike factor must always delay: truncating `latency * factor` to

@@ -64,10 +64,7 @@ public:
     // restores nominal latency. In-flight packets keep their old arrival
     // time, exactly like a real route change.
     void set_latency_factor(double factor) { latency_factor_ = factor < 0 ? 0 : factor; }
-    double latency_factor() const { return latency_factor_; }
 
-    uint64_t bytes_carried() const { return bytes_carried_; }
-    uint64_t packets_dropped() const { return packets_dropped_; }
     bool lossy() const { return cfg_.loss_rate > 0 || cfg_.faultable; }
 
 private:
@@ -77,8 +74,6 @@ private:
     SimTime busy_until_ = 0;
     bool down_ = false;
     double latency_factor_ = 1.0;
-    uint64_t bytes_carried_ = 0;
-    uint64_t packets_dropped_ = 0;
 };
 
 class Connection;

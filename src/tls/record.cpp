@@ -10,7 +10,7 @@ namespace {
 
 // Compact the codec buffer only once the dead prefix is both sizable and at
 // least as large as the live suffix; every consumed byte is then moved at
-// most once more, keeping next() amortized O(1).
+// most once more, keeping next_view() amortized O(1).
 constexpr size_t kCompactThreshold = 4096;
 
 }  // namespace
@@ -51,18 +51,6 @@ void RecordCodec::feed(ConstBytes wire)
         read_pos_ = 0;
     }
     append(buffer_, wire);
-}
-
-Result<std::optional<Record>> RecordCodec::next()
-{
-    auto view = next_view();
-    if (!view) return view.error();
-    if (!view.value()) return std::optional<Record>{};
-    Record record;
-    record.type = view.value()->type;
-    record.context_id = view.value()->context_id;
-    record.payload = to_bytes(view.value()->payload);
-    return std::optional<Record>{std::move(record)};
 }
 
 Result<std::optional<RecordView>> RecordCodec::next_view()

@@ -10,9 +10,9 @@
 // scheme on top of the same primitives (mctls/context_crypto.h).
 //
 // The protector has one API, the zero-copy protect_into/unprotect_into,
-// which appends to caller-owned buffers. The codec's zero-copy next_view
-// serves the data plane; its owning encode/next forms are thin wrappers
-// kept for control paths and tests. See DESIGN.md "Record fast path".
+// which appends to caller-owned buffers. The codec parses with the
+// zero-copy next_view; its owning encode is a thin wrapper kept for control
+// paths and tests. See DESIGN.md "Record fast path".
 #pragma once
 
 #include <array>
@@ -42,7 +42,7 @@ constexpr uint16_t kProtocolVersion = 0x0303;  // TLS 1.2 wire version
 constexpr size_t kMaxFragment = 16384;
 
 // One shared ciphertext-expansion bound, enforced symmetrically by encode()
-// and next(): a protected fragment exceeds its plaintext by at most the
+// and next_view(): a protected fragment exceeds its plaintext by at most the
 // explicit IV, a full block of CBC padding, the mcTLS MAC stack (endpoint +
 // writers + readers), and the mode-(b) Ed25519 signature.
 constexpr size_t kMaxRecordExpansion = crypto::Aes128::kBlockSize /* IV */ +
@@ -94,7 +94,7 @@ struct RecordView {
 // Stream-oriented record framing: feed wire bytes, pop complete records.
 //
 // Consumed bytes are tracked with a read offset instead of erasing the
-// buffer front, so next() is amortized O(1); the buffer compacts on feed()
+// buffer front, so next_view() is amortized O(1); the buffer compacts on feed()
 // only when the dead prefix dominates the live bytes.
 class RecordCodec {
 public:
@@ -109,10 +109,8 @@ public:
                             Bytes& out) const;
 
     void feed(ConstBytes wire);
-    // nullopt = need more bytes; error = malformed frame.
-    Result<std::optional<Record>> next();
-    // Zero-copy variant; the returned views are valid until the next call
-    // on this codec.
+    // nullopt = need more bytes; error = malformed frame. The returned
+    // views are valid until the next call on this codec.
     Result<std::optional<RecordView>> next_view();
 
     size_t buffered() const { return buffer_.size() - read_pos_; }

@@ -30,18 +30,7 @@ TEST(TlsFallback, McTlsClientAgainstTlsServerFailsCleanly)
     tls::Session tls_server(scfg);
 
     env.client->start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : env.client->take_write_units()) {
-            progress = true;
-            (void)tls_server.feed(unit);
-        }
-        for (auto& unit : tls_server.take_write_units()) {
-            progress = true;
-            (void)env.client->feed(unit);
-        }
-    }
+    ASSERT_TRUE(chain::pump(*env.client, chain::none, tls_server));
     // The mcTLS record header carries an extra context-id byte, so the TLS
     // server cannot even frame the ClientHello: it rejects the stream with a
     // fatal decode_error alert. The alert codec's tolerant framing lets the
@@ -78,18 +67,7 @@ TEST(TlsFallback, RetryWithTlsSucceeds)
     {
         tls::Session tls_server(scfg);
         env.client->start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : env.client->take_write_units()) {
-                progress = true;
-                (void)tls_server.feed(unit);
-            }
-            for (auto& unit : tls_server.take_write_units()) {
-                progress = true;
-                (void)env.client->feed(unit);
-            }
-        }
+        ASSERT_TRUE(chain::pump(*env.client, chain::none, tls_server));
         ASSERT_FALSE(env.client->handshake_complete());
     }
 
@@ -102,18 +80,7 @@ TEST(TlsFallback, RetryWithTlsSucceeds)
     tls::Session tls_client(ccfg);
     tls::Session tls_server(scfg);
     tls_client.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& unit : tls_client.take_write_units()) {
-            progress = true;
-            (void)tls_server.feed(unit);
-        }
-        for (auto& unit : tls_server.take_write_units()) {
-            progress = true;
-            (void)tls_client.feed(unit);
-        }
-    }
+    ASSERT_TRUE(chain::pump(tls_client, chain::none, tls_server));
     EXPECT_TRUE(tls_client.handshake_complete());
     EXPECT_TRUE(tls_server.handshake_complete());
 }

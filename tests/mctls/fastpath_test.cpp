@@ -95,70 +95,11 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithSpans)
     env.handshake();
     ASSERT_TRUE(env.all_complete());
 
-    // ChainEnv::pump, but pairing every unit with its span context and
-    // queueing it at the receiving hop before the bytes ("contexts precede
-    // bytes"), so the instrumented open path runs end to end.
-    auto pump_spanned = [&] {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            {
-                auto units = env.client->take_write_units();
-                auto ctxs = env.client->take_unit_spans();
-                for (size_t i = 0; i < units.size(); ++i) {
-                    progress = true;
-                    if (i < ctxs.size()) env.mboxes[0]->queue_rx_span(true, ctxs[i]);
-                    (void)env.mboxes[0]->feed_from_client(units[i]);
-                }
-            }
-            for (size_t m = 0; m < env.mboxes.size(); ++m) {
-                auto units = env.mboxes[m]->take_to_server();
-                auto ctxs = env.mboxes[m]->take_to_server_spans();
-                for (size_t i = 0; i < units.size(); ++i) {
-                    progress = true;
-                    if (m + 1 < env.mboxes.size()) {
-                        if (i < ctxs.size())
-                            env.mboxes[m + 1]->queue_rx_span(true, ctxs[i]);
-                        (void)env.mboxes[m + 1]->feed_from_client(units[i]);
-                    } else {
-                        if (i < ctxs.size()) env.server->queue_rx_span(ctxs[i]);
-                        (void)env.server->feed(units[i]);
-                    }
-                }
-            }
-            {
-                auto units = env.server->take_write_units();
-                auto ctxs = env.server->take_unit_spans();
-                for (size_t i = 0; i < units.size(); ++i) {
-                    progress = true;
-                    if (i < ctxs.size())
-                        env.mboxes.back()->queue_rx_span(false, ctxs[i]);
-                    (void)env.mboxes.back()->feed_from_server(units[i]);
-                }
-            }
-            for (size_t m = env.mboxes.size(); m-- > 0;) {
-                auto units = env.mboxes[m]->take_to_client();
-                auto ctxs = env.mboxes[m]->take_to_client_spans();
-                for (size_t i = 0; i < units.size(); ++i) {
-                    progress = true;
-                    if (m > 0) {
-                        if (i < ctxs.size())
-                            env.mboxes[m - 1]->queue_rx_span(false, ctxs[i]);
-                        (void)env.mboxes[m - 1]->feed_from_server(units[i]);
-                    } else {
-                        if (i < ctxs.size()) env.client->queue_rx_span(ctxs[i]);
-                        (void)env.client->feed(units[i]);
-                    }
-                }
-            }
-        }
-    };
-
     Bytes big(4000, 0x42);
     ASSERT_TRUE(env.client->send_app_data(1, big).ok());
-    pump_spanned();
+    env.pump();
     ASSERT_TRUE(env.server->send_app_data(1, big).ok());
-    pump_spanned();
+    env.pump();
     env.server->take_app_data();
     env.client->take_app_data();
 
@@ -171,7 +112,7 @@ TEST(RecordFastPath, SteadyStateOpensDoNotAllocateWithSpans)
     for (int i = 0; i < 50; ++i) {
         ASSERT_TRUE(env.client->send_app_data(1, Bytes(1460, uint8_t(i))).ok());
         ASSERT_TRUE(env.server->send_app_data(1, Bytes(512, uint8_t(i))).ok());
-        pump_spanned();
+        env.pump();
     }
     EXPECT_EQ(env.server->take_app_data().size(), 50u);
     EXPECT_EQ(env.client->take_app_data().size(), 50u);

@@ -1,5 +1,6 @@
-// In-memory chain harness: client <-> M0 <-> M1 ... <-> server, pumping
-// write units until quiescent. Shared by the mcTLS session tests.
+// In-memory chain harness: the PKI and the configs of a client <-> M0 <->
+// M1 ... <-> server chain, pumped by chain::pump. Shared by the mcTLS
+// session tests.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/chain.h"
 #include "mctls/middlebox.h"
 #include "mctls/session.h"
 #include "pki/authority.h"
@@ -89,59 +91,9 @@ struct ChainEnv {
     }
 
     // Deliver pending bytes along the chain until everything is quiet.
-    // Returns false if any party entered a failed state (callers assert on
-    // the specific party they expect to fail).
-    // A correct chain settles in a handful of rounds; hitting the cap means
-    // units are bouncing forever (livelock) and the test should fail loudly
-    // instead of hanging the suite.
-    static constexpr int kMaxPumpRounds = 10000;
-
-    void pump()
-    {
-        bool progress = true;
-        int rounds = 0;
-        while (progress) {
-            if (++rounds > kMaxPumpRounds) {
-                ADD_FAILURE() << "ChainEnv::pump: no quiescence after "
-                              << kMaxPumpRounds << " rounds (livelock)";
-                return;
-            }
-            progress = false;
-            // client -> first hop
-            for (auto& unit : client->take_write_units()) {
-                progress = true;
-                if (mboxes.empty())
-                    (void)server->feed(unit);
-                else
-                    (void)mboxes.front()->feed_from_client(unit);
-            }
-            for (size_t i = 0; i < mboxes.size(); ++i) {
-                for (auto& unit : mboxes[i]->take_to_server()) {
-                    progress = true;
-                    if (i + 1 < mboxes.size())
-                        (void)mboxes[i + 1]->feed_from_client(unit);
-                    else
-                        (void)server->feed(unit);
-                }
-            }
-            for (auto& unit : server->take_write_units()) {
-                progress = true;
-                if (mboxes.empty())
-                    (void)client->feed(unit);
-                else
-                    (void)mboxes.back()->feed_from_server(unit);
-            }
-            for (size_t i = mboxes.size(); i-- > 0;) {
-                for (auto& unit : mboxes[i]->take_to_client()) {
-                    progress = true;
-                    if (i > 0)
-                        (void)mboxes[i - 1]->feed_from_server(unit);
-                    else
-                        (void)client->feed(unit);
-                }
-            }
-        }
-    }
+    // Callers assert on the specific party they expect to fail; a chain that
+    // never goes quiet (livelock) fails the test instead of hanging it.
+    void pump() { EXPECT_TRUE(chain::pump(*client, mboxes, *server)) << "livelock"; }
 
     void handshake()
     {

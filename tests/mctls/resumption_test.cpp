@@ -301,7 +301,7 @@ RekeyRecord decode_rekey(ConstBytes unit)
 {
     tls::RecordCodec codec{/*with_context_id=*/true};
     codec.feed(unit);
-    auto record = codec.next();
+    auto record = codec.next_view();
     EXPECT_TRUE(record.ok() && record.value().has_value());
     EXPECT_EQ(record.value()->type, tls::ContentType::rekey);
     auto rk = RekeyRecord::parse(record.value()->payload);

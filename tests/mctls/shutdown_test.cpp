@@ -167,27 +167,13 @@ TEST(Shutdown, TlsGracefulCloseAndTruncationParity)
 
     tls::Session client(ccfg);
     tls::Session server(scfg);
-    auto pump = [&] {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& u : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(u);
-            }
-            for (auto& u : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(u);
-            }
-        }
-    };
     client.start();
-    pump();
+    ASSERT_TRUE(chain::pump(client, chain::none, server));
     ASSERT_TRUE(client.handshake_complete() && server.handshake_complete());
 
     server.close();
     EXPECT_FALSE(server.closed());  // waits for the client's close_notify
-    pump();
+    ASSERT_TRUE(chain::pump(client, chain::none, server));
     EXPECT_TRUE(client.closed());
     EXPECT_TRUE(server.closed());
     EXPECT_FALSE(client.failed());
@@ -197,18 +183,7 @@ TEST(Shutdown, TlsGracefulCloseAndTruncationParity)
     tls::Session client2(ccfg);
     tls::Session server2(scfg);
     client2.start();
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto& u : client2.take_write_units()) {
-            progress = true;
-            (void)server2.feed(u);
-        }
-        for (auto& u : server2.take_write_units()) {
-            progress = true;
-            (void)client2.feed(u);
-        }
-    }
+    ASSERT_TRUE(chain::pump(client2, chain::none, server2));
     ASSERT_TRUE(client2.handshake_complete());
     client2.transport_closed();
     EXPECT_TRUE(client2.truncated());

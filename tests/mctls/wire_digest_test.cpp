@@ -1,10 +1,10 @@
 // Session-level wire-byte pins. Each test runs seeded sessions through a
 // full handshake, a resumed handshake and one 64 B record each way, and
 // takes one SHA-256 over every wire unit in delivery order (each prefixed
-// by the hop it crossed). All parties draw from one HmacDrbg, so the digest
-// covers the DRBG stream, every PRF and MAC, the ephemeral keys and each
-// message encoding: a change that draws one random byte more or less, or
-// moves one byte on the wire, changes it.
+// by the chain::pump hop id it crossed). All parties draw from one
+// HmacDrbg, so the digest covers the DRBG stream, every PRF and MAC, the
+// ephemeral keys and each message encoding: a change that draws one random
+// byte more or less, or moves one byte on the wire, changes it.
 //
 // The pinned digests were computed by building this file against the
 // libraries from before the client deferred its X25519 public key to
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/chain.h"
 #include "crypto/drbg.h"
 #include "crypto/sha2.h"
 #include "mctls/middlebox.h"
@@ -29,9 +30,10 @@
 namespace mct {
 namespace {
 
-void hash_unit(crypto::Sha256& wire, uint8_t hop, ConstBytes unit)
+void hash_unit(crypto::Sha256& wire, size_t hop, ConstBytes unit)
 {
-    wire.update({&hop, 1});
+    uint8_t id = static_cast<uint8_t>(hop);
+    wire.update({&id, 1});
     wire.update(unit);
 }
 
@@ -107,39 +109,8 @@ struct McTlsChain {
 
     void pump()
     {
-        for (bool progress = true; progress;) {
-            progress = false;
-            for (auto& unit : client->take_write_units()) {
-                progress = true;
-                hash_unit(wire, 0, unit);
-                (void)mboxes[0]->feed_from_client(unit);
-            }
-            for (auto& unit : mboxes[0]->take_to_server()) {
-                progress = true;
-                hash_unit(wire, 1, unit);
-                (void)mboxes[1]->feed_from_client(unit);
-            }
-            for (auto& unit : mboxes[1]->take_to_server()) {
-                progress = true;
-                hash_unit(wire, 2, unit);
-                (void)server->feed(unit);
-            }
-            for (auto& unit : server->take_write_units()) {
-                progress = true;
-                hash_unit(wire, 3, unit);
-                (void)mboxes[1]->feed_from_server(unit);
-            }
-            for (auto& unit : mboxes[1]->take_to_client()) {
-                progress = true;
-                hash_unit(wire, 4, unit);
-                (void)mboxes[0]->feed_from_server(unit);
-            }
-            for (auto& unit : mboxes[0]->take_to_client()) {
-                progress = true;
-                hash_unit(wire, 5, unit);
-                (void)client->feed(unit);
-            }
-        }
+        EXPECT_TRUE(chain::pump(*client, mboxes, *server, chain::NoProbe{},
+                                [&](size_t hop, ConstBytes unit) { hash_unit(wire, hop, unit); }));
     }
 
     void exchange_records()
@@ -245,19 +216,8 @@ struct TlsPair {
 
     void pump()
     {
-        for (bool progress = true; progress;) {
-            progress = false;
-            for (auto& unit : client->take_write_units()) {
-                progress = true;
-                hash_unit(wire, 0, unit);
-                (void)server->feed(unit);
-            }
-            for (auto& unit : server->take_write_units()) {
-                progress = true;
-                hash_unit(wire, 1, unit);
-                (void)client->feed(unit);
-            }
-        }
+        EXPECT_TRUE(chain::pump(*client, chain::none, *server, chain::NoProbe{},
+                                [&](size_t hop, ConstBytes unit) { hash_unit(wire, hop, unit); }));
     }
 
     void exchange_records()

@@ -135,12 +135,12 @@ TEST(RecordCodecView, CrossFramedAlertIsNotNative)
 
 TEST(RecordCodecBounds, SymmetricLimitOnBothSides)
 {
-    // The bound is shared: everything encode() accepts, next() accepts.
+    // The bound is shared: everything encode() accepts, next_view() accepts.
     RecordCodec codec(false);
     Bytes max_frame = codec.encode({ContentType::application_data, 0, Bytes(kMaxWireFragment, 1)});
     RecordCodec decoder(false);
     decoder.feed(max_frame);
-    auto out = decoder.next();
+    auto out = decoder.next_view();
     ASSERT_TRUE(out.ok());
     ASSERT_TRUE(out.value());
     EXPECT_EQ(out.value()->payload.size(), kMaxWireFragment);
@@ -153,7 +153,7 @@ TEST(RecordCodecBounds, SymmetricLimitOnBothSides)
     Bytes crafted{23, 0x03, 0x03, uint8_t(too_big >> 8), uint8_t(too_big)};
     RecordCodec strict(false);
     strict.feed(crafted);
-    auto bad = strict.next();
+    auto bad = strict.next_view();
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().message, "record: oversized fragment");
 }
@@ -166,7 +166,7 @@ TEST(RecordCodecBounds, ContentTypeCheckedBeforeCrossFramingRetry)
     RecordCodec codec(false);
     Bytes crafted{99, 0x03, 0x03, 0x00, 0x00, 0x02, 1, 90};
     codec.feed(crafted);
-    auto out = codec.next();
+    auto out = codec.next_view();
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.error().message, "record: unknown content type");
 }

@@ -12,11 +12,11 @@ TEST(RecordCodec, EncodeDecodeRoundTrip)
     RecordCodec codec(false);
     Record rec{ContentType::handshake, 0, str_to_bytes("payload")};
     codec.feed(codec.encode(rec));
-    auto out = codec.next();
+    auto out = codec.next_view();
     ASSERT_TRUE(out.ok());
     ASSERT_TRUE(out.value().has_value());
     EXPECT_EQ(out.value()->type, ContentType::handshake);
-    EXPECT_EQ(out.value()->payload, rec.payload);
+    EXPECT_EQ(to_bytes(out.value()->payload), rec.payload);
 }
 
 TEST(RecordCodec, ContextIdRoundTrip)
@@ -24,7 +24,7 @@ TEST(RecordCodec, ContextIdRoundTrip)
     RecordCodec codec(true);
     Record rec{ContentType::application_data, 3, str_to_bytes("ctx data")};
     codec.feed(codec.encode(rec));
-    auto out = codec.next();
+    auto out = codec.next_view();
     ASSERT_TRUE(out.ok());
     ASSERT_TRUE(out.value().has_value());
     EXPECT_EQ(out.value()->context_id, 3);
@@ -42,15 +42,15 @@ TEST(RecordCodec, PartialFeedNeedsMoreBytes)
     Record rec{ContentType::handshake, 0, Bytes(100, 'x')};
     Bytes wire = codec.encode(rec);
     codec.feed(ConstBytes{wire}.subspan(0, 3));
-    auto out = codec.next();
+    auto out = codec.next_view();
     ASSERT_TRUE(out.ok());
     EXPECT_FALSE(out.value().has_value());
     codec.feed(ConstBytes{wire}.subspan(3, 50));
-    out = codec.next();
+    out = codec.next_view();
     ASSERT_TRUE(out.ok());
     EXPECT_FALSE(out.value().has_value());
     codec.feed(ConstBytes{wire}.subspan(53));
-    out = codec.next();
+    out = codec.next_view();
     ASSERT_TRUE(out.ok());
     ASSERT_TRUE(out.value().has_value());
     EXPECT_EQ(out.value()->payload.size(), 100u);
@@ -62,12 +62,12 @@ TEST(RecordCodec, MultipleRecordsInOneFeed)
     Bytes wire = concat(codec.encode({ContentType::handshake, 0, Bytes{1}}),
                         codec.encode({ContentType::application_data, 0, Bytes{2, 3}}));
     codec.feed(wire);
-    auto first = codec.next();
+    auto first = codec.next_view();
     ASSERT_TRUE(first.value().has_value());
     EXPECT_EQ(first.value()->type, ContentType::handshake);
-    auto second = codec.next();
+    auto second = codec.next_view();
     ASSERT_TRUE(second.value().has_value());
-    EXPECT_EQ(second.value()->payload, (Bytes{2, 3}));
+    EXPECT_EQ(to_bytes(second.value()->payload), (Bytes{2, 3}));
 }
 
 TEST(RecordCodec, BadVersionRejected)
@@ -75,7 +75,7 @@ TEST(RecordCodec, BadVersionRejected)
     RecordCodec codec(false);
     Bytes wire{22, 0x03, 0x01, 0x00, 0x00};  // TLS 1.0 version
     codec.feed(wire);
-    EXPECT_FALSE(codec.next().ok());
+    EXPECT_FALSE(codec.next_view().ok());
 }
 
 TEST(RecordCodec, UnknownContentTypeRejected)
@@ -83,7 +83,7 @@ TEST(RecordCodec, UnknownContentTypeRejected)
     RecordCodec codec(false);
     Bytes wire{99, 0x03, 0x03, 0x00, 0x00};
     codec.feed(wire);
-    EXPECT_FALSE(codec.next().ok());
+    EXPECT_FALSE(codec.next_view().ok());
 }
 
 TEST(RecordCodec, OversizedRecordRejected)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/chain.h"
 #include "pki/authority.h"
 #include "tls/session.h"
 #include "util/rng.h"
@@ -46,18 +47,7 @@ struct ResumptionFixture : ::testing::Test {
     static void run_handshake(Session& client, Session& server)
     {
         client.start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(unit);
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(unit);
-            }
-        }
+        EXPECT_TRUE(chain::pump(client, chain::none, server));
     }
 
     // Run one full handshake and walk away with the client's ticket.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/chain.h"
 #include "pki/authority.h"
 #include "util/rng.h"
 
@@ -36,22 +37,16 @@ struct TlsFixture : ::testing::Test {
         return cfg;
     }
 
-    // Pump bytes between the two sessions until both go quiet.
+    // Pump bytes between the two sessions until both go quiet. A feed may
+    // only report an error once its session has failed.
     static void run_handshake(Session& client, Session& server)
     {
         client.start();
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                ASSERT_TRUE(server.feed(unit).ok() || server.failed());
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                ASSERT_TRUE(client.feed(unit).ok() || client.failed());
-            }
-        }
+        auto fails_closed = [&](chain::Party to, auto&& feed) {
+            Session& receiver = to == chain::Party::server ? server : client;
+            EXPECT_TRUE(feed().ok() || receiver.failed());
+        };
+        EXPECT_TRUE(chain::pump(client, chain::none, server, fails_closed));
     }
 };
 

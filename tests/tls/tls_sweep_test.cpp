@@ -4,6 +4,7 @@
 
 #include <tuple>
 
+#include "bench/chain.h"
 #include "pki/authority.h"
 #include "tls/session.h"
 #include "util/rng.h"
@@ -20,18 +21,7 @@ struct Env {
 
     static void pump(Session& client, Session& server)
     {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (auto& unit : client.take_write_units()) {
-                progress = true;
-                (void)server.feed(unit);
-            }
-            for (auto& unit : server.take_write_units()) {
-                progress = true;
-                (void)client.feed(unit);
-            }
-        }
+        EXPECT_TRUE(chain::pump(client, chain::none, server));
     }
 };
 
