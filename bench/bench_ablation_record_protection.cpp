@@ -11,7 +11,8 @@
 //
 // Measures the zero-copy data plane (seal_record_into into one reused wire
 // buffer, scratch-based opens) — the path the sessions and middlebox
-// actually run. Emits BENCH_ablation_record_protection.json when
+// actually run, with each IV drawn from a crypto::IvSource as a session
+// draws it. Emits BENCH_ablation_record_protection.json when
 // MCT_BENCH_JSON_DIR is set; the records/allocations counters in the
 // metrics block pin the steady-state zero-allocation property.
 #include <cstdio>
@@ -19,6 +20,7 @@
 
 #include "bench_json.h"
 #include "bench_timing.h"
+#include "crypto/aes.h"
 #include "crypto/cpu.h"
 #include "crypto/ed25519.h"
 #include "mctls/context_crypto.h"
@@ -35,6 +37,7 @@ int main()
     mctls::EndpointKeys endpoint = mctls::derive_endpoint_keys(rng.bytes(48), rand_c, rand_s);
     mctls::ContextKeys ctx = mctls::derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 1);
     tls::CbcHmacProtector tls_seal(rng.bytes(16), rng.bytes(32));
+    crypto::IvSource ivs(rng);
 
     mctls::RecordScratch scratch;
     // One seal buffer for every record: cleared before each seal, it keeps
@@ -59,11 +62,11 @@ int main()
         report.point("mctls_seal", x, bench::ops_per_sec([&] {
             seal_into_wire([&](Bytes& out) {
                 mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server, seq++,
-                                        1, payload, rng, out);
+                                        1, payload, ivs, out);
             });
         }));
         Bytes frag =
-            mctls::seal_record(ctx, endpoint, mctls::Direction::client_to_server, 7, 1, payload, rng);
+            mctls::seal_record(ctx, endpoint, mctls::Direction::client_to_server, 7, 1, payload, ivs);
         report.point("mctls_endpoint_open", x, bench::ops_per_sec([&] {
             auto r = mctls::open_record_endpoint(ctx, endpoint, mctls::Direction::client_to_server,
                                                  7, 1, frag, scratch);
@@ -80,12 +83,12 @@ int main()
             seal_into_wire([&](Bytes& out) {
                 mctls::reseal_record_writer_into(ctx, mctls::Direction::client_to_server, 7, 1,
                                                  opened.value().payload,
-                                                 opened.value().endpoint_mac, rng, out);
+                                                 opened.value().endpoint_mac, ivs, out);
             });
         }));
         report.point("tls_seal", x, bench::ops_per_sec([&] {
             seal_into_wire([&](Bytes& out) {
-                tls_seal.protect_into(tls::ContentType::application_data, 0, payload, rng, out);
+                tls_seal.protect_into(tls::ContentType::application_data, 0, payload, ivs, out);
             });
         }));
         // Full record seal with the crypto pinned to the portable scalar
@@ -93,10 +96,11 @@ int main()
         // and a host-independent series (the scalar arm exists everywhere).
         {
             crypto::ScopedDispatchOverride pin(crypto::scalar_dispatch());
+            crypto::IvSource scalar_ivs(rng);  // binds the scalar table, as a session would
             report.point("mctls_seal@scalar", x, bench::ops_per_sec([&] {
                 seal_into_wire([&](Bytes& out) {
                     mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server,
-                                            seq++, 1, payload, rng, out);
+                                            seq++, 1, payload, scalar_ivs, out);
                 });
             }));
         }
@@ -112,11 +116,11 @@ int main()
         uint64_t seq = 0;
         report.point("mctls_seal_signed", x, bench::ops_per_sec([&] {
             auto out = mctls::seal_record_signed(ctx, endpoint, mctls::Direction::client_to_server,
-                                                 seq++, 1, payload, signer.private_key, rng);
+                                                 seq++, 1, payload, signer.private_key, ivs);
             (void)out;
         }));
         Bytes frag = mctls::seal_record_signed(ctx, endpoint, mctls::Direction::client_to_server, 7,
-                                               1, payload, signer.private_key, rng);
+                                               1, payload, signer.private_key, ivs);
         report.point("mctls_reader_open_signed", x, bench::ops_per_sec([&] {
             auto r = mctls::open_record_reader_signed(ctx, mctls::Direction::client_to_server, 7, 1,
                                                       frag, signer.public_key);

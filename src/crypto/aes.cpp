@@ -1,5 +1,6 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -220,6 +221,31 @@ void Aes128::encrypt_block(const uint8_t in[16], uint8_t out[16]) const
 void Aes128::decrypt_block(const uint8_t in[16], uint8_t out[16]) const
 {
     dispatch_->aes128_decrypt_block(rk_.data(), drk_.data(), in, out);
+}
+
+namespace {
+
+Aes128 draw_key(Rng& seed)
+{
+    std::array<uint8_t, Aes128::kKeySize> key;
+    seed.fill(key);
+    return Aes128(key);
+}
+
+}  // namespace
+
+IvSource::IvSource(Rng& seed) : cipher_(draw_key(seed)) {}
+
+void IvSource::fill(MutableBytes out)
+{
+    constexpr size_t B = Aes128::kBlockSize;
+    for (size_t off = 0; off < out.size(); off += B) {
+        uint8_t block[B] = {};
+        for (int i = 0; i < 8; ++i) block[B - 1 - i] = static_cast<uint8_t>(counter_ >> (8 * i));
+        ++counter_;
+        cipher_.encrypt_block(block, block);
+        std::memcpy(out.data() + off, block, std::min(B, out.size() - off));
+    }
 }
 
 CbcEncryptStream::CbcEncryptStream(const Aes128& cipher, Rng& rng, Bytes& out)

@@ -52,6 +52,26 @@ private:
     const CryptoDispatch* dispatch_;
 };
 
+// The source of every CBC IV a session draws: AES-128 in counter mode,
+// IV i = AES_K(be128(i)), where K is 16 bytes drawn once from the party's
+// own Rng. K is never derived from a key another party holds, so every IV is
+// unpredictable to every other party, readers included (an IV derived from a
+// shared context key and the sequence number would repeat across the
+// endpoint's seal and a writer's reseal of one record under one key). The
+// counter never resets. One AES block per IV, where an HMAC-DRBG draw costs
+// 8 SHA-256 compressions; the schedule is expanded once, so fill() does not
+// allocate. A partial trailing block is truncated.
+class IvSource final : public Rng {
+public:
+    explicit IvSource(Rng& seed);
+
+    void fill(MutableBytes out) override;
+
+private:
+    Aes128 cipher_;
+    uint64_t counter_ = 0;
+};
+
 // Exact IV+ciphertext size CBC produces for `plaintext_len` plaintext bytes.
 constexpr size_t cbc_ciphertext_size(size_t plaintext_len)
 {
@@ -85,12 +105,13 @@ private:
     size_t pending_len_ = 0;
 };
 
-// CBC with PKCS#7 padding; a fresh IV is drawn from `rng` and prepended to
-// the ciphertext (TLS 1.2 explicit-IV style). Every CBC call appends to a
-// caller-owned buffer and takes an already-expanded key schedule, so
-// steady-state callers do no per-record heap allocation or key expansion.
-// `plaintext` may view into `out` (e.g. sealing a buffer onto its own tail)
-// provided the caller reserved capacity so the append does not reallocate.
+// CBC with PKCS#7 padding; a fresh IV is drawn from `rng` (in a session, its
+// IvSource) and prepended to the ciphertext (TLS 1.2 explicit-IV style).
+// Every CBC call appends to a caller-owned buffer and takes an
+// already-expanded key schedule, so steady-state callers do no per-record
+// heap allocation or key expansion. `plaintext` may view into `out` (e.g.
+// sealing a buffer onto its own tail) provided the caller reserved capacity
+// so the append does not reallocate.
 void aes128_cbc_encrypt_into(const Aes128& cipher, ConstBytes plaintext, Rng& rng, Bytes& out);
 
 // Appends the decrypted, still-padded plaintext to `out`; returns false if

@@ -1,8 +1,10 @@
 // HMAC-DRBG with SHA-256 (NIST SP 800-90A), implementing the Rng interface.
 //
-// All protocol randomness (hello randoms, ephemeral keys, IVs) is drawn from
-// a DRBG so experiments are reproducible from a seed while exercising the
-// same code paths a production entropy source would.
+// Protocol randomness (hello randoms, secrets, session ids, ephemeral keys,
+// and the key of each session's CBC IV source, crypto::IvSource in
+// crypto/aes.h) is drawn from a DRBG so experiments are reproducible from a
+// seed while exercising the same code paths a production entropy source
+// would. CBC IVs themselves come from the IV source, one AES block each.
 #pragma once
 
 #include <array>

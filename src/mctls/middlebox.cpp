@@ -26,12 +26,11 @@ MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg)
              .with_context_id = true,
              .journal = cfg_.journal,
              .lane = cfg_.lane,
-             .handshake_timeout = cfg_.handshake_timeout}),
+             .handshake_timeout = cfg_.handshake_timeout},
+            tls::require_rng(cfg_.rng, "MiddleboxSession")),
       to_client_(obs::span_on(cfg_.journal)),
       to_server_(obs::span_on(cfg_.journal))
-{
-    if (!cfg_.rng) throw std::invalid_argument("MiddleboxSession: rng is required");
-}
+{}
 
 Status MiddleboxSession::fail(std::string message)
 {
@@ -695,7 +694,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
                                           body, wire);
     StageNanos reseal_ns;
     reseal_record_writer_into(keys->second, dir, seq, view.context_id, payload,
-                              opened.value().endpoint_mac, *cfg_.rng, wire,
+                              opened.value().endpoint_mac, core_.iv_source(), wire,
                               traced ? &reseal_ns : nullptr);
     out(from).push(std::move(wire));
     if (traced) {

@@ -40,10 +40,10 @@ Session::Session(SessionConfig cfg)
              .with_context_id = true,
              .journal = cfg_.journal,
              .lane = cfg_.lane,
-             .handshake_timeout = cfg_.handshake_timeout}),
+             .handshake_timeout = cfg_.handshake_timeout},
+            tls::require_rng(cfg_.rng, "mctls::Session")),
       is_client_(cfg_.role == tls::Role::client)
 {
-    if (!cfg_.rng) throw std::invalid_argument("mctls::Session: rng is required");
     if (is_client_) {
         if (cfg_.contexts.empty())
             throw std::invalid_argument("mctls::Session: client needs at least one context");
@@ -87,7 +87,7 @@ Bytes Session::queue_flight_with_finished(ConstBytes flight, Bytes verify_data)
     codec_.encode_header_into(tls::ContentType::handshake, kControlContext,
                               tls::CbcHmacProtector::protected_size(fin_wire.size()), unit);
     control_send_->protect_into(tls::ContentType::handshake, kControlContext, fin_wire,
-                                *cfg_.rng, unit);
+                                core_.iv_source(), unit);
     crypto::count_enc(cfg_.ops);
     core_.counters.handshake_wire_bytes += unit.size() - flight_end;
     core_.trace(obs::EventType::hs_finished_sent);
@@ -116,7 +116,7 @@ Bytes Session::endpoint_material_message()
     km.sender = is_client_ ? kEntityClient : kEntityServer;
     km.entity = is_client_ ? kEntityServer : kEntityClient;
     km.sealed = authenc_seal(endpoint_keys_.key_material, key_material_ad(km.sender, km.entity),
-                             serialize_endpoint_material(entries), *cfg_.rng);
+                             serialize_endpoint_material(entries), core_.iv_source());
     crypto::count_enc(cfg_.ops);
     return km.to_message().serialize();
 }
@@ -651,7 +651,7 @@ Bytes Session::seal_middlebox_material(size_t mbox_index)
     uint8_t sender = is_client_ ? kEntityClient : kEntityServer;
     Bytes sealed = authenc_seal(mbox.pairwise,
                                 key_material_ad(sender, static_cast<uint8_t>(mbox_index)),
-                                plaintext, *cfg_.rng);
+                                plaintext, core_.iv_source());
     crypto::count_enc(cfg_.ops);
     return sealed;
 }
@@ -897,7 +897,7 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
                     std::chrono::steady_clock::now() - t0)
                     .count());
         seal_record_into(keys->second, endpoint_keys_, dir, app_send_seq_, context_id,
-                         data.subspan(off, take), *cfg_.rng, wire, tp);
+                         data.subspan(off, take), core_.iv_source(), wire, tp);
         obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (tp) {
             // Root span for this record's trace, plus CPU-stage children.
@@ -1118,9 +1118,10 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
         entries.push_back({ctx.id, rekey_own_partials_[ctx.id]});
     RekeyEntry endpoint;
     endpoint.entity = kEntityServer;
-    endpoint.sealed = authenc_seal(endpoint_keys_.key_material,
-                                   rekey_ad(kEntityClient, kEntityServer, rekey_.epoch),
-                                   serialize_endpoint_material(entries), *cfg_.rng);
+    endpoint.sealed =
+        authenc_seal(endpoint_keys_.key_material,
+                     rekey_ad(kEntityClient, kEntityServer, rekey_.epoch),
+                     serialize_endpoint_material(entries), core_.iv_source());
     crypto::count_enc(cfg_.ops);
     rec.entries.push_back(std::move(endpoint));
 
@@ -1147,7 +1148,7 @@ Bytes Session::seal_rekey_middlebox_material(size_t mbox_index)
     Bytes sealed = authenc_seal(
         mbox_state_[mbox_index].pairwise,
         rekey_ad(sender, static_cast<uint8_t>(mbox_index), rekey_.epoch),
-        serialize_middlebox_material(entries), *cfg_.rng);
+        serialize_middlebox_material(entries), core_.iv_source());
     crypto::count_enc(cfg_.ops);
     return sealed;
 }
@@ -1282,7 +1283,7 @@ Status Session::handle_rekey_record(const tls::Record& record)
         endpoint.sealed =
             authenc_seal(endpoint_keys_.key_material,
                          rekey_ad(kEntityServer, kEntityClient, rk.epoch),
-                         serialize_endpoint_material(out), *cfg_.rng);
+                         serialize_endpoint_material(out), core_.iv_source());
         crypto::count_enc(cfg_.ops);
         resp.entries.push_back(std::move(endpoint));
         queue_rekey_record(resp);

@@ -28,9 +28,9 @@ Session::Session(SessionConfig cfg)
                           : cfg_.trace_actor,
              .journal = cfg_.journal,
              .lane = cfg_.lane,
-             .handshake_timeout = cfg_.handshake_timeout})
+             .handshake_timeout = cfg_.handshake_timeout},
+            tls::require_rng(cfg_.rng, "tls::Session"))
 {
-    if (!cfg_.rng) throw std::invalid_argument("tls::Session: rng is required");
     step_ = cfg_.role == Role::client ? Step::idle : Step::wait_client_hello;
 }
 
@@ -422,7 +422,7 @@ void Session::send_ccs_and_finished()
     crypto::count_hash(cfg_.ops);
 
     Record protected_fin{ContentType::handshake, 0, {}};
-    send_protector_->protect_into(ContentType::handshake, 0, wire, *cfg_.rng,
+    send_protector_->protect_into(ContentType::handshake, 0, wire, core_.iv_source(),
                                   protected_fin.payload);
     crypto::count_enc(cfg_.ops);
     queue_record(protected_fin);
@@ -476,7 +476,8 @@ Status Session::send_app_data(ConstBytes data)
         bool sp = obs::span_on(core_.spans());
         obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (sp) t0 = std::chrono::steady_clock::now();
-        send_protector_->protect_into(ContentType::application_data, 0, chunk, *cfg_.rng, wire);
+        send_protector_->protect_into(ContentType::application_data, 0, chunk, core_.iv_source(),
+                                      wire);
         if (sp) {
             // Baseline TLS gets a coarser breakdown than mcTLS: one root
             // plus a single encrypt child covering MAC+CBC (its protector

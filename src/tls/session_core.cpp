@@ -1,15 +1,24 @@
 #include "tls/session_core.h"
 
+#include <stdexcept>
+
 namespace mct::tls {
 
-SessionCore::SessionCore(Config cfg)
+Rng& require_rng(Rng* rng, const char* owner)
+{
+    if (!rng) throw std::invalid_argument(std::string(owner) + ": rng is required");
+    return *rng;
+}
+
+SessionCore::SessionCore(Config cfg, Rng& rng)
     : units(obs::span_on(cfg.journal)),
       prefix_(cfg.prefix),
       actor_(std::move(cfg.actor)),
       framing_(cfg.with_context_id),
       journal_(cfg.journal),
       lane_(cfg.lane),
-      handshake_timeout_(cfg.handshake_timeout)
+      handshake_timeout_(cfg.handshake_timeout),
+      iv_source_(rng)
 {
     if (journal_) actor_id_ = journal_->intern(actor_);
 }

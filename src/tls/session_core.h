@@ -13,7 +13,8 @@
 //   - the endpoint lifecycle: fail, close, peer alerts, transport EOF, the
 //     duplicate-CCS check and the arm-then-fire handshake deadline;
 //   - the write-unit queue with its aligned span contexts;
-//   - the counters every session_stats() reports.
+//   - the counters every session_stats() reports;
+//   - the IV source every CBC IV the session seals with comes from.
 // A middlebox uses the identity, failure record, bookkeeping and deadline
 // parts and keeps its own two-sided teardown policy (one UnitQueue per
 // direction, alerts toward one or both endpoints).
@@ -26,11 +27,13 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/aes.h"
 #include "obs/obs.h"
 #include "tls/alert.h"
 #include "tls/record.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/rng.h"
 
 namespace mct::tls {
 
@@ -101,6 +104,10 @@ private:
     size_t rx_head_ = 0;
 };
 
+// Returns *rng; throws std::invalid_argument ("<owner>: rng is required")
+// when it is null.
+Rng& require_rng(Rng* rng, const char* owner);
+
 class SessionCore {
 public:
     struct Config {
@@ -124,7 +131,9 @@ public:
         uint64_t mac_failures = 0;
     };
 
-    explicit SessionCore(Config cfg);
+    // Draws the IV source's key from `rng` (the session's cfg.rng) first,
+    // before any other draw the session makes.
+    SessionCore(Config cfg, Rng& rng);
 
     // --- Observability handles ---
     // The journal when it collects spans, else null.
@@ -195,6 +204,11 @@ public:
     Status receive_ccs();
     bool ccs_received() const { return ccs_received_; }
 
+    // Every CBC IV the session seals with: application records, the writer
+    // reseal, Finished and control records, key-material seals. Hello
+    // randoms, secrets and keys stay on cfg.rng.
+    Rng& iv_source() { return iv_source_; }
+
     // The endpoint's outbound write units (a middlebox keeps one UnitQueue
     // per direction of its own instead).
     UnitQueue units;
@@ -222,6 +236,7 @@ private:
     uint16_t actor_id_ = 0;
     uint64_t handshake_timeout_;
     uint64_t handshake_deadline_ = 0;  // 0 = not armed
+    crypto::IvSource iv_source_;
 
     Phase phase_ = Phase::handshake;
     std::string error_;

@@ -3,7 +3,8 @@
 // All nondeterminism in the library flows through the Rng interface so that
 // simulations, tests, and benchmarks are reproducible. Production-style code
 // would plug in an OS-entropy Rng; here TestRng (splitmix64) seeds the
-// crypto-grade HmacDrbg (crypto/drbg.h).
+// crypto-grade HmacDrbg (crypto/drbg.h), and each session keys its CBC IV
+// source (crypto::IvSource, also an Rng) from the Rng it is given.
 #pragma once
 
 #include <cstdint>

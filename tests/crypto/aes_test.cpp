@@ -36,6 +36,41 @@ TEST(Aes128, EncryptDecryptRoundTripRandomBlocks)
     }
 }
 
+// IV i = AES_K(be128(i)), K being the first 16 bytes drawn from the seed Rng.
+TEST(IvSource, OutputIsAesOfBigEndianCounterUnderFirstDrawnKey)
+{
+    TestRng seed(31), replay(31);
+    IvSource ivs(seed);
+    Aes128 cipher(replay.bytes(16));
+    EXPECT_EQ(seed.next(), replay.next());  // K is the only draw
+    for (uint64_t i = 0; i < 300; ++i) {
+        uint8_t counter[16] = {};
+        for (int b = 0; b < 8; ++b) counter[15 - b] = static_cast<uint8_t>(i >> (8 * b));
+        uint8_t expect[16];
+        cipher.encrypt_block(counter, expect);
+        uint8_t iv[16];
+        ivs.fill(iv);
+        ASSERT_EQ(to_hex({iv, 16}), to_hex({expect, 16})) << "i=" << i;
+    }
+}
+
+// A fill of several blocks is the concatenation of single-block fills; a
+// partial trailing block takes a prefix and consumes one counter value.
+TEST(IvSource, MultiBlockAndPartialFillsFollowTheCounter)
+{
+    TestRng a(32), b(32);
+    IvSource whole(a), pieces(b);
+    Bytes run(48);
+    whole.fill(run);
+    Bytes got;
+    for (int i = 0; i < 3; ++i) append(got, pieces.bytes(16));
+    EXPECT_EQ(got, run);
+    Bytes head = whole.bytes(5);
+    Bytes next = pieces.bytes(16);
+    EXPECT_EQ(head, Bytes(next.begin(), next.begin() + 5));
+    EXPECT_EQ(whole.bytes(16), pieces.bytes(16));
+}
+
 TEST(Aes128, RejectsBadKeySize)
 {
     EXPECT_THROW(Aes128(Bytes(15, 0)), std::invalid_argument);

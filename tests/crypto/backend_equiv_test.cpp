@@ -397,6 +397,22 @@ TEST(BackendCavp, PrfMatchesStreamingReferenceAcrossPaddingBoundaries)
     }
 }
 
+// The IV source keyed from the same seed yields the same IV stream whichever
+// table expanded its key and encrypts its counter.
+TEST_F(BackendDifferential, IvSourceStreamMatches)
+{
+    Bytes streams[2];
+    for (bool scalar : {true, false}) {
+        ScopedDispatchOverride pin(scalar ? scalar_dispatch() : accel());
+        TestRng seed(211);
+        IvSource ivs(seed);
+        Bytes& out = streams[scalar ? 0 : 1];
+        for (int i = 0; i < 256; ++i) append(out, ivs.bytes(16));
+        append(out, ivs.bytes(4096));
+    }
+    EXPECT_EQ(streams[0], streams[1]);
+}
+
 TEST_F(BackendDifferential, RawDecryptIntoMatches)
 {
     TestRng rng(210);

@@ -2,15 +2,15 @@
 // full handshake, a resumed handshake and one 64 B record each way, and
 // takes one SHA-256 over every wire unit in delivery order (each prefixed
 // by the chain::pump hop id it crossed). All parties draw from one
-// HmacDrbg, so the digest covers the DRBG stream, every PRF and MAC, the
+// HmacDrbg, and each party keys its CBC IV source from its first 16 bytes,
+// so the digest covers the DRBG stream, every IV, every PRF and MAC, the
 // ephemeral keys and each message encoding: a change that draws one random
 // byte more or less, or moves one byte on the wire, changes it.
 //
-// The pinned digests were computed by building this file against the
-// libraries from before the client deferred its X25519 public key to
-// ClientKeyExchange and before every MAC moved to the one-shot HMAC core;
-// the rekey digest against the libraries from before the endpoint and the
-// middlebox rekey state machines shared one PendingEpoch record.
+// The digests were last re-pinned when every CBC IV moved from a per-record
+// DRBG draw to the party's AES counter IV source (crypto::IvSource), which
+// changes the IV bytes and the DRBG stream each session consumes; the record
+// format, the DRBG and every other draw stayed as they were.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -152,7 +152,7 @@ TEST(SessionWireDigest, McTlsFullResumedAndRecords)
     chain.exchange_records();
 
     EXPECT_EQ(to_hex(chain.wire.finish()),
-              "fd79ab5b06298c3b54646561e2292135369db9ad1e201e924d68a8061597ca48");
+              "a95a31dce3708e24ef8602f0a429cb09e2d8ba8bbca2f4a799f9efc7b4ce99c7");
 }
 
 // The chain above, then an in-band rekey that revokes mbox0, then one 64 B
@@ -174,7 +174,7 @@ TEST(SessionWireDigest, McTlsRekeyWithRevocation)
     chain.exchange_records();
 
     EXPECT_EQ(to_hex(chain.wire.finish()),
-              "17e359476b8d3bca490433ab20be819707460c0646088541ad5408b369709d7c");
+              "09e1f4dc39e4323fdfdc96ef4a511b5658df6d19aa188950b37e743aa692cde4");
 }
 
 struct TlsPair {
@@ -246,7 +246,7 @@ TEST(SessionWireDigest, TlsFullResumedAndRecords)
     pair.exchange_records();
 
     EXPECT_EQ(to_hex(pair.wire.finish()),
-              "795cc7b0aed656072c0810317b00f9d8a9a1b32c7c227ad2ab4986ed9c2ec68b");
+              "6c872528a1bfca5086143776c87bc5b83035a34eb534265db8f44b1572e6f656");
 }
 
 }  // namespace

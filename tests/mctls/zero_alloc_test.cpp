@@ -3,8 +3,9 @@
 // Its own binary: it replaces the global operator new with a counter, which
 // must not leak into the other suites. After one warm-up call, 1,000
 // steady-state iterations of each record seal/open/reseal, the TLS
-// protector, a 16-byte DRBG draw and the keyed PRF must not touch the heap
-// at all: keys are expanded when installed and every buffer is caller-owned.
+// protector, a 16-byte DRBG draw, a 16-byte IV-source draw and the keyed PRF
+// must not touch the heap at all: keys are expanded when installed and
+// every buffer is caller-owned.
 // (tests/mctls/fastpath_test.cpp counts only RecordScratch growth; this
 // counts every allocation.)
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <new>
 #include <vector>
 
+#include "crypto/aes.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
 #include "crypto/prf.h"
@@ -77,6 +79,7 @@ uint64_t allocations_over(F&& step)
 struct ZeroAlloc : ::testing::Test {
     TestRng seed_rng{2024};
     crypto::HmacDrbg drbg{str_to_bytes("zero-alloc iv stream")};
+    crypto::IvSource ivs{drbg};  // a session's IV source, as the seals below use
     Bytes rand_c = seed_rng.bytes(32);
     Bytes rand_s = seed_rng.bytes(32);
     EndpointKeys endpoint = derive_endpoint_keys(seed_rng.bytes(48), rand_c, rand_s);
@@ -101,7 +104,7 @@ TEST_F(ZeroAlloc, SealRecordInto)
     uint64_t seq = 0;
     EXPECT_EQ(allocations_over([&] {
                   out.clear();
-                  seal_record_into(ctx, endpoint, kDir, seq++, 1, payload, drbg, out);
+                  seal_record_into(ctx, endpoint, kDir, seq++, 1, payload, ivs, out);
               }),
               0u);
     EXPECT_EQ(out.size(), sealed_record_size(payload.size()));
@@ -109,7 +112,7 @@ TEST_F(ZeroAlloc, SealRecordInto)
 
 TEST_F(ZeroAlloc, ScratchOpens)
 {
-    Bytes fragment = seal_record(ctx, endpoint, kDir, 7, 1, payload, drbg);
+    Bytes fragment = seal_record(ctx, endpoint, kDir, 7, 1, payload, ivs);
     RecordScratch scratch;
     bool ok = true;
     EXPECT_EQ(allocations_over([&] {
@@ -129,7 +132,7 @@ TEST_F(ZeroAlloc, ScratchOpens)
 
 TEST_F(ZeroAlloc, ResealRecordWriterInto)
 {
-    Bytes fragment = seal_record(ctx, endpoint, kDir, 7, 1, payload, drbg);
+    Bytes fragment = seal_record(ctx, endpoint, kDir, 7, 1, payload, ivs);
     RecordScratch scratch;
     auto opened = open_record_writer(ctx, kDir, 7, 1, fragment, scratch);
     ASSERT_TRUE(opened.ok());
@@ -137,7 +140,7 @@ TEST_F(ZeroAlloc, ResealRecordWriterInto)
     Bytes out;
     EXPECT_EQ(allocations_over([&] {
                   out.clear();
-                  reseal_record_writer_into(ctx, kDir, 7, 1, payload, endpoint_mac, drbg, out);
+                  reseal_record_writer_into(ctx, kDir, 7, 1, payload, endpoint_mac, ivs, out);
               }),
               0u);
 }
@@ -151,7 +154,7 @@ TEST_F(ZeroAlloc, CbcHmacProtectorRoundTrip)
     bool ok = true;
     EXPECT_EQ(allocations_over([&] {
                   wire.clear();
-                  sender.protect_into(tls::ContentType::application_data, 0, payload, drbg, wire);
+                  sender.protect_into(tls::ContentType::application_data, 0, payload, ivs, wire);
                   plain.clear();
                   ok &= receiver.unprotect_into(tls::ContentType::application_data, 0, wire, plain)
                             .ok();
@@ -165,6 +168,12 @@ TEST_F(ZeroAlloc, DrbgFill16)
 {
     std::array<uint8_t, 16> iv{};
     EXPECT_EQ(allocations_over([&] { drbg.fill(iv); }), 0u);
+}
+
+TEST_F(ZeroAlloc, IvSourceFill16)
+{
+    std::array<uint8_t, 16> iv{};
+    EXPECT_EQ(allocations_over([&] { ivs.fill(iv); }), 0u);
 }
 
 TEST_F(ZeroAlloc, KeyedPrfIntoCallerBuffer)
