@@ -17,7 +17,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "=== [1/6] tier-1: release build + ctest ==="
-cmake -B build -S .
+# Warnings are errors in the default tier, so the tier-1 build stays
+# warning-free.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 

@@ -16,7 +16,6 @@ CpuFeatures probe()
 #if defined(__x86_64__) || defined(__i386__)
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
-        f.pclmul = (ecx >> 1) & 1;
         f.ssse3 = (ecx >> 9) & 1;
         f.sse41 = (ecx >> 19) & 1;
         f.aesni = (ecx >> 25) & 1;

@@ -28,7 +28,6 @@ struct CpuFeatures {
     bool ssse3 = false;   // PSHUFB (byte shuffles the NI kernels use)
     bool sse41 = false;   // PBLENDW (SHA-NI state packing)
     bool sha_ni = false;  // SHA256RNDS2/SHA256MSG1/SHA256MSG2
-    bool pclmul = false;  // carry-less multiply (future GCM work)
 };
 
 // One-time CPUID probe; cached after the first call.

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace mct::crypto {
 
@@ -34,8 +33,6 @@ struct OpCounters {
         sym_decrypt += rhs.sym_decrypt;
         return *this;
     }
-
-    std::string to_string() const;
 };
 
 inline void count_hash(OpCounters* c, uint64_t n = 1)

@@ -178,7 +178,6 @@ struct Testbed::Impl {
     // totals survive sessions that no longer exist.
     std::map<std::string, obs::SessionStats> retired_stats;
     Testbed::OverheadTotals retired_overhead;
-    uint64_t retired_sessions = 0;
 
     // Degradation-rate gauges: last published cumulative totals + sim time.
     bool gauges_published = false;
@@ -361,7 +360,6 @@ struct Testbed::Impl {
         retired_overhead.overhead_bytes += channel->app_overhead_bytes();
         retired_overhead.records += channel->app_records_sent();
         fold_stats(cls, channel->session_stats());
-        ++retired_sessions;
     }
 
     // Break the connection's reference cycle one tick later: the callbacks
@@ -1089,7 +1087,6 @@ struct Testbed::Impl {
                 mcfg.private_key = mbox_ids[index].private_key;
                 mcfg.trust = &store;
                 mcfg.rng = &rng;
-                mcfg.handshake_timeout = cfg.handshake_deadline;
                 mcfg.journal = journal;
                 mcfg.trace_actor = host;
                 mcfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
@@ -1102,7 +1099,6 @@ struct Testbed::Impl {
                     if (!prune() || relay->retired) return;
                     relay->retired = true;
                     fold_stats(host, relay->session->session_stats());
-                    ++retired_sessions;
                     release_conn(relay->down, relay);
                     release_conn(relay->up, relay);
                 };

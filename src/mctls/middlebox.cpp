@@ -8,15 +8,6 @@
 
 namespace mct::mctls {
 
-namespace {
-
-Bytes key_material_ad(uint8_t sender, uint8_t entity)
-{
-    return Bytes{sender, entity};
-}
-
-}  // namespace
-
 MiddleboxSession::MiddleboxSession(MiddleboxConfig cfg)
     : cfg_(std::move(cfg)),
       core_({.prefix = "mctls mbox",
@@ -401,21 +392,27 @@ Status MiddleboxSession::extract_key_material(From from, const MiddleboxKeyMater
         pairwise_server_ = pairwise;
     }
 
-    auto plain = authenc_open(pairwise, key_material_ad(km.sender, km.entity), km.sealed);
+    Status s = open_material(pairwise, key_material_ad(km.sender, km.entity), km.sealed,
+                             "mctls mbox: key material",
+                             from_client ? client_material_ : server_material_);
+    if (!s) return s;
+    (from_client ? client_material_seen_ : server_material_seen_) = true;
+    try_finalize_keys();
+    return {};
+}
+
+Status MiddleboxSession::open_material(const AuthEncKey& pairwise, ConstBytes ad,
+                                       ConstBytes sealed, const char* what,
+                                       std::vector<MiddleboxMaterialEntry>& entries)
+{
+    auto plain = authenc_open(pairwise, ad, sealed);
     if (!plain)
         return fail(AlertDescription::decrypt_error,
-                    "mctls mbox: key material: " + plain.error().message);
+                    std::string(what) + ": " + plain.error().message);
     crypto::count_dec(cfg_.ops);
-    auto entries = parse_middlebox_material(plain.value());
-    if (!entries) return fail(AlertDescription::decode_error, entries.error().message);
-    if (from_client) {
-        client_material_ = entries.take();
-        client_material_seen_ = true;
-    } else {
-        server_material_ = entries.take();
-        server_material_seen_ = true;
-    }
-    try_finalize_keys();
+    auto parsed = parse_middlebox_material(plain.value());
+    if (!parsed) return fail(AlertDescription::decode_error, parsed.error().message);
+    entries = parsed.take();
     return {};
 }
 
@@ -558,16 +555,12 @@ Status MiddleboxSession::open_rekey_material(From from, const RekeyRecord& rk)
     uint8_t sender = from == From::client ? kEntityClient : kEntityServer;
     for (const auto& e : rk.entries) {
         if (e.entity != entity_index_) continue;
-        auto plain = authenc_open(
-            pairwise, rekey_ad(sender, static_cast<uint8_t>(entity_index_), rk.epoch),
-            e.sealed);
-        if (!plain)
-            return fail(AlertDescription::decrypt_error,
-                        "mctls mbox: rekey material: " + plain.error().message);
-        crypto::count_dec(cfg_.ops);
-        auto entries = parse_middlebox_material(plain.value());
-        if (!entries) return fail(AlertDescription::decode_error, entries.error().message);
-        pending_material_[side] = entries.take();
+        std::vector<MiddleboxMaterialEntry> entries;
+        Status s = open_material(pairwise,
+                                 rekey_ad(sender, static_cast<uint8_t>(entity_index_), rk.epoch),
+                                 e.sealed, "mctls mbox: rekey material", entries);
+        if (!s) return s;
+        pending_material_[side] = std::move(entries);
     }
     return {};
 }

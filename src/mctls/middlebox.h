@@ -182,6 +182,10 @@ private:
     void forward_wire(From from, ConstBytes wire, bool own_unit);
     void inject_bundle();
     Status extract_key_material(From from, const MiddleboxKeyMaterial& km);
+    // Opens material sealed to us under `pairwise` into `entries`. Fails the
+    // relay when it does not open ("<what>: ...") or does not parse.
+    Status open_material(const AuthEncKey& pairwise, ConstBytes ad, ConstBytes sealed,
+                         const char* what, std::vector<MiddleboxMaterialEntry>& entries);
     void try_finalize_keys();
     Status handle_rekey_record(From from, const tls::RecordView& view);
     // Contributory combine of both endpoints' material into keys and

@@ -124,5 +124,7 @@ struct RekeyRecord {
 // Associated data binding a sealed rekey entry to sender, recipient, and
 // epoch, so entries cannot be replayed across epochs or redirected.
 Bytes rekey_ad(uint8_t sender, uint8_t entity, uint32_t epoch);
+// The same binding for a handshake MiddleboxKeyMaterial (no epoch).
+inline Bytes key_material_ad(uint8_t sender, uint8_t entity) { return Bytes{sender, entity}; }
 
 }  // namespace mct::mctls

@@ -18,11 +18,6 @@ namespace {
 
 constexpr size_t kAppChunkLimit = 15000;  // leave room for MACs + padding
 
-Bytes key_material_ad(uint8_t sender, uint8_t entity)
-{
-    return Bytes{sender, entity};
-}
-
 Permission min_permission(Permission a, Permission b)
 {
     return static_cast<Permission>(
@@ -40,7 +35,8 @@ Session::Session(SessionConfig cfg)
              .with_context_id = true,
              .journal = cfg_.journal,
              .lane = cfg_.lane,
-             .handshake_timeout = cfg_.handshake_timeout},
+             .handshake_timeout = cfg_.handshake_timeout,
+             .ops = cfg_.ops},
             tls::require_rng(cfg_.rng, "mctls::Session")),
       is_client_(cfg_.role == tls::Role::client)
 {
@@ -58,51 +54,15 @@ Session::Session(SessionConfig cfg)
     }
 }
 
-void Session::flush_flight_into_unit(ConstBytes flight, Bytes* unit)
-{
-    size_t off = 0;
-    while (off < flight.size()) {
-        size_t take = std::min(tls::kMaxFragment, flight.size() - off);
-        tls::Record rec{tls::ContentType::handshake, kControlContext,
-                        Bytes(flight.begin() + off, flight.begin() + off + take)};
-        Bytes wire = codec_.encode(rec);
-        core_.counters.handshake_wire_bytes += wire.size();
-        append(*unit, wire);
-        off += take;
-    }
-}
-
-// CCS plus the protected Finished carrying `verify_data`, appended to the
-// flushed `flight` as one write unit. Returns the plaintext Finished message
-// for the caller's transcript.
-Bytes Session::queue_flight_with_finished(ConstBytes flight, Bytes verify_data)
-{
-    Bytes unit;
-    flush_flight_into_unit(flight, &unit);
-    size_t flight_end = unit.size();
-    codec_.encode_into({tls::ContentType::change_cipher_spec, kControlContext, Bytes{1}}, unit);
-
-    Bytes fin_wire = tls::Finished{std::move(verify_data)}.to_message().serialize();
-    crypto::count_hash(cfg_.ops);
-    codec_.encode_header_into(tls::ContentType::handshake, kControlContext,
-                              tls::CbcHmacProtector::protected_size(fin_wire.size()), unit);
-    control_send_->protect_into(tls::ContentType::handshake, kControlContext, fin_wire,
-                                core_.iv_source(), unit);
-    crypto::count_enc(cfg_.ops);
-    core_.counters.handshake_wire_bytes += unit.size() - flight_end;
-    core_.trace(obs::EventType::hs_finished_sent);
-    core_.units.push(std::move(unit));
-    return fin_wire;
-}
-
 // MiddleboxKeyMaterial message with our context-key halves for middlebox
 // `mbox_index`.
 Bytes Session::middlebox_material_message(size_t mbox_index)
 {
     MiddleboxKeyMaterial km;
-    km.sender = is_client_ ? kEntityClient : kEntityServer;
+    km.sender = self_entity();
     km.entity = static_cast<uint8_t>(mbox_index);
-    km.sealed = seal_middlebox_material(mbox_index);
+    km.sealed =
+        seal_middlebox_material(mbox_index, own_partials_, key_material_ad(km.sender, km.entity));
     return km.to_message().serialize();
 }
 
@@ -110,14 +70,10 @@ Bytes Session::middlebox_material_message(size_t mbox_index)
 // endpoint (contributory mode), sealed under K_endpoints.
 Bytes Session::endpoint_material_message()
 {
-    std::vector<EndpointMaterialEntry> entries;
-    for (const auto& ctx : contexts_) entries.push_back({ctx.id, own_partials_[ctx.id]});
     MiddleboxKeyMaterial km;
-    km.sender = is_client_ ? kEntityClient : kEntityServer;
-    km.entity = is_client_ ? kEntityServer : kEntityClient;
-    km.sealed = authenc_seal(endpoint_keys_.key_material, key_material_ad(km.sender, km.entity),
-                             serialize_endpoint_material(entries), core_.iv_source());
-    crypto::count_enc(cfg_.ops);
+    km.sender = self_entity();
+    km.entity = peer_entity();
+    km.sealed = seal_endpoint_material(own_partials_, key_material_ad(km.sender, km.entity));
     return km.to_message().serialize();
 }
 
@@ -193,9 +149,7 @@ void Session::start()
     if (!hello.session_id.empty()) resumed_transcript_ = wire;
     crypto::count_hash(cfg_.ops);
 
-    Bytes unit;
-    flush_flight_into_unit(wire, &unit);
-    core_.units.push(std::move(unit));
+    core_.queue_flight(wire);
     step_ = Step::wait_server_flight;
     core_.trace(obs::EventType::hs_start, 0, core_.counters.handshake_wire_bytes);
 }
@@ -203,9 +157,9 @@ void Session::start()
 Status Session::feed(ConstBytes wire)
 {
     if (core_.failed()) return err(core_.error());
-    codec_.feed(wire);
+    core_.codec.feed(wire);
     while (true) {
-        auto next = codec_.next_view();
+        auto next = core_.codec.next_view();
         if (!next) return core_.fail(AlertDescription::decode_error, next.error().message);
         if (!next.value().has_value()) return {};
         if (auto s = handle_record_view(*next.value()); !s) return s;
@@ -218,55 +172,11 @@ Status Session::handle_record_view(const tls::RecordView& view)
     // buffer, no owning Record in between.
     if (view.type == tls::ContentType::application_data && core_.established())
         return handle_app_record(view.context_id, view.payload);
-    tls::Record record;
-    record.type = view.type;
-    record.context_id = view.context_id;
-    record.payload = to_bytes(view.payload);
-    return handle_record(record);
-}
-
-Status Session::handle_record(const tls::Record& record)
-{
-    if (record.type == tls::ContentType::alert) {
-        auto alert = tls::Alert::parse(record.payload);
-        if (!alert) return core_.fail(AlertDescription::decode_error, "mctls: malformed alert");
-        return core_.handle_alert(alert.value());
-    }
-    if (core_.closed())
-        return core_.fail(AlertDescription::unexpected_message, "mctls: record after close_notify");
-    switch (record.type) {
-    case tls::ContentType::alert:
-        return {};  // handled above
-    case tls::ContentType::change_cipher_spec:
-        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        return core_.receive_ccs();
-    case tls::ContentType::handshake: {
-        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        ConstBytes payload = record.payload;
-        Bytes plain;
-        if (core_.ccs_received() && control_recv_) {
-            auto n = control_recv_->unprotect_into(record.type, record.context_id,
-                                                   record.payload, plain);
-            if (!n)
-                return core_.fail(AlertDescription::bad_record_mac,
-                                  "mctls: " + n.error().message);
-            crypto::count_dec(cfg_.ops);
-            payload = plain;
-        }
-        handshake_reader_.feed(payload);
-        while (true) {
-            auto msg = handshake_reader_.next();
-            if (!msg) return core_.fail(AlertDescription::decode_error, msg.error().message);
-            if (!msg.value().has_value()) return {};
-            if (auto s = handle_handshake(*msg.value()); !s) return s;
-        }
-    }
-    case tls::ContentType::rekey:
-        return handle_rekey_record(record);
-    case tls::ContentType::application_data:
-        return handle_app_record(record.context_id, record.payload);
-    }
-    return core_.fail(AlertDescription::decode_error, "mctls: unknown record type");
+    if (auto s = core_.handle_control_record(
+            view, [this](const tls::HandshakeMessage& msg) { return handle_handshake(msg); }))
+        return *s;
+    if (view.type == tls::ContentType::rekey) return handle_rekey_record(view.payload);
+    return handle_app_record(view.context_id, view.payload);
 }
 
 Status Session::handle_handshake(const tls::HandshakeMessage& msg)
@@ -531,9 +441,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         crypto::count_hash(cfg_.ops);
         append(flight, shd_wire);
 
-        Bytes unit;
-        flush_flight_into_unit(flight, &unit);
-        core_.units.push(std::move(unit));
+        core_.queue_flight(flight);
         step_ = Step::wait_client_flight;
         core_.trace(obs::EventType::hs_server_flight, 0, core_.counters.handshake_wire_bytes);
         return {};
@@ -590,14 +498,13 @@ void Session::derive_endpoint_secrets_from_scs()
     endpoint_keys_ = derive_endpoint_keys(s_cs_, client_random_, server_random_);
     crypto::count_keygen(cfg_.ops);  // K_endpoints
 
+    // The control context's keys protect the Finished messages.
+    auto control = [&](size_t dir) {
+        return tls::CbcHmacProtector(endpoint_keys_.control_enc[dir].expanded(),
+                                     endpoint_keys_.record_mac[dir].expanded());
+    };
     size_t send_dir = is_client_ ? 0 : 1;
-    size_t recv_dir = 1 - send_dir;
-    control_send_ = std::make_unique<tls::CbcHmacProtector>(
-        endpoint_keys_.control_enc[send_dir].expanded(),
-        endpoint_keys_.record_mac[send_dir].expanded());
-    control_recv_ = std::make_unique<tls::CbcHmacProtector>(
-        endpoint_keys_.control_enc[recv_dir].expanded(),
-        endpoint_keys_.record_mac[recv_dir].expanded());
+    core_.set_protectors(control(send_dir), control(1 - send_dir));
 
     if (ckd_) {
         for (const auto& ctx : contexts_) {
@@ -606,12 +513,7 @@ void Session::derive_endpoint_secrets_from_scs()
             crypto::count_keygen(cfg_.ops, 2);  // reader + writer keys
         }
     } else {
-        crypto::HmacKey own_secret(own_secret_);
-        for (const auto& ctx : contexts_) {
-            own_partials_[ctx.id] = derive_partial_keys(
-                own_secret, is_client_ ? client_random_ : server_random_, ctx.id);
-            crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
-        }
+        own_partials_ = derive_own_halves(own_secret_);
     }
     core_.trace(obs::EventType::hs_key_distribution, 0, contexts_.size(), ckd_ ? 1 : 0);
 
@@ -628,9 +530,22 @@ void Session::keylog_contexts(uint32_t epoch, const std::map<uint8_t, ContextKey
         keylog_context_keys(cfg_.keylog, client_random_, epoch, id, ctx_keys);
 }
 
-Bytes Session::seal_middlebox_material(size_t mbox_index)
+// ---- Context-key halves: one path for the handshake, resumption and rekey
+
+Session::Halves Session::derive_own_halves(ConstBytes secret)
 {
-    MiddleboxState& mbox = mbox_state_[mbox_index];
+    crypto::HmacKey key(secret);
+    Halves halves;
+    for (const auto& ctx : contexts_) {
+        halves[ctx.id] =
+            derive_partial_keys(key, is_client_ ? client_random_ : server_random_, ctx.id);
+        crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
+    }
+    return halves;
+}
+
+Bytes Session::seal_middlebox_material(size_t mbox_index, const Halves& halves, ConstBytes ad)
+{
     std::vector<MiddleboxMaterialEntry> entries;
     for (const auto& ctx : contexts_) {
         Permission perm = granted_permission(mbox_index, ctx.id);
@@ -641,28 +556,35 @@ Bytes Session::seal_middlebox_material(size_t mbox_index)
         if (ckd_) {
             entry.complete_keys = context_keys_[ctx.id].serialize(perm == Permission::write);
         } else {
-            const PartialContextKeys& partial = own_partials_[ctx.id];
+            const PartialContextKeys& partial = halves.at(ctx.id);
             entry.reader_half = partial.reader_half;
             if (perm == Permission::write) entry.writer_half = partial.writer_half;
         }
         entries.push_back(std::move(entry));
     }
-    Bytes plaintext = serialize_middlebox_material(entries);
-    uint8_t sender = is_client_ ? kEntityClient : kEntityServer;
-    Bytes sealed = authenc_seal(mbox.pairwise,
-                                key_material_ad(sender, static_cast<uint8_t>(mbox_index)),
-                                plaintext, core_.iv_source());
+    Bytes sealed = authenc_seal(mbox_state_[mbox_index].pairwise, ad,
+                                serialize_middlebox_material(entries), core_.iv_source());
     crypto::count_enc(cfg_.ops);
     return sealed;
 }
 
-Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km)
+Bytes Session::seal_endpoint_material(const Halves& halves, ConstBytes ad)
 {
-    auto plain = authenc_open(endpoint_keys_.key_material,
-                              key_material_ad(km.sender, km.entity), km.sealed);
+    std::vector<EndpointMaterialEntry> entries;
+    for (const auto& ctx : contexts_) entries.push_back({ctx.id, halves.at(ctx.id)});
+    Bytes sealed = authenc_seal(endpoint_keys_.key_material, ad,
+                                serialize_endpoint_material(entries), core_.iv_source());
+    crypto::count_enc(cfg_.ops);
+    return sealed;
+}
+
+Status Session::open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what,
+                                       Halves& halves)
+{
+    auto plain = authenc_open(endpoint_keys_.key_material, ad, sealed);
     if (!plain)
         return core_.fail(AlertDescription::decrypt_error,
-                          "mctls: endpoint key material: " + plain.error().message);
+                          std::string(what) + ": " + plain.error().message);
     crypto::count_dec(cfg_.ops);
     auto entries = parse_endpoint_material(plain.value());
     if (!entries) return core_.fail(entries.error().message);
@@ -670,25 +592,38 @@ Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& 
         if (!find_context(e.context_id))
             return core_.fail(AlertDescription::illegal_parameter,
                               "mctls: key material for unknown context");
-        peer_partials_[e.context_id] = e.partial;
+        halves[e.context_id] = e.partial;
     }
-    peer_material_received_ = true;
+    return {};
+}
 
-    // Combine once both halves are known.
+Status Session::combine_halves(const Halves& own, const Halves& peer, const char* missing,
+                               std::map<uint8_t, ContextKeys>& keys)
+{
     for (const auto& ctx : contexts_) {
-        auto own = own_partials_.find(ctx.id);
-        auto peer = peer_partials_.find(ctx.id);
-        if (own == own_partials_.end() || peer == peer_partials_.end())
-            return core_.fail(AlertDescription::handshake_failure,
-                              "mctls: missing context key halves");
-        const PartialContextKeys& client_half = is_client_ ? own->second : peer->second;
-        const PartialContextKeys& server_half = is_client_ ? peer->second : own->second;
-        context_keys_[ctx.id] =
+        auto own_it = own.find(ctx.id);
+        auto peer_it = peer.find(ctx.id);
+        if (own_it == own.end() || peer_it == peer.end())
+            return core_.fail(AlertDescription::handshake_failure, missing);
+        const PartialContextKeys& client_half = is_client_ ? own_it->second : peer_it->second;
+        const PartialContextKeys& server_half = is_client_ ? peer_it->second : own_it->second;
+        keys[ctx.id] =
             combine_context_keys(client_half, server_half, client_random_, server_random_);
         crypto::count_keygen(cfg_.ops, 2);  // K_readers, K_writers
     }
-    keylog_contexts(/*epoch=*/0, context_keys_);
     return {};
+}
+
+Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km)
+{
+    Status s = open_endpoint_material(km.sealed, key_material_ad(km.sender, km.entity),
+                                      "mctls: endpoint key material", peer_partials_);
+    if (!s) return s;
+    peer_material_received_ = true;
+    s = combine_halves(own_partials_, peer_partials_, "mctls: missing context key halves",
+                       context_keys_);
+    if (s) keylog_contexts(/*epoch=*/0, context_keys_);
+    return s;
 }
 
 Status Session::client_send_second_flight()
@@ -727,7 +662,7 @@ Status Session::client_send_second_flight()
     }
 
     transcript_.set_client_finished(
-        queue_flight_with_finished(flight, finished_verify_data("client finished", false)));
+        core_.queue_flight(flight, finished_verify_data("client finished", false)));
     step_ = Step::wait_server_second;
     return {};
 }
@@ -755,7 +690,7 @@ Status Session::server_send_final_flight()
         append(flight, endpoint_material_message());
     }
 
-    queue_flight_with_finished(flight, finished_verify_data("server finished", true));
+    core_.queue_flight(flight, finished_verify_data("server finished", true));
     core_.establish();
     handshake_ever_complete_ = true;
     core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
@@ -884,13 +819,14 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
         // same buffer (one allocation, no intermediate fragment copy).
         size_t body = sealed_record_size(take);
         Bytes wire;
-        wire.reserve(codec_.header_size() + body);
+        wire.reserve(core_.codec.header_size() + body);
         StageNanos stage_ns;
         StageNanos* tp = obs::span_on(core_.spans()) ? &stage_ns : nullptr;
         uint64_t encode_ns = 0;
         std::chrono::steady_clock::time_point t0;
         if (tp) t0 = std::chrono::steady_clock::now();
-        codec_.encode_header_into(tls::ContentType::application_data, context_id, body, wire);
+        core_.codec.encode_header_into(tls::ContentType::application_data, context_id, body,
+                                       wire);
         if (tp)
             encode_ns = static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1015,7 +951,7 @@ Status Session::server_send_resumed_flight(ConstBytes client_hello_wire)
     }
 
     append(resumed_transcript_,
-           queue_flight_with_finished(flight, resumed_finished_verify_data("server finished")));
+           core_.queue_flight(flight, resumed_finished_verify_data("server finished")));
     step_ = Step::wait_client_flight;
     return {};
 }
@@ -1048,7 +984,7 @@ Status Session::client_send_resumed_flight()
     }
     if (!ckd_) append(flight, endpoint_material_message());
 
-    queue_flight_with_finished(flight, resumed_finished_verify_data("client finished"));
+    core_.queue_flight(flight, resumed_finished_verify_data("client finished"));
     core_.establish();
     handshake_ever_complete_ = true;
     core_.trace(obs::EventType::hs_complete, 0, core_.counters.handshake_wire_bytes);
@@ -1093,13 +1029,7 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
 
     rekey_.begin(epoch_ + 1);
     rekey_revoked_ = revoke;
-    rekey_own_partials_.clear();
-
-    crypto::HmacKey secret(cfg_.rng->bytes(32));
-    for (const auto& ctx : contexts_) {
-        rekey_own_partials_[ctx.id] = derive_partial_keys(secret, client_random_, ctx.id);
-        crypto::count_keygen(cfg_.ops, 2);
-    }
+    rekey_own_partials_ = derive_own_halves(cfg_.rng->bytes(32));
 
     auto revoked = [&](const std::string& name) {
         return std::find(rekey_revoked_.begin(), rekey_revoked_.end(), name) !=
@@ -1110,53 +1040,25 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     rec.epoch = rekey_.epoch;
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
         if (revoked(middleboxes_[i].name)) continue;
+        auto entity = static_cast<uint8_t>(i);
         rec.entries.push_back(
-            {static_cast<uint8_t>(i), seal_rekey_middlebox_material(i)});
+            {entity, seal_middlebox_material(i, rekey_own_partials_,
+                                             rekey_ad(kEntityClient, entity, rekey_.epoch))});
     }
-    std::vector<EndpointMaterialEntry> entries;
-    for (const auto& ctx : contexts_)
-        entries.push_back({ctx.id, rekey_own_partials_[ctx.id]});
-    RekeyEntry endpoint;
-    endpoint.entity = kEntityServer;
-    endpoint.sealed =
-        authenc_seal(endpoint_keys_.key_material,
-                     rekey_ad(kEntityClient, kEntityServer, rekey_.epoch),
-                     serialize_endpoint_material(entries), core_.iv_source());
-    crypto::count_enc(cfg_.ops);
-    rec.entries.push_back(std::move(endpoint));
+    rec.entries.push_back(
+        {kEntityServer, seal_endpoint_material(rekey_own_partials_,
+                                               rekey_ad(kEntityClient, kEntityServer,
+                                                        rekey_.epoch))});
 
     queue_rekey_record(rec);
     core_.trace(obs::EventType::rekey_init, 0, rekey_.epoch, rekey_revoked_.size());
     return {};
 }
 
-Bytes Session::seal_rekey_middlebox_material(size_t mbox_index)
-{
-    std::vector<MiddleboxMaterialEntry> entries;
-    for (const auto& ctx : contexts_) {
-        Permission perm = granted_permission(mbox_index, ctx.id);
-        if (perm == Permission::none) continue;
-        MiddleboxMaterialEntry entry;
-        entry.context_id = ctx.id;
-        entry.permission = perm;
-        const PartialContextKeys& partial = rekey_own_partials_[ctx.id];
-        entry.reader_half = partial.reader_half;
-        if (perm == Permission::write) entry.writer_half = partial.writer_half;
-        entries.push_back(std::move(entry));
-    }
-    uint8_t sender = is_client_ ? kEntityClient : kEntityServer;
-    Bytes sealed = authenc_seal(
-        mbox_state_[mbox_index].pairwise,
-        rekey_ad(sender, static_cast<uint8_t>(mbox_index), rekey_.epoch),
-        serialize_middlebox_material(entries), core_.iv_source());
-    crypto::count_enc(cfg_.ops);
-    return sealed;
-}
-
 void Session::queue_rekey_record(const RekeyRecord& rec)
 {
     tls::Record record{tls::ContentType::rekey, kControlContext, rec.serialize()};
-    Bytes wire = codec_.encode(record);
+    Bytes wire = core_.codec.encode(record);
     // Rekeys happen during the application phase; their cost is session
     // overhead, not handshake bytes (which tests use to detect re-handshakes).
     core_.counters.app_overhead_bytes += wire.size();
@@ -1172,35 +1074,24 @@ void Session::finish_rekey_if_switched()
     core_.trace(obs::EventType::rekey_complete, 0, epoch_);
 }
 
-Status Session::open_peer_halves(const RekeyRecord& rk,
-                                 std::map<uint8_t, PartialContextKeys>& halves)
+Status Session::open_peer_halves(const RekeyRecord& rk, Halves& halves)
 {
-    uint8_t self = is_client_ ? kEntityClient : kEntityServer;
-    uint8_t peer = is_client_ ? kEntityServer : kEntityClient;
     const RekeyEntry* own = nullptr;
     for (const auto& e : rk.entries)
-        if (e.entity == self) own = &e;
+        if (e.entity == self_entity()) own = &e;
     if (!own)
         return core_.fail(AlertDescription::illegal_parameter,
                           is_client_ ? "mctls: rekey response without endpoint entry"
                                      : "mctls: rekey init without endpoint entry");
-    auto plain = authenc_open(endpoint_keys_.key_material, rekey_ad(peer, self, rk.epoch),
-                              own->sealed);
-    if (!plain)
-        return core_.fail(AlertDescription::decrypt_error,
-                          "mctls: rekey material: " + plain.error().message);
-    crypto::count_dec(cfg_.ops);
-    auto entries = parse_endpoint_material(plain.value());
-    if (!entries) return core_.fail(entries.error().message);
-    for (const auto& e : entries.value()) halves[e.context_id] = e.partial;
-    return {};
+    return open_endpoint_material(own->sealed, rekey_ad(peer_entity(), self_entity(), rk.epoch),
+                                  "mctls: rekey material", halves);
 }
 
-Status Session::handle_rekey_record(const tls::Record& record)
+Status Session::handle_rekey_record(ConstBytes payload)
 {
     if (!core_.established())
         return core_.fail(AlertDescription::unexpected_message, "mctls: early rekey record");
-    auto parsed = RekeyRecord::parse(record.payload);
+    auto parsed = RekeyRecord::parse(payload);
     if (!parsed) return core_.fail(AlertDescription::decode_error, parsed.error().message);
     const RekeyRecord& rk = parsed.value();
 
@@ -1210,18 +1101,11 @@ Status Session::handle_rekey_record(const tls::Record& record)
         if (rk.phase != RekeyPhase::resp || !rekey_.active || rk.epoch != rekey_.epoch)
             return core_.fail(AlertDescription::unexpected_message,
                               "mctls: unexpected rekey record");
-        std::map<uint8_t, PartialContextKeys> server_halves;
+        Halves server_halves;
         if (auto st = open_peer_halves(rk, server_halves); !st) return st;
-        for (const auto& ctx : contexts_) {
-            auto own_it = rekey_own_partials_.find(ctx.id);
-            auto peer_it = server_halves.find(ctx.id);
-            if (own_it == rekey_own_partials_.end() || peer_it == server_halves.end())
-                return core_.fail(AlertDescription::handshake_failure,
-                                  "mctls: missing rekey halves");
-            rekey_.keys[ctx.id] = combine_context_keys(own_it->second, peer_it->second,
-                                                       client_random_, server_random_);
-            crypto::count_keygen(cfg_.ops, 2);
-        }
+        if (auto st = combine_halves(rekey_own_partials_, server_halves,
+                                     "mctls: missing rekey halves", rekey_.keys); !st)
+            return st;
         keylog_contexts(rk.epoch, rekey_.keys);
         rekey_.switch_direction(context_keys_, Direction::server_to_client);
         RekeyRecord commit;
@@ -1243,27 +1127,14 @@ Status Session::handle_rekey_record(const tls::Record& record)
             return core_.fail(AlertDescription::illegal_parameter,
                               "mctls: rekey epoch out of sequence");
         rekey_.begin(rk.epoch);
-        rekey_own_partials_.clear();
         core_.trace(obs::EventType::rekey_init, 0, rk.epoch);
 
-        std::map<uint8_t, PartialContextKeys> client_halves;
+        Halves client_halves;
         if (auto st = open_peer_halves(rk, client_halves); !st) return st;
-
-        crypto::HmacKey secret(cfg_.rng->bytes(32));
-        for (const auto& ctx : contexts_) {
-            rekey_own_partials_[ctx.id] =
-                derive_partial_keys(secret, server_random_, ctx.id);
-            crypto::count_keygen(cfg_.ops, 2);
-        }
-        for (const auto& ctx : contexts_) {
-            auto c = client_halves.find(ctx.id);
-            if (c == client_halves.end())
-                return core_.fail(AlertDescription::handshake_failure,
-                                  "mctls: missing rekey halves");
-            rekey_.keys[ctx.id] = combine_context_keys(
-                c->second, rekey_own_partials_[ctx.id], client_random_, server_random_);
-            crypto::count_keygen(cfg_.ops, 2);
-        }
+        rekey_own_partials_ = derive_own_halves(cfg_.rng->bytes(32));
+        if (auto st = combine_halves(rekey_own_partials_, client_halves,
+                                     "mctls: missing rekey halves", rekey_.keys); !st)
+            return st;
         keylog_contexts(rk.epoch, rekey_.keys);
 
         // Mirror the client's recipient list: a middlebox with no entry in
@@ -1273,19 +1144,14 @@ Status Session::handle_rekey_record(const tls::Record& record)
         resp.epoch = rk.epoch;
         for (const auto& e : rk.entries) {
             if (e.entity >= mbox_state_.size()) continue;  // the endpoint entry
-            resp.entries.push_back({e.entity, seal_rekey_middlebox_material(e.entity)});
+            resp.entries.push_back(
+                {e.entity, seal_middlebox_material(e.entity, rekey_own_partials_,
+                                                   rekey_ad(kEntityServer, e.entity, rk.epoch))});
         }
-        std::vector<EndpointMaterialEntry> out;
-        for (const auto& ctx : contexts_)
-            out.push_back({ctx.id, rekey_own_partials_[ctx.id]});
-        RekeyEntry endpoint;
-        endpoint.entity = kEntityClient;
-        endpoint.sealed =
-            authenc_seal(endpoint_keys_.key_material,
-                         rekey_ad(kEntityServer, kEntityClient, rk.epoch),
-                         serialize_endpoint_material(out), core_.iv_source());
-        crypto::count_enc(cfg_.ops);
-        resp.entries.push_back(std::move(endpoint));
+        resp.entries.push_back(
+            {kEntityClient, seal_endpoint_material(rekey_own_partials_,
+                                                   rekey_ad(kEntityServer, kEntityClient,
+                                                            rk.epoch))});
         queue_rekey_record(resp);
         // The response doubles as our own send-direction switch marker.
         rekey_.switch_direction(context_keys_, Direction::server_to_client);

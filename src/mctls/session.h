@@ -7,11 +7,14 @@
 // Like tls::Session, the state machine consumes raw network bytes with
 // feed() and emits write units (one transport send() each): handshake
 // flights coalesce into one unit; each application record is its own unit.
+// The handshake record layer (codec, flight writer, CCS + Finished, alert /
+// CCS / handshake dispatch) is tls::SessionCore's, shared with tls::Session;
+// this class adds the mcTLS messages, application and rekey records, and
+// one key-half path that the full handshake, resumption and rekey share.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -199,6 +202,9 @@ private:
     };
     bool at(Step step) const { return core_.in_handshake() && step_ == step; }
 
+    // One endpoint's context-key halves, by context id.
+    using Halves = std::map<uint8_t, PartialContextKeys>;
+
     struct MiddleboxState {
         MiddleboxInfo info;
         Bytes random;
@@ -212,12 +218,12 @@ private:
         bool complete() const { return hello_seen && kx_client_seen && kx_server_seen; }
     };
 
-    void flush_flight_into_unit(ConstBytes flight, Bytes* unit);
-    Bytes queue_flight_with_finished(ConstBytes flight, Bytes verify_data);
+    uint8_t self_entity() const { return is_client_ ? kEntityClient : kEntityServer; }
+    uint8_t peer_entity() const { return is_client_ ? kEntityServer : kEntityClient; }
+
     Bytes middlebox_material_message(size_t mbox_index);
     Bytes endpoint_material_message();
 
-    Status handle_record(const tls::Record& record);
     Status handle_handshake(const tls::HandshakeMessage& msg);
     Status handle_bundle_message(const tls::HandshakeMessage& msg);
     Status client_handle(const tls::HandshakeMessage& msg);
@@ -236,13 +242,11 @@ private:
     Status client_send_resumed_flight();
     void derive_endpoint_secrets_from_scs();  // key schedule minus the DH step
     Bytes resumed_finished_verify_data(const char* label);
-    Status handle_rekey_record(const tls::Record& record);
-    // Unseal the peer endpoint's fresh halves from its entry in `rk`, keyed
-    // by context id. Fails the session when the entry is missing, does not
-    // open or does not parse.
-    Status open_peer_halves(const RekeyRecord& rk,
-                            std::map<uint8_t, PartialContextKeys>& halves);
-    Bytes seal_rekey_middlebox_material(size_t mbox_index);
+    Status handle_rekey_record(ConstBytes payload);
+    // Unseal the peer endpoint's fresh halves from its entry in `rk` into
+    // `halves`. Fails the session when the entry is missing or does not
+    // open (open_endpoint_material).
+    Status open_peer_halves(const RekeyRecord& rk, Halves& halves);
     void queue_rekey_record(const RekeyRecord& rec);
     void finish_rekey_if_switched();
 
@@ -253,17 +257,33 @@ private:
     void keylog_contexts(uint32_t epoch, const std::map<uint8_t, ContextKeys>& keys) const;
     void derive_endpoint_secrets();  // S_C-S, K_endpoints, control protectors
     Bytes finished_verify_data(const char* label, bool include_client_finished);
-    Bytes seal_middlebox_material(size_t mbox_index);
     Status unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km);
+
+    // The one key-half path, shared by the full handshake, resumption and
+    // rekey; `ad` binds each seal to its sender, recipient and (for rekey)
+    // epoch. Our halves of every context, from a fresh secret:
+    Halves derive_own_halves(ConstBytes secret);
+    // The halves (complete keys in CKD mode) middlebox `mbox_index` is
+    // granted, sealed under its pairwise key.
+    Bytes seal_middlebox_material(size_t mbox_index, const Halves& halves, ConstBytes ad);
+    // All of `halves`, sealed for the peer endpoint under K_endpoints.
+    Bytes seal_endpoint_material(const Halves& halves, ConstBytes ad);
+    // Opens the peer's sealed halves into `halves`. Fails the session when
+    // they do not open ("<what>: ..."), do not parse, or name a context
+    // that was never negotiated.
+    Status open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what,
+                                  Halves& halves);
+    // Combines own and peer halves into `keys` for every context; fails the
+    // session with `missing` when either half of one is absent.
+    Status combine_halves(const Halves& own, const Halves& peer, const char* missing,
+                          std::map<uint8_t, ContextKeys>& keys);
 
     SessionConfig cfg_;
     tls::SessionCore core_;
     Step step_ = Step::idle;
     bool is_client_ = true;
 
-    tls::RecordCodec codec_{/*with_context_id=*/true};
     RecordScratch open_scratch_;  // reusable decrypt buffer for app records
-    tls::HandshakeReader handshake_reader_;
     std::vector<AppChunk> app_chunks_;
 
     // Negotiated composition.
@@ -282,13 +302,10 @@ private:
     EndpointKeys endpoint_keys_;
     std::vector<MiddleboxState> mbox_state_;
     std::vector<pki::Certificate> server_chain_;
-    std::map<uint8_t, PartialContextKeys> own_partials_;
-    std::map<uint8_t, PartialContextKeys> peer_partials_;
+    Halves own_partials_;
+    Halves peer_partials_;
     std::map<uint8_t, ContextKeys> context_keys_;
     bool peer_material_received_ = false;
-
-    std::unique_ptr<tls::CbcHmacProtector> control_send_;
-    std::unique_ptr<tls::CbcHmacProtector> control_recv_;
     bool shd_seen_ = false;
 
     uint64_t app_send_seq_ = 0;
@@ -306,7 +323,7 @@ private:
     uint32_t epoch_ = 0;
     uint64_t rekeys_completed_ = 0;
     PendingEpoch rekey_;
-    std::map<uint8_t, PartialContextKeys> rekey_own_partials_;
+    Halves rekey_own_partials_;
     std::vector<std::string> rekey_revoked_;  // client: names to starve
 };
 

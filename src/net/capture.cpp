@@ -137,8 +137,7 @@ void CaptureFileWriter::on_frame(const CaptureFrame& frame)
 
 Bytes capture_serialize(const Capture& capture)
 {
-    Bytes out;
-    out.insert(out.end(), kMagic, kMagic + kMagicSize);
+    Bytes out(kMagic, kMagic + kMagicSize);
     out.push_back(kCaptureVersion);
     for (const auto& flow : capture.flows) append_record(out, kRecordFlow, serialize_flow(flow));
     for (const auto& frame : capture.frames)

@@ -28,19 +28,11 @@ Session::Session(SessionConfig cfg)
                           : cfg_.trace_actor,
              .journal = cfg_.journal,
              .lane = cfg_.lane,
-             .handshake_timeout = cfg_.handshake_timeout},
+             .handshake_timeout = cfg_.handshake_timeout,
+             .ops = cfg_.ops},
             tls::require_rng(cfg_.rng, "tls::Session"))
 {
     step_ = cfg_.role == Role::client ? Step::idle : Step::wait_client_hello;
-}
-
-// Handshake-phase record (CCS, protected Finished), coalesced into the open
-// flight unit.
-void Session::queue_record(const Record& record)
-{
-    Bytes wire = codec_.encode(record);
-    core_.counters.handshake_wire_bytes += wire.size();
-    core_.units.append(wire, /*own_unit=*/false);
 }
 
 void Session::queue_handshake(const HandshakeMessage& msg, Bytes* flight)
@@ -49,23 +41,6 @@ void Session::queue_handshake(const HandshakeMessage& msg, Bytes* flight)
     append(transcript_, wire);
     crypto::count_hash(cfg_.ops);
     append(*flight, wire);
-}
-
-void Session::flush_flight(Bytes flight)
-{
-    // A flight may exceed the maximum record size; fragment as TLS does.
-    size_t off = 0;
-    Bytes unit;
-    while (off < flight.size()) {
-        size_t take = std::min(kMaxFragment, flight.size() - off);
-        Record rec{ContentType::handshake, 0,
-                   Bytes(flight.begin() + off, flight.begin() + off + take)};
-        Bytes wire = codec_.encode(rec);
-        core_.counters.handshake_wire_bytes += wire.size();
-        append(unit, wire);
-        off += take;
-    }
-    if (!unit.empty()) core_.units.push(std::move(unit));
 }
 
 void Session::start()
@@ -88,7 +63,7 @@ void Session::start()
 
     Bytes flight;
     queue_handshake(hello.to_message(), &flight);
-    flush_flight(std::move(flight));
+    core_.queue_flight(flight);
     step_ = Step::wait_server_hello;
     core_.trace(obs::EventType::hs_start, 0, core_.counters.handshake_wire_bytes);
 }
@@ -96,9 +71,9 @@ void Session::start()
 Status Session::feed(ConstBytes wire)
 {
     if (core_.failed()) return err(core_.error());
-    codec_.feed(wire);
+    core_.codec.feed(wire);
     while (true) {
-        auto next = codec_.next_view();
+        auto next = core_.codec.next_view();
         if (!next) return core_.fail(AlertDescription::decode_error, next.error().message);
         if (!next.value().has_value()) return {};
         if (auto s = handle_record_view(*next.value()); !s) return s;
@@ -117,7 +92,8 @@ Status Session::handle_record_view(const RecordView& view)
         bool sp = obs::span_on(core_.spans()) && in_ctx.valid();
         if (sp) t0 = std::chrono::steady_clock::now();
         recv_scratch_.clear();
-        auto plain = recv_protector_->unprotect_into(view.type, 0, view.payload, recv_scratch_);
+        auto plain =
+            core_.recv_protector().unprotect_into(view.type, 0, view.payload, recv_scratch_);
         if (!plain) {
             core_.note_mac_failure(0, view.payload.size());
             return core_.fail(AlertDescription::bad_record_mac, "tls: " + plain.error().message);
@@ -137,55 +113,14 @@ Status Session::handle_record_view(const RecordView& view)
         append(app_data_, ConstBytes{recv_scratch_.data(), plain.value()});
         return {};
     }
-    Record record;
-    record.type = view.type;
-    record.context_id = view.context_id;
-    record.payload = to_bytes(view.payload);
-    return handle_record(record);
-}
-
-Status Session::handle_record(const Record& record)
-{
-    if (record.type == ContentType::alert) {
-        auto alert = Alert::parse(record.payload);
-        if (!alert) return core_.fail(AlertDescription::decode_error, "tls: malformed alert");
-        return core_.handle_alert(alert.value());
-    }
-    if (core_.closed())
-        return core_.fail(AlertDescription::unexpected_message, "tls: record after close_notify");
-    switch (record.type) {
-    case ContentType::alert:
-        return {};  // handled above
-    case ContentType::change_cipher_spec:
-        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        return core_.receive_ccs();
-    case ContentType::handshake: {
-        core_.counters.handshake_wire_bytes += record.payload.size() + codec_.header_size();
-        ConstBytes payload = record.payload;
-        Bytes plain;
-        if (core_.ccs_received() && recv_protector_) {
-            auto n = recv_protector_->unprotect_into(record.type, 0, record.payload, plain);
-            if (!n)
-                return core_.fail(AlertDescription::bad_record_mac, "tls: " + n.error().message);
-            crypto::count_dec(cfg_.ops);
-            payload = plain;
-        }
-        handshake_reader_.feed(payload);
-        while (true) {
-            auto msg = handshake_reader_.next();
-            if (!msg) return core_.fail(AlertDescription::decode_error, msg.error().message);
-            if (!msg.value().has_value()) return {};
-            if (auto s = handle_handshake(*msg.value()); !s) return s;
-        }
-    }
-    case ContentType::rekey:
+    if (auto s = core_.handle_control_record(
+            view, [this](const HandshakeMessage& msg) { return handle_handshake(msg); }))
+        return *s;
+    if (view.type == ContentType::rekey)
         // In-band rekeying is an mcTLS extension; baseline TLS rejects it.
         return core_.fail(AlertDescription::unexpected_message, "tls: unexpected rekey record");
-    case ContentType::application_data:
-        // Established app data never gets here (handle_record_view).
-        return core_.fail(AlertDescription::unexpected_message, "tls: early app data");
-    }
-    return core_.fail(AlertDescription::decode_error, "tls: unknown record type");
+    // Established app data never gets here (the fast path above).
+    return core_.fail(AlertDescription::unexpected_message, "tls: early app data");
 }
 
 Status Session::handle_handshake(const HandshakeMessage& msg)
@@ -256,8 +191,7 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
         Bytes flight;
         ClientKeyExchange cke{crypto::x25519_public_key(our_dh_private_)};
         queue_handshake(cke.to_message(), &flight);
-        flush_flight(std::move(flight));
-        send_ccs_and_finished();
+        append(transcript_, core_.queue_flight(flight, finished_verify_data(/*ours=*/true)));
         step_ = Step::wait_server_finish;
         return {};
     }
@@ -303,9 +237,8 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
             sh.random = server_random_;
             sh.session_id = session_id_;
             queue_handshake(sh.to_message(), &flight);
-            flush_flight(std::move(flight));
             derive_key_block();
-            send_ccs_and_finished();
+            append(transcript_, core_.queue_flight(flight, finished_verify_data(/*ours=*/true)));
             step_ = Step::wait_client_finish;
             return {};
         }
@@ -338,7 +271,7 @@ Status Session::server_handle_client_hello(const HandshakeMessage& msg)
     queue_handshake(ske.to_message(), &flight);
 
     queue_handshake({HandshakeType::server_hello_done, {}}, &flight);
-    flush_flight(std::move(flight));
+    core_.queue_flight(flight);
     step_ = Step::wait_client_finish;
     return {};
 }
@@ -387,46 +320,24 @@ void Session::derive_key_block()
         crypto::prf(master_secret_, "key expansion", seed, 2 * kMacKeySize + 2 * kKeySize);
     crypto::count_keygen(cfg_.ops);  // session key block, one logical key gen
 
+    // client MAC | server MAC | client key | server key
     ConstBytes view{block};
-    Bytes client_mac = to_bytes(view.subspan(0, kMacKeySize));
-    Bytes server_mac = to_bytes(view.subspan(kMacKeySize, kMacKeySize));
-    Bytes client_key = to_bytes(view.subspan(2 * kMacKeySize, kKeySize));
-    Bytes server_key = to_bytes(view.subspan(2 * kMacKeySize + kKeySize, kKeySize));
-
-    if (cfg_.role == Role::client) {
-        send_protector_ = std::make_unique<CbcHmacProtector>(client_key, client_mac);
-        recv_protector_ = std::make_unique<CbcHmacProtector>(server_key, server_mac);
-    } else {
-        send_protector_ = std::make_unique<CbcHmacProtector>(server_key, server_mac);
-        recv_protector_ = std::make_unique<CbcHmacProtector>(client_key, client_mac);
-    }
+    auto protector = [&](size_t side) {
+        return CbcHmacProtector(view.subspan(2 * kMacKeySize + side * kKeySize, kKeySize),
+                                view.subspan(side * kMacKeySize, kMacKeySize));
+    };
+    size_t send = cfg_.role == Role::client ? 0 : 1;
+    core_.set_protectors(protector(send), protector(1 - send));
     core_.trace(obs::EventType::hs_key_distribution, 0, 1);
 }
 
-Bytes Session::finished_verify_data(const char* label) const
+Bytes Session::finished_verify_data(bool ours) const
 {
+    const char* label =
+        (cfg_.role == Role::client) == ours ? "client finished" : "server finished";
     Bytes digest = crypto::Sha256::digest(transcript_);
     crypto::count_hash(cfg_.ops);
     return crypto::prf(master_secret_, label, digest, kVerifyDataSize);
-}
-
-void Session::send_ccs_and_finished()
-{
-    queue_record({ContentType::change_cipher_spec, 0, Bytes{1}});
-
-    const char* label = cfg_.role == Role::client ? "client finished" : "server finished";
-    Finished fin{finished_verify_data(label)};
-    HandshakeMessage msg = fin.to_message();
-    Bytes wire = msg.serialize();
-    append(transcript_, wire);
-    crypto::count_hash(cfg_.ops);
-
-    Record protected_fin{ContentType::handshake, 0, {}};
-    send_protector_->protect_into(ContentType::handshake, 0, wire, core_.iv_source(),
-                                  protected_fin.payload);
-    crypto::count_enc(cfg_.ops);
-    queue_record(protected_fin);
-    core_.trace(obs::EventType::hs_finished_sent);
 }
 
 Status Session::handle_finished(const HandshakeMessage& msg)
@@ -438,8 +349,7 @@ Status Session::handle_finished(const HandshakeMessage& msg)
     auto fin = Finished::parse(msg.body);
     if (!fin) return core_.fail(AlertDescription::decode_error, fin.error().message);
 
-    const char* label = cfg_.role == Role::client ? "server finished" : "client finished";
-    Bytes expected = finished_verify_data(label);
+    Bytes expected = finished_verify_data(/*ours=*/false);
     if (!crypto::ct_equal(expected, fin.value().verify_data))
         return core_.fail(AlertDescription::decrypt_error, "tls: Finished verification failed");
 
@@ -450,7 +360,7 @@ Status Session::handle_finished(const HandshakeMessage& msg)
     // Full handshake: the server answers the client's Finished. Abbreviated:
     // the order flips — the server spoke first, the client answers here.
     bool respond = resumed_ ? cfg_.role == Role::client : cfg_.role == Role::server;
-    if (respond) send_ccs_and_finished();
+    if (respond) append(transcript_, core_.queue_flight({}, finished_verify_data(/*ours=*/true)));
     core_.establish();
     if (cfg_.role == Role::server && cfg_.session_cache && !session_id_.empty())
         cfg_.session_cache->put({session_id_, master_secret_});
@@ -470,14 +380,14 @@ Status Session::send_app_data(ConstBytes data)
         // same buffer (one allocation, no intermediate fragment copy).
         size_t body = CbcHmacProtector::protected_size(chunk.size());
         Bytes wire;
-        wire.reserve(codec_.header_size() + body);
-        codec_.encode_header_into(ContentType::application_data, 0, body, wire);
+        wire.reserve(core_.codec.header_size() + body);
+        core_.codec.encode_header_into(ContentType::application_data, 0, body, wire);
         std::chrono::steady_clock::time_point t0;
         bool sp = obs::span_on(core_.spans());
         obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (sp) t0 = std::chrono::steady_clock::now();
-        send_protector_->protect_into(ContentType::application_data, 0, chunk, core_.iv_source(),
-                                      wire);
+        core_.send_protector().protect_into(ContentType::application_data, 0, chunk,
+                                            core_.iv_source(), wire);
         if (sp) {
             // Baseline TLS gets a coarser breakdown than mcTLS: one root
             // plus a single encrypt child covering MAC+CBC (its protector

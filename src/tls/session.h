@@ -9,10 +9,12 @@
 //
 // 2-RTT handshake, X25519 key exchange signed with Ed25519 certificates,
 // AES-128-CBC + HMAC-SHA256 record protection, Finished verification over
-// the full transcript.
+// the full transcript. The handshake record layer (codec, flight writer,
+// CCS + Finished, alert / CCS / handshake dispatch) and the record
+// protectors live in the shared tls::SessionCore; this class holds the TLS
+// messages, the key schedule and the application-data path.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,11 +154,8 @@ private:
     };
     bool at(Step step) const { return core_.in_handshake() && step_ == step; }
 
-    void queue_record(const Record& record);
     void queue_handshake(const HandshakeMessage& msg, Bytes* flight);
-    void flush_flight(Bytes flight);
     Status handle_record_view(const RecordView& view);
-    Status handle_record(const Record& record);
     Status handle_handshake(const HandshakeMessage& msg);
 
     Status client_handle_server_flight(const HandshakeMessage& msg);
@@ -166,15 +165,13 @@ private:
 
     void derive_keys();
     void derive_key_block();
-    Bytes finished_verify_data(const char* label) const;
-    void send_ccs_and_finished();
+    // verify_data of our own Finished (`ours`) or of the peer's.
+    Bytes finished_verify_data(bool ours) const;
 
     SessionConfig cfg_;
     SessionCore core_;
     Step step_ = Step::idle;
 
-    RecordCodec codec_{/*with_context_id=*/false};
-    HandshakeReader handshake_reader_;
     Bytes app_data_;
     Bytes recv_scratch_;  // reusable decrypt buffer for the app-data fast path
 
@@ -191,9 +188,6 @@ private:
     // on the abbreviated one.
     Bytes session_id_;
     bool resumed_ = false;
-
-    std::unique_ptr<CbcHmacProtector> send_protector_;
-    std::unique_ptr<CbcHmacProtector> recv_protector_;
 
     // Telemetry beyond the core's counters (see session_stats()).
     uint64_t app_bytes_sent_ = 0;

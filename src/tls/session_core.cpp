@@ -1,5 +1,6 @@
 #include "tls/session_core.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mct::tls {
@@ -11,13 +12,14 @@ Rng& require_rng(Rng* rng, const char* owner)
 }
 
 SessionCore::SessionCore(Config cfg, Rng& rng)
-    : units(obs::span_on(cfg.journal)),
+    : codec(cfg.with_context_id),
+      units(obs::span_on(cfg.journal)),
       prefix_(cfg.prefix),
       actor_(std::move(cfg.actor)),
-      framing_(cfg.with_context_id),
       journal_(cfg.journal),
       lane_(cfg.lane),
       handshake_timeout_(cfg.handshake_timeout),
+      ops_(cfg.ops),
       iv_source_(rng)
 {
     if (journal_) actor_id_ = journal_->intern(actor_);
@@ -138,7 +140,7 @@ void SessionCore::send_alert(const Alert& alert)
     // Alerts are plaintext control records and never count as handshake
     // bytes, in either direction.
     if (note_alert_sent(alert))
-        units.push(framing_.encode({ContentType::alert, 0, alert.serialize()}));
+        units.push(codec.encode({ContentType::alert, 0, alert.serialize()}));
 }
 
 Status SessionCore::handle_alert(const Alert& alert)
@@ -197,6 +199,73 @@ Status SessionCore::receive_ccs()
         return fail(AlertDescription::unexpected_message, prefixed("duplicate CCS"));
     ccs_received_ = true;
     return {};
+}
+
+Bytes SessionCore::queue_flight(ConstBytes flight, ConstBytes verify_data)
+{
+    Bytes unit;
+    // A flight may exceed the maximum record size; fragment as TLS does.
+    for (size_t off = 0; off < flight.size(); off += kMaxFragment) {
+        size_t take = std::min(kMaxFragment, flight.size() - off);
+        codec.encode_header_into(ContentType::handshake, 0, take, unit);
+        append(unit, flight.subspan(off, take));
+    }
+    Bytes fin_wire;
+    if (!verify_data.empty()) {
+        codec.encode_header_into(ContentType::change_cipher_spec, 0, 1, unit);
+        unit.push_back(1);
+        fin_wire = Finished{to_bytes(verify_data)}.to_message().serialize();
+        crypto::count_hash(ops_);
+        codec.encode_header_into(ContentType::handshake, 0,
+                                 CbcHmacProtector::protected_size(fin_wire.size()), unit);
+        send_protector_->protect_into(ContentType::handshake, 0, fin_wire, iv_source_, unit);
+        crypto::count_enc(ops_);
+        trace(obs::EventType::hs_finished_sent);
+    }
+    counters.handshake_wire_bytes += unit.size();
+    if (!unit.empty()) units.push(std::move(unit));
+    return fin_wire;
+}
+
+std::optional<Status> SessionCore::handle_control_record(
+    const RecordView& view, const std::function<Status(const HandshakeMessage&)>& on_message)
+{
+    if (view.type != ContentType::alert && phase_ == Phase::closed)
+        return fail(AlertDescription::unexpected_message, prefixed("record after close_notify"));
+    switch (view.type) {
+    case ContentType::alert: {
+        auto alert = Alert::parse(view.payload);
+        if (!alert) return fail(AlertDescription::decode_error, prefixed("malformed alert"));
+        return handle_alert(alert.value());
+    }
+    case ContentType::change_cipher_spec:
+        counters.handshake_wire_bytes += view.payload.size() + codec.header_size();
+        return receive_ccs();
+    case ContentType::handshake: {
+        counters.handshake_wire_bytes += view.payload.size() + codec.header_size();
+        ConstBytes payload = view.payload;
+        Bytes plain;
+        if (ccs_received_ && recv_protector_) {
+            auto n = recv_protector_->unprotect_into(view.type, view.context_id, view.payload,
+                                                     plain);
+            if (!n)
+                return fail(AlertDescription::bad_record_mac, prefixed(n.error().message.c_str()));
+            crypto::count_dec(ops_);
+            payload = plain;
+        }
+        handshake_reader_.feed(payload);
+        while (true) {
+            auto msg = handshake_reader_.next();
+            if (!msg) return fail(AlertDescription::decode_error, msg.error().message);
+            if (!msg.value().has_value()) return Status{};
+            if (auto s = on_message(*msg.value()); !s) return s;
+        }
+    }
+    case ContentType::rekey:
+    case ContentType::application_data:
+        return std::nullopt;
+    }
+    return fail(AlertDescription::decode_error, prefixed("unknown record type"));
 }
 
 void SessionCore::fill_stats(obs::SessionStats& s) const

@@ -14,22 +14,31 @@
 //     duplicate-CCS check and the arm-then-fire handshake deadline;
 //   - the write-unit queue with its aligned span contexts;
 //   - the counters every session_stats() reports;
-//   - the IV source every CBC IV the session seals with comes from.
+//   - the IV source every CBC IV the session seals with comes from;
+//   - the handshake record layer: the session's only record codec, the
+//     handshake reader, the two handshake protectors, the flight writer
+//     (fragmentation, CCS, protected Finished) and the inbound dispatch of
+//     alert, CCS and handshake records.
 // A middlebox uses the identity, failure record, bookkeeping and deadline
 // parts and keeps its own two-sided teardown policy (one UnitQueue per
-// direction, alerts toward one or both endpoints).
+// direction, alerts toward one or both endpoints) and its own forwarding
+// record handling.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/aes.h"
+#include "crypto/ops.h"
 #include "obs/obs.h"
 #include "tls/alert.h"
+#include "tls/messages.h"
 #include "tls/record.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -117,6 +126,7 @@ public:
         obs::Journal* journal = nullptr;
         obs::Lane* lane = nullptr;   // this session's lane in `journal`
         uint64_t handshake_timeout = 0;  // 0 disables the deadline
+        crypto::OpCounters* ops = nullptr;  // the session's Table 3 counters
     };
 
     // Counters every session_stats() reports; the owning session bumps them
@@ -196,12 +206,9 @@ public:
     // Local failure: a fatal alert (handshake_failure by default) goes out.
     Status fail(std::string message);
     Status fail(AlertDescription description, std::string message);
-    Status handle_alert(const Alert& alert);
     Status tick(uint64_t now);
     void close();
     void transport_closed();
-    // A ChangeCipherSpec arrived; the second one in a session is fatal.
-    Status receive_ccs();
     bool ccs_received() const { return ccs_received_; }
 
     // Every CBC IV the session seals with: application records, the writer
@@ -209,6 +216,34 @@ public:
     // randoms, secrets and keys stay on cfg.rng.
     Rng& iv_source() { return iv_source_; }
 
+    // --- Handshake record layer ---
+    // Installs the handshake protectors once the key schedule has run (TLS:
+    // the session's record keys; mcTLS: the control-context keys).
+    void set_protectors(CbcHmacProtector send, CbcHmacProtector recv)
+    {
+        send_protector_ = std::make_unique<CbcHmacProtector>(std::move(send));
+        recv_protector_ = std::make_unique<CbcHmacProtector>(std::move(recv));
+    }
+    CbcHmacProtector& send_protector() { return *send_protector_; }
+    CbcHmacProtector& recv_protector() { return *recv_protector_; }
+
+    // Queues one write unit: `flight` as handshake records of at most
+    // kMaxFragment bytes, then, when `verify_data` is given, CCS and a
+    // Finished carrying it, protected under the send protector. All of it
+    // counts as handshake bytes. Returns the plaintext Finished message for
+    // the caller's transcript (empty without one).
+    Bytes queue_flight(ConstBytes flight, ConstBytes verify_data = {});
+
+    // Applies, in order: the alert, the after-close rule, CCS, and handshake
+    // records, which are opened under the receive protector once CCS has
+    // arrived and fed message by message to `on_message`. nullopt for rekey
+    // and application-data records, which the session handles itself.
+    std::optional<Status> handle_control_record(
+        const RecordView& view, const std::function<Status(const HandshakeMessage&)>& on_message);
+
+    // The session's only record codec: it parses what feed() receives and
+    // frames everything the session sends.
+    RecordCodec codec;
     // The endpoint's outbound write units (a middlebox keeps one UnitQueue
     // per direction of its own instead).
     UnitQueue units;
@@ -224,19 +259,25 @@ private:
     Status fail_with(SessionError::Origin origin, AlertDescription description,
                      std::string message, bool emit_alert);
     void send_alert(const Alert& alert);
+    Status handle_alert(const Alert& alert);
+    // A ChangeCipherSpec arrived; the second one in a session is fatal.
+    Status receive_ccs();
     void emit_span_event(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
                          obs::Stage stage, uint16_t ctx, uint64_t cpu_ns, uint64_t a);
     std::string prefixed(const char* text) const { return std::string(prefix_) + ": " + text; }
 
     const char* prefix_;
     std::string actor_;
-    RecordCodec framing_;
     obs::Journal* journal_;
     obs::Lane* lane_;
     uint16_t actor_id_ = 0;
     uint64_t handshake_timeout_;
     uint64_t handshake_deadline_ = 0;  // 0 = not armed
+    crypto::OpCounters* ops_;
     crypto::IvSource iv_source_;
+    HandshakeReader handshake_reader_;
+    std::unique_ptr<CbcHmacProtector> send_protector_;
+    std::unique_ptr<CbcHmacProtector> recv_protector_;
 
     Phase phase_ = Phase::handshake;
     std::string error_;

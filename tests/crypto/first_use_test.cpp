@@ -6,10 +6,15 @@
 // typically mid-handshake — paid ~65k field multiplications before its
 // first block. The tables are now constexpr, so the first encryption must
 // cost the same as the ten-thousandth, within scheduling noise.
+//
+// Every timing reads the calling thread's CPU clock, not the wall clock: a
+// call that is descheduled mid-measurement accrues no CPU time, so a busy
+// host cannot fail the first-use budget.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -18,12 +23,21 @@
 namespace mct::crypto {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// The calling thread's CPU time, in ns.
+struct Clock {
+    using time_point = uint64_t;
+    static time_point now()
+    {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000u +
+               static_cast<uint64_t>(ts.tv_nsec);
+    }
+};
 
 uint64_t ns(Clock::time_point a, Clock::time_point b)
 {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+    return b - a;
 }
 
 TEST(FirstUse, AesTablesCostNothingToInitialize)

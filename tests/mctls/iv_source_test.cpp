@@ -1,6 +1,7 @@
 // Session-level pins of the CBC IV source (crypto::IvSource held in
 // tls::SessionCore): where each party's IVs come from, that they do not
-// repeat, and what one application seal costs in exact primitive counts.
+// repeat, and what one application seal and one resumed handshake cost in
+// exact primitive counts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include "crypto/drbg.h"
 #include "mctls/context_crypto.h"
 #include "mctls/key_schedule.h"
+#include "mctls/resumption.h"
 #include "tests/mctls/harness.h"
 #include "tls/record.h"
 
@@ -169,7 +171,24 @@ struct WorkCounts {
     uint64_t aes_enc_blocks = 0;
     uint64_t aes_dec_blocks = 0;
     uint64_t aes_expansions = 0;
+
+    WorkCounts& operator+=(const WorkCounts& rhs)
+    {
+        sha256_blocks += rhs.sha256_blocks;
+        aes_enc_blocks += rhs.aes_enc_blocks;
+        aes_dec_blocks += rhs.aes_dec_blocks;
+        aes_expansions += rhs.aes_expansions;
+        return *this;
+    }
 };
+
+void expect_work(const WorkCounts& got, const WorkCounts& want, const char* party)
+{
+    EXPECT_EQ(got.sha256_blocks, want.sha256_blocks) << party;
+    EXPECT_EQ(got.aes_enc_blocks, want.aes_enc_blocks) << party;
+    EXPECT_EQ(got.aes_dec_blocks, want.aes_dec_blocks) << party;
+    EXPECT_EQ(got.aes_expansions, want.aes_expansions) << party;
+}
 
 WorkCounts g_work;
 const crypto::CryptoDispatch* g_base = nullptr;
@@ -276,6 +295,74 @@ TEST_F(ExactCounts, SessionSealOf64BytesIsNineCompressionsTwelveBlocks)
     });
     EXPECT_EQ(drbg_seal.sha256_blocks, 17u);
     EXPECT_EQ(drbg_seal.aes_enc_blocks, 11u);
+}
+
+// One resumed handshake, client -> mbox0 -> mbox1 -> server with four
+// contexts of mixed permissions, resuming the session of a full handshake:
+// each party's primitive work from the client's start() until the chain
+// goes quiet. A pump tap names the party each unit is delivered to and the
+// probe charges that delivery's work to it. Pinned by value, with no
+// wall-clock noise: a refactor of the handshake must leave every count
+// as it is.
+TEST_F(ExactCounts, ResumedHandshakeWithTwoMiddleboxesAndFourContexts)
+{
+    ChainEnv env;
+    ServerSessionCache server_cache;
+    std::array<MiddleboxSessionCache, 2> mbox_caches;
+    auto infos = env.make_middleboxes(2);
+    std::vector<ContextDescription> contexts;
+    const Permission table[4][2] = {{Permission::read, Permission::write},
+                                    {Permission::write, Permission::read},
+                                    {Permission::none, Permission::read},
+                                    {Permission::write, Permission::write}};
+    for (uint8_t id = 1; id <= 4; ++id)
+        contexts.push_back({id, "ctx" + std::to_string(id), {table[id - 1][0], table[id - 1][1]}});
+    auto build = [&](const ResumptionTicket* ticket) {
+        auto ccfg = env.client_config(infos, contexts);
+        ccfg.ticket = ticket;
+        env.client = std::make_unique<Session>(ccfg);
+        auto scfg = env.server_config();
+        scfg.session_cache = &server_cache;
+        env.server = std::make_unique<Session>(scfg);
+        env.mboxes.clear();
+        for (size_t i = 0; i < 2; ++i) {
+            auto mcfg = env.mbox_config(i);
+            mcfg.session_cache = &mbox_caches[i];
+            env.mboxes.push_back(std::make_unique<MiddleboxSession>(mcfg));
+        }
+    };
+    build(nullptr);
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+    ResumptionTicket ticket = env.client->ticket();
+    build(&ticket);
+
+    WorkCounts client = count([&] { env.client->start(); });
+    WorkCounts server;
+    std::array<WorkCounts, 2> mbox;
+    WorkCounts* to = nullptr;
+    // Hops 0 and 1 deliver to mbox 0 and 1, hop 2 to the server, hops 3
+    // and 4 to mbox 1 and 0, hop 5 to the client.
+    auto tap = [&](size_t hop, const Bytes&) {
+        to = hop == 2 ? &server : hop == 5 ? &client : &mbox[hop < 2 ? hop : 4 - hop];
+    };
+    auto probe = [&](chain::Party, auto&& call) {
+        g_work = {};
+        (void)call();
+        *to += g_work;
+    };
+    ASSERT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, probe, tap));
+    ASSERT_TRUE(env.all_complete());
+    ASSERT_TRUE(env.client->resumed());
+
+    // {SHA-256 compressions, AES blocks encrypted, AES blocks decrypted,
+    // AES key expansions}. The endpoints mirror each other; the middleboxes
+    // only open their halves, and mbox1 opens more because it holds keys
+    // for more contexts.
+    expect_work(client, {284, 51, 21, 13}, "client");
+    expect_work(mbox[0], {114, 0, 24, 8}, "mbox0");
+    expect_work(mbox[1], {136, 0, 28, 10}, "mbox1");
+    expect_work(server, {284, 51, 21, 13}, "server");
 }
 
 }  // namespace

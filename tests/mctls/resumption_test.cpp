@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mctls/key_schedule.h"
+#include "mctls/messages.h"
 #include "mctls/session.h"
 #include "tests/mctls/harness.h"
 
@@ -326,13 +328,45 @@ void flip_entry(RekeyRecord& rk, uint8_t entity)
         if (e.entity == entity) e.sealed.back() ^= 0x01;
 }
 
-// One established client -> mbox0 (read) -> server chain.
+// The random of the ClientHello or ServerHello that opens `unit`; empty
+// for any other unit.
+Bytes hello_random(ConstBytes unit)
+{
+    tls::RecordCodec codec{/*with_context_id=*/true};
+    codec.feed(unit);
+    auto record = codec.next_view();
+    if (!record.ok() || !record.value() || record.value()->type != tls::ContentType::handshake)
+        return {};
+    tls::HandshakeReader reader;
+    reader.feed(record.value()->payload);
+    auto msg = reader.next();
+    if (!msg.ok() || !msg.value()) return {};
+    if (msg.value()->type == tls::HandshakeType::client_hello)
+        return tls::ClientHello::parse(msg.value()->body).value().random;
+    if (msg.value()->type == tls::HandshakeType::server_hello)
+        return tls::ServerHello::parse(msg.value()->body).value().random;
+    return {};
+}
+
+// One established client -> mbox0 (read) -> server chain, with the two
+// hello randoms as they crossed the wire.
 struct HostileRekeyEnv : ChainEnv {
+    Bytes client_random;
+    Bytes server_random;
+
     HostileRekeyEnv()
     {
         build(1, {ctx_row(1, "data", 1, Permission::read)});
-        handshake();
+        client->start();
+        // Hop 0 carries client -> mbox0, hop 2 server -> mbox0.
+        auto tap = [&](size_t hop, const Bytes& unit) {
+            Bytes& random = hop == 0 ? client_random : server_random;
+            if ((hop == 0 || hop == 2) && random.empty()) random = hello_random(unit);
+        };
+        EXPECT_TRUE(chain::pump(*client, mboxes, *server, chain::NoProbe{}, tap)) << "livelock";
         EXPECT_TRUE(all_complete());
+        EXPECT_EQ(client_random.size(), tls::kRandomSize);
+        EXPECT_EQ(server_random.size(), tls::kRandomSize);
     }
 
     // The client's rekey init as it leaves the middlebox toward the server.
@@ -389,6 +423,31 @@ TEST(Rekey, ServerRejectsTamperedInitEntry)
     EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
     expect_failed_closed(*env.server, tls::AlertDescription::decrypt_error,
                          "mctls: rekey material: ");
+}
+
+// The handshake's key-material opener rejects a half for a context that
+// was never negotiated, and the rekey opener is the same code. The entry is
+// sealed correctly under K_endpoints, as only an endpoint holding S_C-S can.
+TEST(Rekey, ServerRejectsInitHalfForUnknownContext)
+{
+    HostileRekeyEnv env;
+    RekeyRecord init = env.init_toward_server();
+    EndpointKeys keys =
+        derive_endpoint_keys(env.client->ticket().s_cs, env.client_random, env.server_random);
+    Bytes secret(32, 0x5e);
+    std::vector<EndpointMaterialEntry> halves = {
+        {1, derive_partial_keys(secret, env.client_random, 1)},
+        {9, derive_partial_keys(secret, env.client_random, 9)},  // never negotiated
+    };
+    TestRng rng(7);
+    for (auto& e : init.entries)
+        if (e.entity == kEntityServer)
+            e.sealed = authenc_seal(keys.key_material,
+                                    rekey_ad(kEntityClient, kEntityServer, init.epoch),
+                                    serialize_endpoint_material(halves), rng);
+    EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
+    expect_failed_closed(*env.server, tls::AlertDescription::illegal_parameter,
+                         "mctls: key material for unknown context");
 }
 
 TEST(Rekey, ServerRejectsOutOfSequenceEpoch)

@@ -315,7 +315,9 @@ TEST(Histogram, BucketBoundariesAtOctaveEdges)
         EXPECT_EQ(at, 1 + static_cast<size_t>(k) * Histogram::kSubBuckets)
             << "v=2^" << k;
         EXPECT_LT(below, at) << "v=2^" << k << "-1";
-        if (k >= 3) EXPECT_EQ(below, at - 1) << "v=2^" << k << "-1";
+        if (k >= 3) {
+            EXPECT_EQ(below, at - 1) << "v=2^" << k << "-1";
+        }
         EXPECT_EQ(Histogram::bucket_lower_bound(at), pow2);
     }
 }
