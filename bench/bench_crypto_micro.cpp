@@ -119,6 +119,11 @@ int main()
     }
     auto alice = crypto::x25519_keypair(rng);
     auto bob = crypto::x25519_keypair(rng);
+    // The fixed-base public key (key generation) and the variable-base
+    // ladder (the shared secret).
+    report.point("x25519_public_ops", "op", bench::ops_per_sec([&] {
+        crypto::x25519_public_key(alice.private_key);
+    }));
     report.point("x25519_shared_ops", "op", bench::ops_per_sec([&] {
         auto r = crypto::x25519_shared(alice.private_key, bob.public_key);
         (void)r;

@@ -1,263 +1,125 @@
 #include "crypto/fe25519.h"
 
-#include <stdexcept>
-
 namespace mct::crypto {
 
 namespace {
 
-using uint128 = unsigned __int128;
+using fe_detail::kMask;
 
-constexpr uint64_t kMask = (uint64_t{1} << 51) - 1;
-
-// Propagate carries so every limb is < 2^51 (+ tiny excess in limb 0
-// after the final 19-fold, resolved by a second pass by callers that
-// need it; arithmetic below tolerates limbs slightly above 2^51).
-void carry(Fe& f)
+uint64_t load64_le(const uint8_t* p)
 {
-    for (int i = 0; i < 4; ++i) {
-        f.v[i + 1] += f.v[i] >> 51;
-        f.v[i] &= kMask;
-    }
-    uint64_t top = f.v[4] >> 51;
-    f.v[4] &= kMask;
-    f.v[0] += top * 19;
-    f.v[1] += f.v[0] >> 51;
-    f.v[0] &= kMask;
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
+    return v;
+}
+
+void store64_le(uint8_t* p, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+// a^(2^k), k >= 1.
+Fe sq_times(Fe a, int k)
+{
+    for (int i = 0; i < k; ++i) a = fe_sq(a);
+    return a;
+}
+
+// The shared head of both exponentiation chains: returns a^(2^250 - 1)
+// and sets a11 = a^11.
+Fe pow_2_250_minus_1(const Fe& a, Fe& a11)
+{
+    Fe a2 = fe_sq(a);
+    Fe a9 = fe_mul(sq_times(a2, 2), a);
+    a11 = fe_mul(a9, a2);
+    Fe e5 = fe_mul(fe_sq(a11), a9);          // 2^5 - 1
+    Fe e10 = fe_mul(sq_times(e5, 5), e5);    // 2^10 - 1
+    Fe e20 = fe_mul(sq_times(e10, 10), e10);
+    Fe e40 = fe_mul(sq_times(e20, 20), e20);
+    Fe e50 = fe_mul(sq_times(e40, 10), e10);
+    Fe e100 = fe_mul(sq_times(e50, 50), e50);
+    Fe e200 = fe_mul(sq_times(e100, 100), e100);
+    return fe_mul(sq_times(e200, 50), e50);  // 2^250 - 1
 }
 
 }  // namespace
 
-Fe fe_zero()
-{
-    return {};
-}
-
-Fe fe_one()
+Fe fe_from_bytes(const uint8_t in[32])
 {
     Fe f;
-    f.v[0] = 1;
+    f.v[0] = load64_le(in) & kMask;
+    f.v[1] = (load64_le(in + 6) >> 3) & kMask;
+    f.v[2] = (load64_le(in + 12) >> 6) & kMask;
+    f.v[3] = (load64_le(in + 19) >> 1) & kMask;
+    f.v[4] = (load64_le(in + 24) >> 12) & kMask;
     return f;
 }
 
-Fe fe_from_u64(uint64_t x)
+void fe_to_bytes(uint8_t out[32], const Fe& f)
 {
-    Fe f;
-    f.v[0] = x & kMask;
-    f.v[1] = x >> 51;
-    return f;
-}
-
-Fe fe_from_bytes(ConstBytes b)
-{
-    if (b.size() != 32) throw std::invalid_argument("fe_from_bytes: need 32 bytes");
-    auto load64 = [&](size_t off) {
-        uint64_t v = 0;
-        for (int i = 7; i >= 0; --i) v = v << 8 | b[off + i];
-        return v;
-    };
-    Fe f;
-    f.v[0] = load64(0) & kMask;
-    f.v[1] = (load64(6) >> 3) & kMask;
-    f.v[2] = (load64(12) >> 6) & kMask;
-    f.v[3] = (load64(19) >> 1) & kMask;
-    f.v[4] = (load64(24) >> 12) & kMask;
-    return f;
-}
-
-Bytes fe_to_bytes(const Fe& f)
-{
-    Fe t = f;
-    carry(t);
-    carry(t);
-    // Now limbs < 2^51; reduce mod p at most twice.
-    for (int pass = 0; pass < 2; ++pass) {
-        bool ge_p = t.v[4] == kMask && t.v[3] == kMask && t.v[2] == kMask &&
-                    t.v[1] == kMask && t.v[0] >= kMask - 18;
-        if (ge_p) {
-            t.v[0] -= kMask - 18;
-            t.v[1] = t.v[2] = t.v[3] = t.v[4] = 0;
-        }
+    // Two carry passes leave t in [0, 2^255) with limbs < 2^51. Adding 19
+    // carries out of bit 255 exactly when t >= p; that carry, folded back
+    // as +19, plus 2^255 - 19 taken off again by dropping bit 255, leaves
+    // t mod p without a comparison.
+    Fe t = fe_detail::carry(f.v[0], f.v[1], f.v[2], f.v[3], f.v[4]);
+    t = fe_detail::carry(t.v[0], t.v[1], t.v[2], t.v[3], t.v[4]);
+    t = fe_detail::carry(t.v[0] + 19, t.v[1], t.v[2], t.v[3], t.v[4]);
+    t.v[0] += (uint64_t{1} << 51) - 19;
+    for (int i = 1; i < 5; ++i) t.v[i] += (uint64_t{1} << 51) - 1;
+    for (int i = 0; i < 4; ++i) {
+        t.v[i + 1] += t.v[i] >> 51;
+        t.v[i] &= kMask;
     }
-    Bytes out(32, 0);
-    // Pack 5x51 bits little-endian.
-    uint64_t acc = 0;
-    int acc_bits = 0;
-    size_t byte = 0;
-    for (int limb = 0; limb < 5; ++limb) {
-        acc |= t.v[limb] << acc_bits;
-        acc_bits += 51;
-        while (acc_bits >= 8 && byte < 32) {
-            out[byte++] = static_cast<uint8_t>(acc);
-            acc >>= 8;
-            acc_bits -= 8;
-        }
-    }
-    if (byte < 32) out[byte] = static_cast<uint8_t>(acc);
-    return out;
-}
+    t.v[4] &= kMask;
 
-Fe fe_add(const Fe& a, const Fe& b)
-{
-    Fe out;
-    for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] + b.v[i];
-    carry(out);
-    return out;
-}
-
-Fe fe_sub(const Fe& a, const Fe& b)
-{
-    // a + 2p - b keeps limbs non-negative for reduced inputs.
-    Fe out;
-    out.v[0] = a.v[0] + 0xfffffffffffdaull - b.v[0];
-    for (int i = 1; i < 5; ++i) out.v[i] = a.v[i] + 0xffffffffffffeull - b.v[i];
-    carry(out);
-    return out;
-}
-
-Fe fe_neg(const Fe& a)
-{
-    return fe_sub(fe_zero(), a);
-}
-
-Fe fe_mul(const Fe& a, const Fe& b)
-{
-    const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-    const uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-    const uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-    uint128 r0 = (uint128)a0 * b0 + (uint128)a1 * b4_19 + (uint128)a2 * b3_19 +
-                 (uint128)a3 * b2_19 + (uint128)a4 * b1_19;
-    uint128 r1 = (uint128)a0 * b1 + (uint128)a1 * b0 + (uint128)a2 * b4_19 +
-                 (uint128)a3 * b3_19 + (uint128)a4 * b2_19;
-    uint128 r2 = (uint128)a0 * b2 + (uint128)a1 * b1 + (uint128)a2 * b0 +
-                 (uint128)a3 * b4_19 + (uint128)a4 * b3_19;
-    uint128 r3 = (uint128)a0 * b3 + (uint128)a1 * b2 + (uint128)a2 * b1 +
-                 (uint128)a3 * b0 + (uint128)a4 * b4_19;
-    uint128 r4 = (uint128)a0 * b4 + (uint128)a1 * b3 + (uint128)a2 * b2 +
-                 (uint128)a3 * b1 + (uint128)a4 * b0;
-
-    Fe out;
-    uint128 c;
-    c = r0 >> 51;
-    out.v[0] = static_cast<uint64_t>(r0) & kMask;
-    r1 += c;
-    c = r1 >> 51;
-    out.v[1] = static_cast<uint64_t>(r1) & kMask;
-    r2 += c;
-    c = r2 >> 51;
-    out.v[2] = static_cast<uint64_t>(r2) & kMask;
-    r3 += c;
-    c = r3 >> 51;
-    out.v[3] = static_cast<uint64_t>(r3) & kMask;
-    r4 += c;
-    c = r4 >> 51;
-    out.v[4] = static_cast<uint64_t>(r4) & kMask;
-    out.v[0] += static_cast<uint64_t>(c) * 19;
-    out.v[1] += out.v[0] >> 51;
-    out.v[0] &= kMask;
-    return out;
-}
-
-Fe fe_sq(const Fe& a)
-{
-    return fe_mul(a, a);
-}
-
-Fe fe_mul_small(const Fe& a, uint64_t s)
-{
-    Fe out;
-    uint128 c = 0;
-    for (int i = 0; i < 5; ++i) {
-        uint128 cur = (uint128)a.v[i] * s + c;
-        out.v[i] = static_cast<uint64_t>(cur) & kMask;
-        c = cur >> 51;
-    }
-    out.v[0] += static_cast<uint64_t>(c) * 19;
-    carry(out);
-    return out;
-}
-
-Fe fe_pow(const Fe& a, ConstBytes exponent_le)
-{
-    Fe result = fe_one();
-    // MSB-first square-and-multiply.
-    for (size_t byte = exponent_le.size(); byte-- > 0;) {
-        for (int bit = 7; bit >= 0; --bit) {
-            result = fe_sq(result);
-            if ((exponent_le[byte] >> bit) & 1) result = fe_mul(result, a);
-        }
-    }
-    return result;
+    store64_le(out, t.v[0] | t.v[1] << 51);
+    store64_le(out + 8, t.v[1] >> 13 | t.v[2] << 38);
+    store64_le(out + 16, t.v[2] >> 26 | t.v[3] << 25);
+    store64_le(out + 24, t.v[3] >> 39 | t.v[4] << 12);
 }
 
 Fe fe_invert(const Fe& a)
 {
-    // p - 2 = 2^255 - 21, little-endian bytes: eb ff .. ff 7f.
-    Bytes exp(32, 0xff);
-    exp[0] = 0xeb;
-    exp[31] = 0x7f;
-    return fe_pow(a, exp);
+    Fe a11;
+    Fe e250 = pow_2_250_minus_1(a, a11);
+    return fe_mul(sq_times(e250, 5), a11);  // 2^255 - 32 + 11 = p - 2
 }
 
-bool fe_is_zero(const Fe& a)
+Fe fe_pow22523(const Fe& a)
 {
-    Bytes b = fe_to_bytes(a);
-    uint8_t acc = 0;
-    for (uint8_t x : b) acc |= x;
-    return acc == 0;
+    Fe a11;
+    Fe e250 = pow_2_250_minus_1(a, a11);
+    return fe_mul(sq_times(e250, 2), a);  // 2^252 - 4 + 1
 }
 
-bool fe_equal(const Fe& a, const Fe& b)
+uint64_t fe_sqrt_ratio(const Fe& u, const Fe& v, Fe& out)
 {
-    return fe_to_bytes(a) == fe_to_bytes(b);
+    Fe v3 = fe_mul(fe_sq(v), v);
+    Fe v7 = fe_mul(fe_sq(v3), v);
+    Fe x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
+    Fe vxx = fe_mul(v, fe_sq(x));
+    uint64_t root = fe_equal(vxx, u);
+    uint64_t flipped = fe_equal(vxx, fe_neg(u));
+    fe_cmov(x, fe_mul(x, kFeSqrtM1), flipped);
+    out = x;
+    return root | flipped;
 }
 
-bool fe_is_negative(const Fe& a)
+uint64_t fe_equal(const Fe& a, const Fe& b)
 {
-    return fe_to_bytes(a)[0] & 1;
+    uint8_t sa[32], sb[32];
+    fe_to_bytes(sa, a);
+    fe_to_bytes(sb, b);
+    uint64_t acc = 0;
+    for (int i = 0; i < 32; ++i) acc |= sa[i] ^ sb[i];
+    return (acc - 1) >> 63;
 }
 
-void fe_cswap(Fe& a, Fe& b, uint64_t swap)
+uint64_t fe_is_negative(const Fe& a)
 {
-    uint64_t mask = 0 - swap;  // 0 or all-ones
-    for (int i = 0; i < 5; ++i) {
-        uint64_t x = mask & (a.v[i] ^ b.v[i]);
-        a.v[i] ^= x;
-        b.v[i] ^= x;
-    }
-}
-
-const Fe& fe_sqrt_m1()
-{
-    static const Fe value = [] {
-        // 2^((p-1)/4) with (p-1)/4 = 2^253 - 5: bytes fb ff .. ff 1f.
-        Bytes exp(32, 0xff);
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        return fe_pow(fe_from_u64(2), exp);
-    }();
-    return value;
-}
-
-bool fe_sqrt(const Fe& a, Fe& out)
-{
-    // Candidate root r = a^((p+3)/8), (p+3)/8 = 2^252 - 2: bytes fe ff .. ff 0f.
-    Bytes exp(32, 0xff);
-    exp[0] = 0xfe;
-    exp[31] = 0x0f;
-    Fe r = fe_pow(a, exp);
-    Fe r2 = fe_sq(r);
-    if (fe_equal(r2, a)) {
-        out = r;
-        return true;
-    }
-    Fe r_i = fe_mul(r, fe_sqrt_m1());
-    if (fe_equal(fe_sq(r_i), a)) {
-        out = r_i;
-        return true;
-    }
-    return false;
+    uint8_t s[32];
+    fe_to_bytes(s, a);
+    return s[0] & 1;
 }
 
 }  // namespace mct::crypto

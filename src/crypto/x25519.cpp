@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "crypto/ed25519.h"
 #include "crypto/fe25519.h"
 
 namespace mct::crypto {
@@ -10,6 +11,7 @@ namespace {
 
 Bytes clamp(ConstBytes scalar)
 {
+    if (scalar.size() != 32) throw std::invalid_argument("x25519: inputs must be 32 bytes");
     Bytes k = to_bytes(scalar);
     k[0] &= 248;
     k[31] &= 127;
@@ -21,10 +23,11 @@ Bytes clamp(ConstBytes scalar)
 
 Bytes x25519(ConstBytes scalar32, ConstBytes u32)
 {
-    if (scalar32.size() != 32 || u32.size() != 32)
-        throw std::invalid_argument("x25519: inputs must be 32 bytes");
+    if (u32.size() != 32) throw std::invalid_argument("x25519: inputs must be 32 bytes");
     Bytes k = clamp(scalar32);
-    Fe x1 = fe_from_bytes(u32);
+    // The Montgomery ladder: one conditional swap per scalar bit, the same
+    // field operations whatever the bit.
+    Fe x1 = fe_from_bytes(u32.data());
     Fe x2 = fe_one(), z2 = fe_zero();
     Fe x3 = x1, z3 = fe_one();
     uint64_t swap = 0;
@@ -51,7 +54,9 @@ Bytes x25519(ConstBytes scalar32, ConstBytes u32)
     }
     fe_cswap(x2, x3, swap);
     fe_cswap(z2, z3, swap);
-    return fe_to_bytes(fe_mul(x2, fe_invert(z2)));
+    Bytes out(32);
+    fe_to_bytes(out.data(), fe_mul(x2, fe_invert(z2)));
+    return out;
 }
 
 Bytes x25519_private_key(Rng& rng)
@@ -61,9 +66,12 @@ Bytes x25519_private_key(Rng& rng)
 
 Bytes x25519_public_key(ConstBytes private_key)
 {
-    Bytes base(32, 0);
-    base[0] = 9;
-    return x25519(private_key, base);
+    // k * 9 on the Montgomery curve is k * B on the birationally equivalent
+    // Edwards curve, mapped back: the fixed-base comb instead of the ladder.
+    Bytes k = clamp(private_key);
+    Bytes out(32);
+    detail::base_mul_montgomery_u(out.data(), k.data());
+    return out;
 }
 
 X25519KeyPair x25519_keypair(Rng& rng)

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <vector>
 
 #include "crypto/drbg.h"
 #include "crypto/sha2.h"
@@ -184,6 +186,130 @@ TEST(Ed25519, ScalarBoundaryValues)
     Bytes out(32, 0xaa);
     detail::sc_muladd(out.data(), m.data(), m.data(), m.data());
     EXPECT_EQ(to_hex(out), zero);
+}
+
+// The clamped secret scalar a of a seed (RFC 8032 §5.1.5).
+std::array<uint8_t, 32> secret_scalar(ConstBytes seed)
+{
+    Sha512 h;
+    h.update(seed);
+    auto d = h.finish();
+    std::array<uint8_t, 32> a;
+    std::copy(d.begin(), d.begin() + 32, a.begin());
+    a[0] &= 248;
+    a[31] &= 63;
+    a[31] |= 64;
+    return a;
+}
+
+// A signature with a chosen R by the key's owner: s = k*a, so that
+// s*B - k*A is the identity. Verifies iff R is the identity's encoding.
+Bytes sign_with_r(ConstBytes seed, ConstBytes pub, ConstBytes msg, const Bytes& r_enc)
+{
+    Sha512 h;
+    h.update(r_enc);
+    h.update(pub);
+    h.update(msg);
+    auto d = h.finish();
+    uint8_t k[32], zero[32] = {};
+    detail::sc_reduce(k, d.data());
+    Bytes sig = r_enc;
+    sig.resize(64);
+    detail::sc_muladd(sig.data() + 32, zero, k, secret_scalar(seed).data());
+    return sig;
+}
+
+// y = p + 1: a second, non-canonical encoding of the identity's y = 1.
+const char kIdentityPlusPHex[] = "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+
+TEST(Ed25519, NonCanonicalREncodingRejected)
+{
+    Bytes seed = from_hex("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb");
+    Bytes pub = ed25519_public_from_seed(seed);
+    Bytes msg = str_to_bytes("non-canonical R");
+    Bytes identity = from_hex("01" + std::string(62, '0'));
+    // R = identity, s = k*a: s*B = R + k*A holds, and R is canonical.
+    EXPECT_TRUE(ed25519_verify(pub, msg, sign_with_r(seed, pub, msg, identity)));
+    // The same point with y = p + 1: the equation holds as well (y reduces
+    // to 1), but RFC 8032 §5.1.3 rejects an encoding with y >= p.
+    EXPECT_FALSE(
+        ed25519_verify(pub, msg, sign_with_r(seed, pub, msg, from_hex(kIdentityPlusPHex))));
+}
+
+TEST(Ed25519, NonCanonicalPublicKeyRejected)
+{
+    Bytes msg = str_to_bytes("non-canonical A");
+    // A = identity encoded as y = p + 1 with R = identity and s = 0: s*B =
+    // R + k*A holds for every message once y is reduced.
+    Bytes identity = from_hex("01" + std::string(62, '0'));
+    Bytes sig = concat(identity, Bytes(32, 0));
+    EXPECT_FALSE(ed25519_verify(from_hex(kIdentityPlusPHex), msg, sig));
+    // Every encoding with y in [p, 2^255), either sign bit.
+    for (int low = 0; low < 19; ++low) {
+        for (uint8_t sign : {0x00, 0x80}) {
+            Bytes a(32, 0xff);
+            a[0] = static_cast<uint8_t>(0xed + low);
+            a[31] = static_cast<uint8_t>(0x7f | sign);
+            EXPECT_FALSE(ed25519_verify(a, msg, sig)) << "y = p + " << low;
+        }
+    }
+}
+
+TEST(Ed25519, SmallOrderPublicKeysRejected)
+{
+    // The eight points of order 1, 2, 4 and 8, canonically encoded. With
+    // R = identity and s = 0 the equation is R = -k*A, which holds whenever
+    // the order of A divides k: for every message with the identity, for
+    // half of them with the order-2 point, and so on. 8*A = identity
+    // rejects the key before any of that.
+    const char* small_order[] = {
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    };
+    Bytes sig = concat(from_hex("01" + std::string(62, '0')), Bytes(32, 0));
+    for (const char* hex : small_order) {
+        for (int m = 0; m < 16; ++m) {
+            Bytes msg{static_cast<uint8_t>(m)};
+            EXPECT_FALSE(ed25519_verify(from_hex(hex), msg, sig)) << hex << " msg " << m;
+        }
+    }
+}
+
+// The comb's signed radix-16 digits: in range, summing back to the scalar,
+// and between them reaching every digit -8..8 that the table select takes.
+TEST(Ed25519, CombRecodingCoversEveryDigit)
+{
+    std::vector<Bytes> scalars{Bytes(32, 0x00), Bytes(32, 0x88), Bytes(32, 0x77),
+                               Bytes(32, 0xff)};
+    TestRng rng(48);
+    for (int i = 0; i < 200; ++i) scalars.push_back(rng.bytes(32));
+    bool seen[17] = {};
+    for (Bytes& a : scalars) {
+        a[31] &= 0x7f;  // the comb's precondition
+        int8_t e[64];
+        detail::sc_recode_radix16(e, a.data());
+        for (int i = 0; i < 64; ++i) {
+            ASSERT_GE(e[i], -8);
+            ASSERT_LE(e[i], i == 63 ? 8 : 7) << "digit " << i;
+            seen[e[i] + 8] = true;
+        }
+        // Sum e[i] * 16^i back into nibbles, carrying signed.
+        int carry = 0;
+        for (int i = 0; i < 64; ++i) {
+            int n = e[i] + carry;
+            carry = n >> 4;
+            int nibble = (a[i / 2] >> (4 * (i % 2))) & 15;
+            ASSERT_EQ(n & 15, nibble) << "nibble " << i;
+        }
+        ASSERT_EQ(carry, 0);
+    }
+    for (int d = -8; d <= 8; ++d) EXPECT_TRUE(seen[d + 8]) << "digit " << d;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// First-use cost regression for the AES tables and SHA round constants (its
-// own binary so "first use in the process" is well defined).
+// First-use cost regression for the AES tables, the SHA round constants and
+// the Curve25519 base-point tables (its own binary so "first use in the
+// process" is well defined).
 //
 // The S-box used to be derived by a brute-force 256x256 GF(2^8) scan inside
 // a function-local static, so the first Aes128 constructed in a process —
@@ -18,7 +19,9 @@
 #include <vector>
 
 #include "crypto/aes.h"
+#include "crypto/ed25519.h"
 #include "crypto/sha2.h"
+#include "crypto/x25519.h"
 
 namespace mct::crypto {
 namespace {
@@ -125,6 +128,42 @@ TEST(FirstUse, Sha512ConstantsCostNothingToInitialize)
     uint64_t budget = std::max<uint64_t>(100'000, 100 * median_ns);
     EXPECT_LT(first_ns, budget)
         << "first=" << first_ns << "ns median=" << median_ns << "ns";
+}
+
+TEST(FirstUse, CurveTablesCostNothingToInitialize)
+{
+    // The fixed-base comb's 32 x 8 table and the verify's odd multiples of B
+    // are generated constants (crypto/curve25519_tables.inc), so the first
+    // signature and the first X25519 public key pay no table build.
+    Bytes seed(32, 0x11), msg(64, 0x22);
+    auto t0 = Clock::now();
+    Bytes first_sig = ed25519_sign(seed, msg);
+    auto t1 = Clock::now();
+    Bytes first_pub = x25519_public_key(seed);
+    auto t2 = Clock::now();
+    uint64_t first_sign_ns = ns(t0, t1), first_pub_ns = ns(t1, t2);
+
+    std::vector<uint64_t> sign_samples, pub_samples;
+    for (int i = 0; i < 200; ++i) {
+        auto a = Clock::now();
+        Bytes sig = ed25519_sign(seed, msg);
+        auto b = Clock::now();
+        Bytes pub = x25519_public_key(seed);
+        auto c = Clock::now();
+        ASSERT_EQ(sig, first_sig);
+        ASSERT_EQ(pub, first_pub);
+        sign_samples.push_back(ns(a, b));
+        pub_samples.push_back(ns(b, c));
+    }
+    std::sort(sign_samples.begin(), sign_samples.end());
+    std::sort(pub_samples.begin(), pub_samples.end());
+    uint64_t sign_median_ns = sign_samples[sign_samples.size() / 2];
+    uint64_t pub_median_ns = pub_samples[pub_samples.size() / 2];
+
+    EXPECT_LT(first_sign_ns, std::max<uint64_t>(100'000, 100 * sign_median_ns))
+        << "first=" << first_sign_ns << "ns median=" << sign_median_ns << "ns";
+    EXPECT_LT(first_pub_ns, std::max<uint64_t>(100'000, 100 * pub_median_ns))
+        << "first=" << first_pub_ns << "ns median=" << pub_median_ns << "ns";
 }
 
 }  // namespace
