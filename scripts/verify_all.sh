@@ -73,3 +73,8 @@ cmake --build build-obs-off -j "$(nproc)"
 ctest --test-dir build-obs-off --output-on-failure -j "$(nproc)" "$@"
 
 echo "=== verify_all: OK ==="
+
+# The numbers ROADMAP's quality aim tracks: .h/.cpp lines per tree.
+lines() { find "$@" \( -name '*.h' -o -name '*.cpp' \) -print0 | xargs -0 cat | wc -l; }
+echo "lines (.h/.cpp): src/ $(lines src), tests/ $(lines tests)," \
+     "bench/+examples/ $(lines bench examples)"

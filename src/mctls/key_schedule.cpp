@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/prf.h"
 #include "util/serde.h"
@@ -181,32 +182,45 @@ ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstByt
     return keys;
 }
 
-void PendingEpoch::begin(uint32_t next_epoch)
+void ContextTable::assign(const std::vector<ContextDescription>& negotiated)
 {
-    active = true;
-    epoch = next_epoch;
-    keys.clear();
-    switched[0] = switched[1] = false;
-}
-
-void PendingEpoch::switch_direction(std::map<uint8_t, ContextKeys>& current, Direction dir)
-{
-    size_t d = static_cast<size_t>(dir);
-    for (const auto& [id, next] : keys) {
-        ContextKeys& k = current[id];
-        k.reader_enc[d] = next.reader_enc[d];
-        k.reader_mac[d] = next.reader_mac[d];
-        k.writer_mac[d] = next.writer_mac[d];
+    entries_.clear();
+    entries_.reserve(negotiated.size());
+    slot_.fill(0);
+    for (const ContextDescription& desc : negotiated) {
+        ContextEntry& e = entries_.emplace_back();
+        e.desc = desc;
+        e.stats.id = desc.id;
+        e.stats.name = desc.purpose.empty() ? "ctx" + std::to_string(desc.id) : desc.purpose;
+        slot_[desc.id] = static_cast<uint8_t>(entries_.size());
     }
-    switched[d] = true;
 }
 
-bool PendingEpoch::complete(uint32_t& current_epoch)
+void ContextTable::begin_rekey(uint32_t next_epoch)
 {
-    if (!active || !switched[0] || !switched[1]) return false;
-    current_epoch = epoch;
-    active = false;
-    keys.clear();
+    pending_epoch_ = next_epoch;
+    switched_[0] = switched_[1] = false;
+    for (ContextEntry& e : entries_) e.next.reset();
+}
+
+void ContextTable::switch_direction(Direction dir)
+{
+    static const ContextKeys kNone;
+    size_t d = static_cast<size_t>(dir);
+    for (ContextEntry& e : entries_) {
+        const ContextKeys& next = e.next ? *e.next : kNone;
+        e.keys.reader_enc[d] = next.reader_enc[d];
+        e.keys.reader_mac[d] = next.reader_mac[d];
+        e.keys.writer_mac[d] = next.writer_mac[d];
+    }
+    switched_[d] = true;
+}
+
+bool ContextTable::complete_rekey(uint32_t& current_epoch)
+{
+    if (!pending_epoch_ || !switched_[0] || !switched_[1]) return false;
+    current_epoch = *std::exchange(pending_epoch_, std::nullopt);
+    for (ContextEntry& e : entries_) e.next.reset();
     return true;
 }
 

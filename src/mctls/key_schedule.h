@@ -14,10 +14,16 @@
 // *Keys structs below are those expansions.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "mctls/authenc.h"
+#include "mctls/types.h"
+#include "obs/obs.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -56,6 +62,14 @@ struct ContextKeys {
 
     bool can_read() const { return !reader_enc[0].empty(); }
     bool can_write() const { return !writer_mac[0].empty(); }
+    // The access these keys give to records flowing in `dir`.
+    Permission access(Direction dir) const
+    {
+        size_t d = static_cast<size_t>(dir);
+        return !writer_mac[d].empty()   ? Permission::write
+               : !reader_enc[d].empty() ? Permission::read
+                                        : Permission::none;
+    }
 
     // Wire form for client-key-distribution mode; `writer` selects whether
     // writer keys are included.
@@ -102,28 +116,66 @@ ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id);
 
-// In-band rekey state shared by endpoints and middleboxes: the next epoch's
-// context keys, switched in one direction at a time as the rekey markers
-// pass (the server's response flips server->client, the client's commit
-// flips client->server). The direction that has not switched yet keeps
-// running under the current epoch.
-struct PendingEpoch {
-    bool active = false;
-    uint32_t epoch = 0;  // the epoch being established
-    std::map<uint8_t, ContextKeys> keys;
-    bool switched[2] = {false, false};  // indexed by Direction
+// One negotiated context at one party (§3.3-3.4).
+struct ContextEntry {
+    // As negotiated. At an endpoint, permissions[m] is middlebox m's
+    // effective grant, min(requested, granted), once both hellos are known;
+    // a middlebox's own access is the keys it holds.
+    ContextDescription desc;
+    // Current epoch. Members a party was not given stay empty.
+    ContextKeys keys;
+    // The next epoch's keys, only while an in-band rekey is in flight; null
+    // for a context the new epoch does not grant this party.
+    std::unique_ptr<ContextKeys> next;
+    // Endpoint only: the halves this party and its peer contribute to the
+    // handshake and then to each rekey.
+    std::optional<PartialContextKeys> own_half;
+    std::optional<PartialContextKeys> peer_half;
+    // session_stats() row: id, name and payload counters. Idle contexts get
+    // a row too. A middlebox only fills the inbound half.
+    obs::ContextStats stats;
+};
 
-    void begin(uint32_t next_epoch);
-    bool has_switched(Direction dir) const
+// A party's negotiated contexts: one entry each, in negotiated order, found
+// by id in one step. Looking an entry up never adds one.
+//
+// It also carries the in-band rekey shared by endpoints and middleboxes: the
+// next epoch's keys (ContextEntry::next) switch in one direction at a time
+// as the rekey markers pass (the server's response flips server->client, the
+// client's commit flips client->server). The direction that has not
+// switched yet keeps running under the current epoch.
+class ContextTable {
+public:
+    // One entry per context of `negotiated`, whose ids are distinct and
+    // non-zero (MiddleboxListExtension::parse and the Session config check
+    // enforce both).
+    void assign(const std::vector<ContextDescription>& negotiated);
+
+    ContextEntry* find(uint8_t id) { return slot_[id] ? &entries_[slot_[id] - 1] : nullptr; }
+    const ContextEntry* find(uint8_t id) const
     {
-        return active && switched[static_cast<size_t>(dir)];
+        return slot_[id] ? &entries_[slot_[id] - 1] : nullptr;
     }
-    // Every context with pending keys takes `dir`'s reader and writer keys
-    // into `current`.
-    void switch_direction(std::map<uint8_t, ContextKeys>& current, Direction dir);
+    // A span, so callers cannot add or drop an entry behind the index.
+    std::span<ContextEntry> entries() { return entries_; }
+    std::span<const ContextEntry> entries() const { return entries_; }
+
+    // The epoch an in-flight rekey establishes; nullopt when none is.
+    std::optional<uint32_t> pending_epoch() const { return pending_epoch_; }
+    // Starts establishing `next_epoch`; drops any pending keys.
+    void begin_rekey(uint32_t next_epoch);
+    // Every entry takes `dir`'s reader and writer keys from its pending
+    // keys. An entry with none loses them: a revoked middlebox keeps no key.
+    void switch_direction(Direction dir);
     // Once both directions have switched: `current_epoch` becomes the new
-    // epoch, the record is cleared, and the result is true.
-    bool complete(uint32_t& current_epoch);
+    // epoch, the pending keys are released, and the result is true.
+    bool complete_rekey(uint32_t& current_epoch);
+
+private:
+    std::vector<ContextEntry> entries_;
+    std::array<uint8_t, kMaxContexts + 1> slot_{};  // id -> index + 1; 0 = not negotiated
+    std::optional<uint32_t> pending_epoch_;
+    bool switched_[2] = {false, false};  // indexed by Direction
 };
 
 }  // namespace mct::mctls

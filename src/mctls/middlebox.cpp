@@ -190,7 +190,7 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
         if (!ext)
             return fail(AlertDescription::decode_error, "mctls mbox: bad middlebox list");
         middleboxes_ = ext.value().middleboxes;
-        contexts_ = ext.value().contexts;
+        table_.assign(ext.value().contexts);
         for (size_t i = 0; i < middleboxes_.size(); ++i) {
             if (middleboxes_[i].name == cfg_.name) entity_index_ = i;
         }
@@ -393,17 +393,13 @@ Status MiddleboxSession::extract_key_material(From from, const MiddleboxKeyMater
     }
 
     Status s = open_material(pairwise, key_material_ad(km.sender, km.entity), km.sealed,
-                             "mctls mbox: key material",
-                             from_client ? client_material_ : server_material_);
+                             "mctls mbox: key material", material_[static_cast<size_t>(from)]);
     if (!s) return s;
-    (from_client ? client_material_seen_ : server_material_seen_) = true;
-    try_finalize_keys();
-    return {};
+    return try_finalize_keys();
 }
 
 Status MiddleboxSession::open_material(const AuthEncKey& pairwise, ConstBytes ad,
-                                       ConstBytes sealed, const char* what,
-                                       std::vector<MiddleboxMaterialEntry>& entries)
+                                       ConstBytes sealed, const char* what, Material& entries)
 {
     auto plain = authenc_open(pairwise, ad, sealed);
     if (!plain)
@@ -412,36 +408,48 @@ Status MiddleboxSession::open_material(const AuthEncKey& pairwise, ConstBytes ad
     crypto::count_dec(cfg_.ops);
     auto parsed = parse_middlebox_material(plain.value());
     if (!parsed) return fail(AlertDescription::decode_error, parsed.error().message);
+    for (const auto& e : parsed.value()) {
+        if (!table_.find(e.context_id))
+            return fail(AlertDescription::illegal_parameter,
+                        "mctls mbox: key material for unknown context");
+    }
     entries = parsed.take();
     return {};
 }
 
-void MiddleboxSession::try_finalize_keys()
+Status MiddleboxSession::try_finalize_keys()
 {
-    if (keys_ready_) return;
+    if (keys_ready_) return {};
     if (ckd_) {
         // Client key distribution: complete keys arrive from the client only.
-        if (!client_material_seen_) return;
-        for (const auto& e : client_material_) {
+        if (!material_[0]) return {};
+        for (const auto& e : *material_[0]) {
             auto keys = ContextKeys::parse(e.complete_keys);
             if (!keys) continue;
-            context_keys_[e.context_id] = keys.take();
-            permissions_[e.context_id] = e.permission;
+            // Our access is what the keys give, so they must match the grant.
+            if (keys.value().access(Direction::client_to_server) != e.permission ||
+                keys.value().access(Direction::server_to_client) != e.permission)
+                return fail(AlertDescription::illegal_parameter,
+                            "mctls mbox: key material permission mismatch");
+            table_.find(e.context_id)->keys = keys.take();
         }
     } else {
-        if (!client_material_seen_ || !server_material_seen_) return;
-        combine_material(client_material_, server_material_, context_keys_, permissions_);
+        if (!material_[0] || !material_[1]) return {};
+        combine_material(*material_[0], *material_[1], /*pending=*/false);
     }
     keys_ready_ = true;
-    core_.trace(obs::EventType::hs_key_distribution, 0, context_keys_.size(), ckd_ ? 1 : 0);
-    core_.trace(obs::EventType::hs_complete, 0, context_keys_.size());
+    auto keyed = static_cast<uint64_t>(
+        std::count_if(table_.entries().begin(), table_.entries().end(),
+                      [](const ContextEntry& e) { return e.keys.can_read(); }));
+    core_.trace(obs::EventType::hs_key_distribution, 0, keyed, ckd_ ? 1 : 0);
+    core_.trace(obs::EventType::hs_complete, 0, keyed);
     if (cfg_.session_cache) cfg_.session_cache->put(ticket());
+    return {};
 }
 
 void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry>& client,
                                         const std::vector<MiddleboxMaterialEntry>& server,
-                                        std::map<uint8_t, ContextKeys>& keys,
-                                        std::map<uint8_t, Permission>& permissions)
+                                        bool pending)
 {
     // A context key exists only where BOTH endpoints supplied their half —
     // this is how mutual consent (R4) is enforced.
@@ -459,8 +467,12 @@ void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry
                        : combine_reader_keys(ce.reader_half, se.reader_half, client_random_,
                                              server_random_);
             crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
-            keys[ce.context_id] = std::move(combined);
-            permissions[ce.context_id] = writer ? Permission::write : Permission::read;
+            // open_material admitted only negotiated contexts.
+            ContextEntry& ctx = *table_.find(ce.context_id);
+            if (pending)
+                ctx.next = std::make_unique<ContextKeys>(std::move(combined));
+            else
+                ctx.keys = std::move(combined);
         }
     }
 }
@@ -484,8 +496,9 @@ MiddleboxTicket MiddleboxSession::ticket() const
 // switches client->server. With in-order delivery on each hop, every record
 // after a marker (in that direction) is sealed under the new epoch's keys,
 // so we flip each direction exactly when the marker passes through us. A
-// record carrying no entry for us means we are being revoked: the pending
-// permission set stays empty and we degrade to blind forwarding.
+// record carrying no entry for us means we are being revoked: no context
+// gets pending keys, each switch drops that direction's keys, and we degrade
+// to blind forwarding.
 
 Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& view)
 {
@@ -503,43 +516,36 @@ Status MiddleboxSession::handle_rekey_record(From from, const tls::RecordView& v
     const RekeyRecord& rk = parsed.value();
 
     if (rk.phase == RekeyPhase::init && from == From::client) {
-        rekey_.begin(rk.epoch);
-        pending_permissions_.clear();
-        pending_material_[0].reset();
-        pending_material_[1].reset();
-        pending_revoked_ = std::none_of(rk.entries.begin(), rk.entries.end(),
-                                        [&](const RekeyEntry& e) {
-                                            return e.entity == entity_index_;
-                                        });
+        table_.begin_rekey(rk.epoch);
+        material_[0].reset();
+        material_[1].reset();
         if (auto st = open_rekey_material(From::client, rk); !st) return st;
+        bool revoked = !material_[0];  // the init carries no entry for us
         core_.trace(obs::EventType::rekey_init,
-                    static_cast<uint16_t>(entity_index_), rk.epoch,
-                    pending_revoked_ ? 1 : 0);
-        if (pending_revoked_)
+                    static_cast<uint16_t>(entity_index_), rk.epoch, revoked ? 1 : 0);
+        if (revoked)
             core_.trace(obs::EventType::mbox_excised,
                         static_cast<uint16_t>(entity_index_), rk.epoch);
         return {};
     }
 
-    if (rk.phase == RekeyPhase::resp && from == From::server && rekey_.active &&
-        rk.epoch == rekey_.epoch) {
-        if (!pending_revoked_) {
+    if (rk.phase == RekeyPhase::resp && from == From::server &&
+        table_.pending_epoch() == rk.epoch) {
+        if (material_[0]) {  // not revoked
             if (auto st = open_rekey_material(From::server, rk); !st) return st;
-            if (pending_material_[0] && pending_material_[1])
-                combine_material(*pending_material_[0], *pending_material_[1], rekey_.keys,
-                                 pending_permissions_);
+            if (material_[1])
+                combine_material(*material_[0], *material_[1], /*pending=*/true);
         }
-        rekey_.switch_direction(context_keys_, Direction::server_to_client);
+        table_.switch_direction(Direction::server_to_client);
         return {};
     }
 
-    if (rk.phase == RekeyPhase::commit && from == From::client && rekey_.active &&
-        rk.epoch == rekey_.epoch) {
-        rekey_.switch_direction(context_keys_, Direction::client_to_server);
-        if (rekey_.complete(epoch_)) {
-            permissions_ = std::exchange(pending_permissions_, {});
-            pending_material_[0].reset();
-            pending_material_[1].reset();
+    if (rk.phase == RekeyPhase::commit && from == From::client &&
+        table_.pending_epoch() == rk.epoch) {
+        table_.switch_direction(Direction::client_to_server);
+        if (table_.complete_rekey(epoch_)) {
+            material_[0].reset();
+            material_[1].reset();
             core_.trace(obs::EventType::rekey_complete, static_cast<uint16_t>(entity_index_),
                         epoch_);
         }
@@ -555,26 +561,25 @@ Status MiddleboxSession::open_rekey_material(From from, const RekeyRecord& rk)
     uint8_t sender = from == From::client ? kEntityClient : kEntityServer;
     for (const auto& e : rk.entries) {
         if (e.entity != entity_index_) continue;
-        std::vector<MiddleboxMaterialEntry> entries;
         Status s = open_material(pairwise,
                                  rekey_ad(sender, static_cast<uint8_t>(entity_index_), rk.epoch),
-                                 e.sealed, "mctls mbox: rekey material", entries);
+                                 e.sealed, "mctls mbox: rekey material", material_[side]);
         if (!s) return s;
-        pending_material_[side] = std::move(entries);
     }
     return {};
 }
 
 Permission MiddleboxSession::permission(uint8_t context_id) const
 {
-    auto it = permissions_.find(context_id);
-    return it == permissions_.end() ? Permission::none : it->second;
+    // Client->server is the direction a rekey switches last.
+    const ContextEntry* ctx = table_.find(context_id);
+    return ctx ? ctx->keys.access(Direction::client_to_server) : Permission::none;
 }
 
 const ContextKeys* MiddleboxSession::context_keys(uint8_t context_id) const
 {
-    auto it = context_keys_.find(context_id);
-    return it == context_keys_.end() ? nullptr : &it->second;
+    if (permission(context_id) == Permission::none) return nullptr;
+    return &table_.find(context_id)->keys;
 }
 
 Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& view)
@@ -599,21 +604,19 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         return core_.emit_span(in_ctx, st, view.context_id, cpu, a);
     };
 
-    Permission perm = permission(view.context_id);
-    // Mid-rekey, a direction that already switched runs under the pending
-    // epoch's permissions: a revoked (or downgraded) middlebox must forward
-    // blind rather than fail on keys it was not given.
-    if (rekey_.has_switched(dir)) {
-        auto it = pending_permissions_.find(view.context_id);
-        perm = it == pending_permissions_.end() ? Permission::none : it->second;
-    }
-    auto keys = context_keys_.find(view.context_id);
+    // Our access is what our keys for this direction give. Mid-rekey, a
+    // direction that already switched runs under the new epoch's keys, so a
+    // revoked middlebox forwards blind rather than fail on keys it was not
+    // given.
+    ContextEntry* ctx = table_.find(view.context_id);
+    Permission perm = ctx ? ctx->keys.access(dir) : Permission::none;
 
-    if (perm == Permission::none || keys == context_keys_.end()) {
+    if (perm == Permission::none) {
         ++records_forwarded_blind_;
-        CtxCounters& cc = ctx_counters_[view.context_id];
-        cc.bytes_in += view.payload.size();  // opaque: only wire size visible
-        ++cc.records_in;
+        if (ctx) {
+            ctx->stats.bytes_in += view.payload.size();  // opaque: only wire size visible
+            ++ctx->stats.records_in;
+        }
         core_.trace(obs::EventType::mbox_forward_blind, view.context_id, view.payload.size());
         forward_wire(from, view.wire, /*own_unit=*/true);
         if (traced)
@@ -623,7 +626,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     }
 
     if (perm == Permission::read) {
-        auto payload = open_record_reader(keys->second, dir, seq, view.context_id,
+        auto payload = open_record_reader(ctx->keys, dir, seq, view.context_id,
                                           view.payload, open_scratch_, tp);
         if (!payload) {
             core_.note_mac_failure(view.context_id, view.payload.size());
@@ -631,9 +634,8 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
         }
         ++records_read_;
         ++core_.counters.macs_verified;  // reader MAC
-        CtxCounters& cc = ctx_counters_[view.context_id];
-        cc.bytes_in += payload.value().size();
-        ++cc.records_in;
+        ctx->stats.bytes_in += payload.value().size();
+        ++ctx->stats.records_in;
         core_.trace(obs::EventType::mbox_read, view.context_id, payload.value().size(), 1);
         if (cfg_.observe) cfg_.observe(view.context_id, dir, payload.value());
         forward_wire(from, view.wire, /*own_unit=*/true);  // original bytes
@@ -647,7 +649,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     }
 
     // Writer.
-    auto opened = open_record_writer(keys->second, dir, seq, view.context_id, view.payload,
+    auto opened = open_record_writer(ctx->keys, dir, seq, view.context_id, view.payload,
                                      open_scratch_, tp);
     if (!opened) {
         core_.note_mac_failure(view.context_id, view.payload.size());
@@ -657,9 +659,8 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     // The transform needs an owned copy; the scratch keeps the original for
     // the modified-or-not comparison (no second copy).
     Bytes payload = to_bytes(opened.value().payload);
-    CtxCounters& cc = ctx_counters_[view.context_id];
-    cc.bytes_in += payload.size();
-    ++cc.records_in;
+    ctx->stats.bytes_in += payload.size();
+    ++ctx->stats.records_in;
     if (cfg_.observe) cfg_.observe(view.context_id, dir, payload);
     if (cfg_.transform) payload = cfg_.transform(view.context_id, dir, std::move(payload));
     bool modified = !equal(payload, opened.value().payload);
@@ -686,7 +687,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     client_side_.codec.encode_header_into(tls::ContentType::application_data, view.context_id,
                                           body, wire);
     StageNanos reseal_ns;
-    reseal_record_writer_into(keys->second, dir, seq, view.context_id, payload,
+    reseal_record_writer_into(ctx->keys, dir, seq, view.context_id, payload,
                               opened.value().endpoint_mac, core_.iv_source(), wire,
                               traced ? &reseal_ns : nullptr);
     out(from).push(std::move(wire));
@@ -708,7 +709,7 @@ obs::SessionStats MiddleboxSession::session_stats() const
     s.established = keys_ready_;
     s.app_records_received =
         records_forwarded_blind_ + records_read_ + records_rewritten_;
-    s.contexts = context_stats(contexts_, ctx_counters_);
+    for (const ContextEntry& ctx : table_.entries()) s.contexts.push_back(ctx.stats);
     return s;
 }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -121,12 +120,12 @@ public:
     // Last alert observed from either endpoint (forwarded through us).
     const std::optional<tls::Alert>& peer_alert() const { return core_.peer_alert(); }
 
-    // Effective permission (both halves received) for a context.
+    // Effective permission (both halves received) for a context: the access
+    // its keys give. Mid-rekey it is still the committed epoch's.
     Permission permission(uint8_t context_id) const;
     // Installed keys for a context, or nullptr without access. A reader's
     // keys hold no writer key at all (can_write() is false).
     const ContextKeys* context_keys(uint8_t context_id) const;
-    const std::vector<ContextDescription>& contexts() const { return contexts_; }
 
     // --- Session continuity (see DESIGN.md "Session continuity") ---
 
@@ -182,21 +181,23 @@ private:
     void forward_wire(From from, ConstBytes wire, bool own_unit);
     void inject_bundle();
     Status extract_key_material(From from, const MiddleboxKeyMaterial& km);
+    // One endpoint's material for us; nullopt until it arrives.
+    using Material = std::optional<std::vector<MiddleboxMaterialEntry>>;
     // Opens material sealed to us under `pairwise` into `entries`. Fails the
-    // relay when it does not open ("<what>: ...") or does not parse.
+    // relay when it does not open ("<what>: ..."), does not parse, or names
+    // a context the ClientHello never listed.
     Status open_material(const AuthEncKey& pairwise, ConstBytes ad, ConstBytes sealed,
-                         const char* what, std::vector<MiddleboxMaterialEntry>& entries);
-    void try_finalize_keys();
+                         const char* what, Material& entries);
+    Status try_finalize_keys();
     Status handle_rekey_record(From from, const tls::RecordView& view);
-    // Contributory combine of both endpoints' material into keys and
-    // permissions (a context is granted only where both sent a half).
+    // Contributory combine of both endpoints' material into each context's
+    // keys, or its pending keys for a rekey (a context is granted only where
+    // both sent a half).
     void combine_material(const std::vector<MiddleboxMaterialEntry>& client,
-                          const std::vector<MiddleboxMaterialEntry>& server,
-                          std::map<uint8_t, ContextKeys>& keys,
-                          std::map<uint8_t, Permission>& permissions);
+                          const std::vector<MiddleboxMaterialEntry>& server, bool pending);
     // Unseal our entry in `rk` (if it has one) with the pairwise key shared
-    // with the endpoint on the `from` side, into that side's pending
-    // material. Fails the session when the entry does not open or parse.
+    // with the endpoint on the `from` side, into that side's material.
+    // Fails the session when the entry does not open or parse.
     Status open_rekey_material(From from, const RekeyRecord& rk);
 
     MiddleboxConfig cfg_;
@@ -215,7 +216,7 @@ private:
 
     // Learned during the handshake.
     std::vector<MiddleboxInfo> middleboxes_;
-    std::vector<ContextDescription> contexts_;
+    ContextTable table_;  // from the ClientHello's list
     size_t entity_index_ = SIZE_MAX;
     bool ckd_ = false;
     Bytes client_random_;
@@ -228,14 +229,10 @@ private:
     bool bundle_sent_ = false;
     std::vector<pki::Certificate> server_chain_;
 
-    std::vector<MiddleboxMaterialEntry> client_material_;
-    std::vector<MiddleboxMaterialEntry> server_material_;
-    bool client_material_seen_ = false;
-    bool server_material_seen_ = false;
+    // Each endpoint's material for us (indexed by From): the handshake's,
+    // then each rekey's.
+    Material material_[2];
     bool keys_ready_ = false;
-
-    std::map<uint8_t, ContextKeys> context_keys_;
-    std::map<uint8_t, Permission> permissions_;
 
     // --- Session continuity state ---
     Bytes session_id_;            // from the ServerHello (empty = none)
@@ -247,23 +244,11 @@ private:
     AuthEncKey pairwise_client_;  // K_C-M (cached or derived)
     AuthEncKey pairwise_server_;  // K_S-M
 
-    // In-band rekey: the next epoch's keys (switched in per direction as
-    // the resp/commit markers pass through), plus what only a middlebox
-    // tracks: each endpoint's material (indexed by From) and the
-    // permissions the new epoch grants us.
-    uint32_t epoch_ = 0;
-    PendingEpoch rekey_;
-    bool pending_revoked_ = false;
-    std::optional<std::vector<MiddleboxMaterialEntry>> pending_material_[2];
-    std::map<uint8_t, Permission> pending_permissions_;
+    uint32_t epoch_ = 0;  // the pending epoch's keys live in table_
 
     uint64_t records_forwarded_blind_ = 0;
     uint64_t records_read_ = 0;
     uint64_t records_rewritten_ = 0;
-
-    // Telemetry (see session_stats()): inbound payload bytes seen, plaintext
-    // when readable, wire size when blind.
-    std::map<uint8_t, CtxCounters> ctx_counters_;
 };
 
 }  // namespace mct::mctls

@@ -43,9 +43,12 @@ Session::Session(SessionConfig cfg)
     if (is_client_) {
         if (cfg_.contexts.empty())
             throw std::invalid_argument("mctls::Session: client needs at least one context");
+        bool seen[kMaxContexts + 1] = {};
         for (const auto& ctx : cfg_.contexts) {
             if (ctx.id == kControlContext)
                 throw std::invalid_argument("mctls::Session: context id 0 is reserved");
+            if (std::exchange(seen[ctx.id], true))
+                throw std::invalid_argument("mctls::Session: duplicate context id");
             if (ctx.permissions.size() != cfg_.middleboxes.size())
                 throw std::invalid_argument("mctls::Session: permission row size mismatch");
         }
@@ -61,8 +64,7 @@ Bytes Session::middlebox_material_message(size_t mbox_index)
     MiddleboxKeyMaterial km;
     km.sender = self_entity();
     km.entity = static_cast<uint8_t>(mbox_index);
-    km.sealed =
-        seal_middlebox_material(mbox_index, own_partials_, key_material_ad(km.sender, km.entity));
+    km.sealed = seal_middlebox_material(mbox_index, key_material_ad(km.sender, km.entity));
     return km.to_message().serialize();
 }
 
@@ -73,34 +75,33 @@ Bytes Session::endpoint_material_message()
     MiddleboxKeyMaterial km;
     km.sender = self_entity();
     km.entity = peer_entity();
-    km.sealed = seal_endpoint_material(own_partials_, key_material_ad(km.sender, km.entity));
+    km.sealed = seal_endpoint_material(key_material_ad(km.sender, km.entity));
     return km.to_message().serialize();
-}
-
-const ContextDescription* Session::find_context(uint8_t id) const
-{
-    for (const auto& ctx : contexts_) {
-        if (ctx.id == id) return &ctx;
-    }
-    return nullptr;
-}
-
-Permission Session::requested_permission(size_t mbox, uint8_t ctx) const
-{
-    const ContextDescription* desc = find_context(ctx);
-    if (!desc || mbox >= desc->permissions.size()) return Permission::none;
-    return desc->permissions[mbox];
 }
 
 Permission Session::granted_permission(size_t mbox, uint8_t ctx) const
 {
-    Permission requested = requested_permission(mbox, ctx);
-    for (size_t c = 0; c < contexts_.size(); ++c) {
-        if (contexts_[c].id != ctx) continue;
-        if (c < granted_.size() && mbox < granted_[c].size())
-            return min_permission(requested, granted_[c][mbox]);
+    const ContextEntry* entry = table_.find(ctx);
+    if (!entry || mbox >= entry->desc.permissions.size()) return Permission::none;
+    return entry->desc.permissions[mbox];
+}
+
+void Session::set_grants(const std::function<Permission(size_t c, size_t m)>& grant)
+{
+    granted_.assign(contexts_.size(), std::vector<Permission>(middleboxes_.size()));
+    for (size_t c = 0; c < contexts_.size(); ++c)
+        for (size_t m = 0; m < middleboxes_.size(); ++m) granted_[c][m] = grant(c, m);
+    apply_grants();
+}
+
+void Session::apply_grants()
+{
+    auto entries = table_.entries();
+    for (size_t c = 0; c < entries.size() && c < granted_.size(); ++c) {
+        auto& perms = entries[c].desc.permissions;
+        for (size_t m = 0; m < perms.size() && m < granted_[c].size(); ++m)
+            perms[m] = min_permission(perms[m], granted_[c][m]);
     }
-    return requested;
 }
 
 void Session::start()
@@ -110,6 +111,7 @@ void Session::start()
 
     middleboxes_ = cfg_.middleboxes;
     contexts_ = cfg_.contexts;
+    table_.assign(contexts_);
     mbox_state_.resize(middleboxes_.size());
     for (size_t i = 0; i < middleboxes_.size(); ++i) mbox_state_[i].info = middleboxes_[i];
 
@@ -288,6 +290,7 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
             return core_.fail(AlertDescription::decode_error, "mctls: bad server mode extension");
         ckd_ = mode.value().client_key_distribution;
         granted_ = mode.value().granted;
+        apply_grants();
         transcript_.set(Transcript::Slot::server_hello, wire);
         crypto::count_hash(cfg_.ops);
         if (cfg_.ticket && cfg_.ticket->valid() && !session_id_.empty() &&
@@ -373,6 +376,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
                               "mctls: bad middlebox list: " + ext.error().message);
         middleboxes_ = ext.value().middleboxes;
         contexts_ = ext.value().contexts;
+        table_.assign(contexts_);
         mbox_state_.resize(middleboxes_.size());
         for (size_t i = 0; i < middleboxes_.size(); ++i) mbox_state_[i].info = middleboxes_[i];
         transcript_.set(Transcript::Slot::client_hello, wire);
@@ -381,23 +385,15 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         server_random_ = cfg_.rng->bytes(tls::kRandomSize);
         own_secret_ = cfg_.rng->bytes(32);
 
-        if (server_try_resumption(hello.value()))
-            return server_send_resumed_flight(wire);
+        if (server_try_resumption(hello.value())) return server_send_resumed_flight(wire);
         if (!hello.value().session_id.empty())
             core_.trace(obs::EventType::hs_resume_reject, 0, hello.value().session_id.size());
 
         ckd_ = cfg_.client_key_distribution;
-        granted_.assign(contexts_.size(), {});
-        for (size_t c = 0; c < contexts_.size(); ++c) {
-            granted_[c].resize(middleboxes_.size(), Permission::none);
-            for (size_t m = 0; m < middleboxes_.size(); ++m) {
-                Permission req = contexts_[c].permissions[m];
-                granted_[c][m] =
-                    (cfg_.policy && !ckd_)
-                        ? cfg_.policy(middleboxes_[m], contexts_[c], req)
-                        : req;
-            }
-        }
+        set_grants([&](size_t c, size_t m) {
+            Permission req = contexts_[c].permissions[m];
+            return cfg_.policy && !ckd_ ? cfg_.policy(middleboxes_[m], contexts_[c], req) : req;
+        });
 
         auto kp = crypto::x25519_keypair(*cfg_.rng);
         dh_private_ = kp.private_key;
@@ -507,58 +503,58 @@ void Session::derive_endpoint_secrets_from_scs()
     core_.set_protectors(control(send_dir), control(1 - send_dir));
 
     if (ckd_) {
-        for (const auto& ctx : contexts_) {
-            context_keys_[ctx.id] =
-                derive_context_keys_ckd(s_cs_, client_random_, server_random_, ctx.id);
+        for (ContextEntry& ctx : table_.entries()) {
+            ctx.keys = derive_context_keys_ckd(s_cs_, client_random_, server_random_, ctx.desc.id);
             crypto::count_keygen(cfg_.ops, 2);  // reader + writer keys
         }
     } else {
-        own_partials_ = derive_own_halves(own_secret_);
+        derive_own_halves(own_secret_);
     }
     core_.trace(obs::EventType::hs_key_distribution, 0, contexts_.size(), ckd_ ? 1 : 0);
 
     keylog_endpoint_keys(cfg_.keylog, client_random_, endpoint_keys_);
     // CKD context keys are final here; contributory keys are logged once
     // both halves combine (unseal_middlebox_material_from_peer).
-    if (ckd_) keylog_contexts(/*epoch=*/0, context_keys_);
+    if (ckd_) keylog_contexts(/*epoch=*/0, /*pending=*/false);
 }
 
-void Session::keylog_contexts(uint32_t epoch, const std::map<uint8_t, ContextKeys>& keys) const
+void Session::keylog_contexts(uint32_t epoch, bool pending) const
 {
     if (!cfg_.keylog) return;
-    for (const auto& [id, ctx_keys] : keys)
-        keylog_context_keys(cfg_.keylog, client_random_, epoch, id, ctx_keys);
+    for (unsigned id = 1; id <= kMaxContexts; ++id) {
+        const ContextEntry* ctx = table_.find(static_cast<uint8_t>(id));
+        if (ctx)
+            keylog_context_keys(cfg_.keylog, client_random_, epoch, ctx->desc.id,
+                                pending ? *ctx->next : ctx->keys);
+    }
 }
 
 // ---- Context-key halves: one path for the handshake, resumption and rekey
 
-Session::Halves Session::derive_own_halves(ConstBytes secret)
+void Session::derive_own_halves(ConstBytes secret)
 {
     crypto::HmacKey key(secret);
-    Halves halves;
-    for (const auto& ctx : contexts_) {
-        halves[ctx.id] =
-            derive_partial_keys(key, is_client_ ? client_random_ : server_random_, ctx.id);
+    for (ContextEntry& ctx : table_.entries()) {
+        ctx.own_half =
+            derive_partial_keys(key, is_client_ ? client_random_ : server_random_, ctx.desc.id);
         crypto::count_keygen(cfg_.ops, 2);  // K^E_readers, K^E_writers
     }
-    return halves;
 }
 
-Bytes Session::seal_middlebox_material(size_t mbox_index, const Halves& halves, ConstBytes ad)
+Bytes Session::seal_middlebox_material(size_t mbox_index, ConstBytes ad)
 {
     std::vector<MiddleboxMaterialEntry> entries;
-    for (const auto& ctx : contexts_) {
-        Permission perm = granted_permission(mbox_index, ctx.id);
+    for (const ContextEntry& ctx : table_.entries()) {
+        Permission perm = ctx.desc.permissions.at(mbox_index);
         if (perm == Permission::none) continue;
         MiddleboxMaterialEntry entry;
-        entry.context_id = ctx.id;
+        entry.context_id = ctx.desc.id;
         entry.permission = perm;
         if (ckd_) {
-            entry.complete_keys = context_keys_[ctx.id].serialize(perm == Permission::write);
+            entry.complete_keys = ctx.keys.serialize(perm == Permission::write);
         } else {
-            const PartialContextKeys& partial = halves.at(ctx.id);
-            entry.reader_half = partial.reader_half;
-            if (perm == Permission::write) entry.writer_half = partial.writer_half;
+            entry.reader_half = ctx.own_half.value().reader_half;
+            if (perm == Permission::write) entry.writer_half = ctx.own_half.value().writer_half;
         }
         entries.push_back(std::move(entry));
     }
@@ -568,18 +564,18 @@ Bytes Session::seal_middlebox_material(size_t mbox_index, const Halves& halves, 
     return sealed;
 }
 
-Bytes Session::seal_endpoint_material(const Halves& halves, ConstBytes ad)
+Bytes Session::seal_endpoint_material(ConstBytes ad)
 {
     std::vector<EndpointMaterialEntry> entries;
-    for (const auto& ctx : contexts_) entries.push_back({ctx.id, halves.at(ctx.id)});
+    for (const ContextEntry& ctx : table_.entries())
+        entries.push_back({ctx.desc.id, ctx.own_half.value()});
     Bytes sealed = authenc_seal(endpoint_keys_.key_material, ad,
                                 serialize_endpoint_material(entries), core_.iv_source());
     crypto::count_enc(cfg_.ops);
     return sealed;
 }
 
-Status Session::open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what,
-                                       Halves& halves)
+Status Session::open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what)
 {
     auto plain = authenc_open(endpoint_keys_.key_material, ad, sealed);
     if (!plain)
@@ -588,28 +584,31 @@ Status Session::open_endpoint_material(ConstBytes sealed, ConstBytes ad, const c
     crypto::count_dec(cfg_.ops);
     auto entries = parse_endpoint_material(plain.value());
     if (!entries) return core_.fail(entries.error().message);
+    for (ContextEntry& ctx : table_.entries()) ctx.peer_half.reset();
     for (const auto& e : entries.value()) {
-        if (!find_context(e.context_id))
+        ContextEntry* ctx = table_.find(e.context_id);
+        if (!ctx)
             return core_.fail(AlertDescription::illegal_parameter,
                               "mctls: key material for unknown context");
-        halves[e.context_id] = e.partial;
+        ctx->peer_half = e.partial;
     }
     return {};
 }
 
-Status Session::combine_halves(const Halves& own, const Halves& peer, const char* missing,
-                               std::map<uint8_t, ContextKeys>& keys)
+Status Session::combine_halves(const char* missing, bool pending)
 {
-    for (const auto& ctx : contexts_) {
-        auto own_it = own.find(ctx.id);
-        auto peer_it = peer.find(ctx.id);
-        if (own_it == own.end() || peer_it == peer.end())
+    for (ContextEntry& ctx : table_.entries()) {
+        if (!ctx.own_half || !ctx.peer_half)
             return core_.fail(AlertDescription::handshake_failure, missing);
-        const PartialContextKeys& client_half = is_client_ ? own_it->second : peer_it->second;
-        const PartialContextKeys& server_half = is_client_ ? peer_it->second : own_it->second;
-        keys[ctx.id] =
+        const PartialContextKeys& client_half = is_client_ ? *ctx.own_half : *ctx.peer_half;
+        const PartialContextKeys& server_half = is_client_ ? *ctx.peer_half : *ctx.own_half;
+        ContextKeys keys =
             combine_context_keys(client_half, server_half, client_random_, server_random_);
         crypto::count_keygen(cfg_.ops, 2);  // K_readers, K_writers
+        if (pending)
+            ctx.next = std::make_unique<ContextKeys>(std::move(keys));
+        else
+            ctx.keys = std::move(keys);
     }
     return {};
 }
@@ -617,12 +616,11 @@ Status Session::combine_halves(const Halves& own, const Halves& peer, const char
 Status Session::unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km)
 {
     Status s = open_endpoint_material(km.sealed, key_material_ad(km.sender, km.entity),
-                                      "mctls: endpoint key material", peer_partials_);
+                                      "mctls: endpoint key material");
     if (!s) return s;
     peer_material_received_ = true;
-    s = combine_halves(own_partials_, peer_partials_, "mctls: missing context key halves",
-                       context_keys_);
-    if (s) keylog_contexts(/*epoch=*/0, context_keys_);
+    s = combine_halves("mctls: missing context key halves", /*pending=*/false);
+    if (s) keylog_contexts(/*epoch=*/0, /*pending=*/false);
     return s;
 }
 
@@ -770,14 +768,14 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
     obs::SpanContext in_ctx = core_.units.pop_rx_span();
     if (!core_.established())
         return core_.fail(AlertDescription::unexpected_message, "mctls: early application data");
-    auto keys = context_keys_.find(context_id);
-    if (keys == context_keys_.end())
+    ContextEntry* ctx = table_.find(context_id);
+    if (!ctx)
         return core_.fail(AlertDescription::illegal_parameter, "mctls: record for unknown context");
 
     Direction dir = is_client_ ? Direction::server_to_client : Direction::client_to_server;
     StageNanos stage_ns;
     StageNanos* tp = (obs::span_on(core_.spans()) && in_ctx.valid()) ? &stage_ns : nullptr;
-    auto opened = open_record_endpoint(keys->second, endpoint_keys_, dir, app_recv_seq_,
+    auto opened = open_record_endpoint(ctx->keys, endpoint_keys_, dir, app_recv_seq_,
                                        context_id, payload, open_scratch_, tp);
     if (!opened) {
         core_.note_mac_failure(context_id, payload.size());
@@ -788,9 +786,8 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
     // (authenticity) and the endpoint MAC (modification detection).
     core_.counters.macs_verified += 2;
     ++core_.counters.app_records_received;
-    CtxCounters& cc = ctx_counters_[context_id];
-    cc.bytes_in += opened.value().payload.size();
-    ++cc.records_in;
+    ctx->stats.bytes_in += opened.value().payload.size();
+    ++ctx->stats.records_in;
     core_.trace(obs::EventType::record_open, context_id,
                 opened.value().payload.size(), 2, in_ctx.trace_id);
     if (tp) {
@@ -808,8 +805,8 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
 {
     if (!core_.established()) return err("mctls: not established");
     if (core_.close_sent()) return err("mctls: send after close");
-    auto keys = context_keys_.find(context_id);
-    if (keys == context_keys_.end()) return err("mctls: unknown context");
+    ContextEntry* ctx = table_.find(context_id);
+    if (!ctx) return err("mctls: unknown context");
 
     Direction dir = is_client_ ? Direction::client_to_server : Direction::server_to_client;
     size_t off = 0;
@@ -832,7 +829,7 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-        seal_record_into(keys->second, endpoint_keys_, dir, app_send_seq_, context_id,
+        seal_record_into(ctx->keys, endpoint_keys_, dir, app_send_seq_, context_id,
                          data.subspan(off, take), core_.iv_source(), wire, tp);
         obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (tp) {
@@ -849,9 +846,8 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
         ++core_.counters.app_records_sent;
         // seal_record computes all three MACs (endpoints, writers, readers).
         core_.counters.macs_generated += 3;
-        CtxCounters& cc = ctx_counters_[context_id];
-        cc.bytes_out += take;
-        ++cc.records_out;
+        ctx->stats.bytes_out += take;
+        ++ctx->stats.records_out;
         core_.trace(obs::EventType::record_seal, context_id, take, 3, rec.trace_id);
         core_.units.push(std::move(wire));
         if (rec.valid()) core_.units.tag_last(rec);
@@ -903,21 +899,17 @@ bool Session::server_try_resumption(const tls::ClientHello& hello)
     ckd_ = t->ckd;
     // Grants are capped at what the original session granted — resumption
     // cannot widen a middlebox's access, only narrow it.
-    granted_.assign(contexts_.size(), {});
-    for (size_t c = 0; c < contexts_.size(); ++c) {
-        granted_[c].resize(middleboxes_.size(), Permission::none);
-        for (size_t m = 0; m < middleboxes_.size(); ++m) {
-            int tm = t->find_middlebox(middleboxes_[m].name);
-            Permission original = Permission::none;
-            for (size_t tc = 0; tc < t->contexts.size(); ++tc) {
-                if (t->contexts[tc].id != contexts_[c].id) continue;
-                if (tm >= 0 && tc < t->granted.size() &&
-                    static_cast<size_t>(tm) < t->granted[tc].size())
-                    original = t->granted[tc][tm];
-            }
-            granted_[c][m] = min_permission(contexts_[c].permissions[m], original);
+    set_grants([&](size_t c, size_t m) {
+        int tm = t->find_middlebox(middleboxes_[m].name);
+        Permission original = Permission::none;
+        for (size_t tc = 0; tc < t->contexts.size(); ++tc) {
+            if (t->contexts[tc].id != contexts_[c].id) continue;
+            if (tm >= 0 && tc < t->granted.size() &&
+                static_cast<size_t>(tm) < t->granted[tc].size())
+                original = t->granted[tc][tm];
         }
-    }
+        return min_permission(contexts_[c].permissions[m], original);
+    });
     for (size_t i = 0; i < middleboxes_.size(); ++i) {
         int tm = t->find_middlebox(middleboxes_[i].name);
         mbox_state_[i].pairwise = AuthEncKey(t->pairwise[static_cast<size_t>(tm)]);
@@ -1010,10 +1002,10 @@ Bytes Session::resumed_finished_verify_data(const char* label)
 
 Bytes Session::context_key_fingerprint(uint8_t context_id) const
 {
-    auto it = context_keys_.find(context_id);
-    if (it == context_keys_.end()) return {};
+    const ContextEntry* ctx = table_.find(context_id);
+    if (!ctx || !ctx->keys.can_read()) return {};
     crypto::Sha256 h;
-    h.update(it->second.serialize(/*writer=*/true));
+    h.update(ctx->keys.serialize(/*writer=*/true));
     auto digest = h.finish();
     return Bytes(digest.begin(), digest.end());
 }
@@ -1025,11 +1017,11 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     if (core_.close_sent()) return err("mctls: rekey after close");
     if (ckd_)
         return err("mctls: rekey requires contributory key mode");
-    if (rekey_.active) return err("mctls: rekey already in progress");
+    if (table_.pending_epoch()) return err("mctls: rekey already in progress");
 
-    rekey_.begin(epoch_ + 1);
+    table_.begin_rekey(epoch_ + 1);
     rekey_revoked_ = revoke;
-    rekey_own_partials_ = derive_own_halves(cfg_.rng->bytes(32));
+    derive_own_halves(cfg_.rng->bytes(32));
 
     auto revoked = [&](const std::string& name) {
         return std::find(rekey_revoked_.begin(), rekey_revoked_.end(), name) !=
@@ -1037,21 +1029,19 @@ Status Session::initiate_rekey(const std::vector<std::string>& revoke)
     };
     RekeyRecord rec;
     rec.phase = RekeyPhase::init;
-    rec.epoch = rekey_.epoch;
+    rec.epoch = epoch_ + 1;
     for (size_t i = 0; i < mbox_state_.size(); ++i) {
         if (revoked(middleboxes_[i].name)) continue;
         auto entity = static_cast<uint8_t>(i);
         rec.entries.push_back(
-            {entity, seal_middlebox_material(i, rekey_own_partials_,
-                                             rekey_ad(kEntityClient, entity, rekey_.epoch))});
+            {entity, seal_middlebox_material(i, rekey_ad(kEntityClient, entity, rec.epoch))});
     }
     rec.entries.push_back(
-        {kEntityServer, seal_endpoint_material(rekey_own_partials_,
-                                               rekey_ad(kEntityClient, kEntityServer,
-                                                        rekey_.epoch))});
+        {kEntityServer,
+         seal_endpoint_material(rekey_ad(kEntityClient, kEntityServer, rec.epoch))});
 
     queue_rekey_record(rec);
-    core_.trace(obs::EventType::rekey_init, 0, rekey_.epoch, rekey_revoked_.size());
+    core_.trace(obs::EventType::rekey_init, 0, rec.epoch, rekey_revoked_.size());
     return {};
 }
 
@@ -1067,14 +1057,13 @@ void Session::queue_rekey_record(const RekeyRecord& rec)
 
 void Session::finish_rekey_if_switched()
 {
-    if (!rekey_.complete(epoch_)) return;
+    if (!table_.complete_rekey(epoch_)) return;
     ++rekeys_completed_;
-    rekey_own_partials_.clear();
     rekey_revoked_.clear();
     core_.trace(obs::EventType::rekey_complete, 0, epoch_);
 }
 
-Status Session::open_peer_halves(const RekeyRecord& rk, Halves& halves)
+Status Session::open_peer_halves(const RekeyRecord& rk)
 {
     const RekeyEntry* own = nullptr;
     for (const auto& e : rk.entries)
@@ -1084,7 +1073,7 @@ Status Session::open_peer_halves(const RekeyRecord& rk, Halves& halves)
                           is_client_ ? "mctls: rekey response without endpoint entry"
                                      : "mctls: rekey init without endpoint entry");
     return open_endpoint_material(own->sealed, rekey_ad(peer_entity(), self_entity(), rk.epoch),
-                                  "mctls: rekey material", halves);
+                                  "mctls: rekey material");
 }
 
 Status Session::handle_rekey_record(ConstBytes payload)
@@ -1098,44 +1087,40 @@ Status Session::handle_rekey_record(ConstBytes payload)
     if (is_client_) {
         // Only the server's response is legal here: it carries the fresh
         // server halves and doubles as the s->c key-switch marker.
-        if (rk.phase != RekeyPhase::resp || !rekey_.active || rk.epoch != rekey_.epoch)
+        if (rk.phase != RekeyPhase::resp || table_.pending_epoch() != rk.epoch)
             return core_.fail(AlertDescription::unexpected_message,
                               "mctls: unexpected rekey record");
-        Halves server_halves;
-        if (auto st = open_peer_halves(rk, server_halves); !st) return st;
-        if (auto st = combine_halves(rekey_own_partials_, server_halves,
-                                     "mctls: missing rekey halves", rekey_.keys); !st)
+        if (auto st = open_peer_halves(rk); !st) return st;
+        if (auto st = combine_halves("mctls: missing rekey halves", /*pending=*/true); !st)
             return st;
-        keylog_contexts(rk.epoch, rekey_.keys);
-        rekey_.switch_direction(context_keys_, Direction::server_to_client);
+        keylog_contexts(rk.epoch, /*pending=*/true);
+        table_.switch_direction(Direction::server_to_client);
         RekeyRecord commit;
         commit.phase = RekeyPhase::commit;
         commit.epoch = rk.epoch;
         queue_rekey_record(commit);
-        rekey_.switch_direction(context_keys_, Direction::client_to_server);
+        table_.switch_direction(Direction::client_to_server);
         finish_rekey_if_switched();
         return {};
     }
 
     // Server.
     if (rk.phase == RekeyPhase::init) {
-        if (rekey_.active)
+        if (table_.pending_epoch())
             return core_.fail(AlertDescription::unexpected_message, "mctls: overlapping rekey");
         if (ckd_)
             return core_.fail(AlertDescription::unexpected_message, "mctls: rekey in CKD mode");
         if (rk.epoch != epoch_ + 1)
             return core_.fail(AlertDescription::illegal_parameter,
                               "mctls: rekey epoch out of sequence");
-        rekey_.begin(rk.epoch);
+        table_.begin_rekey(rk.epoch);
         core_.trace(obs::EventType::rekey_init, 0, rk.epoch);
 
-        Halves client_halves;
-        if (auto st = open_peer_halves(rk, client_halves); !st) return st;
-        rekey_own_partials_ = derive_own_halves(cfg_.rng->bytes(32));
-        if (auto st = combine_halves(rekey_own_partials_, client_halves,
-                                     "mctls: missing rekey halves", rekey_.keys); !st)
+        if (auto st = open_peer_halves(rk); !st) return st;
+        derive_own_halves(cfg_.rng->bytes(32));
+        if (auto st = combine_halves("mctls: missing rekey halves", /*pending=*/true); !st)
             return st;
-        keylog_contexts(rk.epoch, rekey_.keys);
+        keylog_contexts(rk.epoch, /*pending=*/true);
 
         // Mirror the client's recipient list: a middlebox with no entry in
         // the init is being revoked and gets nothing from us either.
@@ -1145,23 +1130,22 @@ Status Session::handle_rekey_record(ConstBytes payload)
         for (const auto& e : rk.entries) {
             if (e.entity >= mbox_state_.size()) continue;  // the endpoint entry
             resp.entries.push_back(
-                {e.entity, seal_middlebox_material(e.entity, rekey_own_partials_,
-                                                   rekey_ad(kEntityServer, e.entity, rk.epoch))});
+                {e.entity,
+                 seal_middlebox_material(e.entity, rekey_ad(kEntityServer, e.entity, rk.epoch))});
         }
         resp.entries.push_back(
-            {kEntityClient, seal_endpoint_material(rekey_own_partials_,
-                                                   rekey_ad(kEntityServer, kEntityClient,
-                                                            rk.epoch))});
+            {kEntityClient,
+             seal_endpoint_material(rekey_ad(kEntityServer, kEntityClient, rk.epoch))});
         queue_rekey_record(resp);
         // The response doubles as our own send-direction switch marker.
-        rekey_.switch_direction(context_keys_, Direction::server_to_client);
+        table_.switch_direction(Direction::server_to_client);
         return {};
     }
     if (rk.phase == RekeyPhase::commit) {
-        if (!rekey_.active || rk.epoch != rekey_.epoch)
+        if (table_.pending_epoch() != rk.epoch)
             return core_.fail(AlertDescription::unexpected_message,
                               "mctls: unexpected rekey commit");
-        rekey_.switch_direction(context_keys_, Direction::client_to_server);
+        table_.switch_direction(Direction::client_to_server);
         finish_rekey_if_switched();
         return {};
     }
@@ -1176,7 +1160,7 @@ obs::SessionStats Session::session_stats() const
     s.resumed = resumed_;
     s.epoch = epoch_;
     s.rekeys = rekeys_completed_;
-    s.contexts = context_stats(contexts_, ctx_counters_);
+    for (const ContextEntry& ctx : table_.entries()) s.contexts.push_back(ctx.stats);
     return s;
 }
 

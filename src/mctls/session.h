@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -202,9 +201,6 @@ private:
     };
     bool at(Step step) const { return core_.in_handshake() && step_ == step; }
 
-    // One endpoint's context-key halves, by context id.
-    using Halves = std::map<uint8_t, PartialContextKeys>;
-
     struct MiddleboxState {
         MiddleboxInfo info;
         Bytes random;
@@ -243,18 +239,23 @@ private:
     void derive_endpoint_secrets_from_scs();  // key schedule minus the DH step
     Bytes resumed_finished_verify_data(const char* label);
     Status handle_rekey_record(ConstBytes payload);
-    // Unseal the peer endpoint's fresh halves from its entry in `rk` into
-    // `halves`. Fails the session when the entry is missing or does not
-    // open (open_endpoint_material).
-    Status open_peer_halves(const RekeyRecord& rk, Halves& halves);
+    // Unseal the peer endpoint's fresh halves from its entry in `rk`. Fails
+    // the session when the entry is missing or does not open
+    // (open_endpoint_material).
+    Status open_peer_halves(const RekeyRecord& rk);
     void queue_rekey_record(const RekeyRecord& rec);
     void finish_rekey_if_switched();
 
-    const ContextDescription* find_context(uint8_t id) const;
-    Permission requested_permission(size_t mbox, uint8_t ctx) const;
-    // Emit one MCTLS_CONTEXT keylog line per context in `keys` (no-op when
-    // the keylog is disabled).
-    void keylog_contexts(uint32_t epoch, const std::map<uint8_t, ContextKeys>& keys) const;
+    // Server: granted_[c][m] = grant(c, m) for every context c and
+    // middlebox m, then apply_grants().
+    void set_grants(const std::function<Permission(size_t c, size_t m)>& grant);
+    // Caps each context's grants at granted_: the effective grant is
+    // min(requested, granted).
+    void apply_grants();
+    // Emit one MCTLS_CONTEXT keylog line per context, in ascending id, with
+    // its current or (for a rekey) pending keys. No-op when the keylog is
+    // disabled.
+    void keylog_contexts(uint32_t epoch, bool pending) const;
     void derive_endpoint_secrets();  // S_C-S, K_endpoints, control protectors
     Bytes finished_verify_data(const char* label, bool include_client_finished);
     Status unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km);
@@ -262,21 +263,20 @@ private:
     // The one key-half path, shared by the full handshake, resumption and
     // rekey; `ad` binds each seal to its sender, recipient and (for rekey)
     // epoch. Our halves of every context, from a fresh secret:
-    Halves derive_own_halves(ConstBytes secret);
-    // The halves (complete keys in CKD mode) middlebox `mbox_index` is
+    void derive_own_halves(ConstBytes secret);
+    // Our halves (complete keys in CKD mode) that middlebox `mbox_index` is
     // granted, sealed under its pairwise key.
-    Bytes seal_middlebox_material(size_t mbox_index, const Halves& halves, ConstBytes ad);
-    // All of `halves`, sealed for the peer endpoint under K_endpoints.
-    Bytes seal_endpoint_material(const Halves& halves, ConstBytes ad);
-    // Opens the peer's sealed halves into `halves`. Fails the session when
-    // they do not open ("<what>: ..."), do not parse, or name a context
-    // that was never negotiated.
-    Status open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what,
-                                  Halves& halves);
-    // Combines own and peer halves into `keys` for every context; fails the
-    // session with `missing` when either half of one is absent.
-    Status combine_halves(const Halves& own, const Halves& peer, const char* missing,
-                          std::map<uint8_t, ContextKeys>& keys);
+    Bytes seal_middlebox_material(size_t mbox_index, ConstBytes ad);
+    // All our halves, sealed for the peer endpoint under K_endpoints.
+    Bytes seal_endpoint_material(ConstBytes ad);
+    // Opens the peer's sealed halves, replacing every context's peer half.
+    // Fails the session when they do not open ("<what>: ..."), do not
+    // parse, or name a context that was never negotiated.
+    Status open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what);
+    // Combines own and peer halves into every context's keys, or its pending
+    // keys for a rekey; fails the session with `missing` when either half
+    // of one is absent.
+    Status combine_halves(const char* missing, bool pending);
 
     SessionConfig cfg_;
     tls::SessionCore core_;
@@ -290,6 +290,7 @@ private:
     std::vector<MiddleboxInfo> middleboxes_;
     std::vector<ContextDescription> contexts_;  // client-requested permissions
     std::vector<std::vector<Permission>> granted_;  // [context][middlebox]
+    ContextTable table_;                            // from contexts_
     bool ckd_ = false;
 
     Transcript transcript_;
@@ -302,17 +303,11 @@ private:
     EndpointKeys endpoint_keys_;
     std::vector<MiddleboxState> mbox_state_;
     std::vector<pki::Certificate> server_chain_;
-    Halves own_partials_;
-    Halves peer_partials_;
-    std::map<uint8_t, ContextKeys> context_keys_;
     bool peer_material_received_ = false;
     bool shd_seen_ = false;
 
     uint64_t app_send_seq_ = 0;
     uint64_t app_recv_seq_ = 0;
-
-    // Telemetry beyond the core's counters (see session_stats()).
-    std::map<uint8_t, CtxCounters> ctx_counters_;
 
     // --- Session continuity state ---
     Bytes session_id_;           // assigned (server) or echoed (client)
@@ -322,8 +317,6 @@ private:
 
     uint32_t epoch_ = 0;
     uint64_t rekeys_completed_ = 0;
-    PendingEpoch rekey_;
-    Halves rekey_own_partials_;
     std::vector<std::string> rekey_revoked_;  // client: names to starve
 };
 

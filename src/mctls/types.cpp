@@ -1,5 +1,7 @@
 #include "mctls/types.h"
 
+#include <utility>
+
 #include "util/serde.h"
 
 namespace mct::mctls {
@@ -15,24 +17,6 @@ const char* to_string(Permission p)
         return "write";
     }
     return "?";
-}
-
-std::vector<obs::ContextStats> context_stats(const std::vector<ContextDescription>& contexts,
-                                             const std::map<uint8_t, CtxCounters>& counters)
-{
-    std::vector<obs::ContextStats> out;
-    for (const auto& ctx : contexts) {
-        obs::ContextStats& cs = out.emplace_back();
-        cs.name = ctx.purpose.empty() ? "ctx" + std::to_string(ctx.id) : ctx.purpose;
-        cs.id = ctx.id;
-        auto it = counters.find(ctx.id);
-        if (it == counters.end()) continue;
-        cs.bytes_out = it->second.bytes_out;
-        cs.bytes_in = it->second.bytes_in;
-        cs.records_out = it->second.records_out;
-        cs.records_in = it->second.records_in;
-    }
-    return out;
 }
 
 Bytes MiddleboxListExtension::serialize() const
@@ -72,12 +56,14 @@ Result<MiddleboxListExtension> MiddleboxListExtension::parse(ConstBytes wire)
     }
     auto ctx_count = r.u8();
     if (!ctx_count) return ctx_count.error();
+    bool seen[kMaxContexts + 1] = {};
     for (unsigned i = 0; i < ctx_count.value(); ++i) {
         ContextDescription ctx;
         auto id = r.u8();
         if (!id) return id.error();
         ctx.id = id.value();
         if (ctx.id == kControlContext) return err("mctls: context id 0 is reserved");
+        if (std::exchange(seen[ctx.id], true)) return err("mctls: duplicate context id");
         auto purpose = r.str8();
         if (!purpose) return purpose.error();
         ctx.purpose = purpose.take();

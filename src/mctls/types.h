@@ -3,11 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "obs/obs.h"
 #include "tls/alert.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -47,21 +45,6 @@ struct ContextDescription {
 
     bool operator==(const ContextDescription&) const = default;
 };
-
-// Per-context payload accounting a session keeps for session_stats(). A
-// middlebox only ever fills the inbound half.
-struct CtxCounters {
-    uint64_t bytes_out = 0;
-    uint64_t bytes_in = 0;
-    uint64_t records_out = 0;
-    uint64_t records_in = 0;
-};
-
-// One obs::ContextStats per negotiated context, idle ones included, so a
-// snapshot shows the full permission matrix. Named by purpose, or
-// "ctx<id>" when the purpose is empty.
-std::vector<obs::ContextStats> context_stats(const std::vector<ContextDescription>& contexts,
-                                             const std::map<uint8_t, CtxCounters>& counters);
 
 struct MiddleboxInfo {
     std::string name;     // stable identity; must match its certificate subject

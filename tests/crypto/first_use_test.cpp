@@ -16,6 +16,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -159,10 +160,18 @@ TEST(FirstUse, CurveTablesCostNothingToInitialize)
     std::sort(pub_samples.begin(), pub_samples.end());
     uint64_t sign_median_ns = sign_samples[sign_samples.size() / 2];
     uint64_t pub_median_ns = pub_samples[pub_samples.size() / 2];
+    RecordProperty("first_sign_ns", std::to_string(first_sign_ns));
+    RecordProperty("median_sign_ns", std::to_string(sign_median_ns));
+    RecordProperty("first_pub_ns", std::to_string(first_pub_ns));
+    RecordProperty("median_pub_ns", std::to_string(pub_median_ns));
 
-    EXPECT_LT(first_sign_ns, std::max<uint64_t>(100'000, 100 * sign_median_ns))
+    // Over 50 runs each of the plain and the ASan+UBSan build, the first
+    // call took at most 4.7x its run's steady median (x25519_public_key;
+    // sign: 2.5x). 15x keeps 3x headroom over that worst run.
+    constexpr uint64_t kFirstUseRatio = 15;
+    EXPECT_LT(first_sign_ns, std::max<uint64_t>(100'000, kFirstUseRatio * sign_median_ns))
         << "first=" << first_sign_ns << "ns median=" << sign_median_ns << "ns";
-    EXPECT_LT(first_pub_ns, std::max<uint64_t>(100'000, 100 * pub_median_ns))
+    EXPECT_LT(first_pub_ns, std::max<uint64_t>(100'000, kFirstUseRatio * pub_median_ns))
         << "first=" << first_pub_ns << "ns median=" << pub_median_ns << "ns";
 }
 

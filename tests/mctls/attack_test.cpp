@@ -4,6 +4,9 @@
 // (denial of service excepted).
 #include <gtest/gtest.h>
 
+#include "mctls/key_schedule.h"
+#include "mctls/messages.h"
+#include "mctls/resumption.h"
 #include "tests/mctls/harness.h"
 
 namespace mct::mctls {
@@ -152,6 +155,110 @@ TEST(McTlsAttack, MiddleboxListTamperingDetected)
     env.pump();
     EXPECT_FALSE(env.client->handshake_complete());
     EXPECT_FALSE(env.server->handshake_complete());
+}
+
+// A client-key-distribution (CKD) session through one read middlebox whose
+// key material the client seals with `material` instead of its own grant.
+// The material is sealed under the real K_C-M: a first run of the same
+// seeded chain reads it from the middlebox's ticket, and the second run,
+// byte-identical up to this point, reseals the client's MiddleboxKeyMaterial
+// on its way to the middlebox. Returns the middlebox of the second run.
+std::unique_ptr<MiddleboxSession> ckd_with_material(
+    const std::vector<MiddleboxMaterialEntry>& material)
+{
+    auto contexts = std::vector{ctx_row(1, "data", 1, Permission::read)};
+    ChainEnv first;
+    first.build(1, contexts, /*ckd=*/true);
+    first.handshake();
+    EXPECT_TRUE(first.all_complete());
+    AuthEncKey pairwise(first.mboxes[0]->ticket().pairwise_client);
+
+    ChainEnv env;
+    env.build(1, contexts, /*ckd=*/true);
+    env.client->start();
+    TestRng rng(5);
+    bool resealed = false;
+    auto tap = [&](size_t hop, Bytes& unit) {
+        if (hop != 0) return;
+        tls::RecordCodec codec{/*with_context_id=*/true};
+        codec.feed(unit);
+        Bytes out;
+        bool ccs = false;
+        while (true) {
+            auto view = codec.next_view();
+            if (!view.ok() || !view.value()) break;
+            const tls::RecordView& rec = *view.value();
+            ccs |= rec.type == tls::ContentType::change_cipher_spec;
+            if (rec.type != tls::ContentType::handshake || ccs) {
+                append(out, rec.wire);
+                continue;
+            }
+            tls::HandshakeReader reader;
+            reader.feed(rec.payload);
+            Bytes body;
+            for (auto msg = reader.next(); msg.ok() && msg.value(); msg = reader.next()) {
+                tls::HandshakeMessage m = *msg.value();
+                auto km = MiddleboxKeyMaterial::parse(m.body);
+                if (m.type == tls::HandshakeType::middlebox_key_material && km.ok() &&
+                    km.value().entity == 0) {
+                    km.value().sealed =
+                        authenc_seal(pairwise, key_material_ad(kEntityClient, 0),
+                                     serialize_middlebox_material(material), rng);
+                    m = km.value().to_message();
+                    resealed = true;
+                }
+                append(body, m.serialize());
+            }
+            append(out, codec.encode({tls::ContentType::handshake, rec.context_id, body}));
+        }
+        unit = std::move(out);
+    };
+    EXPECT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, chain::NoProbe{}, tap));
+    EXPECT_TRUE(resealed);
+    return std::move(env.mboxes[0]);
+}
+
+MiddleboxMaterialEntry ckd_entry(uint8_t id, Permission perm, bool writer_keys)
+{
+    MiddleboxMaterialEntry e;
+    e.context_id = id;
+    e.permission = perm;
+    e.complete_keys = derive_context_keys_ckd(Bytes(48, 1), Bytes(32, 2), Bytes(32, 3), id)
+                          .serialize(writer_keys);
+    return e;
+}
+
+TEST(McTlsAttack, MiddleboxRejectsCkdKeysForUnknownContext)
+{
+    auto mbox = ckd_with_material({ckd_entry(1, Permission::read, false),
+                                   ckd_entry(9, Permission::read, false)});
+    EXPECT_TRUE(mbox->failed());
+    EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::illegal_parameter);
+    EXPECT_EQ(mbox->failure().message, "mctls mbox: key material for unknown context");
+    EXPECT_EQ(mbox->context_keys(9), nullptr);
+}
+
+// A write grant must carry writer keys, and a read grant must not.
+TEST(McTlsAttack, MiddleboxRejectsCkdPermissionWithoutMatchingKeys)
+{
+    for (auto [perm, writer_keys] : {std::pair{Permission::write, false},
+                                     std::pair{Permission::read, true},
+                                     std::pair{Permission::none, false}}) {
+        auto mbox = ckd_with_material({ckd_entry(1, perm, writer_keys)});
+        EXPECT_TRUE(mbox->failed()) << to_string(perm);
+        EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::illegal_parameter);
+        EXPECT_EQ(mbox->failure().message, "mctls mbox: key material permission mismatch");
+        EXPECT_EQ(mbox->permission(1), Permission::none);
+    }
+}
+
+// The control: the same reseal with material that matches the grant
+// completes the handshake and gives the middlebox its read access.
+TEST(McTlsAttack, CkdResealWithMatchingMaterialIsAccepted)
+{
+    auto mbox = ckd_with_material({ckd_entry(1, Permission::read, false)});
+    EXPECT_TRUE(mbox->handshake_complete()) << mbox->error();
+    EXPECT_EQ(mbox->permission(1), Permission::read);
 }
 
 TEST(McTlsAttack, TruncatedFlightWaitsWithoutCrash)

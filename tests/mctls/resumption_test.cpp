@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mctls/key_schedule.h"
 #include "mctls/messages.h"
 #include "mctls/session.h"
+#include "tls/keylog.h"
 #include "tests/mctls/harness.h"
 
 namespace mct::mctls {
@@ -268,6 +271,8 @@ TEST(Rekey, RevocationDegradesMiddleboxToBlindForwarding)
     EXPECT_EQ(env.client->epoch(), 1u);
     EXPECT_EQ(env.server->epoch(), 1u);
     EXPECT_EQ(env.mboxes[0]->permission(1), Permission::none);
+    // The epoch-0 keys are gone too, not merely unused.
+    EXPECT_EQ(env.mboxes[0]->context_keys(1), nullptr);
 
     uint64_t blind_before = env.mboxes[0]->records_forwarded_blind();
     ASSERT_TRUE(env.client->send_app_data(1, str_to_bytes("secret")).ok());
@@ -279,6 +284,96 @@ TEST(Rekey, RevocationDegradesMiddleboxToBlindForwarding)
     EXPECT_EQ(bytes_to_str(drain(*env.client)), "hidden");
     EXPECT_EQ(env.mboxes[0]->records_read(), 1u);
     EXPECT_GT(env.mboxes[0]->records_forwarded_blind(), blind_before);
+}
+
+// Two orders a party exposes: the keylog lists MCTLS_CONTEXT lines in
+// ascending context id, and session_stats() lists contexts in negotiated
+// order, each row with its own counters. Both hold at epoch 0 and after a
+// rekey.
+TEST(Rekey, KeylogByIdStatsByNegotiatedOrder)
+{
+    ChainEnv env;
+    auto infos = env.make_middleboxes(1);
+    tls::KeyLogMemory client_log;
+    tls::KeyLogMemory server_log;
+    auto ccfg = env.client_config(infos, {ctx_row(3, "third", 1, Permission::read),
+                                          ctx_row(1, "first", 1, Permission::write),
+                                          ctx_row(2, "", 1, Permission::none)});
+    ccfg.keylog = &client_log;
+    env.client = std::make_unique<Session>(ccfg);
+    auto scfg = env.server_config();
+    scfg.keylog = &server_log;
+    env.server = std::make_unique<Session>(scfg);
+    env.mboxes.push_back(std::make_unique<MiddleboxSession>(env.mbox_config(0)));
+    env.handshake();
+    ASSERT_TRUE(env.all_complete());
+
+    // (epoch, context id) of each MCTLS_CONTEXT line, in emission order.
+    auto context_lines = [](const tls::KeyLogMemory& log) {
+        std::vector<std::pair<unsigned, unsigned>> out;
+        for (const auto& line : log.lines()) {
+            std::istringstream in(line);
+            std::string kind, random;
+            unsigned epoch = 0, id = 0;
+            in >> kind >> random >> epoch >> id;
+            if (kind == "MCTLS_CONTEXT") out.emplace_back(epoch, id);
+        }
+        return out;
+    };
+    // Sends 3 bytes on context 3 and 1 byte on context 1 each way, then
+    // checks every party's rows: negotiated order, counters on their row.
+    uint64_t round = 0;
+    auto check_stats = [&] {
+        ++round;
+        ASSERT_TRUE(env.client->send_app_data(3, str_to_bytes("ccc")).ok());
+        ASSERT_TRUE(env.client->send_app_data(1, str_to_bytes("a")).ok());
+        ASSERT_TRUE(env.server->send_app_data(3, str_to_bytes("ccc")).ok());
+        ASSERT_TRUE(env.server->send_app_data(1, str_to_bytes("a")).ok());
+        env.pump();
+        drain(*env.client);
+        drain(*env.server);
+        const std::vector<obs::SessionStats> all = {env.client->session_stats(),
+                                                    env.server->session_stats(),
+                                                    env.mboxes[0]->session_stats()};
+        for (const auto& s : all) {
+            ASSERT_EQ(s.contexts.size(), 3u);
+            EXPECT_EQ(s.contexts[0].id, 3);
+            EXPECT_EQ(s.contexts[0].name, "third");
+            EXPECT_EQ(s.contexts[1].id, 1);
+            EXPECT_EQ(s.contexts[1].name, "first");
+            EXPECT_EQ(s.contexts[2].id, 2);
+            EXPECT_EQ(s.contexts[2].name, "ctx2");
+            EXPECT_EQ(s.contexts[2].records_in, 0u);
+        }
+        for (const auto& s : {all[0], all[1]}) {
+            EXPECT_EQ(s.contexts[0].records_in, round);
+            EXPECT_EQ(s.contexts[1].records_in, round);
+            EXPECT_EQ(s.contexts[0].bytes_out, 3 * round);
+            EXPECT_EQ(s.contexts[1].bytes_out, round);
+            EXPECT_EQ(s.contexts[0].bytes_in, 3 * round);
+            EXPECT_EQ(s.contexts[1].bytes_in, round);
+        }
+        // The middlebox sees both directions inbound.
+        EXPECT_EQ(all[2].contexts[0].records_in, 2 * round);
+        EXPECT_EQ(all[2].contexts[1].records_in, 2 * round);
+        EXPECT_EQ(all[2].contexts[0].bytes_in, 6 * round);
+        EXPECT_EQ(all[2].contexts[1].bytes_in, 2 * round);
+    };
+
+    const std::vector<std::pair<unsigned, unsigned>> epoch0 = {{0, 1}, {0, 2}, {0, 3}};
+    EXPECT_EQ(context_lines(client_log), epoch0);
+    EXPECT_EQ(context_lines(server_log), epoch0);
+    check_stats();
+
+    ASSERT_TRUE(env.client->initiate_rekey().ok());
+    env.pump();
+    ASSERT_EQ(env.client->epoch(), 1u);
+    ASSERT_EQ(env.mboxes[0]->epoch(), 1u);
+    const std::vector<std::pair<unsigned, unsigned>> epoch1 = {{0, 1}, {0, 2}, {0, 3},
+                                                               {1, 1}, {1, 2}, {1, 3}};
+    EXPECT_EQ(context_lines(client_log), epoch1);
+    EXPECT_EQ(context_lines(server_log), epoch1);
+    check_stats();
 }
 
 TEST(Rekey, CkdSessionsRejectInBandRekey)
@@ -448,6 +543,50 @@ TEST(Rekey, ServerRejectsInitHalfForUnknownContext)
     EXPECT_FALSE(env.server->feed(encode_rekey(init)).ok());
     expect_failed_closed(*env.server, tls::AlertDescription::illegal_parameter,
                          "mctls: key material for unknown context");
+}
+
+// The same hostile material, aimed at the middlebox: each endpoint's entry
+// for it is sealed under that endpoint's real pairwise key (from the
+// middlebox's ticket) and carries a half for a context the ClientHello never
+// listed, so the two would combine into keys for it.
+TEST(Rekey, MiddleboxRejectsHalvesForUnknownContext)
+{
+    HostileRekeyEnv env;
+    MiddleboxTicket ticket = env.mboxes[0]->ticket();
+    ASSERT_FALSE(ticket.pairwise_client.enc_key.empty());
+    ASSERT_TRUE(env.client->initiate_rekey().ok());
+    RekeyRecord init = decode_rekey(env.client->take_write_units().at(0));
+    ASSERT_TRUE(env.server->feed(encode_rekey(init)).ok());
+    RekeyRecord resp = decode_rekey(env.server->take_write_units().at(0));
+    ASSERT_TRUE(env.client->feed(encode_rekey(resp)).ok());
+    Bytes commit = env.client->take_write_units().at(0);
+
+    TestRng rng(11);
+    auto reseal = [&](RekeyRecord& rk, uint8_t sender, const AuthEncKeyBytes& pairwise,
+                      ConstBytes random) {
+        std::vector<MiddleboxMaterialEntry> material;
+        for (uint8_t id : {1, 9}) {  // 9 was never negotiated
+            MiddleboxMaterialEntry e;
+            e.context_id = id;
+            e.permission = Permission::read;
+            e.reader_half = derive_partial_keys(Bytes(32, 0x6a), random, id).reader_half;
+            material.push_back(std::move(e));
+        }
+        for (auto& e : rk.entries)
+            if (e.entity == 0)
+                e.sealed = authenc_seal(AuthEncKey(pairwise), rekey_ad(sender, 0, rk.epoch),
+                                        serialize_middlebox_material(material), rng);
+    };
+    reseal(init, kEntityClient, ticket.pairwise_client, env.client_random);
+    reseal(resp, kEntityServer, ticket.pairwise_server, env.server_random);
+    MiddleboxSession& mbox = *env.mboxes[0];
+    (void)mbox.feed_from_client(encode_rekey(init));
+    (void)mbox.feed_from_server(encode_rekey(resp));
+    (void)mbox.feed_from_client(commit);
+    EXPECT_EQ(mbox.context_keys(9), nullptr);
+    EXPECT_TRUE(mbox.failed());
+    EXPECT_EQ(mbox.failure().alert, tls::AlertDescription::illegal_parameter);
+    EXPECT_EQ(mbox.failure().message, "mctls mbox: key material for unknown context");
 }
 
 TEST(Rekey, ServerRejectsOutOfSequenceEpoch)

@@ -129,6 +129,25 @@ TEST(Robustness, ExtensionRoundTripWithExtremes)
     EXPECT_EQ(parsed.value().contexts.size(), 50u);
 }
 
+// A party keeps one entry per context id, so a list naming one id twice
+// has no meaning and is refused at parse.
+TEST(Robustness, ExtensionWithRepeatedContextIdRejected)
+{
+    MiddleboxListExtension ext;
+    ext.middleboxes.push_back({"m", "m"});
+    for (uint8_t id : {4, 7, 4}) {
+        ContextDescription ctx;
+        ctx.id = id;
+        ctx.permissions.assign(1, Permission::read);
+        ext.contexts.push_back(std::move(ctx));
+    }
+    auto parsed = MiddleboxListExtension::parse(ext.serialize());
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().message, "mctls: duplicate context id");
+    ext.contexts.pop_back();
+    EXPECT_TRUE(MiddleboxListExtension::parse(ext.serialize()).ok());
+}
+
 TEST(Robustness, RecordStreamInterleavedWithGarbageFailsNotCrashes)
 {
     ChainEnv env;

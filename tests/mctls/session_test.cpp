@@ -386,6 +386,10 @@ TEST(McTlsHandshake, InvalidConfigsThrow)
 
     auto cfg3 = env.client_config({}, {ctx_row(1, "x", 3, Permission::read)});
     EXPECT_THROW(Session{cfg3}, std::invalid_argument);  // row size mismatch
+
+    auto cfg4 = env.client_config({}, {ctx_row(2, "x", 0, Permission::none),
+                                       ctx_row(2, "y", 0, Permission::none)});
+    EXPECT_THROW(Session{cfg4}, std::invalid_argument);  // one id twice
 }
 
 TEST(McTlsHandshake, HandshakeByteAccountingGrowsWithMiddleboxes)
