@@ -20,6 +20,14 @@
 namespace mct::http {
 namespace {
 
+// Flight-recorder forensics (DESIGN.md §17). Every soak runs with journal
+// lanes: each fetch gets a black-box lane of kFlightRingCapacity events, the
+// infrastructure shares lanes under sid 0, and closed lanes recycle once
+// kFlightMaxRings are live — sized so a default campaign retains every
+// failed session's history.
+constexpr size_t kFlightRingCapacity = 128;
+constexpr size_t kFlightMaxRings = 4096;
+
 uint64_t fnv1a(uint64_t h, uint64_t v)
 {
     for (int i = 0; i < 8; ++i) {
@@ -262,14 +270,13 @@ struct Campaign {
             break;
         }
         case 4: {  // rekey storm across every live session
-            if (!cfg.rekey_storms) break;
             size_t n = bed.rekey_live_sessions();
             report.rekeys_started += n;
             record("rekey_storm", n);
             break;
         }
         case 5: {  // cache-budget squeeze with live traffic
-            if (!cfg.budget_squeezes || squeezed) break;
+            if (squeezed) break;
             squeezed = true;
             record("squeeze", 25);
             bed.state_plane().scale_budgets(0.25);
@@ -599,8 +606,8 @@ SoakReport run_soak(const SoakConfig& cfg)
     if (cfg.audit_capture) tb.capture = &capture;
 
     obs::Journal journal({.capacity = cfg.span_capacity,
-                          .lane_capacity = cfg.flight_ring_capacity,
-                          .max_lanes = cfg.flight_max_rings});
+                          .lane_capacity = kFlightRingCapacity,
+                          .max_lanes = kFlightMaxRings});
     tb.journal = &journal;
 
     Testbed bed(std::move(tb));

@@ -65,13 +65,11 @@ struct SoakConfig {
     // shared ticket caches.
     bool resumption_stampede = true;
 
-    // Chaos campaign. One action is drawn from the seeded schedule every
-    // `chaos_interval`; storms and squeezes can be disabled independently
-    // (kills/flaps/corruption/delays ride the `chaos` master switch).
+    // Chaos campaign. One action (kill, flap, corruption, delay, rekey
+    // storm or budget squeeze) is drawn from the seeded schedule every
+    // `chaos_interval`.
     bool chaos = true;
     net::SimTime chaos_interval = 40_ms;
-    bool rekey_storms = true;
-    bool budget_squeezes = true;
 
     // Invariant poller cadence and the liveness threshold K.
     net::SimTime poll_interval = 10_ms;
@@ -88,14 +86,6 @@ struct SoakConfig {
     // Optional external hub: live-session and shed/decline/evict-rate
     // gauges land here. Null = a soak-internal hub is used.
     obs::Hub* hub = nullptr;
-
-    // Flight-recorder forensics (DESIGN.md §17). Every soak runs with
-    // journal lanes: each fetch gets a black-box lane (flight_ring_capacity
-    // events), the infrastructure shares lanes under sid 0, and closed lanes
-    // recycle once flight_max_rings are live — sized here so a default
-    // campaign retains every failed session's history.
-    size_t flight_ring_capacity = 128;
-    size_t flight_max_rings = 4096;
 
     // Incident bundles. When incident_dir is non-empty (or MCT_INCIDENT_DIR
     // is set, which overrides it), the soak writes

@@ -82,20 +82,26 @@ char fill_for(uint64_t fetch_id)
     return static_cast<char>('a' + fetch_id % 26);
 }
 
-// Send a channel's pending write units, pairing each with its span context
-// (aligned by index; see SecureChannel::take_outgoing_spans) so SimNet can
+// Send one write unit with its span context, if it has one, so SimNet can
 // attribute queueing and transmission to the record that caused them.
+void send_unit(const net::ConnectionPtr& conn, const Bytes& unit, const obs::SpanContext& ctx)
+{
+    if (conn->close_queued()) return;
+    if (ctx.valid())
+        conn->send_traced(unit, ctx);
+    else
+        conn->send(unit);
+}
+
+// Send a channel's pending write units, each with its span context (aligned
+// by index; see SecureChannel::take_outgoing_spans).
 void flush_channel(SecureChannel* channel, const net::ConnectionPtr& conn)
 {
     if (conn->close_queued()) return;
     std::vector<Bytes> units = channel->take_outgoing();
     std::vector<obs::SpanContext> ctxs = channel->take_outgoing_spans();
-    for (size_t i = 0; i < units.size(); ++i) {
-        if (i < ctxs.size() && ctxs[i].valid())
-            conn->send_traced(units[i], ctxs[i]);
-        else
-            conn->send(units[i]);
-    }
+    for (size_t i = 0; i < units.size(); ++i)
+        send_unit(conn, units[i], i < ctxs.size() ? ctxs[i] : obs::SpanContext{});
 }
 
 // Hand delivered transport span contexts to the channel before the bytes
@@ -126,12 +132,16 @@ struct Testbed::Impl {
 
     // Keep per-connection state alive.
     std::vector<std::shared_ptr<void>> anchors;
-    std::vector<net::ConnectionPtr> tracked_conns;
-    // Channels/relay sessions owned via anchors, labeled with their trace
-    // actor name so publish_session_stats can key the metrics registry.
-    std::vector<std::pair<std::string, SecureChannel*>> all_channels;
-    std::vector<std::pair<std::string, SecureChannel*>> split_channels;
-    std::vector<std::pair<std::string, mctls::MiddleboxSession*>> relay_sessions;
+    // The session registry: every session owned via anchors, labeled with
+    // its trace actor name so publish_session_stats can key the metrics
+    // registry. Only endpoints (client and server channels) count toward
+    // §5.2's record-overhead totals, which stay endpoint-to-endpoint.
+    struct TrackedSession {
+        std::string label;
+        std::function<obs::SessionStats()> stats;
+        bool endpoint;
+    };
+    std::vector<TrackedSession> sessions;
     std::map<std::string, size_t> label_counts;
 
     // Telemetry (null/0 when cfg.journal is unset).
@@ -318,48 +328,23 @@ struct Testbed::Impl {
 
     bool prune() const { return !cfg.retain_sessions; }
 
-    void fold_stats(const std::string& cls, const obs::SessionStats& s)
+    // Retain mode registers each session under a unique "<cls>[#n]" label;
+    // prune mode keeps no registry and folds the session into its class
+    // when it retires.
+    void track(const std::string& cls, std::function<obs::SessionStats()> stats, bool endpoint)
     {
-        obs::SessionStats& agg = retired_stats[cls];
-        agg.actor = cls;
-        agg.established |= s.established;
-        agg.resumed |= s.resumed;
-        if (s.epoch > agg.epoch) agg.epoch = s.epoch;
-        agg.rekeys += s.rekeys;
-        agg.handshake_wire_bytes += s.handshake_wire_bytes;
-        agg.app_overhead_bytes += s.app_overhead_bytes;
-        agg.app_records_sent += s.app_records_sent;
-        agg.app_records_received += s.app_records_received;
-        agg.macs_generated += s.macs_generated;
-        agg.macs_verified += s.macs_verified;
-        agg.mac_failures += s.mac_failures;
-        agg.alerts_sent += s.alerts_sent;
-        agg.alerts_received += s.alerts_received;
-        for (const auto& [type, n] : s.alerts_sent_by_type)
-            agg.alerts_sent_by_type[type] += n;
-        for (const auto& [type, n] : s.alerts_received_by_type)
-            agg.alerts_received_by_type[type] += n;
-        agg.trace_events_dropped += s.trace_events_dropped;
-        for (const auto& c : s.contexts) {
-            auto it = std::find_if(
-                agg.contexts.begin(), agg.contexts.end(),
-                [&](const obs::ContextStats& a) { return a.name == c.name; });
-            if (it == agg.contexts.end()) {
-                agg.contexts.push_back(c);
-                continue;
-            }
-            it->bytes_out += c.bytes_out;
-            it->bytes_in += c.bytes_in;
-            it->records_out += c.records_out;
-            it->records_in += c.records_in;
-        }
+        if (!prune()) sessions.push_back({unique_label(cls), std::move(stats), endpoint});
     }
 
-    void retire_channel(const std::string& cls, SecureChannel* channel)
+    void retire_session(const std::string& cls, const obs::SessionStats& s, bool endpoint)
     {
-        retired_overhead.overhead_bytes += channel->app_overhead_bytes();
-        retired_overhead.records += channel->app_records_sent();
-        fold_stats(cls, channel->session_stats());
+        if (endpoint) {
+            retired_overhead.overhead_bytes += s.app_overhead_bytes;
+            retired_overhead.records += s.app_records_sent;
+        }
+        obs::SessionStats& agg = retired_stats[cls];
+        agg.actor = cls;
+        agg.fold(s);
     }
 
     // Break the connection's reference cycle one tick later: the callbacks
@@ -640,79 +625,52 @@ struct Testbed::Impl {
         return journal ? journal->open_lane(fetch_id, "client") : nullptr;
     }
 
-    std::unique_ptr<SecureChannel> make_client_channel(obs::Lane* lane)
+    // The client's channel for one attempt, or the server's for one accept.
+    std::unique_ptr<SecureChannel> make_channel(tls::Role role, obs::Lane* lane)
     {
+        bool client = role == tls::Role::client;
+        auto endpoint = [&](auto& c) {
+            c.role = role;
+            c.rng = &rng;
+            c.handshake_timeout = cfg.handshake_deadline;
+            c.journal = journal;
+            c.trace_actor = client ? "client" : "server";
+            c.lane = lane;
+            if (client) {
+                c.server_name = "server.example.com";
+                c.keylog = cfg.keylog;
+            } else {
+                c.chain = {server_id.certificate};
+                c.private_key = server_id.private_key;
+            }
+        };
         switch (effective_mode()) {
         case Mode::no_encrypt:
             return std::make_unique<PlainChannel>();
         case Mode::split_tls:
         case Mode::e2e_tls: {
             tls::SessionConfig tcfg;
-            tcfg.role = tls::Role::client;
-            tcfg.server_name = "server.example.com";
-            tcfg.trust = &store;
-            tcfg.rng = &rng;
-            tcfg.handshake_timeout = cfg.handshake_deadline;
-            tcfg.journal = journal;
-            tcfg.trace_actor = "client";
-            tcfg.keylog = cfg.keylog;
-            tcfg.lane = lane;
-            if (continuity() && client_tls_ticket.valid())
-                tcfg.ticket = &client_tls_ticket;
+            endpoint(tcfg);
+            if (client) {
+                tcfg.trust = &store;
+                if (continuity() && client_tls_ticket.valid()) tcfg.ticket = &client_tls_ticket;
+            } else if (continuity()) {
+                tcfg.session_cache = &state.tls_cache();
+            }
             return std::make_unique<TlsChannel>(std::move(tcfg));
         }
         case Mode::mctls: {
             mctls::SessionConfig mcfg;
-            mcfg.role = tls::Role::client;
-            mcfg.server_name = "server.example.com";
-            alive_composition(&mcfg.middleboxes, &mcfg.contexts);
+            endpoint(mcfg);
             mcfg.trust = &store;
-            mcfg.rng = &rng;
-            mcfg.handshake_timeout = cfg.handshake_deadline;
-            mcfg.journal = journal;
-            mcfg.trace_actor = "client";
-            mcfg.keylog = cfg.keylog;
-            mcfg.lane = lane;
-            if (continuity() && client_mctls_ticket.valid())
-                mcfg.ticket = &client_mctls_ticket;
-            return std::make_unique<McTlsChannel>(std::move(mcfg));
-        }
-        }
-        return nullptr;
-    }
-
-    std::unique_ptr<SecureChannel> make_server_channel()
-    {
-        switch (effective_mode()) {
-        case Mode::no_encrypt:
-            return std::make_unique<PlainChannel>();
-        case Mode::split_tls:
-        case Mode::e2e_tls: {
-            tls::SessionConfig tcfg;
-            tcfg.role = tls::Role::server;
-            tcfg.chain = {server_id.certificate};
-            tcfg.private_key = server_id.private_key;
-            tcfg.rng = &rng;
-            tcfg.handshake_timeout = cfg.handshake_deadline;
-            tcfg.journal = journal;
-            tcfg.trace_actor = "server";
-            tcfg.lane = server_lane;
-            if (continuity()) tcfg.session_cache = &state.tls_cache();
-            return std::make_unique<TlsChannel>(std::move(tcfg));
-        }
-        case Mode::mctls: {
-            mctls::SessionConfig mcfg;
-            mcfg.role = tls::Role::server;
-            mcfg.chain = {server_id.certificate};
-            mcfg.private_key = server_id.private_key;
-            mcfg.trust = &store;
-            mcfg.client_key_distribution = cfg.client_key_distribution;
-            mcfg.rng = &rng;
-            mcfg.handshake_timeout = cfg.handshake_deadline;
-            mcfg.journal = journal;
-            mcfg.trace_actor = "server";
-            mcfg.lane = server_lane;
-            if (continuity()) mcfg.session_cache = &state.server_cache();
+            if (client) {
+                alive_composition(&mcfg.middleboxes, &mcfg.contexts);
+                if (continuity() && client_mctls_ticket.valid())
+                    mcfg.ticket = &client_mctls_ticket;
+            } else {
+                mcfg.client_key_distribution = cfg.client_key_distribution;
+                if (continuity()) mcfg.session_cache = &state.server_cache();
+            }
             return std::make_unique<McTlsChannel>(std::move(mcfg));
         }
         }
@@ -779,7 +737,7 @@ struct Testbed::Impl {
     {
         if (!prune() || state->retired) return;
         state->retired = true;
-        retire_channel("server", state->channel.get());
+        retire_session("server", state->channel->session_stats(), /*endpoint=*/true);
         release_conn(state->conn, state);
     }
 
@@ -789,9 +747,9 @@ struct Testbed::Impl {
             auto state = std::make_shared<ServerConn>();
             state->impl = this;
             state->conn = conn;
-            state->channel = make_server_channel();
-            if (!prune())
-                all_channels.emplace_back(unique_label("server"), state->channel.get());
+            state->channel = make_channel(tls::Role::server, server_lane);
+            track("server", [channel = state->channel.get()] { return channel->session_stats(); },
+                  /*endpoint=*/true);
             conn->set_nagle(cfg.nagle);
             conn->set_on_data([state](ConstBytes data) { state->on_data(data); });
             conn->set_on_close([this, state] {
@@ -807,51 +765,67 @@ struct Testbed::Impl {
                                      if (!state->conn->close_queued())
                                          state->conn->close();
                                  });
-            if (!prune()) {
-                anchors.push_back(state);
-                tracked_conns.push_back(conn);
-            }
+            if (!prune()) anchors.push_back(state);
         });
     }
 
     // ---- Relays ----
 
-    struct BlindRelay {
+    // One relay process's handling of one downstream connection. start_relay
+    // writes the wiring once (accept, the lazy upstream connect, closing the
+    // other leg, retirement); a mode only says what the four events do to
+    // bytes and which sessions it folds when it retires.
+    struct Relay {
+        Impl* impl = nullptr;
+        size_t index = 0;
         net::ConnectionPtr down, up;
         bool up_ready = false;
         bool retired = false;
+
+        Relay() = default;
+        Relay(const Relay&) = delete;
+        Relay& operator=(const Relay&) = delete;
+        virtual ~Relay() = default;
+        virtual void down_bytes(ConstBytes data) = 0;
+        virtual void up_connected() = 0;  // up_ready is already set
+        virtual void up_bytes(ConstBytes data) = 0;
+        // EOF on one side; the wiring then closes the other (half-close).
+        virtual void side_closed(bool from_down) = 0;
+        // Prune mode: fold the relay's sessions into their classes.
+        virtual void fold_stats() {}
+    };
+
+    // NoEncrypt and E2E-TLS: bytes pass through untouched.
+    struct BlindRelay final : Relay {
         Bytes up_backlog;
 
-        void down_data(ConstBytes data)
+        void down_bytes(ConstBytes data) override
         {
-            if (up_ready) {
-                if (!up->close_queued()) down->forward_to(*up, data);
-            } else {
+            if (!up_ready)
                 append(up_backlog, data);
-            }
+            else if (!up->close_queued())
+                down->forward_to(*up, data);
         }
-        void up_connected()
+        void up_connected() override
         {
-            up_ready = true;
             if (!up_backlog.empty() && !up->close_queued()) {
                 up->send(up_backlog);
                 up_backlog.clear();
             }
         }
-        // EOF on one side propagates to the other (half-close relay).
-        void side_closed(bool from_down)
+        void up_bytes(ConstBytes data) override
         {
-            net::ConnectionPtr other = from_down ? up : down;
-            if (other && !other->close_queued()) other->close();
+            if (!down->close_queued()) up->forward_to(*down, data);
         }
+        void side_closed(bool) override {}
     };
 
-    struct SplitRelay {
+    // SplitTLS: a TLS server toward the client under the impersonation
+    // certificate, a TLS client toward the next hop, plaintext in between.
+    struct SplitRelay final : Relay {
         std::unique_ptr<TlsChannel> down_tls;  // server role, impersonation cert
         std::unique_ptr<TlsChannel> up_tls;    // client role toward next hop
-        net::ConnectionPtr down, up;
-        bool up_ready = false;
-        bool retired = false;
+        Bytes backlog_up;
 
         void flush_down() { flush_channel(down_tls.get(), down); }
         void flush_up()
@@ -879,29 +853,42 @@ struct Testbed::Impl {
                 flush_up();
             }
         }
-
-        Bytes backlog_up;
+        void down_bytes(ConstBytes data) override
+        {
+            drain_rx_spans(down, down_tls.get());
+            (void)down_tls->on_bytes(data);
+            pump();
+        }
+        void up_connected() override
+        {
+            up_tls->start();
+            pump();
+        }
+        void up_bytes(ConstBytes data) override
+        {
+            drain_rx_spans(up, up_tls.get());
+            (void)up_tls->on_bytes(data);
+            pump();
+        }
+        void side_closed(bool from_down) override
+        {
+            (from_down ? down_tls : up_tls)->transport_closed();
+        }
+        void fold_stats() override
+        {
+            std::string host = mbox_host(index);
+            impl->retire_session(host + "-down", down_tls->session_stats(), /*endpoint=*/false);
+            impl->retire_session(host + "-up", up_tls->session_stats(), /*endpoint=*/false);
+        }
     };
 
-    struct McTlsRelay {
-        Impl* impl = nullptr;
-        size_t index = 0;
+    // mcTLS: a MiddleboxSession; its write units keep their span contexts
+    // through the backlog, and a corrupt_record fault flips the next
+    // application record it forwards.
+    struct McTlsRelay final : Relay {
         std::unique_ptr<mctls::MiddleboxSession> session;
-        net::ConnectionPtr down, up;
-        bool up_ready = false;
-        bool retired = false;
         std::vector<Bytes> up_backlog;
         std::vector<obs::SpanContext> up_backlog_spans;
-
-        static void send_unit(const net::ConnectionPtr& conn, const Bytes& unit,
-                              const obs::SpanContext& ctx)
-        {
-            if (conn->close_queued()) return;
-            if (ctx.valid())
-                conn->send_traced(unit, ctx);
-            else
-                conn->send(unit);
-        }
 
         void pump()
         {
@@ -926,25 +913,94 @@ struct Testbed::Impl {
                 }
             }
         }
-        void up_connected()
+        void down_bytes(ConstBytes data) override
         {
-            up_ready = true;
+            for (const auto& ctx : down->take_rx_spans()) session->queue_rx_span(true, ctx);
+            (void)session->feed_from_client(data);
+            pump();
+        }
+        void up_connected() override
+        {
             for (size_t i = 0; i < up_backlog.size(); ++i)
                 send_unit(up, up_backlog[i], up_backlog_spans[i]);
             up_backlog.clear();
             up_backlog_spans.clear();
         }
-        // EOF on one side: tell the session (it originates a fatal
-        // middlebox_failure alert toward the survivor unless close_notify
-        // already flowed), flush that alert, then close the other leg.
-        void side_closed(bool from_down)
+        void up_bytes(ConstBytes data) override
+        {
+            for (const auto& ctx : up->take_rx_spans()) session->queue_rx_span(false, ctx);
+            (void)session->feed_from_server(data);
+            pump();
+        }
+        // The session originates a fatal middlebox_failure alert toward the
+        // survivor unless close_notify already flowed; flush it first.
+        void side_closed(bool from_down) override
         {
             session->transport_closed(/*from_client_side=*/from_down);
             pump();
-            net::ConnectionPtr other = from_down ? up : down;
-            if (other && !other->close_queued()) other->close();
+        }
+        void fold_stats() override
+        {
+            impl->retire_session(mbox_host(index), session->session_stats(), /*endpoint=*/false);
         }
     };
+
+    std::shared_ptr<Relay> make_relay(size_t index)
+    {
+        std::string host = mbox_host(index);
+        obs::Lane* lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
+        switch (effective_mode()) {
+        case Mode::no_encrypt:
+        case Mode::e2e_tls:
+            return std::make_shared<BlindRelay>();
+        case Mode::split_tls: {
+            auto relay = std::make_shared<SplitRelay>();
+            tls::SessionConfig down_cfg;
+            down_cfg.role = tls::Role::server;
+            down_cfg.chain = {impersonation_ids[index].certificate};
+            down_cfg.private_key = impersonation_ids[index].private_key;
+            down_cfg.rng = &rng;
+            down_cfg.journal = journal;
+            down_cfg.trace_actor = host + "-down";
+            down_cfg.lane = lane;
+            relay->down_tls = std::make_unique<TlsChannel>(std::move(down_cfg));
+            tls::SessionConfig up_cfg;
+            up_cfg.role = tls::Role::client;
+            up_cfg.server_name = "server.example.com";
+            up_cfg.trust = &store;
+            up_cfg.rng = &rng;
+            up_cfg.journal = journal;
+            up_cfg.trace_actor = host + "-up";
+            up_cfg.lane = lane;
+            relay->up_tls = std::make_unique<TlsChannel>(std::move(up_cfg));
+            // Stats only: the relay's legs are not endpoints.
+            track(host + "-down", [leg = relay->down_tls.get()] { return leg->session_stats(); },
+                  /*endpoint=*/false);
+            track(host + "-up", [leg = relay->up_tls.get()] { return leg->session_stats(); },
+                  /*endpoint=*/false);
+            return relay;
+        }
+        case Mode::mctls: {
+            auto relay = std::make_shared<McTlsRelay>();
+            mctls::MiddleboxConfig mcfg;
+            mcfg.name = mbox_ids[index].certificate.subject;
+            mcfg.chain = {mbox_ids[index].certificate};
+            mcfg.private_key = mbox_ids[index].private_key;
+            mcfg.trust = &store;
+            mcfg.rng = &rng;
+            mcfg.journal = journal;
+            mcfg.trace_actor = host;
+            mcfg.lane = lane;
+            if (continuity()) mcfg.session_cache = &state.middlebox_cache(index);
+            if (customize_middlebox) customize_middlebox(index, mcfg);
+            relay->session = std::make_unique<mctls::MiddleboxSession>(std::move(mcfg));
+            track(host, [session = relay->session.get()] { return session->session_stats(); },
+                  /*endpoint=*/false);
+            return relay;
+        }
+        }
+        return nullptr;
+    }
 
     void start_relay(size_t index)
     {
@@ -958,178 +1014,45 @@ struct Testbed::Impl {
             if (prune()) compact_relay_conns(index);
             relay_conns[index].push_back(down);
 
+            std::shared_ptr<Relay> relay = make_relay(index);
+            relay->impl = this;
+            relay->index = index;
+            relay->down = down;
+            auto retire = [this, relay] {
+                if (!prune() || relay->retired) return;
+                relay->retired = true;
+                relay->fold_stats();
+                release_conn(relay->down, relay);
+                release_conn(relay->up, relay);
+            };
+            auto side_closed = [relay, retire](bool from_down) {
+                relay->side_closed(from_down);
+                net::ConnectionPtr other = from_down ? relay->up : relay->down;
+                if (other && !other->close_queued()) other->close();
+                retire();
+            };
             // Proxies open the upstream leg when the first downstream bytes
             // arrive (they need the request / ClientHello first), matching
             // the paper's 2-RTT NoEncrypt / 4-RTT TLS-family baselines.
             // The upstream target is resolved at connect time so recovery
             // attempts route around middleboxes that died meanwhile.
-            auto connect_upstream = [this, host, index](auto on_connect, auto on_data,
-                                                        auto on_close) {
-                auto up = net.connect(host, next_alive_host(index), kPort);
-                up->set_nagle(cfg.nagle);
-                if (!prune()) tracked_conns.push_back(up);
-                relay_conns[index].push_back(up);
-                up->set_on_connect(on_connect);
-                up->set_on_data(on_data);
-                up->set_on_close(on_close);
-                return up;
-            };
-
-            switch (effective_mode()) {
-            case Mode::no_encrypt:
-            case Mode::e2e_tls: {
-                auto relay = std::make_shared<BlindRelay>();
-                relay->down = down;
-                auto retire = [this, relay] {
-                    if (!prune() || relay->retired) return;
-                    relay->retired = true;
-                    release_conn(relay->down, relay);
-                    release_conn(relay->up, relay);
-                };
-                down->set_on_data([relay, connect_upstream, retire](ConstBytes d) {
-                    if (!relay->up) {
-                        relay->up = connect_upstream(
-                            [relay] { relay->up_connected(); },
-                            [relay](ConstBytes b) {
-                                if (!relay->down->close_queued())
-                                    relay->up->forward_to(*relay->down, b);
-                            },
-                            [relay, retire] {
-                                relay->side_closed(/*from_down=*/false);
-                                retire();
-                            });
-                    }
-                    relay->down_data(d);
-                });
-                down->set_on_close([relay, retire] {
-                    relay->side_closed(/*from_down=*/true);
-                    retire();
-                });
-                if (!prune()) anchors.push_back(relay);
-                break;
-            }
-            case Mode::split_tls: {
-                auto relay = std::make_shared<SplitRelay>();
-                relay->down = down;
-                tls::SessionConfig down_cfg;
-                down_cfg.role = tls::Role::server;
-                down_cfg.chain = {impersonation_ids[index].certificate};
-                down_cfg.private_key = impersonation_ids[index].private_key;
-                down_cfg.rng = &rng;
-                down_cfg.journal = journal;
-                down_cfg.trace_actor = host + "-down";
-                down_cfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
-                relay->down_tls = std::make_unique<TlsChannel>(std::move(down_cfg));
-                tls::SessionConfig up_cfg;
-                up_cfg.role = tls::Role::client;
-                up_cfg.server_name = "server.example.com";
-                up_cfg.trust = &store;
-                up_cfg.rng = &rng;
-                up_cfg.journal = journal;
-                up_cfg.trace_actor = host + "-up";
-                up_cfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
-                relay->up_tls = std::make_unique<TlsChannel>(std::move(up_cfg));
-                // Stats only: keep these out of all_channels so §5.2 overhead
-                // accounting stays endpoint-to-endpoint as before.
-                if (!prune()) {
-                    split_channels.emplace_back(unique_label(host + "-down"),
-                                                relay->down_tls.get());
-                    split_channels.emplace_back(unique_label(host + "-up"),
-                                                relay->up_tls.get());
+            down->set_on_data([this, host, index, relay, side_closed](ConstBytes data) {
+                if (!relay->up) {
+                    auto up = net.connect(host, next_alive_host(index), kPort);
+                    up->set_nagle(cfg.nagle);
+                    relay_conns[index].push_back(up);
+                    up->set_on_connect([relay] {
+                        relay->up_ready = true;
+                        relay->up_connected();
+                    });
+                    up->set_on_data([relay](ConstBytes b) { relay->up_bytes(b); });
+                    up->set_on_close([side_closed] { side_closed(/*from_down=*/false); });
+                    relay->up = std::move(up);
                 }
-                auto retire = [this, relay, host] {
-                    if (!prune() || relay->retired) return;
-                    relay->retired = true;
-                    fold_stats(host + "-down", relay->down_tls->session_stats());
-                    fold_stats(host + "-up", relay->up_tls->session_stats());
-                    release_conn(relay->down, relay);
-                    release_conn(relay->up, relay);
-                };
-                down->set_on_data([relay, connect_upstream, retire](ConstBytes d) {
-                    if (!relay->up) {
-                        relay->up = connect_upstream(
-                            [relay] {
-                                relay->up_ready = true;
-                                relay->up_tls->start();
-                                relay->pump();
-                            },
-                            [relay](ConstBytes b) {
-                                drain_rx_spans(relay->up, relay->up_tls.get());
-                                (void)relay->up_tls->on_bytes(b);
-                                relay->pump();
-                            },
-                            [relay, retire] {
-                                relay->up_tls->transport_closed();
-                                if (!relay->down->close_queued()) relay->down->close();
-                                retire();
-                            });
-                    }
-                    drain_rx_spans(relay->down, relay->down_tls.get());
-                    (void)relay->down_tls->on_bytes(d);
-                    relay->pump();
-                });
-                down->set_on_close([relay, retire] {
-                    relay->down_tls->transport_closed();
-                    if (relay->up && !relay->up->close_queued()) relay->up->close();
-                    retire();
-                });
-                if (!prune()) anchors.push_back(relay);
-                break;
-            }
-            case Mode::mctls: {
-                auto relay = std::make_shared<McTlsRelay>();
-                relay->impl = this;
-                relay->index = index;
-                relay->down = down;
-                mctls::MiddleboxConfig mcfg;
-                mcfg.name = mbox_ids[index].certificate.subject;
-                mcfg.chain = {mbox_ids[index].certificate};
-                mcfg.private_key = mbox_ids[index].private_key;
-                mcfg.trust = &store;
-                mcfg.rng = &rng;
-                mcfg.journal = journal;
-                mcfg.trace_actor = host;
-                mcfg.lane = index < mbox_lanes.size() ? mbox_lanes[index] : nullptr;
-                if (continuity()) mcfg.session_cache = &state.middlebox_cache(index);
-                if (customize_middlebox) customize_middlebox(index, mcfg);
-                relay->session = std::make_unique<mctls::MiddleboxSession>(std::move(mcfg));
-                if (!prune())
-                    relay_sessions.emplace_back(unique_label(host), relay->session.get());
-                auto retire = [this, relay, host] {
-                    if (!prune() || relay->retired) return;
-                    relay->retired = true;
-                    fold_stats(host, relay->session->session_stats());
-                    release_conn(relay->down, relay);
-                    release_conn(relay->up, relay);
-                };
-                down->set_on_data([relay, connect_upstream, retire](ConstBytes d) {
-                    if (!relay->up) {
-                        relay->up = connect_upstream(
-                            [relay] { relay->up_connected(); },
-                            [relay](ConstBytes b) {
-                                for (const auto& ctx : relay->up->take_rx_spans())
-                                    relay->session->queue_rx_span(false, ctx);
-                                (void)relay->session->feed_from_server(b);
-                                relay->pump();
-                            },
-                            [relay, retire] {
-                                relay->side_closed(/*from_down=*/false);
-                                retire();
-                            });
-                    }
-                    for (const auto& ctx : relay->down->take_rx_spans())
-                        relay->session->queue_rx_span(true, ctx);
-                    (void)relay->session->feed_from_client(d);
-                    relay->pump();
-                });
-                down->set_on_close([relay, retire] {
-                    relay->side_closed(/*from_down=*/true);
-                    retire();
-                });
-                if (!prune()) anchors.push_back(relay);
-                break;
-            }
-            }
+                relay->down_bytes(data);
+            });
+            down->set_on_close([side_closed] { side_closed(/*from_down=*/true); });
+            if (!prune()) anchors.push_back(relay);
         });
     }
 
@@ -1175,7 +1098,7 @@ struct Testbed::Impl {
             if (!conn->close_queued()) conn->abort();
             impl->capture_ticket(channel.get());
             if (impl->prune()) {
-                impl->retire_channel("client", channel.get());
+                impl->retire_session("client", channel->session_stats(), /*endpoint=*/true);
                 impl->release_conn(conn, shared_from_this());
             }
             std::vector<size_t> remaining(pending.begin(), pending.end());
@@ -1265,7 +1188,7 @@ struct Testbed::Impl {
                 channel->close();  // polite close_notify toward the server
                 flush();
                 if (!conn->close_queued()) conn->close();
-                impl->retire_channel("client", channel.get());
+                impl->retire_session("client", channel->session_stats(), /*endpoint=*/true);
                 impl->release_conn(conn, shared_from_this());
             }
             impl->fetch_finished();
@@ -1323,9 +1246,9 @@ struct Testbed::Impl {
         state->on_done = std::move(on_done);
         state->pending.assign(sizes.begin(), sizes.end());
         state->lane = lane;
-        state->channel = make_client_channel(lane);
-        if (!prune())
-            all_channels.emplace_back(unique_label("client"), state->channel.get());
+        state->channel = make_channel(tls::Role::client, lane);
+        track("client", [channel = state->channel.get()] { return channel->session_stats(); },
+              /*endpoint=*/true);
         state->conn = net.connect("client", client_first_hop(), kPort);
         state->conn->set_nagle(cfg.nagle);
         state->conn->set_on_connect([state] {
@@ -1341,10 +1264,7 @@ struct Testbed::Impl {
                                  state->attempt_failed(reason);
                              });
         live_clients[state->result->id] = state;
-        if (!prune()) {
-            anchors.push_back(state);
-            tracked_conns.push_back(state->conn);
-        }
+        if (!prune()) anchors.push_back(state);
     }
 
     // A client attempt failed: retry with backoff under the configured
@@ -1409,9 +1329,11 @@ struct Testbed::Impl {
     Testbed::OverheadTotals overhead_totals() const
     {
         Testbed::OverheadTotals totals;
-        for (const auto& [label, channel] : all_channels) {
-            totals.overhead_bytes += channel->app_overhead_bytes();
-            totals.records += channel->app_records_sent();
+        for (const auto& tracked : sessions) {
+            if (!tracked.endpoint) continue;
+            obs::SessionStats s = tracked.stats();
+            totals.overhead_bytes += s.app_overhead_bytes;
+            totals.records += s.app_records_sent;
         }
         totals.overhead_bytes += retired_overhead.overhead_bytes;
         totals.records += retired_overhead.records;
@@ -1430,20 +1352,10 @@ struct Testbed::Impl {
             for (const auto& [type, n] : s.alerts_received_by_type)
                 alerts_received[type] += n;
         };
-        for (const auto& [label, channel] : all_channels) {
-            obs::SessionStats s = channel->session_stats();
+        for (const auto& tracked : sessions) {
+            obs::SessionStats s = tracked.stats();
             acc_alerts(s);
-            cfg.obs->publish(label, s);
-        }
-        for (const auto& [label, channel] : split_channels) {
-            obs::SessionStats s = channel->session_stats();
-            acc_alerts(s);
-            cfg.obs->publish(label, s);
-        }
-        for (const auto& [label, session] : relay_sessions) {
-            obs::SessionStats s = session->session_stats();
-            acc_alerts(s);
-            cfg.obs->publish(label, s);
+            cfg.obs->publish(tracked.label, s);
         }
         // Prune mode folds each retired session into a per-class aggregate
         // ("client", "server", "mbox0", ...) at retirement time.

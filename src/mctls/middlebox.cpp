@@ -425,7 +425,7 @@ Status MiddleboxSession::try_finalize_keys()
         if (!material_[0]) return {};
         for (const auto& e : *material_[0]) {
             auto keys = ContextKeys::parse(e.complete_keys);
-            if (!keys) continue;
+            if (!keys) return fail(AlertDescription::decode_error, keys.error().message);
             // Our access is what the keys give, so they must match the grant.
             if (keys.value().access(Direction::client_to_server) != e.permission ||
                 keys.value().access(Direction::server_to_client) != e.permission)

@@ -450,8 +450,7 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         peer_dh_public_ = kx.value().public_key;
         transcript_.set(Transcript::Slot::client_key_exchange, wire);
         crypto::count_hash(cfg_.ops);
-        derive_endpoint_secrets();
-        return {};
+        return derive_endpoint_secrets();
     }
     case tls::HandshakeType::middlebox_key_material: {
         auto km = MiddleboxKeyMaterial::parse(msg.body);
@@ -478,13 +477,17 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
     }
 }
 
-void Session::derive_endpoint_secrets()
+// A low-order or wrong-length share (the unsigned CKE can be rewritten on
+// path) fails the handshake, as it does at a middlebox.
+Status Session::derive_endpoint_secrets()
 {
     auto pre = crypto::x25519_shared(dh_private_, peer_dh_public_);
-    if (!pre) throw std::runtime_error("mctls: degenerate DH share");
+    if (!pre)
+        return core_.fail(AlertDescription::illegal_parameter, "mctls: degenerate DH share");
     crypto::count_secret(cfg_.ops);
     s_cs_ = derive_shared_secret(pre.value(), client_random_, server_random_);
     derive_endpoint_secrets_from_scs();
+    return {};
 }
 
 // The key schedule below S_C-S: everything the abbreviated handshake re-runs
@@ -637,7 +640,7 @@ Status Session::client_send_second_flight()
         mbox.pairwise = derive_pairwise_key(s_cm, client_random_, mbox.random);
         crypto::count_keygen(cfg_.ops);
     }
-    derive_endpoint_secrets();
+    if (auto s = derive_endpoint_secrets(); !s) return s;
 
     Bytes flight;
     tls::ClientKeyExchange cke{crypto::x25519_public_key(dh_private_)};

@@ -256,7 +256,7 @@ private:
     // its current or (for a rekey) pending keys. No-op when the keylog is
     // disabled.
     void keylog_contexts(uint32_t epoch, bool pending) const;
-    void derive_endpoint_secrets();  // S_C-S, K_endpoints, control protectors
+    Status derive_endpoint_secrets();  // S_C-S, K_endpoints, control protectors
     Bytes finished_verify_data(const char* label, bool include_client_finished);
     Status unseal_middlebox_material_from_peer(const MiddleboxKeyMaterial& km);
 

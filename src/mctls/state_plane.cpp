@@ -81,28 +81,16 @@ void StatePlane::scale_budgets(double factor)
     for (auto& cache : mbox_) apply(cache, cfg_.middlebox);
 }
 
-util::CacheStats StatePlane::add(util::CacheStats a, const util::CacheStats& b)
-{
-    a.hits += b.hits;
-    a.misses += b.misses;
-    a.expirations += b.expirations;
-    a.insertions += b.insertions;
-    a.replacements += b.replacements;
-    a.evictions += b.evictions;
-    a.declines += b.declines;
-    a.shed += b.shed;
-    a.swept += b.swept;
-    a.entries += b.entries;
-    a.bytes += b.bytes;
-    return a;
-}
-
 StatePlane::Snapshot StatePlane::snapshot() const
 {
     Snapshot snap;
     snap.tls = tls_.stats();
     snap.server = server_.stats();
-    for (const auto& cache : mbox_) snap.middlebox = add(snap.middlebox, cache.stats());
+    for (const auto& cache : mbox_) {
+        const util::CacheStats one = cache.stats();
+        util::CacheStats::walk([](const char*, auto& sum, const auto& v) { sum += v; },
+                               snap.middlebox, one);
+    }
     snap.sweeps = sweeps_;
     snap.swept_entries = swept_entries_;
     snap.rekeys_signalled = rekeys_signalled_;

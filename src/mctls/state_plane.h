@@ -102,8 +102,6 @@ public:
     const StatePlaneConfig& config() const { return cfg_; }
 
 private:
-    static util::CacheStats add(util::CacheStats a, const util::CacheStats& b);
-
     StatePlaneConfig cfg_;
     tls::TlsSessionCache tls_;
     ServerSessionCache server_;

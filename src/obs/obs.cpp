@@ -1,127 +1,117 @@
 #include "obs/obs.h"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "obs/json.h"
 
 namespace mct::obs {
+
+namespace {
+
+using AlertCounts = std::map<std::string, uint64_t>;
+using Contexts = std::vector<ContextStats>;
+
+struct JsonField {
+    JsonWriter& w;
+
+    template <class T>
+    void operator()(StatField f, const T& v) const
+    {
+        w.key(f.key);
+        if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, bool>) {
+            w.value(v);
+        } else if constexpr (std::is_integral_v<T>) {
+            w.value(static_cast<uint64_t>(v));
+        } else if constexpr (std::is_same_v<T, AlertCounts>) {
+            w.begin_object();
+            for (const auto& [type, n] : v) {
+                w.key(type);
+                w.value(n);
+            }
+            w.end_object();
+        } else {
+            static_assert(std::is_same_v<T, Contexts>);
+            w.begin_array();
+            for (const auto& c : v) {
+                w.begin_object();
+                ContextStats::walk(*this, c);
+                w.end_object();
+            }
+            w.end_array();
+        }
+    }
+};
+
+// Counter "<prefix><metric>"; a map publishes one counter per key and a
+// context one per counter, under "<prefix>ctx.<name>.".
+struct PublishField {
+    MetricsRegistry& metrics;
+    std::string prefix;
+
+    template <class T>
+    void operator()(StatField f, const T& v) const
+    {
+        if (!f.metric) return;
+        std::string name = prefix + f.metric;
+        if constexpr (std::is_integral_v<T>) {
+            metrics.counter(name)->set(v);
+        } else if constexpr (std::is_same_v<T, AlertCounts>) {
+            for (const auto& [type, n] : v) metrics.counter(name + "." + type)->set(n);
+        } else if constexpr (std::is_same_v<T, Contexts>) {
+            for (const auto& c : v)
+                ContextStats::walk(PublishField{metrics, name + "." + c.name + "."}, c);
+        }
+    }
+};
+
+struct FoldField {
+    template <class T>
+    void operator()(StatField f, T& agg, const T& v) const
+    {
+        if constexpr (std::is_integral_v<T>) {
+            if (f.fold == Fold::any) agg = agg || v;
+            if (f.fold == Fold::max) agg = std::max(agg, v);
+            if (f.fold == Fold::sum) agg = static_cast<T>(agg + v);
+        } else if constexpr (std::is_same_v<T, AlertCounts>) {
+            for (const auto& [type, n] : v) agg[type] += n;
+        } else if constexpr (std::is_same_v<T, Contexts>) {
+            for (const auto& c : v) {
+                auto it = std::find_if(agg.begin(), agg.end(),
+                                       [&](const ContextStats& a) { return a.name == c.name; });
+                if (it == agg.end())
+                    agg.push_back(c);
+                else
+                    ContextStats::walk(*this, *it, c);
+            }
+        }
+    }
+};
+
+}  // namespace
 
 void SessionStats::to_json(std::string* out) const
 {
     JsonWriter w(out);
     w.begin_object();
-    w.key("actor");
-    w.value(actor);
-    w.key("established");
-    w.value(established);
-    w.key("failure");
-    w.value(failure);
-    w.key("resumed");
-    w.value(resumed);
-    w.key("epoch");
-    w.value(static_cast<uint64_t>(epoch));
-    w.key("rekeys");
-    w.value(rekeys);
-    w.key("handshake_wire_bytes");
-    w.value(handshake_wire_bytes);
-    w.key("app_overhead_bytes");
-    w.value(app_overhead_bytes);
-    w.key("app_records_sent");
-    w.value(app_records_sent);
-    w.key("app_records_received");
-    w.value(app_records_received);
-    w.key("macs_generated");
-    w.value(macs_generated);
-    w.key("macs_verified");
-    w.value(macs_verified);
-    w.key("mac_failures");
-    w.value(mac_failures);
-    w.key("alerts_sent");
-    w.value(alerts_sent);
-    w.key("alerts_received");
-    w.value(alerts_received);
-    w.key("alerts_sent_by_type");
-    w.begin_object();
-    for (const auto& [type, n] : alerts_sent_by_type) {
-        w.key(type);
-        w.value(n);
-    }
+    walk(JsonField{w}, *this);
     w.end_object();
-    w.key("alerts_received_by_type");
-    w.begin_object();
-    for (const auto& [type, n] : alerts_received_by_type) {
-        w.key(type);
-        w.value(n);
-    }
-    w.end_object();
-    w.key("trace_events_dropped");
-    w.value(trace_events_dropped);
-    w.key("contexts");
-    w.begin_array();
-    for (const auto& c : contexts) {
-        w.begin_object();
-        w.key("name");
-        w.value(c.name);
-        w.key("id");
-        w.value(static_cast<uint64_t>(c.id));
-        w.key("bytes_out");
-        w.value(c.bytes_out);
-        w.key("bytes_in");
-        w.value(c.bytes_in);
-        w.key("records_out");
-        w.value(c.records_out);
-        w.key("records_in");
-        w.value(c.records_in);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
+}
+
+void SessionStats::fold(const SessionStats& other)
+{
+    walk(FoldField{}, *this, other);
 }
 
 void Hub::publish(const std::string& prefix, const SessionStats& s)
 {
-    auto set = [&](const std::string& name, uint64_t v) {
-        metrics.counter(prefix + "." + name)->set(v);
-    };
-    set("established", s.established ? 1 : 0);
-    set("resumed", s.resumed ? 1 : 0);
-    set("epoch", s.epoch);
-    set("rekeys", s.rekeys);
-    set("handshake_wire_bytes", s.handshake_wire_bytes);
-    set("app_overhead_bytes", s.app_overhead_bytes);
-    set("app_records_sent", s.app_records_sent);
-    set("app_records_received", s.app_records_received);
-    set("macs_generated", s.macs_generated);
-    set("macs_verified", s.macs_verified);
-    set("mac_failures", s.mac_failures);
-    set("alerts_sent", s.alerts_sent);
-    set("alerts_received", s.alerts_received);
-    for (const auto& [type, n] : s.alerts_sent_by_type) set("alerts.sent." + type, n);
-    for (const auto& [type, n] : s.alerts_received_by_type)
-        set("alerts.received." + type, n);
-    set("trace_events_dropped", s.trace_events_dropped);
-    for (const auto& c : s.contexts) {
-        set("ctx." + c.name + ".bytes_out", c.bytes_out);
-        set("ctx." + c.name + ".bytes_in", c.bytes_in);
-        set("ctx." + c.name + ".records_out", c.records_out);
-        set("ctx." + c.name + ".records_in", c.records_in);
-    }
+    SessionStats::walk(PublishField{metrics, prefix + "."}, s);
 }
 
 void Hub::publish_cache(const std::string& prefix, const util::CacheStats& s)
 {
-    auto set = [&](const std::string& name, uint64_t v) {
-        metrics.counter(prefix + "." + name)->set(v);
-    };
-    set("hits", s.hits);
-    set("misses", s.misses);
-    set("expirations", s.expirations);
-    set("insertions", s.insertions);
-    set("replacements", s.replacements);
-    set("evictions", s.evictions);
-    set("declines", s.declines);
-    set("shed", s.shed);
-    set("swept", s.swept);
-    set("entries", s.entries);
-    set("bytes", s.bytes);
+    util::CacheStats::walk(
+        [&](const char* name, uint64_t v) { metrics.counter(prefix + "." + name)->set(v); }, s);
 }
 
 void Hub::publish_spans(const Journal& journal)

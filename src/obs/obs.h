@@ -22,6 +22,22 @@
 
 namespace mct::obs {
 
+// One description per stats field: its JSON key, the counter name
+// Hub::publish gives it (null: not published), and how SessionStats::fold
+// combines two sessions' values when retired sessions aggregate per class.
+enum class Fold : uint8_t {
+    none,  // identity, not folded (actor, failure, a context's name and id)
+    any,   // flag: set when set in any session
+    max,   // the highest value (the key epoch)
+    sum,   // counters; per-key for maps, per-name for contexts
+};
+
+struct StatField {
+    const char* key;
+    const char* metric;
+    Fold fold;
+};
+
 // Per-encryption-context byte/record accounting (mcTLS contexts; baseline
 // TLS sessions report a single pseudo-context).
 struct ContextStats {
@@ -31,6 +47,19 @@ struct ContextStats {
     uint64_t bytes_in = 0;     // plaintext payload bytes opened
     uint64_t records_out = 0;
     uint64_t records_in = 0;
+
+    // The field walk: f(field, member of each stats passed), in JSON order.
+    template <class F, class... S>
+    static void walk(F&& f, S&... s)
+    {
+        auto sum = [&f](const char* key, auto&... m) { f(StatField{key, key, Fold::sum}, m...); };
+        f(StatField{"name", nullptr, Fold::none}, s.name...);
+        f(StatField{"id", nullptr, Fold::none}, s.id...);
+        sum("bytes_out", s.bytes_out...);
+        sum("bytes_in", s.bytes_in...);
+        sum("records_out", s.records_out...);
+        sum("records_in", s.records_in...);
+    }
 };
 
 struct SessionStats {
@@ -73,7 +102,41 @@ struct SessionStats {
 
     std::vector<ContextStats> contexts;
 
+    // The field walk: f(field, member of each stats passed), in JSON order.
+    // to_json, Hub::publish and fold are all written over it, so a field
+    // added here reaches all three.
+    template <class F, class... S>
+    static void walk(F&& f, S&... s)
+    {
+        auto sum = [&f](const char* key, auto&... m) { f(StatField{key, key, Fold::sum}, m...); };
+        f(StatField{"actor", nullptr, Fold::none}, s.actor...);
+        f(StatField{"established", "established", Fold::any}, s.established...);
+        f(StatField{"failure", nullptr, Fold::none}, s.failure...);
+        f(StatField{"resumed", "resumed", Fold::any}, s.resumed...);
+        f(StatField{"epoch", "epoch", Fold::max}, s.epoch...);
+        sum("rekeys", s.rekeys...);
+        sum("handshake_wire_bytes", s.handshake_wire_bytes...);
+        sum("app_overhead_bytes", s.app_overhead_bytes...);
+        sum("app_records_sent", s.app_records_sent...);
+        sum("app_records_received", s.app_records_received...);
+        sum("macs_generated", s.macs_generated...);
+        sum("macs_verified", s.macs_verified...);
+        sum("mac_failures", s.mac_failures...);
+        sum("alerts_sent", s.alerts_sent...);
+        sum("alerts_received", s.alerts_received...);
+        f(StatField{"alerts_sent_by_type", "alerts.sent", Fold::sum}, s.alerts_sent_by_type...);
+        f(StatField{"alerts_received_by_type", "alerts.received", Fold::sum},
+          s.alerts_received_by_type...);
+        sum("trace_events_dropped", s.trace_events_dropped...);
+        f(StatField{"contexts", "ctx", Fold::sum}, s.contexts...);
+    }
+
     void to_json(std::string* out) const;
+
+    // Aggregate another session of the same class into this one: counters
+    // and per-key/per-context counts add, flags OR, epoch takes the max;
+    // actor and failure are left as they are.
+    void fold(const SessionStats& other);
 };
 
 struct Hub {

@@ -186,7 +186,7 @@ Status Session::client_handle_server_flight(const HandshakeMessage& msg)
         if (peer_dh_public_.empty())
             return core_.fail(AlertDescription::unexpected_message, "tls: hello done before SKE");
         core_.trace(obs::EventType::hs_server_flight, 0, core_.counters.handshake_wire_bytes);
-        derive_keys();
+        if (auto s = derive_keys(); !s) return s;
 
         Bytes flight;
         ClientKeyExchange cke{crypto::x25519_public_key(our_dh_private_)};
@@ -288,23 +288,26 @@ Status Session::server_handle_second_flight(const HandshakeMessage& msg)
         auto kx = ClientKeyExchange::parse(msg.body);
         if (!kx) return core_.fail(AlertDescription::decode_error, kx.error().message);
         peer_dh_public_ = kx.value().public_key;
-        derive_keys();
-        return {};
+        return derive_keys();
     }
     if (msg.type == HandshakeType::finished) return handle_finished(msg);
     return core_.fail(AlertDescription::unexpected_message,
                       "tls: unexpected message in client flight");
 }
 
-void Session::derive_keys()
+// The key exchange messages carry the DH share as any vec8, and the CKE is
+// unsigned, so a low-order point or a wrong-length key is the peer's (or an
+// on-path party's) doing: fail the handshake.
+Status Session::derive_keys()
 {
     auto pre = crypto::x25519_shared(our_dh_private_, peer_dh_public_);
-    if (!pre) throw std::runtime_error("tls: degenerate DH share");
+    if (!pre) return core_.fail(AlertDescription::illegal_parameter, "tls: degenerate DH share");
     crypto::count_secret(cfg_.ops);
 
     Bytes randoms = concat(client_random_, server_random_);
     master_secret_ = crypto::prf(pre.value(), "master secret", randoms, 48);
     derive_key_block();
+    return {};
 }
 
 // Key-block expansion from an existing master secret — the part of the key

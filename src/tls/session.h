@@ -163,7 +163,7 @@ private:
     Status server_handle_second_flight(const HandshakeMessage& msg);
     Status handle_finished(const HandshakeMessage& msg);
 
-    void derive_keys();
+    Status derive_keys();
     void derive_key_block();
     // verify_data of our own Finished (`ours`) or of the peer's.
     Bytes finished_verify_data(bool ours) const;

@@ -84,6 +84,24 @@ struct CacheStats {
     uint64_t swept = 0;         // stale entries reclaimed by sweep_expired()
     size_t entries = 0;         // live entries right now
     uint64_t bytes = 0;         // accounted bytes right now
+
+    // The field walk: f(name, member of each stats passed). Publishing and
+    // summing across caches are both written over it.
+    template <class F, class... S>
+    static void walk(F&& f, S&... s)
+    {
+        f("hits", s.hits...);
+        f("misses", s.misses...);
+        f("expirations", s.expirations...);
+        f("insertions", s.insertions...);
+        f("replacements", s.replacements...);
+        f("evictions", s.evictions...);
+        f("declines", s.declines...);
+        f("shed", s.shed...);
+        f("swept", s.swept...);
+        f("entries", s.entries...);
+        f("bytes", s.bytes...);
+    }
 };
 
 template <class V>

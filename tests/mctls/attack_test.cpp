@@ -8,6 +8,7 @@
 #include "mctls/messages.h"
 #include "mctls/resumption.h"
 #include "tests/mctls/harness.h"
+#include "tests/tls/handshake_edit.h"
 
 namespace mct::mctls {
 namespace {
@@ -180,38 +181,17 @@ std::unique_ptr<MiddleboxSession> ckd_with_material(
     bool resealed = false;
     auto tap = [&](size_t hop, Bytes& unit) {
         if (hop != 0) return;
-        tls::RecordCodec codec{/*with_context_id=*/true};
-        codec.feed(unit);
-        Bytes out;
-        bool ccs = false;
-        while (true) {
-            auto view = codec.next_view();
-            if (!view.ok() || !view.value()) break;
-            const tls::RecordView& rec = *view.value();
-            ccs |= rec.type == tls::ContentType::change_cipher_spec;
-            if (rec.type != tls::ContentType::handshake || ccs) {
-                append(out, rec.wire);
-                continue;
-            }
-            tls::HandshakeReader reader;
-            reader.feed(rec.payload);
-            Bytes body;
-            for (auto msg = reader.next(); msg.ok() && msg.value(); msg = reader.next()) {
-                tls::HandshakeMessage m = *msg.value();
-                auto km = MiddleboxKeyMaterial::parse(m.body);
-                if (m.type == tls::HandshakeType::middlebox_key_material && km.ok() &&
-                    km.value().entity == 0) {
-                    km.value().sealed =
-                        authenc_seal(pairwise, key_material_ad(kEntityClient, 0),
-                                     serialize_middlebox_material(material), rng);
-                    m = km.value().to_message();
-                    resealed = true;
-                }
-                append(body, m.serialize());
-            }
-            append(out, codec.encode({tls::ContentType::handshake, rec.context_id, body}));
-        }
-        unit = std::move(out);
+        unit = tls::test::edit_handshake(unit, /*with_context_id=*/true,
+                                         [&](tls::HandshakeMessage& m) {
+            auto km = MiddleboxKeyMaterial::parse(m.body);
+            if (m.type != tls::HandshakeType::middlebox_key_material || !km.ok() ||
+                km.value().entity != 0)
+                return;
+            km.value().sealed = authenc_seal(pairwise, key_material_ad(kEntityClient, 0),
+                                             serialize_middlebox_material(material), rng);
+            m = km.value().to_message();
+            resealed = true;
+        });
     };
     EXPECT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, chain::NoProbe{}, tap));
     EXPECT_TRUE(resealed);
@@ -236,6 +216,47 @@ TEST(McTlsAttack, MiddleboxRejectsCkdKeysForUnknownContext)
     EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::illegal_parameter);
     EXPECT_EQ(mbox->failure().message, "mctls mbox: key material for unknown context");
     EXPECT_EQ(mbox->context_keys(9), nullptr);
+}
+
+// Complete keys that do not parse fail the relay rather than leave it
+// without access to the context.
+TEST(McTlsAttack, MiddleboxRejectsCkdKeysThatDoNotParse)
+{
+    MiddleboxMaterialEntry entry = ckd_entry(1, Permission::read, false);
+    entry.complete_keys = {1, 2, 3};
+    auto mbox = ckd_with_material({entry});
+    EXPECT_TRUE(mbox->failed());
+    EXPECT_FALSE(mbox->handshake_complete());
+    EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::decode_error);
+    EXPECT_EQ(mbox->permission(1), Permission::none);
+}
+
+// The ClientKeyExchange is unsigned, so an on-path party can put any vec8
+// in it. A low-order point or a key of the wrong length fails the server's
+// handshake with illegal_parameter; nothing throws out of feed().
+TEST(McTlsAttack, BadClientDhShareFailsHandshake)
+{
+    for (const Bytes& share : {Bytes(32, 0), Bytes(31, 9)}) {
+        ChainEnv env;
+        env.build(0, {ctx_row(1, "d", 0, Permission::none)});
+        env.client->start();
+        bool rewritten = false;
+        auto tap = [&](size_t hop, Bytes& unit) {
+            if (hop != 0) return;
+            unit = tls::test::edit_handshake(unit, /*with_context_id=*/true,
+                                             [&](tls::HandshakeMessage& m) {
+                if (m.type != tls::HandshakeType::client_key_exchange) return;
+                m = tls::ClientKeyExchange{share}.to_message();
+                rewritten = true;
+            });
+        };
+        EXPECT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, chain::NoProbe{}, tap));
+        EXPECT_TRUE(rewritten);
+        EXPECT_TRUE(env.server->failed()) << share.size();
+        EXPECT_EQ(env.server->failure().alert, tls::AlertDescription::illegal_parameter);
+        EXPECT_EQ(env.server->failure().message, "mctls: degenerate DH share");
+        EXPECT_FALSE(env.client->handshake_complete());
+    }
 }
 
 // A write grant must carry writer keys, and a read grant must not.

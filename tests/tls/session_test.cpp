@@ -4,6 +4,7 @@
 
 #include "bench/chain.h"
 #include "pki/authority.h"
+#include "tests/tls/handshake_edit.h"
 #include "util/rng.h"
 
 namespace mct::tls {
@@ -57,6 +58,33 @@ TEST_F(TlsFixture, HandshakeCompletes)
     run_handshake(client, server);
     EXPECT_TRUE(client.handshake_complete()) << client.error();
     EXPECT_TRUE(server.handshake_complete()) << server.error();
+}
+
+// The ClientKeyExchange is unsigned, so an on-path party can put any vec8
+// in it. A low-order point or a key of the wrong length fails the server's
+// handshake with illegal_parameter; nothing throws out of feed().
+TEST_F(TlsFixture, BadClientDhShareFailsHandshake)
+{
+    for (const Bytes& share : {Bytes(32, 0), Bytes(31, 9)}) {
+        Session client(client_config());
+        Session server(server_config());
+        client.start();
+        bool rewritten = false;
+        auto tap = [&](size_t hop, Bytes& unit) {
+            if (hop != 0) return;
+            unit = test::edit_handshake(unit, /*with_context_id=*/false, [&](HandshakeMessage& m) {
+                if (m.type != HandshakeType::client_key_exchange) return;
+                m = ClientKeyExchange{share}.to_message();
+                rewritten = true;
+            });
+        };
+        EXPECT_TRUE(chain::pump(client, chain::none, server, chain::NoProbe{}, tap));
+        EXPECT_TRUE(rewritten);
+        EXPECT_TRUE(server.failed()) << share.size();
+        EXPECT_EQ(server.failure().alert, AlertDescription::illegal_parameter);
+        EXPECT_EQ(server.failure().message, "tls: degenerate DH share");
+        EXPECT_FALSE(client.handshake_complete());
+    }
 }
 
 TEST_F(TlsFixture, AppDataFlowsBothWays)
