@@ -34,8 +34,9 @@ int main()
     bench::BenchReport report("ablation_record_protection");
     TestRng rng(42);
     Bytes rand_c = rng.bytes(32), rand_s = rng.bytes(32);
-    mctls::EndpointKeys endpoint = mctls::derive_endpoint_keys(rng.bytes(48), rand_c, rand_s);
-    mctls::ContextKeys ctx = mctls::derive_context_keys_ckd(rng.bytes(48), rand_c, rand_s, 1);
+    Bytes endpoint_secret = rng.bytes(48), context_secret = rng.bytes(48);
+    mctls::EndpointKeys endpoint = mctls::derive_endpoint_keys(endpoint_secret, rand_c, rand_s);
+    mctls::ContextKeys ctx = mctls::derive_context_keys_ckd(context_secret, rand_c, rand_s, 1);
     tls::CbcHmacProtector tls_seal(rng.bytes(16), rng.bytes(32));
     crypto::IvSource ivs(rng);
 
@@ -94,15 +95,27 @@ int main()
         // Full record seal with the crypto pinned to the portable scalar
         // table: what the paper's numbers look like without AES-NI/SHA-NI,
         // and a host-independent series (the scalar arm exists everywhere).
+        // An AES key binds the table active when it is first used
+        // (crypto/key.h), so this series derives its own keys and first
+        // uses them under the pin; the IV source binds it at construction.
         {
             crypto::ScopedDispatchOverride pin(crypto::scalar_dispatch());
-            crypto::IvSource scalar_ivs(rng);  // binds the scalar table, as a session would
+            mctls::EndpointKeys scalar_endpoint =
+                mctls::derive_endpoint_keys(endpoint_secret, rand_c, rand_s);
+            mctls::ContextKeys scalar_ctx =
+                mctls::derive_context_keys_ckd(context_secret, rand_c, rand_s, 1);
+            crypto::IvSource scalar_ivs(rng);
             report.point("mctls_seal@scalar", x, bench::ops_per_sec([&] {
                 seal_into_wire([&](Bytes& out) {
-                    mctls::seal_record_into(ctx, endpoint, mctls::Direction::client_to_server,
-                                            seq++, 1, payload, scalar_ivs, out);
+                    mctls::seal_record_into(scalar_ctx, scalar_endpoint,
+                                            mctls::Direction::client_to_server, seq++, 1, payload,
+                                            scalar_ivs, out);
                 });
             }));
+            if (std::string(scalar_ctx.reader_enc[0].expanded().backend().name) != "scalar") {
+                std::fprintf(stderr, "mctls_seal@scalar: the seal's cipher is not scalar\n");
+                return 1;
+            }
         }
     }
 

@@ -826,6 +826,7 @@ struct Testbed::Impl {
         std::unique_ptr<TlsChannel> down_tls;  // server role, impersonation cert
         std::unique_ptr<TlsChannel> up_tls;    // client role toward next hop
         Bytes backlog_up;
+        bool up_closed = false;  // the upstream leg's FIN or abort arrived
 
         void flush_down() { flush_channel(down_tls.get(), down); }
         void flush_up()
@@ -859,8 +860,11 @@ struct Testbed::Impl {
             (void)down_tls->on_bytes(data);
             pump();
         }
+        // The upstream leg can close before its SYN-ACK arrives; its session
+        // is then already truncated and must not start.
         void up_connected() override
         {
+            if (up_closed) return;
             up_tls->start();
             pump();
         }
@@ -872,6 +876,7 @@ struct Testbed::Impl {
         }
         void side_closed(bool from_down) override
         {
+            if (!from_down) up_closed = true;
             (from_down ? down_tls : up_tls)->transport_closed();
         }
         void fold_stats() override

@@ -13,14 +13,14 @@
 namespace mct::mctls {
 
 // An AuthEnc key's raw bytes alone. Session caches keep keys in this form:
-// the session that resumes from a ticket installs (and expands) its keys,
-// so a cache of thousands of tickets holds no key schedules.
+// the session that resumes from a ticket installs its keys (expanded on
+// first use), so a cache of thousands of tickets holds no key schedules.
 struct AuthEncKeyBytes {
     Bytes enc_key;  // 16 bytes
     Bytes mac_key;  // 32 bytes
 };
 
-// An installed AuthEnc key. Both halves are expanded when assigned
+// An installed AuthEnc key. Each half is expanded on its first use and kept
 // (crypto/key.h), so sealing and opening key material never re-derives a
 // key schedule or HMAC pads.
 struct AuthEncKey {
@@ -31,7 +31,7 @@ struct AuthEncKey {
     AuthEncKey(ConstBytes enc, ConstBytes mac) : enc_key(enc), mac_key(mac) {}
     explicit AuthEncKey(const AuthEncKeyBytes& raw) : AuthEncKey(raw.enc_key, raw.mac_key) {}
 
-    AuthEncKeyBytes raw() const { return {enc_key.bytes(), mac_key.bytes()}; }
+    AuthEncKeyBytes raw() const { return {to_bytes(enc_key.bytes()), to_bytes(mac_key.bytes())}; }
 };
 
 Bytes authenc_seal(const AuthEncKey& key, ConstBytes associated_data, ConstBytes plaintext,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +15,27 @@ namespace {
 
 constexpr size_t kEncKeySize = crypto::Aes128::kKeySize;
 constexpr size_t kMacKeySize = 32;
-constexpr size_t kHalfSize = 32;
+constexpr size_t kHalfSize = kKeyHalfSize;
+
+// The concatenation of a few short inputs on the stack: two joined halves
+// or two hello randoms (64 bytes), or both randoms and a context id.
+class Joined {
+public:
+    Joined(std::initializer_list<ConstBytes> parts)
+    {
+        for (ConstBytes p : parts) {
+            if (p.size() > buf_.size() - size_)
+                throw std::invalid_argument("mctls: key schedule input too long");
+            std::copy(p.begin(), p.end(), buf_.begin() + size_);
+            size_ += p.size();
+        }
+    }
+    operator ConstBytes() const { return {buf_.data(), size_}; }
+
+private:
+    std::array<uint8_t, 2 * kHalfSize + 32> buf_{};
+    size_t size_ = 0;
+};
 
 // N bytes of PRF output on the stack, cut into keys by the callers.
 template <size_t N>
@@ -72,25 +93,23 @@ Result<ContextKeys> ContextKeys::parse(ConstBytes wire)
     Reader r(wire);
     auto writer_flag = r.u8();
     if (!writer_flag) return writer_flag.error();
+    // Each key is checked before it is installed: an AES key needs exactly
+    // 16 bytes, and a key longer than an InstalledKey holds would throw.
+    auto install = [&r](auto& key, size_t size) -> Status {
+        auto k = r.view8();
+        if (!k) return k.error();
+        if (k.value().size() != size) return err("mctls: bad context key size");
+        key = k.value();
+        return {};
+    };
     ContextKeys keys;
-    for (int d = 0; d < 2; ++d) {
-        auto k = r.vec8();
-        if (!k) return k.error();
-        // Installing expands the AES schedule, which needs exactly 16 bytes.
-        if (k.value().size() != kEncKeySize) return err("mctls: bad context key size");
-        keys.reader_enc[d] = k.take();
-    }
-    for (int d = 0; d < 2; ++d) {
-        auto k = r.vec8();
-        if (!k) return k.error();
-        keys.reader_mac[d] = k.take();
-    }
+    for (int d = 0; d < 2; ++d)
+        if (auto s = install(keys.reader_enc[d], kEncKeySize); !s) return s.error();
+    for (int d = 0; d < 2; ++d)
+        if (auto s = install(keys.reader_mac[d], kMacKeySize); !s) return s.error();
     if (writer_flag.value()) {
-        for (int d = 0; d < 2; ++d) {
-            auto k = r.vec8();
-            if (!k) return k.error();
-            keys.writer_mac[d] = k.take();
-        }
+        for (int d = 0; d < 2; ++d)
+            if (auto s = install(keys.writer_mac[d], kMacKeySize); !s) return s.error();
     }
     if (auto s = r.expect_done(); !s) return s.error();
     return keys;
@@ -98,12 +117,12 @@ Result<ContextKeys> ContextKeys::parse(ConstBytes wire)
 
 Bytes derive_shared_secret(ConstBytes pre_secret, ConstBytes rand_a, ConstBytes rand_b)
 {
-    return crypto::prf(pre_secret, "ms", concat(rand_a, rand_b), 48);
+    return crypto::prf(pre_secret, "ms", Joined{rand_a, rand_b}, 48);
 }
 
 AuthEncKey derive_pairwise_key(ConstBytes shared_secret, ConstBytes rand_a, ConstBytes rand_b)
 {
-    auto block = key_block<kEncKeySize + kMacKeySize>(shared_secret, "k", concat(rand_a, rand_b));
+    auto block = key_block<kEncKeySize + kMacKeySize>(shared_secret, "k", Joined{rand_a, rand_b});
     ConstBytes view{block};
     return AuthEncKey(view.subspan(0, kEncKeySize), view.subspan(kEncKeySize, kMacKeySize));
 }
@@ -111,7 +130,7 @@ AuthEncKey derive_pairwise_key(ConstBytes shared_secret, ConstBytes rand_a, Cons
 EndpointKeys derive_endpoint_keys(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s)
 {
     auto block = key_block<2 * kMacKeySize + 2 * kEncKeySize + kEncKeySize + kMacKeySize>(
-        s_cs, "k", concat(rand_c, rand_s));
+        s_cs, "k", Joined{rand_c, rand_s});
     ConstBytes view{block};
     size_t off = 0;
     EndpointKeys keys;
@@ -132,17 +151,12 @@ EndpointKeys derive_endpoint_keys(ConstBytes s_cs, ConstBytes rand_c, ConstBytes
 PartialContextKeys derive_partial_keys(const crypto::HmacKey& endpoint_secret, ConstBytes rand_e,
                                        uint8_t context_id)
 {
-    // rand_e || context_id on the stack; hello randoms are 32 bytes.
-    std::array<uint8_t, 64> seed;
-    if (rand_e.size() >= seed.size())
-        throw std::invalid_argument("derive_partial_keys: rand_e too long");
-    std::copy(rand_e.begin(), rand_e.end(), seed.begin());
-    seed[rand_e.size()] = context_id;
     auto block = key_block<2 * kHalfSize>(endpoint_secret, "ck",
-                                          ConstBytes{seed.data(), rand_e.size() + 1});
-    ConstBytes view{block};
-    return PartialContextKeys{to_bytes(view.subspan(0, kHalfSize)),
-                              to_bytes(view.subspan(kHalfSize, kHalfSize))};
+                                          Joined{rand_e, ConstBytes{&context_id, 1}});
+    PartialContextKeys halves;
+    std::copy_n(block.begin(), kHalfSize, halves.reader_half.begin());
+    std::copy_n(block.begin() + kHalfSize, kHalfSize, halves.writer_half.begin());
+    return halves;
 }
 
 PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
@@ -155,8 +169,8 @@ ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server
                                 ConstBytes rand_c, ConstBytes rand_s)
 {
     ContextKeys keys;
-    expand_reader_keys(keys, concat(client_reader_half, server_reader_half),
-                       concat(rand_c, rand_s));
+    expand_reader_keys(keys, Joined{client_reader_half, server_reader_half},
+                       Joined{rand_c, rand_s});
     return keys;
 }
 
@@ -166,15 +180,15 @@ ContextKeys combine_context_keys(const PartialContextKeys& client_half,
 {
     ContextKeys keys =
         combine_reader_keys(client_half.reader_half, server_half.reader_half, rand_c, rand_s);
-    expand_writer_keys(keys, concat(client_half.writer_half, server_half.writer_half),
-                       concat(rand_c, rand_s));
+    expand_writer_keys(keys, Joined{client_half.writer_half, server_half.writer_half},
+                       Joined{rand_c, rand_s});
     return keys;
 }
 
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
                                     uint8_t context_id)
 {
-    Bytes seed = concat(rand_c, rand_s, Bytes{context_id});
+    Joined seed{rand_c, rand_s, ConstBytes{&context_id, 1}};
     crypto::HmacKey master(s_cs);
     ContextKeys keys;
     expand_reader_keys(keys, key_block<kHalfSize>(master, "ckd reader secret", seed), seed);

@@ -42,8 +42,8 @@ inline Direction opposite(Direction d)
 
 // K_endpoints expansion: record MACs per direction, control-context (id 0)
 // encryption keys per direction, and the AuthEnc pair protecting key
-// material exchanged directly between the endpoints. Every key is held
-// expanded (crypto/key.h): the record path never re-keys.
+// material exchanged directly between the endpoints. Every key keeps its
+// expansion once first used (crypto/key.h): the record path never re-keys.
 struct EndpointKeys {
     crypto::MacKey record_mac[2];     // 32 bytes each, indexed by Direction
     crypto::CipherKey control_enc[2];  // 16 bytes each
@@ -53,8 +53,8 @@ struct EndpointKeys {
 };
 
 // Final per-context keys. Readers hold the reader_* members; writers
-// additionally hold writer_mac. Assigning or clearing a member rebuilds or
-// drops its expanded state along with the raw bytes.
+// additionally hold writer_mac. Each member expands on its first use;
+// assigning or clearing one drops its expanded state with the raw bytes.
 struct ContextKeys {
     crypto::CipherKey reader_enc[2];  // 16 bytes each: context payload encryption
     crypto::MacKey reader_mac[2];     // 32 bytes each
@@ -72,15 +72,20 @@ struct ContextKeys {
     }
 
     // Wire form for client-key-distribution mode; `writer` selects whether
-    // writer keys are included.
+    // writer keys are included. parse() rejects any AES key that is not 16
+    // bytes and any MAC key that is not 32.
     Bytes serialize(bool writer) const;
     static Result<ContextKeys> parse(ConstBytes wire);
 };
 
+// One endpoint's half of a context's reader or writer secret, inline.
+constexpr size_t kKeyHalfSize = 32;
+using KeyHalf = std::array<uint8_t, kKeyHalfSize>;
+
 // One endpoint's halves of a context's keys (K^E_readers, K^E_writers).
 struct PartialContextKeys {
-    Bytes reader_half;  // 32 bytes
-    Bytes writer_half;  // 32 bytes
+    KeyHalf reader_half;
+    KeyHalf writer_half;
 };
 
 // S_A-B from a Diffie-Hellman pre-secret.

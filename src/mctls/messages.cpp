@@ -1,5 +1,7 @@
 #include "mctls/messages.h"
 
+#include <algorithm>
+
 #include "util/serde.h"
 
 namespace mct::mctls {
@@ -104,15 +106,37 @@ Result<MiddleboxKeyMaterial> MiddleboxKeyMaterial::parse(ConstBytes body)
     return km;
 }
 
+namespace {
+
+ConstBytes half_or_empty(const std::optional<KeyHalf>& half)
+{
+    return half ? ConstBytes{*half} : ConstBytes{};
+}
+
+// A vec8 key half: its 32 bytes, or an empty view for "absent".
+Result<ConstBytes> read_half(Reader& r)
+{
+    auto body = r.view8();
+    if (!body) return body.error();
+    if (!body.value().empty() && body.value().size() != kKeyHalfSize)
+        return err("mctls: bad key half size");
+    return body;
+}
+
+}  // namespace
+
 Bytes serialize_middlebox_material(const std::vector<MiddleboxMaterialEntry>& entries)
 {
+    size_t size = 1;
+    for (const auto& e : entries) size += 2 + 2 * (1 + kKeyHalfSize) + 2 + e.complete_keys.size();
     Writer w;
+    w.reserve(size);
     w.u8(static_cast<uint8_t>(entries.size()));
     for (const auto& e : entries) {
         w.u8(e.context_id);
         w.u8(static_cast<uint8_t>(e.permission));
-        w.vec8(e.reader_half);
-        w.vec8(e.writer_half);
+        w.vec8(half_or_empty(e.reader_half));
+        w.vec8(half_or_empty(e.writer_half));
         w.vec16(e.complete_keys);
     }
     return w.take();
@@ -124,8 +148,9 @@ Result<std::vector<MiddleboxMaterialEntry>> parse_middlebox_material(ConstBytes 
     auto count = r.u8();
     if (!count) return count.error();
     std::vector<MiddleboxMaterialEntry> entries;
+    entries.reserve(count.value());
     for (unsigned i = 0; i < count.value(); ++i) {
-        MiddleboxMaterialEntry e;
+        MiddleboxMaterialEntry& e = entries.emplace_back();
         auto ctx = r.u8();
         if (!ctx) return ctx.error();
         e.context_id = ctx.value();
@@ -133,16 +158,14 @@ Result<std::vector<MiddleboxMaterialEntry>> parse_middlebox_material(ConstBytes 
         if (!perm) return perm.error();
         if (perm.value() > 2) return err("mctls: bad permission in key material");
         e.permission = static_cast<Permission>(perm.value());
-        auto reader = r.vec8();
-        if (!reader) return reader.error();
-        e.reader_half = reader.take();
-        auto writer = r.vec8();
-        if (!writer) return writer.error();
-        e.writer_half = writer.take();
+        for (std::optional<KeyHalf>* half : {&e.reader_half, &e.writer_half}) {
+            auto body = read_half(r);
+            if (!body) return body.error();
+            if (!body.value().empty()) std::ranges::copy(body.value(), half->emplace().begin());
+        }
         auto complete = r.vec16();
         if (!complete) return complete.error();
         e.complete_keys = complete.take();
-        entries.push_back(std::move(e));
     }
     if (auto s = r.expect_done(); !s) return s.error();
     return entries;
@@ -151,6 +174,7 @@ Result<std::vector<MiddleboxMaterialEntry>> parse_middlebox_material(ConstBytes 
 Bytes serialize_endpoint_material(const std::vector<EndpointMaterialEntry>& entries)
 {
     Writer w;
+    w.reserve(1 + entries.size() * (1 + 2 * (1 + kKeyHalfSize)));
     w.u8(static_cast<uint8_t>(entries.size()));
     for (const auto& e : entries) {
         w.u8(e.context_id);
@@ -166,18 +190,18 @@ Result<std::vector<EndpointMaterialEntry>> parse_endpoint_material(ConstBytes wi
     auto count = r.u8();
     if (!count) return count.error();
     std::vector<EndpointMaterialEntry> entries;
+    entries.reserve(count.value());
     for (unsigned i = 0; i < count.value(); ++i) {
-        EndpointMaterialEntry e;
+        EndpointMaterialEntry& e = entries.emplace_back();
         auto ctx = r.u8();
         if (!ctx) return ctx.error();
         e.context_id = ctx.value();
-        auto reader = r.vec8();
-        if (!reader) return reader.error();
-        e.partial.reader_half = reader.take();
-        auto writer = r.vec8();
-        if (!writer) return writer.error();
-        e.partial.writer_half = writer.take();
-        entries.push_back(std::move(e));
+        for (KeyHalf* half : {&e.partial.reader_half, &e.partial.writer_half}) {
+            auto body = read_half(r);
+            if (!body) return body.error();
+            if (body.value().empty()) return err("mctls: missing key half");
+            std::ranges::copy(body.value(), half->begin());
+        }
     }
     if (auto s = r.expect_done(); !s) return s.error();
     return entries;

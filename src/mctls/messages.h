@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mctls/key_schedule.h"
@@ -58,18 +59,21 @@ struct MiddleboxKeyMaterial {
 
 // To a middlebox, default mode: this endpoint's halves for each context the
 // middlebox may access. CKD mode: complete keys instead of halves.
+// On the wire each half is a vec8 of 32 bytes, or empty when absent; the
+// parser rejects any other length.
 struct MiddleboxMaterialEntry {
     uint8_t context_id = 0;
     Permission permission = Permission::none;
-    Bytes reader_half;    // default mode (32B); empty in CKD mode
-    Bytes writer_half;    // default mode, writers only
-    Bytes complete_keys;  // CKD mode: ContextKeys::serialize()
+    std::optional<KeyHalf> reader_half;  // default mode; absent in CKD mode
+    std::optional<KeyHalf> writer_half;  // default mode, writers only
+    Bytes complete_keys;                 // CKD mode: ContextKeys::serialize()
 };
 
 Bytes serialize_middlebox_material(const std::vector<MiddleboxMaterialEntry>& entries);
 Result<std::vector<MiddleboxMaterialEntry>> parse_middlebox_material(ConstBytes wire);
 
-// Between endpoints, default mode: the sender's halves for every context.
+// Between endpoints, default mode: the sender's halves for every context,
+// both always 32 bytes on the wire.
 struct EndpointMaterialEntry {
     uint8_t context_id = 0;
     PartialContextKeys partial;

@@ -456,15 +456,15 @@ void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry
     for (const auto& ce : client) {
         for (const auto& se : server) {
             if (se.context_id != ce.context_id) continue;
-            if (ce.reader_half.empty() || se.reader_half.empty()) continue;
+            if (!ce.reader_half || !se.reader_half) continue;
             // Write access needs both writer halves; a reader derives (and
             // holds) no writer key at all.
-            bool writer = !ce.writer_half.empty() && !se.writer_half.empty();
+            bool writer = ce.writer_half && se.writer_half;
             ContextKeys combined =
-                writer ? combine_context_keys({ce.reader_half, ce.writer_half},
-                                              {se.reader_half, se.writer_half}, client_random_,
+                writer ? combine_context_keys({*ce.reader_half, *ce.writer_half},
+                                              {*se.reader_half, *se.writer_half}, client_random_,
                                               server_random_)
-                       : combine_reader_keys(ce.reader_half, se.reader_half, client_random_,
+                       : combine_reader_keys(*ce.reader_half, *se.reader_half, client_random_,
                                              server_random_);
             crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
             // open_material admitted only negotiated contexts.

@@ -547,6 +547,7 @@ void Session::derive_own_halves(ConstBytes secret)
 Bytes Session::seal_middlebox_material(size_t mbox_index, ConstBytes ad)
 {
     std::vector<MiddleboxMaterialEntry> entries;
+    entries.reserve(table_.entries().size());
     for (const ContextEntry& ctx : table_.entries()) {
         Permission perm = ctx.desc.permissions.at(mbox_index);
         if (perm == Permission::none) continue;
@@ -570,6 +571,7 @@ Bytes Session::seal_middlebox_material(size_t mbox_index, ConstBytes ad)
 Bytes Session::seal_endpoint_material(ConstBytes ad)
 {
     std::vector<EndpointMaterialEntry> entries;
+    entries.reserve(table_.entries().size());
     for (const ContextEntry& ctx : table_.entries())
         entries.push_back({ctx.desc.id, ctx.own_half.value()});
     Bytes sealed = authenc_seal(endpoint_keys_.key_material, ad,

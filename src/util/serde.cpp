@@ -133,6 +133,16 @@ Result<Bytes> Reader::vec8()
     return raw(n.value());
 }
 
+Result<ConstBytes> Reader::view8()
+{
+    auto n = u8();
+    if (!n) return n.error();
+    if (auto s = need(n.value()); !s) return s.error();
+    ConstBytes out = data_.subspan(pos_, n.value());
+    pos_ += n.value();
+    return out;
+}
+
 Result<Bytes> Reader::vec16()
 {
     auto n = u16();

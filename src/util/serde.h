@@ -30,6 +30,8 @@ public:
     void str8(std::string_view s);
     void str16(std::string_view s);
 
+    void reserve(size_t n) { out_.reserve(n); }
+
     const Bytes& bytes() const { return out_; }
     Bytes take() { return std::move(out_); }
     size_t size() const { return out_.size(); }
@@ -51,6 +53,8 @@ public:
     Result<Bytes> vec8();
     Result<Bytes> vec16();
     Result<Bytes> vec24();
+    // A vec8's body as a view into the input, without a copy.
+    Result<ConstBytes> view8();
     Result<std::string> str8();
     Result<std::string> str16();
 

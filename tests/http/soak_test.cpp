@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "http/chaos.h"
 #include "http/scenarios.h"
@@ -113,6 +114,28 @@ TEST(Soak, ScenarioMappedCampaign)
     expect_green(report);
     EXPECT_EQ(report.completed + report.failed, 80u) << report.seed_hint();
     EXPECT_EQ(report.failed, 0u) << report.seed_hint();
+}
+
+// The split-TLS baseline under chaos: each relay terminates one TLS leg and
+// opens the next. A relay whose upstream leg closes before it connects (a
+// kill or flap during the SYN) must not start that leg's session.
+// MCT_CHAOS_SEED replays one seed instead of the five.
+TEST(Soak, SplitTlsCampaignAcrossSeeds)
+{
+    std::vector<uint64_t> seeds = {1, 2, 3, 7, 4242};
+    if (uint64_t env = chaos_seed_from_env(0)) seeds = {env};
+    for (uint64_t seed : seeds) {
+        SoakConfig cfg = default_campaign();
+        cfg.seed = seed;
+        cfg.mode = Mode::split_tls;
+        cfg.sessions = 80;
+        cfg.concurrency = 12;
+        cfg.state_plane = soak_state_plane(cfg.sessions);
+        SoakReport report = run_soak(cfg);
+
+        expect_green(report);
+        EXPECT_EQ(report.completed + report.failed, cfg.sessions) << report.seed_hint();
+    }
 }
 
 TEST(Soak, GaugesLandOnTheHub)

@@ -9,6 +9,7 @@
 #include "mctls/resumption.h"
 #include "tests/mctls/harness.h"
 #include "tests/tls/handshake_edit.h"
+#include "util/serde.h"
 
 namespace mct::mctls {
 namespace {
@@ -229,6 +230,29 @@ TEST(McTlsAttack, MiddleboxRejectsCkdKeysThatDoNotParse)
     EXPECT_FALSE(mbox->handshake_complete());
     EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::decode_error);
     EXPECT_EQ(mbox->permission(1), Permission::none);
+}
+
+// CKD keys with a MAC key of the wrong length fail the relay with
+// decode_error. A MAC key is 32 bytes: a shorter one would key a different
+// HMAC than the endpoints', and a longer one does not fit a
+// crypto::InstalledKey, which throws rather than truncate; neither may
+// install, and nothing throws out of feed().
+TEST(McTlsAttack, MiddleboxRejectsCkdMacKeysThatAreNot32Bytes)
+{
+    for (size_t mac_size : {31, 33, 255}) {
+        Writer keys;
+        keys.u8(0);  // reader keys only
+        for (int d = 0; d < 2; ++d) keys.vec8(Bytes(16, 0x11));
+        for (int d = 0; d < 2; ++d) keys.vec8(Bytes(d == 0 ? mac_size : 32, 0x22));
+        MiddleboxMaterialEntry entry = ckd_entry(1, Permission::read, false);
+        entry.complete_keys = keys.take();
+        auto mbox = ckd_with_material({entry});
+        EXPECT_TRUE(mbox->failed()) << mac_size;
+        EXPECT_FALSE(mbox->handshake_complete()) << mac_size;
+        EXPECT_EQ(mbox->failure().alert, tls::AlertDescription::decode_error) << mac_size;
+        EXPECT_EQ(mbox->failure().message, "mctls: bad context key size") << mac_size;
+        EXPECT_EQ(mbox->permission(1), Permission::none) << mac_size;
+    }
 }
 
 // The ClientKeyExchange is unsigned, so an on-path party can put any vec8

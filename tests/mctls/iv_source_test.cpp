@@ -10,12 +10,13 @@
 #include <vector>
 
 #include "crypto/aes.h"
-#include "crypto/cpu.h"
 #include "crypto/drbg.h"
 #include "mctls/context_crypto.h"
 #include "mctls/key_schedule.h"
 #include "mctls/resumption.h"
+#include "tests/alloc_counter.h"
 #include "tests/mctls/harness.h"
+#include "tests/work_counter.h"
 #include "tls/record.h"
 
 namespace mct::mctls {
@@ -161,26 +162,9 @@ TEST(SessionIvSource, WriterResealCarriesADifferentIvThanTheEndpointSeal)
 
 // --- Exact primitive counts ---------------------------------------------
 //
-// A CryptoDispatch that forwards every slot to the table active when it was
-// installed and counts the work: SHA-256 compressions, AES block
-// encryptions (single and CBC), AES block decryptions, key expansions.
-// Installed before the sessions are built, since Aes128 and Sha256 bind
-// their table at construction.
-struct WorkCounts {
-    uint64_t sha256_blocks = 0;
-    uint64_t aes_enc_blocks = 0;
-    uint64_t aes_dec_blocks = 0;
-    uint64_t aes_expansions = 0;
-
-    WorkCounts& operator+=(const WorkCounts& rhs)
-    {
-        sha256_blocks += rhs.sha256_blocks;
-        aes_enc_blocks += rhs.aes_enc_blocks;
-        aes_dec_blocks += rhs.aes_dec_blocks;
-        aes_expansions += rhs.aes_expansions;
-        return *this;
-    }
-};
+// Each ExactCounts test counts the work through tests/work_counter.h, whose
+// table is installed before the sessions are built.
+using mct::test::WorkCounts;
 
 void expect_work(const WorkCounts& got, const WorkCounts& want, const char* party)
 {
@@ -190,60 +174,15 @@ void expect_work(const WorkCounts& got, const WorkCounts& want, const char* part
     EXPECT_EQ(got.aes_expansions, want.aes_expansions) << party;
 }
 
-WorkCounts g_work;
-const crypto::CryptoDispatch* g_base = nullptr;
-
-const crypto::CryptoDispatch& counting_dispatch()
-{
-    static const crypto::CryptoDispatch table{
-        "counting",
-        [](const uint8_t key[16], uint8_t rk[176], uint8_t drk[176]) {
-            ++g_work.aes_expansions;
-            g_base->aes128_expand(key, rk, drk);
-        },
-        [](const uint8_t rk[176], const uint8_t in[16], uint8_t out[16]) {
-            ++g_work.aes_enc_blocks;
-            g_base->aes128_encrypt_block(rk, in, out);
-        },
-        [](const uint8_t rk[176], const uint8_t drk[176], const uint8_t in[16], uint8_t out[16]) {
-            ++g_work.aes_dec_blocks;
-            g_base->aes128_decrypt_block(rk, drk, in, out);
-        },
-        [](const uint8_t rk[176], uint8_t chain[16], const uint8_t* in, uint8_t* out,
-           size_t nblocks) {
-            g_work.aes_enc_blocks += nblocks;
-            g_base->aes128_cbc_encrypt_blocks(rk, chain, in, out, nblocks);
-        },
-        [](const uint8_t rk[176], const uint8_t drk[176], const uint8_t iv[16], const uint8_t* in,
-           uint8_t* out, size_t nblocks) {
-            g_work.aes_dec_blocks += nblocks;
-            g_base->aes128_cbc_decrypt_blocks(rk, drk, iv, in, out, nblocks);
-        },
-        [](uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
-            g_work.sha256_blocks += nblocks;
-            g_base->sha256_compress(state, blocks, nblocks);
-        },
-    };
-    return table;
-}
-
 class ExactCounts : public ::testing::Test {
 protected:
-    static const crypto::CryptoDispatch& install()
-    {
-        g_base = &crypto::dispatch();
-        return counting_dispatch();
-    }
-
     template <class F>
-    WorkCounts count(F&& work)
+    WorkCounts count(F&& step)
     {
-        g_work = {};
-        work();
-        return g_work;
+        return mct::test::CountingDispatch::count(step);
     }
 
-    crypto::ScopedDispatchOverride pin_{install()};
+    mct::test::CountingDispatch counting_;
 };
 
 // One CBC IV: 1 AES block from the IV source. The HMAC-DRBG draw it
@@ -264,23 +203,27 @@ TEST_F(ExactCounts, OneIvIsOneAesBlockNotEightCompressions)
     EXPECT_EQ(from_drbg.aes_enc_blocks, 0u);
 }
 
-// One session-level 64 B mcTLS application seal: three MACs of 3
-// compressions each (two inner blocks over the 14 B pseudo-header and the
-// payload, one outer) and 12 AES blocks (the IV, then CBC over 64 B payload
-// + 3 x 32 B MACs + 16 B padding). When the session drew each IV from its
-// HmacDrbg, the same seal cost 17 compressions and 11 blocks, as the
-// record-layer seal with a DRBG-drawn IV below still does.
+// One session-level 64 B mcTLS application seal in steady state (the
+// session's second): three MACs of 3 compressions each (two inner blocks
+// over the 14 B pseudo-header and the payload, one outer) and 12 AES blocks
+// (the IV, then CBC over 64 B payload + 3 x 32 B MACs + 16 B padding). When
+// the session drew each IV from its HmacDrbg, the same seal cost 17
+// compressions and 11 blocks, as the record-layer seal with a DRBG-drawn IV
+// below still does.
 TEST_F(ExactCounts, SessionSealOf64BytesIsNineCompressionsTwelveBlocks)
 {
     WriterChain chain;
     ASSERT_TRUE(chain.env.all_complete());
     Bytes payload(64, 0x64);
-    WorkCounts seal =
-        count([&] { ASSERT_TRUE(chain.env.client->send_app_data(kCtx, payload).ok()); });
-    EXPECT_EQ(seal.sha256_blocks, 9u);
-    EXPECT_EQ(seal.aes_enc_blocks, 12u);
-    EXPECT_EQ(seal.aes_dec_blocks, 0u);
-    EXPECT_EQ(seal.aes_expansions, 0u);
+    auto seal = [&] {
+        return count([&] { ASSERT_TRUE(chain.env.client->send_app_data(kCtx, payload).ok()); });
+    };
+    (void)seal();  // expands the context's keys; see the test below
+    WorkCounts steady = seal();
+    EXPECT_EQ(steady.sha256_blocks, 9u);
+    EXPECT_EQ(steady.aes_enc_blocks, 12u);
+    EXPECT_EQ(steady.aes_dec_blocks, 0u);
+    EXPECT_EQ(steady.aes_expansions, 0u);
 
     TestRng rng(6);
     Bytes rand_c = rng.bytes(32), rand_s = rng.bytes(32);
@@ -290,79 +233,194 @@ TEST_F(ExactCounts, SessionSealOf64BytesIsNineCompressionsTwelveBlocks)
                                            rand_c, rand_s);
     crypto::HmacDrbg drbg(rng.bytes(32));
     Bytes out;
-    WorkCounts drbg_seal = count([&] {
-        seal_record_into(ctx, endpoint, Direction::client_to_server, 0, kCtx, payload, drbg, out);
-    });
-    EXPECT_EQ(drbg_seal.sha256_blocks, 17u);
-    EXPECT_EQ(drbg_seal.aes_enc_blocks, 11u);
+    auto drbg_seal = [&] {
+        return count([&] {
+            out.clear();
+            seal_record_into(ctx, endpoint, Direction::client_to_server, 0, kCtx, payload, drbg,
+                             out);
+        });
+    };
+    (void)drbg_seal();  // first use of these keys
+    WorkCounts steady_drbg = drbg_seal();
+    EXPECT_EQ(steady_drbg.sha256_blocks, 17u);
+    EXPECT_EQ(steady_drbg.aes_enc_blocks, 11u);
+    EXPECT_EQ(steady_drbg.aes_expansions, 0u);
 }
+
+// The first seal in a context is where its keys expand (crypto/key.h): the
+// client's writer and reader MAC keys for client->server (2 compressions
+// each, the ipad and opad midstates) and its reader encryption key (1 AES
+// key expansion) on top of the steady-state seal above. The endpoint MAC key
+// was already expanded by the handshake's Finished. Nothing else moves.
+TEST_F(ExactCounts, FirstSessionSealExpandsItsContextKeysOnce)
+{
+    WriterChain chain;
+    ASSERT_TRUE(chain.env.all_complete());
+    Bytes payload(64, 0x64);
+    WorkCounts first =
+        count([&] { ASSERT_TRUE(chain.env.client->send_app_data(kCtx, payload).ok()); });
+    EXPECT_EQ(first.sha256_blocks, 9u + 2 * 2);
+    EXPECT_EQ(first.aes_enc_blocks, 12u);
+    EXPECT_EQ(first.aes_dec_blocks, 0u);
+    EXPECT_EQ(first.aes_expansions, 1u);
+}
+
+// A client -> mbox0 -> mbox1 -> server chain with warm session caches: a
+// full handshake mints the ticket, then build() rebuilds a party's session
+// for an abbreviated handshake that resumes it. In chainbench's shape every
+// party draws from one HmacDrbg, as chainbench's parties do (each session's
+// first draw seeds its IV source), and the server does not authenticate the
+// middleboxes; otherwise the parties draw from the harness's TestRng.
+struct ResumedChain {
+    enum PartyId { kClient, kMbox0, kMbox1, kServer };
+
+    ChainEnv env;
+    crypto::HmacDrbg drbg{str_to_bytes("resumed chain")};
+    bool chainbench_shape;
+    ServerSessionCache server_cache;
+    std::array<MiddleboxSessionCache, 2> mbox_caches;
+    std::vector<MiddleboxInfo> infos = env.make_middleboxes(2);
+    std::vector<ContextDescription> contexts;
+    ResumptionTicket ticket;
+
+    ResumedChain(std::vector<ContextDescription> ctxs, bool chainbench)
+        : chainbench_shape(chainbench), contexts(std::move(ctxs))
+    {
+        for (int p = kClient; p <= kServer; ++p) build(static_cast<PartyId>(p), nullptr);
+        env.handshake();
+        EXPECT_TRUE(env.all_complete());
+        ticket = env.client->ticket();
+        env.mboxes.clear();
+    }
+
+    // (Re)builds party `p`; the client resumes `resume`, if given.
+    void build(PartyId p, const ResumptionTicket* resume)
+    {
+        Rng* rng = chainbench_shape ? static_cast<Rng*>(&drbg) : &env.rng;
+        if (p == kClient) {
+            auto cfg = env.client_config(infos, contexts);
+            cfg.ticket = resume;
+            cfg.rng = rng;
+            env.client = std::make_unique<Session>(cfg);
+        } else if (p == kServer) {
+            auto cfg = env.server_config();
+            cfg.authenticate_middleboxes = !chainbench_shape;
+            cfg.session_cache = &server_cache;
+            cfg.rng = rng;
+            env.server = std::make_unique<Session>(cfg);
+        } else {
+            size_t i = p == kMbox0 ? 0 : 1;
+            auto cfg = env.mbox_config(i);
+            cfg.session_cache = &mbox_caches[i];
+            cfg.rng = rng;
+            if (env.mboxes.size() <= i) env.mboxes.resize(i + 1);
+            env.mboxes[i] = std::make_unique<MiddleboxSession>(cfg);
+        }
+    }
+
+    // Runs the resumed handshake from the client's start() until the chain
+    // goes quiet. `measure(party, call)` runs call() and charges its work to
+    // the party; a pump tap names the party each unit is delivered to.
+    template <class Measure>
+    void resume(Measure&& measure)
+    {
+        measure(kClient, [&] { env.client->start(); });
+        PartyId to = kClient;
+        // Hops 0 and 1 deliver to mbox 0 and 1, hop 2 to the server, hops 3
+        // and 4 to mbox 1 and 0, hop 5 to the client.
+        auto tap = [&](size_t hop, const Bytes&) {
+            to = hop == 2   ? kServer
+                 : hop == 5 ? kClient
+                 : (hop == 0 || hop == 4) ? kMbox0
+                                          : kMbox1;
+        };
+        auto probe = [&](chain::Party, auto&& call) { measure(to, [&] { (void)call(); }); };
+        ASSERT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, probe, tap));
+        ASSERT_TRUE(env.all_complete());
+        ASSERT_TRUE(env.client->resumed());
+    }
+};
 
 // One resumed handshake, client -> mbox0 -> mbox1 -> server with four
 // contexts of mixed permissions, resuming the session of a full handshake:
 // each party's primitive work from the client's start() until the chain
-// goes quiet. A pump tap names the party each unit is delivered to and the
-// probe charges that delivery's work to it. Pinned by value, with no
-// wall-clock noise: a refactor of the handshake must leave every count
-// as it is.
+// goes quiet. Pinned by value, with no wall-clock noise: a refactor of the
+// handshake must leave every count as it is.
 TEST_F(ExactCounts, ResumedHandshakeWithTwoMiddleboxesAndFourContexts)
 {
-    ChainEnv env;
-    ServerSessionCache server_cache;
-    std::array<MiddleboxSessionCache, 2> mbox_caches;
-    auto infos = env.make_middleboxes(2);
-    std::vector<ContextDescription> contexts;
     const Permission table[4][2] = {{Permission::read, Permission::write},
                                     {Permission::write, Permission::read},
                                     {Permission::none, Permission::read},
                                     {Permission::write, Permission::write}};
+    std::vector<ContextDescription> contexts;
     for (uint8_t id = 1; id <= 4; ++id)
         contexts.push_back({id, "ctx" + std::to_string(id), {table[id - 1][0], table[id - 1][1]}});
-    auto build = [&](const ResumptionTicket* ticket) {
-        auto ccfg = env.client_config(infos, contexts);
-        ccfg.ticket = ticket;
-        env.client = std::make_unique<Session>(ccfg);
-        auto scfg = env.server_config();
-        scfg.session_cache = &server_cache;
-        env.server = std::make_unique<Session>(scfg);
-        env.mboxes.clear();
-        for (size_t i = 0; i < 2; ++i) {
-            auto mcfg = env.mbox_config(i);
-            mcfg.session_cache = &mbox_caches[i];
-            env.mboxes.push_back(std::make_unique<MiddleboxSession>(mcfg));
-        }
-    };
-    build(nullptr);
-    env.handshake();
-    ASSERT_TRUE(env.all_complete());
-    ResumptionTicket ticket = env.client->ticket();
-    build(&ticket);
+    ResumedChain chain(contexts, /*chainbench=*/false);
+    for (int p = ResumedChain::kClient; p <= ResumedChain::kServer; ++p)
+        chain.build(static_cast<ResumedChain::PartyId>(p), &chain.ticket);
 
-    WorkCounts client = count([&] { env.client->start(); });
-    WorkCounts server;
-    std::array<WorkCounts, 2> mbox;
-    WorkCounts* to = nullptr;
-    // Hops 0 and 1 deliver to mbox 0 and 1, hop 2 to the server, hops 3
-    // and 4 to mbox 1 and 0, hop 5 to the client.
-    auto tap = [&](size_t hop, const Bytes&) {
-        to = hop == 2 ? &server : hop == 5 ? &client : &mbox[hop < 2 ? hop : 4 - hop];
-    };
-    auto probe = [&](chain::Party, auto&& call) {
-        g_work = {};
-        (void)call();
-        *to += g_work;
-    };
-    ASSERT_TRUE(chain::pump(*env.client, env.mboxes, *env.server, probe, tap));
-    ASSERT_TRUE(env.all_complete());
-    ASSERT_TRUE(env.client->resumed());
+    std::array<WorkCounts, 4> work;
+    chain.resume([&](ResumedChain::PartyId p, auto&& call) { work[p] += count(call); });
 
     // {SHA-256 compressions, AES blocks encrypted, AES blocks decrypted,
     // AES key expansions}. The endpoints mirror each other; the middleboxes
     // only open their halves, and mbox1 opens more because it holds keys
-    // for more contexts.
-    expect_work(client, {284, 51, 21, 13}, "client");
-    expect_work(mbox[0], {114, 0, 24, 8}, "mbox0");
-    expect_work(mbox[1], {136, 0, 28, 10}, "mbox1");
-    expect_work(server, {284, 51, 21, 13}, "server");
+    // for more contexts. No party uses a context key during the handshake,
+    // so none is expanded: what is left is the endpoints' control and
+    // key-material keys and the pairwise keys, expanded on first use.
+    expect_work(work[ResumedChain::kClient], {252, 51, 21, 5}, "client");
+    expect_work(work[ResumedChain::kMbox0], {94, 0, 24, 2}, "mbox0");
+    expect_work(work[ResumedChain::kMbox1], {112, 0, 28, 2}, "mbox1");
+    expect_work(work[ResumedChain::kServer], {252, 51, 21, 5}, "server");
+}
+
+// chainbench's handshake_resumed operation, counted: 16 contexts in its
+// four-row permission pattern, two middleboxes, every party drawing from
+// one HmacDrbg, each session built and then driven to completion. Per party:
+// SHA-256 compressions, AES key expansions and heap allocations (every
+// operator new, tests/alloc_counter.h), construction included.
+TEST_F(ExactCounts, ResumedSixteenContextHandshakeInChainbenchShape)
+{
+    const char* const purpose[4] = {"req-hdr", "resp-hdr", "resp-body", "req-body"};
+    const Permission rows[4][2] = {{Permission::read, Permission::none},
+                                   {Permission::none, Permission::write},
+                                   {Permission::read, Permission::none},
+                                   {Permission::write, Permission::read}};
+    std::vector<ContextDescription> contexts;
+    for (size_t i = 0; i < 16; ++i) {
+        std::string name = purpose[i % 4];
+        if (i >= 4) name += "." + std::to_string(i / 4);
+        contexts.push_back({static_cast<uint8_t>(i + 1), name, {rows[i % 4][0], rows[i % 4][1]}});
+    }
+    ResumedChain chain(contexts, /*chainbench=*/true);
+
+    struct Cost {
+        uint64_t sha256_blocks = 0;
+        uint64_t aes_expansions = 0;
+        uint64_t allocations = 0;
+    };
+    std::array<Cost, 4> cost;
+    auto measure = [&](ResumedChain::PartyId p, auto&& call) {
+        uint64_t allocs = mct::test::heap_allocations();
+        WorkCounts w = count(call);
+        cost[p].allocations += mct::test::heap_allocations() - allocs;
+        cost[p].sha256_blocks += w.sha256_blocks;
+        cost[p].aes_expansions += w.aes_expansions;
+    };
+    // Client, mbox0, mbox1, server, as chainbench constructs them.
+    for (int p = ResumedChain::kClient; p <= ResumedChain::kServer; ++p) {
+        auto party = static_cast<ResumedChain::PartyId>(p);
+        measure(party, [&] { chain.build(party, &chain.ticket); });
+    }
+    chain.resume(measure);
+
+    const char* names[4] = {"client", "mbox0", "mbox1", "server"};
+    const Cost want[4] = {{820, 6, 358}, {302, 3, 257}, {226, 3, 256}, {812, 6, 376}};
+    for (size_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(cost[p].sha256_blocks, want[p].sha256_blocks) << names[p];
+        EXPECT_EQ(cost[p].aes_expansions, want[p].aes_expansions) << names[p];
+        EXPECT_EQ(cost[p].allocations, want[p].allocations) << names[p];
+    }
 }
 
 }  // namespace

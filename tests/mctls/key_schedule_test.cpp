@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/hmac.h"
 
 #include "util/rng.h"
@@ -88,7 +90,7 @@ TEST_F(KsFixture, ReaderAndWriterKeysIndependent)
     auto ch = derive_partial_keys(sc, rand_c, 1);
     auto sh = derive_partial_keys(ss, rand_s, 1);
     auto sh2 = sh;
-    sh2.writer_half = rng.bytes(32);
+    std::ranges::copy(rng.bytes(32), sh2.writer_half.begin());
     ContextKeys a = combine_context_keys(ch, sh, rand_c, rand_s);
     ContextKeys b = combine_context_keys(ch, sh2, rand_c, rand_s);
     EXPECT_EQ(a.reader_enc[0], b.reader_enc[0]);

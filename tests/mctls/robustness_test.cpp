@@ -9,6 +9,7 @@
 #include "pki/certificate.h"
 #include "tests/mctls/harness.h"
 #include "tls/record.h"
+#include "util/serde.h"
 
 namespace mct::mctls {
 namespace {
@@ -107,6 +108,33 @@ TEST(Robustness, ParsersRejectRandomInput)
         (void)sp.next();
     }
     SUCCEED();  // reaching here without UB/crash is the assertion
+}
+
+// A key half is 32 bytes, or empty (absent) in middlebox material. Any other
+// length is refused at parse, not cut or padded into a KeyHalf.
+TEST(Robustness, KeyMaterialHalvesMustBe32BytesOrAbsent)
+{
+    for (size_t size : {0, 1, 31, 32, 33, 255}) {
+        Writer mbox;
+        mbox.u8(1);  // one entry
+        mbox.u8(1);  // context id
+        mbox.u8(static_cast<uint8_t>(Permission::read));
+        mbox.vec8(Bytes(size, 0x11));  // reader half
+        mbox.vec8(Bytes{});            // writer half: absent
+        mbox.vec16(Bytes{});           // no CKD keys
+        auto parsed = parse_middlebox_material(mbox.bytes());
+        EXPECT_EQ(parsed.ok(), size == 0 || size == 32) << size;
+        if (parsed.ok()) {
+            EXPECT_EQ(parsed.value()[0].reader_half.has_value(), size == 32) << size;
+        }
+
+        Writer endpoint;
+        endpoint.u8(1);
+        endpoint.u8(1);
+        endpoint.vec8(Bytes(size, 0x11));
+        endpoint.vec8(Bytes(32, 0x22));
+        EXPECT_EQ(parse_endpoint_material(endpoint.bytes()).ok(), size == 32) << size;
+    }
 }
 
 TEST(Robustness, ExtensionRoundTripWithExtremes)

@@ -1,19 +1,17 @@
 // Zero-allocation pin for the symmetric fast path, counted at the allocator.
 //
-// Its own binary: it replaces the global operator new with a counter, which
-// must not leak into the other suites. After one warm-up call, 1,000
-// steady-state iterations of each record seal/open/reseal, the TLS
-// protector, a 16-byte DRBG draw, a 16-byte IV-source draw and the keyed PRF
-// must not touch the heap at all: keys are expanded when installed and
-// every buffer is caller-owned.
+// Its own binary: it replaces the global operator new with a counter
+// (tests/alloc_counter.h), which must not leak into the other suites. After
+// one warm-up call, 1,000 steady-state iterations of each record
+// seal/open/reseal, the TLS protector, a 16-byte DRBG draw, a 16-byte
+// IV-source draw and the keyed PRF must not touch the heap at all: every
+// buffer is caller-owned. The first seal under fresh keys, which expands
+// them (crypto/key.h), must not either: the expansion is held inline.
 // (tests/mctls/fastpath_test.cpp counts only RecordScratch growth; this
 // counts every allocation.)
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -22,43 +20,9 @@
 #include "crypto/prf.h"
 #include "mctls/context_crypto.h"
 #include "mctls/key_schedule.h"
+#include "tests/alloc_counter.h"
 #include "tls/record.h"
 #include "util/rng.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t n)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(n ? n : 1)) return p;
-    throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t n, std::align_val_t align)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    auto a = static_cast<std::size_t>(align);
-    std::size_t size = n ? (n + a - 1) / a * a : a;  // aligned_alloc wants a multiple
-    if (void* p = std::aligned_alloc(a, size)) return p;
-    throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) { return counted_aligned_alloc(n, a); }
-void* operator new[](std::size_t n, std::align_val_t a) { return counted_aligned_alloc(n, a); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace mct::mctls {
 namespace {
@@ -71,9 +35,9 @@ template <class F>
 uint64_t allocations_over(F&& step)
 {
     step();
-    uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    uint64_t before = test::heap_allocations();
     for (int i = 0; i < kIterations; ++i) step();
-    return g_allocations.load(std::memory_order_relaxed) - before;
+    return test::heap_allocations() - before;
 }
 
 struct ZeroAlloc : ::testing::Test {
@@ -107,6 +71,19 @@ TEST_F(ZeroAlloc, SealRecordInto)
                   seal_record_into(ctx, endpoint, kDir, seq++, 1, payload, ivs, out);
               }),
               0u);
+    EXPECT_EQ(out.size(), sealed_record_size(payload.size()));
+}
+
+// No warm-up: this seal is the first use of the fixture's context keys and
+// of the endpoint MAC key, so it builds their HMAC midstates and the AES
+// schedule.
+TEST_F(ZeroAlloc, FirstSealExpandsKeysWithoutAllocating)
+{
+    Bytes out;
+    out.reserve(sealed_record_size(payload.size()));
+    uint64_t before = test::heap_allocations();
+    seal_record_into(ctx, endpoint, kDir, 0, 1, payload, ivs, out);
+    EXPECT_EQ(test::heap_allocations() - before, 0u);
     EXPECT_EQ(out.size(), sealed_record_size(payload.size()));
 }
 
