@@ -853,6 +853,13 @@ struct Testbed::Impl {
                 backlog_up.clear();
                 flush_up();
             }
+            // The client's close_notify ends the upstream leg cleanly too,
+            // behind everything relayed before it; otherwise every later
+            // hop would see the TCP close as a truncation.
+            if (down_tls->closed() && up_tls->ready() && backlog_up.empty()) {
+                up_tls->close();
+                flush_up();
+            }
         }
         void down_bytes(ConstBytes data) override
         {

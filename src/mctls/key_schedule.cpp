@@ -71,6 +71,24 @@ void expand_writer_keys(ContextKeys& keys, ConstBytes writer_secret, ConstBytes 
     keys.writer_mac[1] = view.subspan(kMacKeySize, kMacKeySize);
 }
 
+// K_readers, and K_writers where the secrets hold a writer secret, under
+// `seed` = randC || randS: the one derivation of contributory context keys.
+ContextKeys derive_context_keys(const ContextSecrets& secrets, ConstBytes seed)
+{
+    ContextKeys keys;
+    expand_reader_keys(keys, secrets.reader, seed);
+    if (secrets.writer) expand_writer_keys(keys, *secrets.writer, seed);
+    return keys;
+}
+
+ContextSecrets::Joined joined_halves(const KeyHalf& client_half, const KeyHalf& server_half)
+{
+    ContextSecrets::Joined joined;
+    std::copy(client_half.begin(), client_half.end(), joined.begin());
+    std::copy(server_half.begin(), server_half.end(), joined.begin() + kHalfSize);
+    return joined;
+}
+
 }  // namespace
 
 Bytes ContextKeys::serialize(bool writer) const
@@ -165,24 +183,33 @@ PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes ra
     return derive_partial_keys(crypto::HmacKey(endpoint_secret), rand_e, context_id);
 }
 
-ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server_reader_half,
-                                ConstBytes rand_c, ConstBytes rand_s)
+ContextSecrets ContextSecrets::join(const KeyHalf& client_reader_half,
+                                    const KeyHalf& server_reader_half)
 {
-    ContextKeys keys;
-    expand_reader_keys(keys, Joined{client_reader_half, server_reader_half},
-                       Joined{rand_c, rand_s});
-    return keys;
+    return {joined_halves(client_reader_half, server_reader_half), std::nullopt};
+}
+
+ContextSecrets ContextSecrets::join(const PartialContextKeys& client_half,
+                                    const PartialContextKeys& server_half)
+{
+    return {joined_halves(client_half.reader_half, server_half.reader_half),
+            joined_halves(client_half.writer_half, server_half.writer_half)};
+}
+
+ContextKeys combine_reader_keys(const KeyHalf& client_reader_half,
+                                const KeyHalf& server_reader_half, ConstBytes rand_c,
+                                ConstBytes rand_s)
+{
+    return derive_context_keys(ContextSecrets::join(client_reader_half, server_reader_half),
+                               Joined{rand_c, rand_s});
 }
 
 ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                  const PartialContextKeys& server_half, ConstBytes rand_c,
                                  ConstBytes rand_s)
 {
-    ContextKeys keys =
-        combine_reader_keys(client_half.reader_half, server_half.reader_half, rand_c, rand_s);
-    expand_writer_keys(keys, Joined{client_half.writer_half, server_half.writer_half},
-                       Joined{rand_c, rand_s});
-    return keys;
+    return derive_context_keys(ContextSecrets::join(client_half, server_half),
+                               Joined{rand_c, rand_s});
 }
 
 ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstBytes rand_s,
@@ -196,18 +223,51 @@ ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstByt
     return keys;
 }
 
-void ContextTable::assign(const std::vector<ContextDescription>& negotiated)
+void ContextTable::assign(std::vector<ContextDescription> negotiated)
 {
     entries_.clear();
     entries_.reserve(negotiated.size());
     slot_.fill(0);
-    for (const ContextDescription& desc : negotiated) {
+    for (ContextDescription& desc : negotiated) {
         ContextEntry& e = entries_.emplace_back();
-        e.desc = desc;
-        e.stats.id = desc.id;
-        e.stats.name = desc.purpose.empty() ? "ctx" + std::to_string(desc.id) : desc.purpose;
-        slot_[desc.id] = static_cast<uint8_t>(entries_.size());
+        e.desc = std::move(desc);
+        e.stats.id = e.desc.id;
+        e.stats.name = e.desc.purpose.empty() ? "ctx" + std::to_string(e.desc.id) : e.desc.purpose;
+        slot_[e.desc.id] = static_cast<uint8_t>(entries_.size());
     }
+}
+
+void ContextTable::set_seed(ConstBytes rand_c, ConstBytes rand_s)
+{
+    if (rand_c.size() + rand_s.size() != seed_.size())
+        throw std::invalid_argument("mctls: hello randoms must be 32 bytes each");
+    std::copy(rand_c.begin(), rand_c.end(), seed_.begin());
+    std::copy(rand_s.begin(), rand_s.end(), seed_.begin() + rand_c.size());
+}
+
+void ContextTable::combine(ContextEntry& e, const ContextSecrets& secrets, bool pending)
+{
+    if (pending) {
+        e.next = std::make_unique<ContextKeys>(derive_context_keys(secrets, seed_));
+        return;
+    }
+    e.keys_ = ContextKeys{};
+    e.secrets_ = secrets;
+}
+
+void ContextTable::install(ContextEntry& e, ContextKeys keys)
+{
+    e.keys_ = std::move(keys);
+    e.secrets_.reset();
+}
+
+const ContextKeys& ContextTable::keys(const ContextEntry& e) const
+{
+    if (e.secrets_) {
+        e.keys_ = derive_context_keys(*e.secrets_, seed_);
+        e.secrets_.reset();
+    }
+    return e.keys_;
 }
 
 void ContextTable::begin_rekey(uint32_t next_epoch)
@@ -222,10 +282,11 @@ void ContextTable::switch_direction(Direction dir)
     static const ContextKeys kNone;
     size_t d = static_cast<size_t>(dir);
     for (ContextEntry& e : entries_) {
+        (void)keys(e);
         const ContextKeys& next = e.next ? *e.next : kNone;
-        e.keys.reader_enc[d] = next.reader_enc[d];
-        e.keys.reader_mac[d] = next.reader_mac[d];
-        e.keys.writer_mac[d] = next.writer_mac[d];
+        e.keys_.reader_enc[d] = next.reader_enc[d];
+        e.keys_.reader_mac[d] = next.reader_mac[d];
+        e.keys_.writer_mac[d] = next.writer_mac[d];
     }
     switched_[d] = true;
 }

@@ -104,7 +104,25 @@ PartialContextKeys derive_partial_keys(const crypto::HmacKey& endpoint_secret, C
 PartialContextKeys derive_partial_keys(ConstBytes endpoint_secret, ConstBytes rand_e,
                                        uint8_t context_id);
 
-// Combine both halves into the final context keys.
+// The PRF inputs of one context's keys once both halves are known: the
+// joined reader secret K^C_readers || K^S_readers and, for a party with
+// write access, the joined writer secret K^C_writers || K^S_writers.
+struct ContextSecrets {
+    using Joined = std::array<uint8_t, 2 * kKeyHalfSize>;
+    Joined reader{};
+    std::optional<Joined> writer;  // write access only
+
+    // Reader and writer secrets of a writer (endpoints hold every context
+    // as writers do).
+    static ContextSecrets join(const PartialContextKeys& client_half,
+                               const PartialContextKeys& server_half);
+    // The reader secret only: the party derives no writer key at all.
+    static ContextSecrets join(const KeyHalf& client_reader_half,
+                               const KeyHalf& server_reader_half);
+};
+
+// Combine both halves into the final context keys, at once: the derivation
+// ContextTable::keys() runs on first use.
 ContextKeys combine_context_keys(const PartialContextKeys& client_half,
                                  const PartialContextKeys& server_half, ConstBytes rand_c,
                                  ConstBytes rand_s);
@@ -112,8 +130,9 @@ ContextKeys combine_context_keys(const PartialContextKeys& client_half,
 // Reader-only combination for a party granted read access: the reader keys
 // of combine_context_keys from the two reader halves, and no writer key
 // (can_write() is false).
-ContextKeys combine_reader_keys(ConstBytes client_reader_half, ConstBytes server_reader_half,
-                                ConstBytes rand_c, ConstBytes rand_s);
+ContextKeys combine_reader_keys(const KeyHalf& client_reader_half,
+                                const KeyHalf& server_reader_half, ConstBytes rand_c,
+                                ConstBytes rand_s);
 
 // Client-key-distribution mode (§3.6): complete context keys straight from
 // the endpoint master secret — both endpoints can compute them; middleboxes
@@ -122,13 +141,16 @@ ContextKeys derive_context_keys_ckd(ConstBytes s_cs, ConstBytes rand_c, ConstByt
                                     uint8_t context_id);
 
 // One negotiated context at one party (§3.3-3.4).
+//
+// A contributory context's current keys are derived on first use: the
+// handshake (and a middlebox's combine) store only the joined secrets, and
+// ContextTable::keys() runs the PRFs the first time a record, the keylog or
+// a caller asks for the keys. A context no record uses costs no PRF.
 struct ContextEntry {
     // As negotiated. At an endpoint, permissions[m] is middlebox m's
     // effective grant, min(requested, granted), once both hellos are known;
     // a middlebox's own access is the keys it holds.
     ContextDescription desc;
-    // Current epoch. Members a party was not given stay empty.
-    ContextKeys keys;
     // The next epoch's keys, only while an in-band rekey is in flight; null
     // for a context the new epoch does not grant this party.
     std::unique_ptr<ContextKeys> next;
@@ -139,6 +161,21 @@ struct ContextEntry {
     // session_stats() row: id, name and payload counters. Idle contexts get
     // a row too. A middlebox only fills the inbound half.
     obs::ContextStats stats;
+
+    // The access the current epoch's keys give to records flowing in `dir`,
+    // read from the secrets while they are underived (no PRF runs).
+    Permission access(Direction dir) const
+    {
+        if (secrets_) return secrets_->writer ? Permission::write : Permission::read;
+        return keys_.access(dir);
+    }
+
+private:
+    friend class ContextTable;
+    // Current epoch: the keys, or, until first use, the secrets they derive
+    // from (keys_ empty). Mutable: deriving does not change what the keys are.
+    mutable ContextKeys keys_;
+    mutable std::optional<ContextSecrets> secrets_;
 };
 
 // A party's negotiated contexts: one entry each, in negotiated order, found
@@ -154,7 +191,7 @@ public:
     // One entry per context of `negotiated`, whose ids are distinct and
     // non-zero (MiddleboxListExtension::parse and the Session config check
     // enforce both).
-    void assign(const std::vector<ContextDescription>& negotiated);
+    void assign(std::vector<ContextDescription> negotiated);
 
     ContextEntry* find(uint8_t id) { return slot_[id] ? &entries_[slot_[id] - 1] : nullptr; }
     const ContextEntry* find(uint8_t id) const
@@ -165,12 +202,27 @@ public:
     std::span<ContextEntry> entries() { return entries_; }
     std::span<const ContextEntry> entries() const { return entries_; }
 
+    // The seed randC || randS every contributory key of this handshake is
+    // derived under; set before the first combine(), kept for the rekeys.
+    void set_seed(ConstBytes rand_c, ConstBytes rand_s);
+    // Both endpoints' halves of `e`'s keys, joined: for the current epoch
+    // they are kept and derived on first use; for the pending epoch of a
+    // rekey (`pending`) the keys are derived now into `e.next`.
+    void combine(ContextEntry& e, const ContextSecrets& secrets, bool pending);
+    // Complete keys for the current epoch (client key distribution).
+    static void install(ContextEntry& e, ContextKeys keys);
+    // The current epoch's keys of `e`, derived here the first time they are
+    // asked for. Every use of a context's keys goes through this call.
+    const ContextKeys& keys(const ContextEntry& e) const;
+
     // The epoch an in-flight rekey establishes; nullopt when none is.
     std::optional<uint32_t> pending_epoch() const { return pending_epoch_; }
     // Starts establishing `next_epoch`; drops any pending keys.
     void begin_rekey(uint32_t next_epoch);
     // Every entry takes `dir`'s reader and writer keys from its pending
     // keys. An entry with none loses them: a revoked middlebox keeps no key.
+    // The current epoch is derived first, so no underived secret outlives
+    // the switch: the other direction still runs on it until its own switch.
     void switch_direction(Direction dir);
     // Once both directions have switched: `current_epoch` becomes the new
     // epoch, the pending keys are released, and the result is true.
@@ -179,6 +231,7 @@ public:
 private:
     std::vector<ContextEntry> entries_;
     std::array<uint8_t, kMaxContexts + 1> slot_{};  // id -> index + 1; 0 = not negotiated
+    std::array<uint8_t, 64> seed_{};  // randC || randS, 32 bytes each
     std::optional<uint32_t> pending_epoch_;
     bool switched_[2] = {false, false};  // indexed by Direction
 };

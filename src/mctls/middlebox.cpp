@@ -189,8 +189,8 @@ Status MiddleboxSession::handle_handshake(From from, const tls::HandshakeMessage
         auto ext = MiddleboxListExtension::parse(hello.value().extensions);
         if (!ext)
             return fail(AlertDescription::decode_error, "mctls mbox: bad middlebox list");
-        middleboxes_ = ext.value().middleboxes;
-        table_.assign(ext.value().contexts);
+        middleboxes_ = std::move(ext.value().middleboxes);
+        table_.assign(std::move(ext.value().contexts));
         for (size_t i = 0; i < middleboxes_.size(); ++i) {
             if (middleboxes_[i].name == cfg_.name) entity_index_ = i;
         }
@@ -431,7 +431,7 @@ Status MiddleboxSession::try_finalize_keys()
                 keys.value().access(Direction::server_to_client) != e.permission)
                 return fail(AlertDescription::illegal_parameter,
                             "mctls mbox: key material permission mismatch");
-            table_.find(e.context_id)->keys = keys.take();
+            ContextTable::install(*table_.find(e.context_id), keys.take());
         }
     } else {
         if (!material_[0] || !material_[1]) return {};
@@ -440,7 +440,9 @@ Status MiddleboxSession::try_finalize_keys()
     keys_ready_ = true;
     auto keyed = static_cast<uint64_t>(
         std::count_if(table_.entries().begin(), table_.entries().end(),
-                      [](const ContextEntry& e) { return e.keys.can_read(); }));
+                      [](const ContextEntry& e) {
+                          return e.access(Direction::client_to_server) != Permission::none;
+                      }));
     core_.trace(obs::EventType::hs_key_distribution, 0, keyed, ckd_ ? 1 : 0);
     core_.trace(obs::EventType::hs_complete, 0, keyed);
     if (cfg_.session_cache) cfg_.session_cache->put(ticket());
@@ -451,6 +453,7 @@ void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry
                                         const std::vector<MiddleboxMaterialEntry>& server,
                                         bool pending)
 {
+    table_.set_seed(client_random_, server_random_);
     // A context key exists only where BOTH endpoints supplied their half —
     // this is how mutual consent (R4) is enforced.
     for (const auto& ce : client) {
@@ -460,19 +463,14 @@ void MiddleboxSession::combine_material(const std::vector<MiddleboxMaterialEntry
             // Write access needs both writer halves; a reader derives (and
             // holds) no writer key at all.
             bool writer = ce.writer_half && se.writer_half;
-            ContextKeys combined =
-                writer ? combine_context_keys({*ce.reader_half, *ce.writer_half},
-                                              {*se.reader_half, *se.writer_half}, client_random_,
-                                              server_random_)
-                       : combine_reader_keys(*ce.reader_half, *se.reader_half, client_random_,
-                                             server_random_);
+            ContextSecrets secrets =
+                writer ? ContextSecrets::join({*ce.reader_half, *ce.writer_half},
+                                              {*se.reader_half, *se.writer_half})
+                       : ContextSecrets::join(*ce.reader_half, *se.reader_half);
+            // open_material admitted only negotiated contexts. The current
+            // epoch's keys are derived at first use; counted here (Table 3).
+            table_.combine(*table_.find(ce.context_id), secrets, pending);
             crypto::count_keygen(cfg_.ops, writer ? 2 : 1);  // k <= 2K of Table 3
-            // open_material admitted only negotiated contexts.
-            ContextEntry& ctx = *table_.find(ce.context_id);
-            if (pending)
-                ctx.next = std::make_unique<ContextKeys>(std::move(combined));
-            else
-                ctx.keys = std::move(combined);
         }
     }
 }
@@ -573,13 +571,13 @@ Permission MiddleboxSession::permission(uint8_t context_id) const
 {
     // Client->server is the direction a rekey switches last.
     const ContextEntry* ctx = table_.find(context_id);
-    return ctx ? ctx->keys.access(Direction::client_to_server) : Permission::none;
+    return ctx ? ctx->access(Direction::client_to_server) : Permission::none;
 }
 
 const ContextKeys* MiddleboxSession::context_keys(uint8_t context_id) const
 {
     if (permission(context_id) == Permission::none) return nullptr;
-    return &table_.find(context_id)->keys;
+    return &table_.keys(*table_.find(context_id));
 }
 
 Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& view)
@@ -609,7 +607,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     // revoked middlebox forwards blind rather than fail on keys it was not
     // given.
     ContextEntry* ctx = table_.find(view.context_id);
-    Permission perm = ctx ? ctx->keys.access(dir) : Permission::none;
+    Permission perm = ctx ? ctx->access(dir) : Permission::none;
 
     if (perm == Permission::none) {
         ++records_forwarded_blind_;
@@ -626,7 +624,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     }
 
     if (perm == Permission::read) {
-        auto payload = open_record_reader(ctx->keys, dir, seq, view.context_id,
+        auto payload = open_record_reader(table_.keys(*ctx), dir, seq, view.context_id,
                                           view.payload, open_scratch_, tp);
         if (!payload) {
             core_.note_mac_failure(view.context_id, view.payload.size());
@@ -649,7 +647,8 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     }
 
     // Writer.
-    auto opened = open_record_writer(ctx->keys, dir, seq, view.context_id, view.payload,
+    const ContextKeys& keys = table_.keys(*ctx);
+    auto opened = open_record_writer(keys, dir, seq, view.context_id, view.payload,
                                      open_scratch_, tp);
     if (!opened) {
         core_.note_mac_failure(view.context_id, view.payload.size());
@@ -687,7 +686,7 @@ Status MiddleboxSession::handle_app_record(From from, const tls::RecordView& vie
     client_side_.codec.encode_header_into(tls::ContentType::application_data, view.context_id,
                                           body, wire);
     StageNanos reseal_ns;
-    reseal_record_writer_into(ctx->keys, dir, seq, view.context_id, payload,
+    reseal_record_writer_into(keys, dir, seq, view.context_id, payload,
                               opened.value().endpoint_mac, core_.iv_source(), wire,
                               traced ? &reseal_ns : nullptr);
     out(from).push(std::move(wire));

@@ -121,10 +121,12 @@ public:
     const std::optional<tls::Alert>& peer_alert() const { return core_.peer_alert(); }
 
     // Effective permission (both halves received) for a context: the access
-    // its keys give. Mid-rekey it is still the committed epoch's.
+    // its keys give, known before they are derived. Mid-rekey it is still
+    // the committed epoch's.
     Permission permission(uint8_t context_id) const;
-    // Installed keys for a context, or nullptr without access. A reader's
-    // keys hold no writer key at all (can_write() is false).
+    // A context's keys, derived here if nothing has used them yet, or
+    // nullptr without access. A reader's keys hold no writer key at all
+    // (can_write() is false).
     const ContextKeys* context_keys(uint8_t context_id) const;
 
     // --- Session continuity (see DESIGN.md "Session continuity") ---

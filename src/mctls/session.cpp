@@ -289,7 +289,7 @@ Status Session::client_handle(const tls::HandshakeMessage& msg)
         if (!mode)
             return core_.fail(AlertDescription::decode_error, "mctls: bad server mode extension");
         ckd_ = mode.value().client_key_distribution;
-        granted_ = mode.value().granted;
+        granted_ = std::move(mode.value().granted);
         apply_grants();
         transcript_.set(Transcript::Slot::server_hello, wire);
         crypto::count_hash(cfg_.ops);
@@ -374,8 +374,8 @@ Status Session::server_handle(const tls::HandshakeMessage& msg)
         if (!ext)
             return core_.fail(AlertDescription::decode_error,
                               "mctls: bad middlebox list: " + ext.error().message);
-        middleboxes_ = ext.value().middleboxes;
-        contexts_ = ext.value().contexts;
+        middleboxes_ = std::move(ext.value().middleboxes);
+        contexts_ = std::move(ext.value().contexts);
         table_.assign(contexts_);
         mbox_state_.resize(middleboxes_.size());
         for (size_t i = 0; i < middleboxes_.size(); ++i) mbox_state_[i].info = middleboxes_[i];
@@ -507,7 +507,8 @@ void Session::derive_endpoint_secrets_from_scs()
 
     if (ckd_) {
         for (ContextEntry& ctx : table_.entries()) {
-            ctx.keys = derive_context_keys_ckd(s_cs_, client_random_, server_random_, ctx.desc.id);
+            ContextTable::install(
+                ctx, derive_context_keys_ckd(s_cs_, client_random_, server_random_, ctx.desc.id));
             crypto::count_keygen(cfg_.ops, 2);  // reader + writer keys
         }
     } else {
@@ -528,7 +529,7 @@ void Session::keylog_contexts(uint32_t epoch, bool pending) const
         const ContextEntry* ctx = table_.find(static_cast<uint8_t>(id));
         if (ctx)
             keylog_context_keys(cfg_.keylog, client_random_, epoch, ctx->desc.id,
-                                pending ? *ctx->next : ctx->keys);
+                                pending ? *ctx->next : table_.keys(*ctx));
     }
 }
 
@@ -555,7 +556,7 @@ Bytes Session::seal_middlebox_material(size_t mbox_index, ConstBytes ad)
         entry.context_id = ctx.desc.id;
         entry.permission = perm;
         if (ckd_) {
-            entry.complete_keys = ctx.keys.serialize(perm == Permission::write);
+            entry.complete_keys = table_.keys(ctx).serialize(perm == Permission::write);
         } else {
             entry.reader_half = ctx.own_half.value().reader_half;
             if (perm == Permission::write) entry.writer_half = ctx.own_half.value().writer_half;
@@ -602,18 +603,16 @@ Status Session::open_endpoint_material(ConstBytes sealed, ConstBytes ad, const c
 
 Status Session::combine_halves(const char* missing, bool pending)
 {
+    table_.set_seed(client_random_, server_random_);
     for (ContextEntry& ctx : table_.entries()) {
         if (!ctx.own_half || !ctx.peer_half)
             return core_.fail(AlertDescription::handshake_failure, missing);
         const PartialContextKeys& client_half = is_client_ ? *ctx.own_half : *ctx.peer_half;
         const PartialContextKeys& server_half = is_client_ ? *ctx.peer_half : *ctx.own_half;
-        ContextKeys keys =
-            combine_context_keys(client_half, server_half, client_random_, server_random_);
+        // Counted here, where Table 3 counts it, though the current epoch's
+        // PRFs run at the context's first use (ContextTable::keys).
+        table_.combine(ctx, ContextSecrets::join(client_half, server_half), pending);
         crypto::count_keygen(cfg_.ops, 2);  // K_readers, K_writers
-        if (pending)
-            ctx.next = std::make_unique<ContextKeys>(std::move(keys));
-        else
-            ctx.keys = std::move(keys);
     }
     return {};
 }
@@ -780,7 +779,7 @@ Status Session::handle_app_record(uint8_t context_id, ConstBytes payload)
     Direction dir = is_client_ ? Direction::server_to_client : Direction::client_to_server;
     StageNanos stage_ns;
     StageNanos* tp = (obs::span_on(core_.spans()) && in_ctx.valid()) ? &stage_ns : nullptr;
-    auto opened = open_record_endpoint(ctx->keys, endpoint_keys_, dir, app_recv_seq_,
+    auto opened = open_record_endpoint(table_.keys(*ctx), endpoint_keys_, dir, app_recv_seq_,
                                        context_id, payload, open_scratch_, tp);
     if (!opened) {
         core_.note_mac_failure(context_id, payload.size());
@@ -814,6 +813,7 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
     if (!ctx) return err("mctls: unknown context");
 
     Direction dir = is_client_ ? Direction::client_to_server : Direction::server_to_client;
+    const ContextKeys& keys = table_.keys(*ctx);
     size_t off = 0;
     do {
         size_t take = std::min(kAppChunkLimit, data.size() - off);
@@ -834,7 +834,7 @@ Status Session::send_app_data(uint8_t context_id, ConstBytes data)
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-        seal_record_into(ctx->keys, endpoint_keys_, dir, app_send_seq_, context_id,
+        seal_record_into(keys, endpoint_keys_, dir, app_send_seq_, context_id,
                          data.subspan(off, take), core_.iv_source(), wire, tp);
         obs::SpanContext rec;  // this record's trace (invalid when untraced)
         if (tp) {
@@ -1008,9 +1008,9 @@ Bytes Session::resumed_finished_verify_data(const char* label)
 Bytes Session::context_key_fingerprint(uint8_t context_id) const
 {
     const ContextEntry* ctx = table_.find(context_id);
-    if (!ctx || !ctx->keys.can_read()) return {};
+    if (!ctx || ctx->access(Direction::client_to_server) == Permission::none) return {};
     crypto::Sha256 h;
-    h.update(ctx->keys.serialize(/*writer=*/true));
+    h.update(table_.keys(*ctx).serialize(/*writer=*/true));
     auto digest = h.finish();
     return Bytes(digest.begin(), digest.end());
 }

@@ -253,8 +253,8 @@ private:
     // min(requested, granted).
     void apply_grants();
     // Emit one MCTLS_CONTEXT keylog line per context, in ascending id, with
-    // its current or (for a rekey) pending keys. No-op when the keylog is
-    // disabled.
+    // its current or (for a rekey) pending keys, deriving the current keys
+    // if nothing has used them yet. No-op when the keylog is disabled.
     void keylog_contexts(uint32_t epoch, bool pending) const;
     Status derive_endpoint_secrets();  // S_C-S, K_endpoints, control protectors
     Bytes finished_verify_data(const char* label, bool include_client_finished);
@@ -273,9 +273,9 @@ private:
     // Fails the session when they do not open ("<what>: ..."), do not
     // parse, or name a context that was never negotiated.
     Status open_endpoint_material(ConstBytes sealed, ConstBytes ad, const char* what);
-    // Combines own and peer halves into every context's keys, or its pending
-    // keys for a rekey; fails the session with `missing` when either half
-    // of one is absent.
+    // Combines own and peer halves into every context's keys (derived on
+    // first use), or its pending keys for a rekey; fails the session with
+    // `missing` when either half of one is absent.
     Status combine_halves(const char* missing, bool pending);
 
     SessionConfig cfg_;

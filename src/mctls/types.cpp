@@ -44,6 +44,7 @@ Result<MiddleboxListExtension> MiddleboxListExtension::parse(ConstBytes wire)
     MiddleboxListExtension ext;
     auto mbox_count = r.u8();
     if (!mbox_count) return mbox_count.error();
+    ext.middleboxes.reserve(mbox_count.value());
     for (unsigned i = 0; i < mbox_count.value(); ++i) {
         MiddleboxInfo info;
         auto name = r.str8();
@@ -56,6 +57,7 @@ Result<MiddleboxListExtension> MiddleboxListExtension::parse(ConstBytes wire)
     }
     auto ctx_count = r.u8();
     if (!ctx_count) return ctx_count.error();
+    ext.contexts.reserve(ctx_count.value());
     bool seen[kMaxContexts + 1] = {};
     for (unsigned i = 0; i < ctx_count.value(); ++i) {
         ContextDescription ctx;
@@ -67,10 +69,11 @@ Result<MiddleboxListExtension> MiddleboxListExtension::parse(ConstBytes wire)
         auto purpose = r.str8();
         if (!purpose) return purpose.error();
         ctx.purpose = purpose.take();
-        auto perms = r.vec8();
+        auto perms = r.view8();
         if (!perms) return perms.error();
         if (perms.value().size() != ext.middleboxes.size())
             return err("mctls: permission list size mismatch");
+        ctx.permissions.reserve(perms.value().size());
         for (uint8_t p : perms.value()) {
             if (p > 2) return err("mctls: bad permission value");
             ctx.permissions.push_back(static_cast<Permission>(p));
@@ -103,10 +106,12 @@ Result<ServerModeExtension> ServerModeExtension::parse(ConstBytes wire)
     ext.client_key_distribution = flag.value() != 0;
     auto rows = r.u8();
     if (!rows) return rows.error();
+    ext.granted.reserve(rows.value());
     for (unsigned i = 0; i < rows.value(); ++i) {
-        auto perms = r.vec8();
+        auto perms = r.view8();
         if (!perms) return perms.error();
         std::vector<Permission> row;
+        row.reserve(perms.value().size());
         for (uint8_t p : perms.value()) {
             if (p > 2) return err("mctls: bad permission value");
             row.push_back(static_cast<Permission>(p));

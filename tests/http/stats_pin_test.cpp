@@ -71,8 +71,8 @@ TEST(TestbedStatsPin, PublishedStatsPerMode)
          "7eff6868df33cfa6d3409bf092fa5dff7afb4330318645da5f35da7ede19bbde", 2320, 18},
         {Mode::split_tls, true, 371,
          "5568110fc2f327172fdc8af29551f5817757d31178ab80dbdaa85928437f641b", 1150, 18},
-        {Mode::split_tls, false, 160,
-         "bb04bce1595746249b6135de8155f3029f2660f9b9022dd43beaa3b940a32492", 1150, 18},
+        {Mode::split_tls, false, 166,
+         "2f5ef0cfda34f30b09904b3aeafbc2220f2b87df48715cd462491365b0053c9b", 1150, 18},
         {Mode::e2e_tls, true, 155,
          "69c9da5fe25264ae295d352671de4d346583f54727fe6ad3991cab97e5b48a3f", 1150, 18},
         {Mode::e2e_tls, false, 88,
@@ -95,7 +95,8 @@ TEST(TestbedStatsPin, PublishedStatsPerMode)
 // Retired SplitTLS relays fold each leg into its own class: a relay's
 // downstream leg (impersonating the server) and upstream leg (a client of
 // the next hop) are published apart, and neither counts toward §5.2's
-// endpoint-to-endpoint overhead.
+// endpoint-to-endpoint overhead. The client's close_notify is relayed hop
+// by hop, so every leg and the server end established, not truncated.
 TEST(TestbedStatsPin, SplitTlsPruneFoldsRelayLegs)
 {
     Published p = run_mode(Mode::split_tls, false);
@@ -103,7 +104,9 @@ TEST(TestbedStatsPin, SplitTlsPruneFoldsRelayLegs)
          {"mbox0-down.app_records_sent=12\n", "mbox0-down.app_records_received=6\n",
           "mbox0-up.app_records_sent=6\n", "mbox0-up.app_records_received=12\n",
           "mbox1-down.app_records_sent=12\n", "mbox1-up.app_records_received=12\n",
-          "client.app_records_sent=6\n", "fetch.completed=3\n"})
+          "client.app_records_sent=6\n", "fetch.completed=3\n",
+          "mbox1-down.established=1\n", "server.established=1\n",
+          "server.alerts.received.close_notify=3\n"})
         EXPECT_NE(p.text.find(line), std::string::npos) << line;
     EXPECT_EQ(p.overhead.records, 18u);  // client 6 + server 12
 }

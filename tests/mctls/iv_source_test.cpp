@@ -247,11 +247,17 @@ TEST_F(ExactCounts, SessionSealOf64BytesIsNineCompressionsTwelveBlocks)
     EXPECT_EQ(steady_drbg.aes_expansions, 0u);
 }
 
-// The first seal in a context is where its keys expand (crypto/key.h): the
-// client's writer and reader MAC keys for client->server (2 compressions
-// each, the ipad and opad midstates) and its reader encryption key (1 AES
-// key expansion) on top of the steady-state seal above. The endpoint MAC key
-// was already expanded by the handshake's Finished. Nothing else moves.
+// The first seal in a context is where its keys are derived and expand. The
+// derivation (ContextTable::keys) is the two PRFs the handshake no longer
+// runs, 31 compressions: K_readers is 2 (the 64 B joined secret's ipad and
+// opad midstates) + 3 (A(1) over "reader keys" || randC || randS, 75 B) +
+// 3 x 3 (each 32 B output block over A(i) || label || seed, 107 B) + 2 x 2
+// (A(2), A(3) over 32 B) = 18; K_writers, 64 B of output, is 2 + 3 + 2 x 3
+// + 2 = 13. Then the keys expand (crypto/key.h): the client's writer and
+// reader MAC keys for client->server (2 compressions each) and its reader
+// encryption key (1 AES key expansion), on top of the steady-state seal
+// above. The endpoint MAC key was already expanded by the handshake's
+// Finished. Nothing else moves.
 TEST_F(ExactCounts, FirstSessionSealExpandsItsContextKeysOnce)
 {
     WriterChain chain;
@@ -259,7 +265,7 @@ TEST_F(ExactCounts, FirstSessionSealExpandsItsContextKeysOnce)
     Bytes payload(64, 0x64);
     WorkCounts first =
         count([&] { ASSERT_TRUE(chain.env.client->send_app_data(kCtx, payload).ok()); });
-    EXPECT_EQ(first.sha256_blocks, 9u + 2 * 2);
+    EXPECT_EQ(first.sha256_blocks, 9u + (18 + 13) + 2 * 2);
     EXPECT_EQ(first.aes_enc_blocks, 12u);
     EXPECT_EQ(first.aes_dec_blocks, 0u);
     EXPECT_EQ(first.aes_expansions, 1u);
@@ -366,12 +372,17 @@ TEST_F(ExactCounts, ResumedHandshakeWithTwoMiddleboxesAndFourContexts)
     // AES key expansions}. The endpoints mirror each other; the middleboxes
     // only open their halves, and mbox1 opens more because it holds keys
     // for more contexts. No party uses a context key during the handshake,
-    // so none is expanded: what is left is the endpoints' control and
-    // key-material keys and the pairwise keys, expanded on first use.
-    expect_work(work[ResumedChain::kClient], {252, 51, 21, 5}, "client");
-    expect_work(work[ResumedChain::kMbox0], {94, 0, 24, 2}, "mbox0");
-    expect_work(work[ResumedChain::kMbox1], {112, 0, 28, 2}, "mbox1");
-    expect_work(work[ResumedChain::kServer], {252, 51, 21, 5}, "server");
+    // so none is derived or expanded: what is left is the endpoints' control
+    // and key-material keys and the pairwise keys, expanded on first use.
+    // Deriving every context's keys in the handshake cost 18 compressions
+    // per reader key set and 13 per writer key set (see the test above):
+    // each endpoint 4 x 31 = 124 more (252), mbox0 (read, write, none,
+    // write) 18 + 2 x 31 = 80 more (94), mbox1 (write, read, read, write)
+    // 2 x 31 + 2 x 18 = 98 more (112).
+    expect_work(work[ResumedChain::kClient], {128, 51, 21, 5}, "client");
+    expect_work(work[ResumedChain::kMbox0], {14, 0, 24, 2}, "mbox0");
+    expect_work(work[ResumedChain::kMbox1], {14, 0, 28, 2}, "mbox1");
+    expect_work(work[ResumedChain::kServer], {128, 51, 21, 5}, "server");
 }
 
 // chainbench's handshake_resumed operation, counted: 16 contexts in its
@@ -414,8 +425,15 @@ TEST_F(ExactCounts, ResumedSixteenContextHandshakeInChainbenchShape)
     }
     chain.resume(measure);
 
+    // With every context's keys derived in the handshake, the compressions
+    // were 820, 302, 226 and 812: 16 x 31 = 496 more at each endpoint,
+    // 12 reader key sets x 18 + 4 writer key sets x 13 = 268 more at mbox0
+    // and 8 x 18 + 4 x 13 = 196 more at mbox1. The allocations were 358,
+    // 257, 256 and 376 while the parties copied the parsed middlebox list,
+    // contexts and grants instead of moving them, and parsed each
+    // permission row through a temporary vector.
     const char* names[4] = {"client", "mbox0", "mbox1", "server"};
-    const Cost want[4] = {{820, 6, 358}, {302, 3, 257}, {226, 3, 256}, {812, 6, 376}};
+    const Cost want[4] = {{324, 6, 306}, {34, 3, 167}, {30, 3, 166}, {316, 6, 322}};
     for (size_t p = 0; p < 4; ++p) {
         EXPECT_EQ(cost[p].sha256_blocks, want[p].sha256_blocks) << names[p];
         EXPECT_EQ(cost[p].aes_expansions, want[p].aes_expansions) << names[p];

@@ -6,7 +6,8 @@
 // seal/open/reseal, the TLS protector, a 16-byte DRBG draw, a 16-byte
 // IV-source draw and the keyed PRF must not touch the heap at all: every
 // buffer is caller-owned. The first seal under fresh keys, which expands
-// them (crypto/key.h), must not either: the expansion is held inline.
+// them (crypto/key.h), must not either: the expansion is held inline. Nor
+// must deriving a context's keys on first use from the kept secrets.
 // (tests/mctls/fastpath_test.cpp counts only RecordScratch growth; this
 // counts every allocation.)
 #include <gtest/gtest.h>
@@ -85,6 +86,28 @@ TEST_F(ZeroAlloc, FirstSealExpandsKeysWithoutAllocating)
     seal_record_into(ctx, endpoint, kDir, 0, 1, payload, ivs, out);
     EXPECT_EQ(test::heap_allocations() - before, 0u);
     EXPECT_EQ(out.size(), sealed_record_size(payload.size()));
+}
+
+// A context's keys derived on first use (ContextTable::keys) from the
+// secrets the handshake keeps: the two PRFs, the keys installed inline, and
+// the first seal that expands them, all without the heap.
+TEST_F(ZeroAlloc, FirstUseDerivationDoesNotAllocate)
+{
+    ContextTable table;
+    table.assign({{1, "ctx1", {}}});
+    table.set_seed(rand_c, rand_s);
+    PartialContextKeys client_half = derive_partial_keys(seed_rng.bytes(48), rand_c, 1);
+    PartialContextKeys server_half = derive_partial_keys(seed_rng.bytes(48), rand_s, 1);
+    ContextEntry& entry = *table.find(1);
+    Bytes out;
+    out.reserve(sealed_record_size(payload.size()));
+    uint64_t before = test::heap_allocations();
+    table.combine(entry, ContextSecrets::join(client_half, server_half), /*pending=*/false);
+    const ContextKeys& keys = table.keys(entry);
+    seal_record_into(keys, endpoint, kDir, 0, 1, payload, ivs, out);
+    EXPECT_EQ(test::heap_allocations() - before, 0u);
+    EXPECT_EQ(keys.serialize(true),
+              combine_context_keys(client_half, server_half, rand_c, rand_s).serialize(true));
 }
 
 TEST_F(ZeroAlloc, ScratchOpens)
